@@ -393,7 +393,7 @@ fn faults(rows: usize, workers: usize) {
     use bd_core::prelude::*;
     use bd_core::{audit_equivalence, IndexDef};
     use bd_storage::{FaultPlan, FaultSpec};
-    use bd_wal::{crash_at_every_io, torn_write_at_every_io};
+    use bd_wal::{sweep, BulkDelete, Fault};
     use bd_workload::TableSpec;
 
     let rows = rows.min(5_000); // the campaign rebuilds the db per crash point
@@ -476,44 +476,40 @@ fn faults(rows: usize, workers: usize) {
         db.create_hash_index(w.tid, 3).unwrap();
         (db, w.tid)
     };
-    for (label, workers) in [("serial", 1usize), ("parallel", par_workers)] {
-        let started = std::time::Instant::now();
-        match crash_at_every_io(campaign_build, 0, &d, workers, Some(25)) {
-            Ok(report) => println!(
-                "[faults] {label} campaign smoke: {} crash points recovered \
-                 ({} fault-free accesses, {} rows deleted) in {:.1}s wall",
-                report.crash_points,
-                report.fault_free_accesses,
-                report.deleted,
-                started.elapsed().as_secs_f32()
-            ),
-            Err(e) => {
-                eprintln!("[faults] {label} campaign failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 
-    // Part 3: torn-write campaign smoke — the write-side mirror of the
-    // crash sweep. Each position tears one write (half the page persists
-    // under a checksum recording the intended image); media recovery heals
-    // the page, rebuilds the owning structure from the heap, and must
-    // converge to the fault-free state. Bounded for smoke: the sweep stops
-    // after 10 surfaced tears.
-    for (label, workers) in [("serial", 1usize), ("parallel", par_workers)] {
-        let started = std::time::Instant::now();
-        match torn_write_at_every_io(campaign_build, 0, &d, workers, 0, Some(10)) {
-            Ok(report) => println!(
-                "[faults] {label} torn-write smoke: {} tears media-recovered, \
-                 {} silent, {} rows deleted in {:.1}s wall",
-                report.torn_points,
-                report.silent_points,
-                report.deleted,
-                started.elapsed().as_secs_f32()
-            ),
-            Err(e) => {
-                eprintln!("[faults] {label} torn-write campaign failed: {e}");
-                std::process::exit(1);
+    // ... and Part 3, the torn-write smoke: the write-side mirror of the
+    // crash sweep, same harness. Each position tears one write (half the
+    // page persists under a checksum recording the intended image); media
+    // recovery heals the page, rebuilds the owning structure from the heap,
+    // and must converge to the fault-free state. Bounded for smoke: 25
+    // crash points, 10 surfaced tears.
+    for (fault, limit) in [(Fault::Crash, 25), (Fault::TornWrite, 10)] {
+        for (label, workers) in [("serial", 1usize), ("parallel", par_workers)] {
+            let started = std::time::Instant::now();
+            let mut target = BulkDelete {
+                probe_attr: 0,
+                d_keys: &d,
+                workers,
+            };
+            let report = match sweep(campaign_build, &mut target, fault, 0, Some(limit)) {
+                Ok(report) => report,
+                Err(e) => {
+                    eprintln!("[faults] {label} {fault:?} sweep failed: {e}");
+                    std::process::exit(1);
+                }
+            };
+            let wall = started.elapsed().as_secs_f32();
+            match fault {
+                Fault::Crash => println!(
+                    "[faults] {label} campaign smoke: {} crash points recovered \
+                     ({} fault-free accesses, {} rows deleted) in {wall:.1}s wall",
+                    report.recovered_points, report.fault_free_accesses, report.deleted,
+                ),
+                Fault::TornWrite => println!(
+                    "[faults] {label} torn-write smoke: {} tears media-recovered, \
+                     {} silent, {} rows deleted in {wall:.1}s wall",
+                    report.recovered_points, report.silent_points, report.deleted,
+                ),
             }
         }
     }

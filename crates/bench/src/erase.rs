@@ -20,8 +20,7 @@ use bd_core::{
 };
 use bd_storage::Pacer;
 use bd_wal::{
-    erasure_crash_at_every_io, erasure_torn_write_at_every_io, run_erasure_campaign,
-    ErasureSweepReport, LogManager, WalError,
+    run_erasure_campaign, sweep, ErasureCampaign, Fault, LogManager, SweepReport, WalError,
 };
 
 use crate::snapshot::BenchPoint;
@@ -206,18 +205,16 @@ pub fn erase_experiment(rows: usize, workers: usize) -> Result<ExperimentReport,
 /// small warehouse — the CI smoke. Each sampled point recovers through
 /// [`bd_wal::recover_campaign`] (or the post-commit heal path) and must
 /// re-prove the erasure; any divergence surfaces as an error.
-pub fn crash_sample(
-    limit: usize,
-    workers: usize,
-) -> Result<(ErasureSweepReport, ErasureSweepReport), WalError> {
+pub fn crash_sample(limit: usize, workers: usize) -> Result<(SweepReport, SweepReport), WalError> {
     const SPM: u64 = 12;
     let build = || {
         let (db, sales, _) = build_warehouse(SPM, 32 << 10);
         (db, sales)
     };
     let d = victim_ids(1, SPM);
-    let crash = erasure_crash_at_every_io(build, 0, &d, workers, 0, Some(limit))?;
-    let torn = erasure_torn_write_at_every_io(build, 0, &d, workers, 0, Some(limit))?;
+    let mut target = ErasureCampaign::new(0, &d, workers);
+    let crash = sweep(build, &mut target, Fault::Crash, 0, Some(limit))?;
+    let torn = sweep(build, &mut target, Fault::TornWrite, 0, Some(limit))?;
     Ok((crash, torn))
 }
 

@@ -19,8 +19,7 @@
 //! `workers: usize` — `1` runs the arms on the caller's thread, `> 1`
 //! dispatches them to worker threads; because each arm touches only its own
 //! structure's pages, the physical result is identical to the serial run —
-//! only the critical-path clock shrinks. (The historical `*_parallel`
-//! twins survive as deprecated shims.)
+//! only the critical-path clock shrinks.
 //!
 //! Every strategy returns the same [`DeleteOutcome`] and leaves the table
 //! and indices in exactly equivalent states (property-tested, and audited
@@ -649,61 +648,4 @@ pub fn vertical_sort_merge(
 ) -> DbResult<DeleteOutcome> {
     let plan = plan_sort_merge(db.table(tid)?, probe_attr)?;
     vertical(db, tid, d_keys, &plan, ReorgPolicy::FreeAtEmpty, workers)
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated shims: the serial/parallel entry-point pairs collapsed into the
-// base names above (which now take `workers`). Kept so downstream code and
-// old examples keep compiling; new code should call the base names.
-
-/// Deprecated alias for [`drop_create`] with an explicit worker count.
-#[deprecated(since = "0.10.0", note = "call `drop_create` with `workers`")]
-pub fn drop_create_parallel(
-    db: &mut Database,
-    tid: TableId,
-    probe_attr: usize,
-    d_keys: &[Key],
-    rebuild: RebuildMode,
-    workers: usize,
-) -> DbResult<DeleteOutcome> {
-    drop_create(db, tid, probe_attr, d_keys, rebuild, workers)
-}
-
-/// Deprecated alias for [`vertical`] with an explicit worker count.
-#[deprecated(since = "0.10.0", note = "call `vertical` with `workers`")]
-pub fn vertical_parallel(
-    db: &mut Database,
-    tid: TableId,
-    d_keys: &[Key],
-    plan: &DeletePlan,
-    policy: ReorgPolicy,
-    workers: usize,
-) -> DbResult<DeleteOutcome> {
-    vertical(db, tid, d_keys, plan, policy, workers)
-}
-
-/// Deprecated alias for [`vertical_auto`] with an explicit worker count.
-#[deprecated(since = "0.10.0", note = "call `vertical_auto` with `workers`")]
-pub fn vertical_auto_parallel(
-    db: &mut Database,
-    tid: TableId,
-    probe_attr: usize,
-    d_keys: &[Key],
-    policy: ReorgPolicy,
-    workers: usize,
-) -> DbResult<(DeletePlan, DeleteOutcome)> {
-    vertical_auto(db, tid, probe_attr, d_keys, policy, workers)
-}
-
-/// Deprecated alias for [`vertical_sort_merge`] with an explicit worker
-/// count.
-#[deprecated(since = "0.10.0", note = "call `vertical_sort_merge` with `workers`")]
-pub fn vertical_sort_merge_parallel(
-    db: &mut Database,
-    tid: TableId,
-    probe_attr: usize,
-    d_keys: &[Key],
-    workers: usize,
-) -> DbResult<DeleteOutcome> {
-    vertical_sort_merge(db, tid, probe_attr, d_keys, workers)
 }

@@ -180,6 +180,15 @@ impl LockManager {
         self.cv.notify_all();
     }
 
+    /// True if `txn` holds a lock of either mode on `resource`.
+    pub fn holds(&self, txn: TxnId, resource: ResourceId) -> bool {
+        self.table
+            .lock()
+            .get(&resource)
+            .map(|s| s.exclusive == Some(txn) || s.sharers.contains(&txn))
+            .unwrap_or(false)
+    }
+
     /// True if `txn` holds an exclusive lock on `resource`.
     pub fn holds_exclusive(&self, txn: TxnId, resource: ResourceId) -> bool {
         self.table

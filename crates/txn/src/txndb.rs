@@ -1,21 +1,33 @@
 //! Concurrent database wrapper: bulk deletes running alongside updater
 //! transactions, per the protocol of §3.1.
 //!
-//! Timeline of [`TxnDb::bulk_delete`]:
+//! There is one delete path, [`TxnDb::bulk_delete_live`]; the blocking
+//! [`TxnDb::bulk_delete`] is that path with all of `D` in one chunk. Its
+//! timeline:
 //!
-//! 1. acquire the **exclusive table lock**, switch every index offline;
-//! 2. process the base table, the probe index, and all **unique indices**
-//!    (unique first, so the constraint stays checkable);
-//! 3. commit: release the table lock, bring probe + unique indices online —
-//!    "As soon as table R and all unique indices are processed ... the lock
-//!    on R is released and the unique indices are brought on-line";
-//! 4. propagate deletions to the remaining indices while updaters run,
-//!    capturing their changes per [`PropagationMode`]:
+//! 1. per chunk, acquire the **exclusive table lock**; inside the first
+//!    exclusive span switch the non-unique secondary indices offline ("X
+//!    lock, then indices off-line");
+//! 2. still under the lock, process the probe index, the base table, the
+//!    hash indices and all **unique indices** (unique first, so the
+//!    constraint stays checkable) for the chunk's keys;
+//! 3. commit the chunk: release the table lock — "As soon as table R and
+//!    all unique indices are processed ... the lock on R is released"; the
+//!    probe and unique indices are only ever modified under it, so they
+//!    never leave service;
+//! 4. after the last chunk, propagate the deletions to the offline indices
+//!    while updaters run, capturing their changes per [`PropagationMode`]:
 //!    * **side-file** — updater changes are logged and replayed; appends
 //!      continue during catch-up; a final quiesce drains the tail;
 //!    * **direct** — updaters install changes into the offline tree
 //!      directly, marking inserted entries *undeletable* so the bulk
 //!      deleter cannot remove a re-used `(key, RID)`.
+//!
+//! Gates go offline only under the table X lock, so a transaction holding
+//! the S lock with a gate online keeps it online for as long as it holds
+//! the lock. Readers therefore wait at the gate *before* taking S
+//! ([`TxnDb::read`]): parking on an offline gate with S held would stall
+//! the deleter's next chunk until the lock timeout.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,6 +162,28 @@ impl TxnDb {
             .collect())
     }
 
+    /// Take the table S lock with the index on `attr` — the caller's access
+    /// path — online: wait at the gate first, take S, re-check under it,
+    /// and release and retry if the index went offline in between. Only a
+    /// lock this call itself took is released; a transaction already inside
+    /// the table keeps its lock (strict 2PL) and waits at the gate holding
+    /// it.
+    fn lock_shared_online(&self, txn: TxnId, tid: TableId, attr: usize) -> TxnResult<()> {
+        let gate = self.gate((tid, attr));
+        if self.locks.holds(txn, tid) {
+            gate.wait_online();
+            return Ok(());
+        }
+        loop {
+            gate.wait_online();
+            self.locks.acquire(txn, tid, LockMode::Shared)?;
+            if gate.is_online() {
+                return Ok(());
+            }
+            self.locks.release(txn, tid);
+        }
+    }
+
     /// Updater insert: waits for unique indices, routes changes to offline
     /// non-unique indices via side-file or direct propagation.
     pub fn insert(&self, txn: TxnId, tid: TableId, tuple: &Tuple) -> TxnResult<Rid> {
@@ -221,9 +255,8 @@ impl TxnDb {
         probe_attr: usize,
         key: Key,
     ) -> TxnResult<Vec<Rid>> {
-        self.locks.acquire(txn, tid, LockMode::Shared)?;
         // The probe index must be usable as an access path.
-        self.gate((tid, probe_attr)).wait_online();
+        self.lock_shared_online(txn, tid, probe_attr)?;
         let mut db = self.db.lock();
         let table = db.table_mut(tid)?;
         let schema = table.schema;
@@ -267,8 +300,7 @@ impl TxnDb {
     /// index is offline — "the off-line indices cannot be used as access
     /// paths").
     pub fn read(&self, txn: TxnId, tid: TableId, attr: usize, key: Key) -> TxnResult<Vec<Tuple>> {
-        self.locks.acquire(txn, tid, LockMode::Shared)?;
-        self.gate((tid, attr)).wait_online();
+        self.lock_shared_online(txn, tid, attr)?;
         let db = self.db.lock();
         let table = db.table(tid)?;
         let rids = table
@@ -301,8 +333,7 @@ impl TxnDb {
         lo: Key,
         hi: Key,
     ) -> TxnResult<Vec<Tuple>> {
-        self.locks.acquire(txn, tid, LockMode::Shared)?;
-        self.gate((tid, attr)).wait_online();
+        self.lock_shared_online(txn, tid, attr)?;
         let mut cursor = {
             let db = self.db.lock();
             let table = db.table(tid)?;
@@ -343,8 +374,7 @@ impl TxnDb {
     /// Non-unique secondary indices go offline for the whole run (their
     /// `⋈̄` only pays off set-oriented) and are caught up in a phase-2
     /// propagation: the accumulated deleted-row stream is applied chunked
-    /// and the side-file (in [`PropagationMode::SideFile`]) replayed, as
-    /// in [`TxnDb::bulk_delete`].
+    /// and the side-file (in [`PropagationMode::SideFile`]) replayed.
     ///
     /// The `pacer` governs the run cooperatively: between chunks it is
     /// checked with no locks held (the natural pause point — a parked
@@ -392,10 +422,6 @@ impl TxnDb {
             .filter(|&&(attr, unique)| !unique && attr != probe_attr)
             .map(|&(attr, _)| attr)
             .collect();
-        for &attr in &offline_attrs {
-            self.sidefile((tid, attr)).reset();
-            self.gate((tid, attr)).set(offline_state);
-        }
 
         // Phase 1: one complete vertical delete per chunk, each under its
         // own short exclusive span. Rows accumulate for phase 2 even if a
@@ -415,6 +441,16 @@ impl TxnDb {
                 }
                 let txn = self.begin();
                 self.locks.acquire(txn, tid, LockMode::Exclusive)?;
+                if chunks == 0 {
+                    // "X lock, then indices off-line" (§3.1): flipped under
+                    // the first exclusive span, never before it, so no
+                    // reader can be inside the table when its access path
+                    // goes away.
+                    for &attr in &offline_attrs {
+                        self.sidefile((tid, attr)).reset();
+                        self.gate((tid, attr)).set(offline_state);
+                    }
+                }
                 let chunk_res: TxnResult<()> = (|| {
                     let mut db = self.db.lock();
                     // Deep page-visit loops below checkpoint against this
@@ -537,8 +573,10 @@ impl TxnDb {
         })
     }
 
-    /// Concurrent bulk delete following the §3.1 protocol. Blocks until
-    /// every index is back online. Returns the number of deleted records.
+    /// Concurrent bulk delete following the §3.1 protocol: the live path
+    /// with all of `D` in one exclusive span and nobody pacing it. Blocks
+    /// until every index is back online. Returns the number of deleted
+    /// records.
     pub fn bulk_delete(
         &self,
         tid: TableId,
@@ -546,139 +584,8 @@ impl TxnDb {
         d_keys: &[Key],
         mode: PropagationMode,
     ) -> TxnResult<usize> {
-        let _serial = self.bulk_serial.lock();
-        let txn = self.begin();
-        self.locks.acquire(txn, tid, LockMode::Exclusive)?;
-
-        let defs = self.index_defs(tid)?;
-        if !defs.iter().any(|&(attr, _)| attr == probe_attr) {
-            self.locks.release_all(txn);
-            return Err(DbError::NoProbeIndex { attr: probe_attr }.into());
-        }
-        let offline_state = match mode {
-            PropagationMode::SideFile => IndexState::OfflineSideFile,
-            PropagationMode::Direct => IndexState::OfflineDirect,
-        };
-        for &(attr, _) in &defs {
-            self.sidefile((tid, attr)).reset();
-            self.gate((tid, attr)).set(offline_state);
-        }
-
-        // Phase 1 (under the table X lock): table, probe index, unique
-        // indices.
-        let deleted_rows: Vec<(Rid, Vec<u8>)>;
-        {
-            let mut db = self.db.lock();
-            let pool = db.pool().clone();
-            let ws_bytes = db.workspace().capacity().max(4096);
-            let table = db.table_mut(tid)?;
-            let schema = table.schema;
-
-            let (keys, _) = sort_all(pool.clone(), d_keys.iter().copied(), ws_bytes)?;
-            let probe_idx = table
-                .indices
-                .iter_mut()
-                .find(|i| i.def.attr == probe_attr)
-                .expect("probe index checked above");
-            let deleted_a =
-                bulk_delete_by_keys(&mut probe_idx.tree, &keys, ReorgPolicy::FreeAtEmpty)?;
-            let (sorted, _) = sort_all(
-                pool.clone(),
-                deleted_a.iter().map(|&(k, r)| ByRid(r, k)),
-                ws_bytes,
-            )?;
-            let rids: Vec<Rid> = sorted.into_iter().map(|b| b.0).collect();
-            deleted_rows = table.heap.bulk_delete_sorted(&rids)?;
-            // Hash indices are maintained the traditional way, inside the
-            // exclusive phase (no side-file machinery for them).
-            for h in &mut table.hash_indices {
-                let attr = h.def.attr;
-                for (rid, bytes) in &deleted_rows {
-                    h.index.delete(schema.attr_of(bytes, attr), *rid)?;
-                }
-            }
-
-            // Unique indices first (§3.1.3).
-            for index in table
-                .indices
-                .iter_mut()
-                .filter(|i| i.def.unique && i.def.attr != probe_attr)
-            {
-                let attr = index.def.attr;
-                let proj = deleted_rows
-                    .iter()
-                    .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid));
-                let (pairs, _) = sort_all(pool.clone(), proj, ws_bytes)?;
-                bulk_delete_sorted(&mut index.tree, &pairs, ReorgPolicy::FreeAtEmpty)?;
-            }
-        }
-
-        // Commit point: probe + unique indices online, table lock released.
-        for &(attr, unique) in &defs {
-            if unique || attr == probe_attr {
-                self.gate((tid, attr)).set(IndexState::Online);
-            }
-        }
-        self.locks.release_all(txn);
-
-        // Phase 2: propagate to the non-unique indices while updaters run.
-        for &(attr, unique) in &defs {
-            if unique || attr == probe_attr {
-                continue;
-            }
-            {
-                let mut db = self.db.lock();
-                let pool = db.pool().clone();
-                let ws_bytes = db.workspace().capacity().max(4096);
-                let table = db.table_mut(tid)?;
-                let schema = table.schema;
-                let proj: Vec<(Key, Rid)> = {
-                    let undeletable = self.undeletable.lock();
-                    deleted_rows
-                        .iter()
-                        .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
-                        .filter(|&(k, r)| !undeletable.contains(&(attr, k, r)))
-                        .collect()
-                };
-                let (pairs, _) = sort_all(pool, proj, ws_bytes)?;
-                let index = table.index_on_mut(attr).expect("index present");
-                bulk_delete_sorted(&mut index.tree, &pairs, ReorgPolicy::FreeAtEmpty)?;
-            }
-            match mode {
-                PropagationMode::SideFile => {
-                    let sf = self.sidefile((tid, attr));
-                    // Catch-up: apply batches while appends continue.
-                    loop {
-                        let batch = sf.drain_batch(CATCHUP_BATCH);
-                        let done = batch.len() < CATCHUP_BATCH;
-                        if !batch.is_empty() {
-                            let mut db = self.db.lock();
-                            let table = db.table_mut(tid)?;
-                            let index = table.index_on_mut(attr).expect("index present");
-                            apply_ops(&mut index.tree, &batch)?;
-                        }
-                        if done {
-                            break;
-                        }
-                    }
-                    // Quiesce and drain the tail, then go online.
-                    let tail = sf.quiesce_and_drain();
-                    {
-                        let mut db = self.db.lock();
-                        let table = db.table_mut(tid)?;
-                        let index = table.index_on_mut(attr).expect("index present");
-                        apply_ops(&mut index.tree, &tail)?;
-                    }
-                    self.gate((tid, attr)).set(IndexState::Online);
-                    sf.reset();
-                }
-                PropagationMode::Direct => {
-                    self.undeletable.lock().retain(|&(a, _, _)| a != attr);
-                    self.gate((tid, attr)).set(IndexState::Online);
-                }
-            }
-        }
-        Ok(deleted_rows.len())
+        self.bulk_delete_live(tid, probe_attr, d_keys, mode, usize::MAX, &Pacer::new())
+            .map(|stats| stats.deleted)
     }
 
     /// Online erasure campaign: the cascading delete closure of

@@ -191,6 +191,68 @@ fn paused_live_delete_holds_no_pins_and_resumes_clean() {
 }
 
 #[test]
+fn reader_through_an_offline_index_does_not_stall_the_live_delete() {
+    // Regression: a reader took the table S lock and *then* parked on the
+    // offline gate of its access path; the deleter's next chunk waited out
+    // its X request against that S and the statement died on the lock
+    // timeout. Readers now wait at the gate first, holding nothing.
+    let (tdb, tid, a_values) = setup(2000);
+    let mut shadow = tdb.with(|db| ShadowDb::mirror_of(db, tid).unwrap());
+    let victims: Vec<u64> = a_values.iter().copied().step_by(2).collect();
+    let survivor = a_values[1];
+    let b = {
+        let txn = tdb.begin();
+        let rows = tdb.read(txn, tid, 0, survivor).unwrap();
+        tdb.commit(txn);
+        rows[0].attr(1)
+    };
+    let pacer = Pacer::new();
+    // Checkpoint 1 is the pause point before the first chunk; every later
+    // one comes after the first exclusive span took index 1 offline, with
+    // dozens of chunks still to run.
+    pacer.pause_after(2);
+
+    let (stats, rows) = std::thread::scope(|s| {
+        let bulk = {
+            let tdb = tdb.clone();
+            let victims = victims.clone();
+            let pacer = pacer.clone();
+            s.spawn(move || {
+                tdb.bulk_delete_live(tid, 0, &victims, PropagationMode::SideFile, 32, &pacer)
+            })
+        };
+        assert!(
+            pacer.wait_parked(1, Duration::from_secs(10)),
+            "deleter never parked"
+        );
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let reader = {
+            let tdb = tdb.clone();
+            s.spawn(move || {
+                let txn = tdb.begin();
+                started_tx.send(()).unwrap();
+                let rows = tdb.read(txn, tid, 1, b);
+                tdb.commit(txn);
+                rows
+            })
+        };
+        started_rx.recv().unwrap();
+        pacer.resume();
+        (bulk.join().unwrap(), reader.join().unwrap())
+    });
+    let stats = stats.expect("a waiting reader must not time out the deleter's table lock");
+    assert_eq!(stats.deleted, victims.len());
+    // The reader was served once index 1 came back online, consistent.
+    let rows = rows.expect("reader");
+    assert!(rows.iter().any(|t| t.attr(0) == survivor));
+    assert!(rows.iter().all(|t| !victims.contains(&t.attr(0))));
+
+    shadow.delete_in(tid, 0, &victims);
+    let report = tdb.with(|db| shadow.diff(db, tid).unwrap());
+    assert!(report.is_clean(), "{report}");
+}
+
+#[test]
 fn cancelled_live_delete_leaves_a_consistent_prefix() {
     let (tdb, tid, a_values) = setup(2000);
     let victims: Vec<u64> = a_values.iter().copied().step_by(2).collect();

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bd_core::{Database, DatabaseConfig, IndexDef, Tuple};
+use bd_storage::{FaultPlan, FaultSpec};
 use bd_txn::{PropagationMode, TxnDb};
 use bd_workload::TableSpec;
 
@@ -144,6 +145,43 @@ fn bulk_delete_missing_probe_index_errors_cleanly() {
     // works.
     let txn = tdb.begin();
     tdb.insert(txn, tid, &Tuple::new(vec![1, 2, 3, 4])).unwrap();
+    tdb.commit(txn);
+}
+
+#[test]
+fn failed_bulk_delete_releases_the_table_and_reopens_every_index() {
+    // Regression: an error inside the exclusive phase returned past both
+    // the lock release and the gate reset, leaving the table X-locked and
+    // every index offline for good.
+    let (tdb, tid, a_values) = setup(2000);
+    let victims: Vec<u64> = a_values.iter().copied().step_by(2).collect();
+    // A dead sector under the probe index's first leaf, cache cold: the
+    // key-predicate pass of phase 1 outlasts the pool's retries and fails.
+    tdb.with(|db| {
+        let leaf = db
+            .table(tid)
+            .unwrap()
+            .index_on(0)
+            .unwrap()
+            .tree
+            .first_leaf();
+        db.pool().clear_cache().unwrap();
+        db.pool().with_disk(|disk| {
+            disk.set_fault_plan(FaultPlan::new().inject(FaultSpec::read_page(leaf.unwrap())))
+        });
+    });
+    let res = tdb.bulk_delete(tid, 0, &victims, PropagationMode::SideFile);
+    assert!(res.is_err(), "the fault must fail the statement: {res:?}");
+    tdb.with(|db| db.pool().with_disk(|disk| disk.clear_fault_plan()));
+
+    // Liveness only — without the WAL a half-run chunk is not claimed to
+    // be consistent. A held X lock would fail these reads with a lock
+    // timeout; an offline gate would park them.
+    let txn = tdb.begin();
+    for attr in 0..3 {
+        tdb.read(txn, tid, attr, a_values[1])
+            .unwrap_or_else(|e| panic!("read through index {attr}: {e}"));
+    }
     tdb.commit(txn);
 }
 

@@ -1,659 +1,438 @@
-//! The crash-at-every-I/O campaign: the executable proof of §3.2's
-//! roll-forward recovery.
+//! The fault sweeps: the executable proof of §3.2's roll-forward recovery.
 //!
-//! For a seeded workload the campaign first runs the bulk delete fault-free
-//! to obtain a reference state, then sweeps a crash point over every
-//! successive disk access of the run: rebuild the database, install
-//! [`FaultPlan::crash_at_access`] at the `n`-th access, run, observe the
-//! crash, discard volatile memory (`pool.crash()`), run [`recover`], and
-//! assert via `audit_equivalence` that the recovered state matches the
-//! reference. The sweep ends at the first crash point the run never
-//! reaches. Works for the serial driver and the parallel fan-out driver
-//! alike (`workers` selects).
+//! [`sweep`] runs a *target* — a recoverable bulk delete ([`BulkDelete`])
+//! or a whole erasure campaign ([`ErasureCampaign`]) — once fault-free to
+//! obtain a reference state, then moves a [`Fault`] over every successive
+//! disk access of the run: rebuild the database, arm the fault at the
+//! `n`-th access, run, discard volatile memory (`pool.crash()`), let the
+//! target recover, and let the target check the recovered state against
+//! the reference. The sweep ends at the first position the run never
+//! reaches. The target's `workers` select serial or fan-out execution; the
+//! harness is the same for both.
 
 use bd_btree::Key;
-use bd_core::{audit_catalog, audit_equivalence, Database, DbError, TableId};
-use bd_storage::{FaultPlan, FaultSpec, StorageError};
+use bd_core::{audit_catalog, audit_equivalence, CascadePlan, Database, DbError, TableId};
+use bd_storage::{FaultPlan, FaultSpec, Pacer, PageId, StorageError};
 
 use crate::driver::{
-    recover, recover_media_report, run_bulk_delete_parallel, CrashInjector, MediaRecovery, WalError,
+    accept_torn_pages, recover_media, run_bulk_delete_parallel, CrashInjector, MediaRecovery,
+    WalError,
 };
+use crate::erasure::{recover_campaign, run_erasure_campaign};
 use crate::log::LogManager;
+use crate::record::LogRecord;
 
-/// What a completed campaign covered.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Crash points swept (one per disk access the run issued; every one
-    /// recovered to the reference state).
-    pub crash_points: usize,
-    /// Disk accesses of the fault-free run (the sweep's upper bound).
-    pub fault_free_accesses: u64,
-    /// Victim rows each run deleted.
-    pub deleted: usize,
+/// The fault a [`sweep`] moves over the access stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// [`FaultPlan::crash_at_access`]: the access fails and the run dies;
+    /// everything not yet on stable storage is lost.
+    Crash,
+    /// [`FaultSpec::write_at_access`]`.torn()`: the write is acknowledged
+    /// but persists only half the page, with the checksum recording the
+    /// *intended* image. Arms only on writes; a sweep position that lands
+    /// on a read tears nothing and is skipped.
+    TornWrite,
 }
 
-/// Sweep a crash over every disk access of a recoverable bulk delete.
-///
-/// `build` must deterministically reconstruct the same database and return
-/// the same [`TableId`] on every call; `workers <= 1` exercises the serial
-/// driver, `workers > 1` the parallel fan-out driver. `limit` optionally
-/// caps the number of crash points (for smoke runs); `None` sweeps until
-/// the run outruns the crash point.
-///
-/// Returns [`WalError::Divergence`] for the first crash point whose
-/// recovered state does not match the fault-free reference.
-pub fn crash_at_every_io<F>(
-    build: F,
-    probe_attr: usize,
-    d_keys: &[Key],
-    workers: usize,
-    limit: Option<usize>,
-) -> Result<CampaignReport, WalError>
-where
-    F: FnMut() -> (Database, TableId),
-{
-    crash_at_every_io_from(build, probe_attr, d_keys, workers, 0, limit)
-}
-
-/// [`crash_at_every_io`] starting the sweep at access `start + 1` instead
-/// of access 1. A late `start` targets the tail of the access stream —
-/// the hash phases run last, so this is how a test covers crash points
-/// inside them (and resume-from-progress deep into a pass) without paying
-/// for the thousands of earlier crash points of a large table.
-pub fn crash_at_every_io_from<F>(
-    mut build: F,
-    probe_attr: usize,
-    d_keys: &[Key],
-    workers: usize,
-    start: u64,
-    limit: Option<usize>,
-) -> Result<CampaignReport, WalError>
-where
-    F: FnMut() -> (Database, TableId),
-{
-    // Reference: the same workload, no faults.
-    let (mut reference, tid) = build();
-    let ref_c0 = reference.pool().with_disk(|d| d.accesses());
-    let deleted = {
-        let log = LogManager::new();
-        run_bulk_delete_parallel(
-            &mut reference,
-            tid,
-            probe_attr,
-            d_keys,
-            &log,
-            CrashInjector::none(),
-            workers,
-        )?
-    };
-    let fault_free_accesses = reference.pool().with_disk(|d| d.accesses()) - ref_c0;
-
-    let mut crash_points = 0usize;
-    let mut n: u64 = start;
-    loop {
-        n += 1;
-        if let Some(lim) = limit {
-            if crash_points >= lim {
-                break;
-            }
-        }
-        let (mut db, tid_n) = build();
-        assert_eq!(tid, tid_n, "build() must be deterministic");
-        // The pre-statement state must be on stable storage before the
-        // sweep: a crash on the statement's first access discards only the
-        // statement's work, not the table build sitting dirty in the pool.
-        db.pool().flush_all()?;
-        let log = LogManager::new();
-        let c0 = db.pool().with_disk(|d| d.accesses());
-        db.pool()
-            .with_disk(|d| d.set_fault_plan(FaultPlan::new().crash_at_access(c0 + n)));
-
-        match run_bulk_delete_parallel(
-            &mut db,
-            tid,
-            probe_attr,
-            d_keys,
-            &log,
-            CrashInjector::none(),
-            workers,
-        ) {
-            Ok(_) => break, // the run finished under the crash point: done
-            Err(WalError::Crashed(_)) => {
-                // Volatile memory is gone; stable storage (disk pages +
-                // log) survives. Clear the plan so recovery runs fault-free.
-                db.pool().crash();
-                db.pool().with_disk(|d| d.clear_fault_plan());
-                recover(&mut db, tid, &log, &[])?;
-                let eq = audit_equivalence(&reference, &db, tid)?;
-                if !eq.is_clean() {
-                    return Err(WalError::Divergence {
-                        crash_point: n,
-                        details: eq.to_string(),
-                    });
-                }
-                let cat = audit_catalog(&db, tid)?;
-                if !cat.is_clean() {
-                    return Err(WalError::Divergence {
-                        crash_point: n,
-                        details: format!("catalog audit after recovery: {cat}"),
-                    });
-                }
-                crash_points += 1;
-            }
-            Err(e) => return Err(e),
+impl Fault {
+    fn plan(self, access: u64) -> FaultPlan {
+        match self {
+            Fault::Crash => FaultPlan::new().crash_at_access(access),
+            Fault::TornWrite => FaultPlan::new().inject(FaultSpec::write_at_access(access).torn()),
         }
     }
-
-    Ok(CampaignReport {
-        crash_points,
-        fault_free_accesses,
-        deleted,
-    })
 }
 
-/// What a completed torn-write sweep covered.
-#[derive(Debug, Clone)]
-pub struct TornWriteReport {
-    /// Tears that corrupted a page detectably (its post-run disk checksum
-    /// mismatched, or the run itself died on the mismatch read); every one
-    /// was media-recovered to the reference state.
-    pub torn_points: usize,
+/// What a [`sweep`] runs, recovers and checks. `tid` is whatever table id
+/// the sweep's `build` returned (the cascade root for an erasure campaign).
+pub trait SweepTarget {
+    /// Called on every freshly built, flushed database before a fault is
+    /// armed: derive whatever `run` needs from the pre-statement state.
+    /// Returns the number of logged statements the run will execute
+    /// (default: nothing to derive, one statement).
+    fn prepare(&mut self, _db: &Database, _tid: TableId) -> Result<usize, WalError> {
+        Ok(1)
+    }
+
+    /// Run the logged workload; returns the victim rows deleted.
+    fn run(&self, db: &mut Database, tid: TableId, log: &LogManager) -> Result<usize, WalError>;
+
+    /// Restart after fault point `point`: the pool has lost its frames and
+    /// `corrupt` names the pages a scrub found torn (empty after a crash).
+    /// Must leave the workload complete.
+    fn recover(
+        &self,
+        db: &mut Database,
+        tid: TableId,
+        log: &LogManager,
+        corrupt: &[PageId],
+        point: u64,
+    ) -> Result<MediaRecovery, WalError>;
+
+    /// Audit `db` against the fault-free `reference`; any finding is a
+    /// [`WalError::Divergence`] at `point`. The sweep also holds the
+    /// reference itself to this check (as point 0).
+    fn check(
+        &self,
+        reference: &Database,
+        db: &Database,
+        tid: TableId,
+        log: &LogManager,
+        point: u64,
+    ) -> Result<(), WalError>;
+}
+
+/// What a completed sweep covered.
+#[derive(Debug, Clone, Default)]
+pub struct SweepReport {
+    /// Fault points that damaged the run and were recovered: crash points
+    /// for [`Fault::Crash`]; for [`Fault::TornWrite`], tears that corrupted
+    /// a page detectably (its post-run disk checksum mismatched, or the run
+    /// itself died on the mismatch read). At every one the target's check
+    /// passed.
+    pub recovered_points: usize,
     /// Tears that left no detectable damage. Bulk-delete writes often
     /// change only a page's front half (a heap delete clears slot
     /// directory entries), and a tear preserves exactly the front half —
     /// the persisted image equals the intended one. A later full rewrite
     /// of the page also heals a tear before anything reads it.
     pub silent_points: usize,
-    /// Write accesses the sweep managed to tear (torn + silent). Sweep
-    /// positions that landed on reads are not counted — a torn-write
-    /// fault only arms on writes.
-    pub accesses_swept: u64,
-    /// Victim rows each run deleted.
+    /// Disk accesses of the fault-free run (the sweep's upper bound).
+    pub fault_free_accesses: u64,
+    /// Victim rows the fault-free run deleted.
     pub deleted: usize,
-    /// Structures rebuilt across every torn point (B-trees bulk-loaded plus
-    /// hash chains re-inserted). With catalog-precise classification this
-    /// is at most one per torn point.
+    /// Logged statements per run (the cascade's manifest steps; 1 for a
+    /// single bulk delete).
+    pub steps: usize,
+    /// Structures rebuilt across every recovered point (B-trees bulk-loaded
+    /// plus hash chains re-inserted), as far as the target's recovery
+    /// attributes them. With catalog-precise classification this is at most
+    /// one per torn point.
     pub structures_rebuilt: usize,
-    /// The worst single torn point's rebuild count. The old heuristic
-    /// classifier rebuilt *every* B-tree for any unattributed tear; the
-    /// catalog pins this at ≤ 1 (one page has one owner).
+    /// The worst single point's rebuild count: one page has one owner, so
+    /// the catalog pins this at ≤ 1 for a torn write.
     pub max_rebuilt_per_point: usize,
     /// Torn pages that were free in the catalog and were healed with no
     /// rebuild at all.
     pub healed_free: usize,
 }
 
-/// Sweep a torn write over every *write* access of a recoverable bulk
-/// delete (the write-side mirror of [`crash_at_every_io`]).
+/// Sweep `fault` over every disk access of `target`'s run.
 ///
-/// For each position `n` past `start` the run executes with a
-/// [`FaultSpec::write_at_access`]`.torn()` fault at access `n`: that write
-/// is acknowledged but persists only half the page, with the checksum
-/// recording the *intended* image. If the run later reads the torn page it
-/// dies on [`StorageError::ChecksumMismatch`]; if not, a post-run scrub
-/// ([`corrupt_pages`]) finds the latent damage. Either way the campaign
-/// discards volatile memory, runs [`recover_media`] over the damaged
-/// pages — which heals them and **rebuilds** the owning structures from
-/// the surviving heap and the WAL's materialized rows — and asserts
-/// equivalence with the fault-free reference.
+/// `build` must deterministically reconstruct the same database and return
+/// the same [`TableId`] on every call. The sweep starts at access
+/// `start + 1` — a late `start` targets the tail of the access stream (the
+/// hash passes run last), which is how a test covers resume-from-progress
+/// deep into a pass without paying for the thousands of earlier points of
+/// a large table — and ends at the first position the run never reaches;
+/// `limit` optionally caps the number of *recovered* points for smoke runs.
 ///
-/// Sweep positions that land on read accesses tear nothing (the fault
-/// arms only on writes) and are skipped. The sweep ends at the first
-/// position the run never reaches; `limit` optionally caps the number of
-/// *torn* positions for smoke runs, and `start` skips the read-heavy
-/// early region (materialization) when time is short.
+/// One outcome match covers both faults. `Ok` with nothing fired: the run
+/// outran the sweep point (done) or the position was a read (skipped).
+/// `Ok` with a fired tear: the damage, if any survived later rewrites, is
+/// latent — surface it the way a restart would (drop the cache, scrub the
+/// disk with [`corrupt_pages`]) and media-recover. `Crashed`: recover.
+/// `ChecksumMismatch`: the run read the torn page back and died on it —
+/// scrub and media-recover. Every recovered point must pass the target's
+/// check; the first that does not is returned as [`WalError::Divergence`].
 ///
 /// [`corrupt_pages`]: bd_storage::SimDisk::corrupt_pages
-pub fn torn_write_at_every_io<F>(
+pub fn sweep<F, T>(
     mut build: F,
-    probe_attr: usize,
-    d_keys: &[Key],
-    workers: usize,
+    target: &mut T,
+    fault: Fault,
     start: u64,
     limit: Option<usize>,
-) -> Result<TornWriteReport, WalError>
+) -> Result<SweepReport, WalError>
 where
     F: FnMut() -> (Database, TableId),
+    T: SweepTarget + ?Sized,
 {
-    // Reference: the same workload, no faults.
-    let (mut reference, tid) = build();
-    let deleted = {
-        let log = LogManager::new();
-        run_bulk_delete_parallel(
-            &mut reference,
-            tid,
-            probe_attr,
-            d_keys,
-            &log,
-            CrashInjector::none(),
-            workers,
-        )?
+    let accesses = |db: &Database| db.pool().with_disk(|d| d.accesses());
+    // The pre-statement state must be on stable storage before the run: a
+    // crash on the statement's first access discards only the statement's
+    // work, not the table build sitting dirty in the pool.
+    let mut fresh = |target: &mut T| -> Result<(Database, TableId, usize, u64), WalError> {
+        let (db, tid) = build();
+        db.pool().flush_all()?;
+        let steps = target.prepare(&db, tid)?;
+        let c0 = accesses(&db);
+        Ok((db, tid, steps, c0))
     };
 
-    let mut torn_points = 0usize;
-    let mut silent_points = 0usize;
-    let mut structures_rebuilt = 0usize;
-    let mut max_rebuilt_per_point = 0usize;
-    let mut healed_free = 0usize;
-    let mut n: u64 = start;
-    loop {
-        n += 1;
-        if let Some(lim) = limit {
-            if torn_points >= lim {
-                break;
-            }
-        }
-        let (mut db, tid_n) = build();
-        assert_eq!(tid, tid_n, "build() must be deterministic");
-        // The pre-statement state must be on stable storage before the
-        // sweep (same contract as the crash campaign).
-        db.pool().flush_all()?;
-        let log = LogManager::new();
-        let c0 = db.pool().with_disk(|d| d.accesses());
-        db.pool().with_disk(|d| {
-            d.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_at_access(c0 + n).torn()))
-        });
+    // Reference: the same workload, no faults.
+    let (mut reference, tid, steps, c0) = fresh(target)?;
+    let ref_log = LogManager::new();
+    let deleted = target.run(&mut reference, tid, &ref_log)?;
+    let mut report = SweepReport {
+        fault_free_accesses: accesses(&reference) - c0,
+        deleted,
+        steps,
+        ..SweepReport::default()
+    };
+    target.check(&reference, &reference, tid, &ref_log, 0)?;
 
-        let run = run_bulk_delete_parallel(
-            &mut db,
-            tid,
-            probe_attr,
-            d_keys,
-            &log,
-            CrashInjector::none(),
-            workers,
-        );
-        let used = db.pool().with_disk(|d| d.accesses()) - c0;
+    // Volatile memory is gone; stable storage (disk pages + log) survives.
+    // Clear the plan so recovery runs fault-free.
+    let restart = |db: &Database| {
+        db.pool().crash();
+        db.pool().with_disk(|d| d.clear_fault_plan());
+    };
+    let scrub = |db: &Database| db.pool().with_disk(|d| d.corrupt_pages());
+    let mut n = start;
+    while limit.is_none_or(|lim| report.recovered_points < lim) {
+        n += 1;
+        let (mut db, tid_n, _, c0) = fresh(target)?;
+        assert_eq!(tid, tid_n, "build() must be deterministic");
+        let log = LogManager::new();
+        db.pool()
+            .with_disk(|d| d.set_fault_plan(fault.plan(c0 + n)));
+        let run = target.run(&mut db, tid, &log);
+        let used = accesses(&db) - c0;
         let fired = db.pool().with_disk(|d| d.fault_plan_fired());
-        match run {
-            Ok(_) if fired == 0 => {
-                if n >= used {
-                    break; // the run finished under the sweep point: done
-                }
-                continue; // position n was a read: nothing torn
-            }
+        let corrupt = match run {
+            Ok(_) if fired == 0 && n >= used => break,
+            Ok(_) if fired == 0 => continue,
             Ok(_) => {
-                // The tear landed but the run finished: the damage (if
-                // any survived later rewrites) is latent. Surface it the
-                // way a restart would — drop the cache, scrub the disk.
-                db.pool().crash();
-                db.pool().with_disk(|d| d.clear_fault_plan());
-                let corrupt = db.pool().with_disk(|d| d.corrupt_pages());
+                restart(&db);
+                let corrupt = scrub(&db);
                 if corrupt.is_empty() {
-                    silent_points += 1;
+                    report.silent_points += 1;
                     continue;
                 }
-                let (_, media) = recover_media_report(&mut db, tid, &log, &[], &corrupt)?;
-                tally(&media, &mut structures_rebuilt, &mut max_rebuilt_per_point);
-                healed_free += media.healed_free;
-                torn_points += 1;
+                corrupt
             }
-            Err(WalError::Db(DbError::Storage(StorageError::ChecksumMismatch(_)))) => {
-                // The run read the torn page back and died on it.
-                db.pool().crash();
-                db.pool().with_disk(|d| d.clear_fault_plan());
-                let corrupt = db.pool().with_disk(|d| d.corrupt_pages());
-                let (_, media) = recover_media_report(&mut db, tid, &log, &[], &corrupt)?;
-                tally(&media, &mut structures_rebuilt, &mut max_rebuilt_per_point);
-                healed_free += media.healed_free;
-                torn_points += 1;
-            }
-            Err(e) => return Err(e),
-        }
-        let eq = audit_equivalence(&reference, &db, tid)?;
-        if !eq.is_clean() {
-            return Err(WalError::Divergence {
-                crash_point: n,
-                details: eq.to_string(),
-            });
-        }
-        let cat = audit_catalog(&db, tid)?;
-        if !cat.is_clean() {
-            return Err(WalError::Divergence {
-                crash_point: n,
-                details: format!("catalog audit after media recovery: {cat}"),
-            });
-        }
-    }
-
-    Ok(TornWriteReport {
-        torn_points,
-        silent_points,
-        accesses_swept: (torn_points + silent_points) as u64,
-        deleted,
-        structures_rebuilt,
-        max_rebuilt_per_point,
-        healed_free,
-    })
-}
-
-/// Fold one media-recovery report into the sweep's rebuild counters.
-fn tally(media: &MediaRecovery, total: &mut usize, max_per_point: &mut usize) {
-    let here = media.structures_rebuilt();
-    *total += here;
-    *max_per_point = (*max_per_point).max(here);
-}
-
-/// What an erasure-campaign fault sweep covered.
-#[derive(Debug, Clone)]
-pub struct ErasureSweepReport {
-    /// Fault points that damaged the run and were recovered: crash points
-    /// for [`erasure_crash_at_every_io`], surfaced tears for
-    /// [`erasure_torn_write_at_every_io`]. At every one the recovered
-    /// database matched the reference, the catalog audit was clean, and
-    /// the proof-of-deletion found zero residue.
-    pub recovered_points: usize,
-    /// Torn positions that left no detectable damage (torn sweep only).
-    pub silent_points: usize,
-    /// Disk accesses of the fault-free campaign (the sweep's bound).
-    pub fault_free_accesses: u64,
-    /// Victim rows the reference campaign deleted across the cascade.
-    pub deleted: usize,
-    /// Manifest steps of the cascade (≥ tables touched).
-    pub steps: usize,
-}
-
-/// Per-sweep-point bookkeeping shared by the two erasure sweeps: audits
-/// the recovered database against the reference for every campaign table
-/// and re-proves the deletion with the externally-held sensitive list —
-/// the post-redaction log no longer remembers it, exactly as designed.
-fn check_erasure_point(
-    reference: &Database,
-    db: &Database,
-    log: &LogManager,
-    tables: &[TableId],
-    sensitive: &[u64],
-    n: u64,
-) -> Result<(), WalError> {
-    let raw = log.raw_bytes();
-    let proof = bd_core::verify_erasure(db, sensitive, &[("wal", &raw)])?;
-    if !proof.is_clean() {
-        return Err(WalError::Divergence {
-            crash_point: n,
-            details: format!("erasure proof after recovery: {}", proof.render()),
-        });
-    }
-    for &t in tables {
-        let eq = audit_equivalence(reference, db, t)?;
-        if !eq.is_clean() {
-            return Err(WalError::Divergence {
-                crash_point: n,
-                details: format!("table {t}: {eq}"),
-            });
-        }
-        let cat = audit_catalog(db, t)?;
-        if !cat.is_clean() {
-            return Err(WalError::Divergence {
-                crash_point: n,
-                details: format!("table {t} catalog: {cat}"),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Plan the cascade and capture its sensitive values on a freshly built
-/// database (both sweeps need the pair before arming any fault).
-fn plan_and_sensitive(
-    db: &Database,
-    root: TableId,
-    root_attr: usize,
-    d_keys: &[Key],
-) -> Result<(bd_core::CascadePlan, Vec<u64>), WalError> {
-    let plan = bd_core::plan_cascade(db, root, root_attr, d_keys)?;
-    let sensitive = bd_core::collect_sensitive(db, &plan)?;
-    Ok((plan, sensitive))
-}
-
-/// True when the log carries the campaign's commit marker. The begin
-/// record is redacted at commit, so [`crate::erasure::recover_campaign`]
-/// returning `None` *plus* a commit marker means the fault surfaced after
-/// the campaign closed — in the proof's own post-commit scan, the one
-/// reader that touches pages nothing else re-reads.
-fn campaign_committed(log: &LogManager) -> Result<bool, WalError> {
-    Ok(log
-        .records()?
-        .iter()
-        .any(|r| matches!(r, crate::record::LogRecord::CampaignCommit { .. })))
-}
-
-/// The restart path for damage surfacing after commit: accept the torn
-/// images, re-run the idempotent whole-database scrub (it re-derives
-/// every byte it writes), and flush. The campaign itself is closed and
-/// durable, so there is nothing to resume — only physical healing.
-fn heal_after_commit(db: &mut Database, corrupt: &[bd_storage::PageId]) -> Result<(), WalError> {
-    db.pool()
-        .with_disk(|d| -> Result<(), StorageError> {
-            for &pid in corrupt {
-                d.accept_torn_page(pid)?;
-            }
-            Ok(())
-        })
-        .map_err(DbError::from)?;
-    bd_core::scrub_database(db)?;
-    db.pool().flush_all()?;
-    Ok(())
-}
-
-/// Sweep a crash over every disk access of a whole erasure campaign —
-/// the cascade's bulk deletes, the physical scrub, and the commit tail.
-///
-/// `build` must deterministically reconstruct the same multi-table
-/// database (with its foreign keys) and return the cascade root's table
-/// id. At every crash point the campaign is recovered with
-/// [`crate::erasure::recover_campaign`] and must run to completion: the
-/// recovered state must match the fault-free reference on every campaign
-/// table, the catalog audits must be clean, and the proof-of-deletion —
-/// checked against a sensitive list held *outside* the database, since
-/// redaction destroys the log's copy — must find zero residue.
-pub fn erasure_crash_at_every_io<F>(
-    mut build: F,
-    root_attr: usize,
-    d_keys: &[Key],
-    workers: usize,
-    start: u64,
-    limit: Option<usize>,
-) -> Result<ErasureSweepReport, WalError>
-where
-    F: FnMut() -> (Database, TableId),
-{
-    use crate::erasure::{recover_campaign, run_erasure_campaign};
-    let pacer = bd_storage::Pacer::new();
-
-    // Reference: the same campaign, no faults.
-    let (mut reference, root) = build();
-    reference.pool().flush_all()?;
-    let (plan, sensitive) = plan_and_sensitive(&reference, root, root_attr, d_keys)?;
-    let mut tables: Vec<TableId> = plan.steps.iter().map(|s| s.table).collect();
-    tables.sort_unstable();
-    tables.dedup();
-    let ref_c0 = reference.pool().with_disk(|d| d.accesses());
-    let ref_log = LogManager::new();
-    let ref_out = run_erasure_campaign(&mut reference, &plan, &ref_log, workers, &pacer)?;
-    if !ref_out.report.is_clean() {
-        return Err(WalError::Divergence {
-            crash_point: 0,
-            details: format!("fault-free proof: {}", ref_out.report.render()),
-        });
-    }
-    let fault_free_accesses = reference.pool().with_disk(|d| d.accesses()) - ref_c0;
-
-    let mut recovered_points = 0usize;
-    let mut n: u64 = start;
-    loop {
-        n += 1;
-        if let Some(lim) = limit {
-            if recovered_points >= lim {
-                break;
-            }
-        }
-        let (mut db, root_n) = build();
-        assert_eq!(root, root_n, "build() must be deterministic");
-        db.pool().flush_all()?;
-        let (plan_n, _) = plan_and_sensitive(&db, root, root_attr, d_keys)?;
-        assert_eq!(plan, plan_n, "cascade plan must be deterministic");
-        let log = LogManager::new();
-        let c0 = db.pool().with_disk(|d| d.accesses());
-        db.pool()
-            .with_disk(|d| d.set_fault_plan(FaultPlan::new().crash_at_access(c0 + n)));
-
-        match run_erasure_campaign(&mut db, &plan_n, &log, workers, &pacer) {
-            Ok(_) => break, // the campaign outran the crash point: done
             Err(WalError::Crashed(_))
             | Err(WalError::Db(DbError::Storage(StorageError::SimulatedCrash))) => {
-                db.pool().crash();
-                db.pool().with_disk(|d| d.clear_fault_plan());
-                let resumed = recover_campaign(&mut db, &log, workers, &[])?;
-                if resumed.is_none() {
-                    // Legitimate only when the crash landed inside the
-                    // post-commit proof scan: every step and the scrub
-                    // were flushed before the commit marker, so the disk
-                    // is already the final state and the restart has
-                    // nothing to do but re-prove it.
-                    if !campaign_committed(&log)? {
-                        return Err(WalError::Divergence {
-                            crash_point: n,
-                            details: "crashed campaign not found open in the log".into(),
-                        });
-                    }
-                }
-                check_erasure_point(&reference, &db, &log, &tables, &sensitive, n)?;
-                recovered_points += 1;
+                restart(&db);
+                Vec::new()
+            }
+            Err(WalError::Db(DbError::Storage(StorageError::ChecksumMismatch(_)))) => {
+                restart(&db);
+                scrub(&db)
             }
             Err(e) => return Err(e),
-        }
+        };
+        let media = target.recover(&mut db, tid, &log, &corrupt, n)?;
+        let rebuilt = media.structures_rebuilt();
+        report.structures_rebuilt += rebuilt;
+        report.max_rebuilt_per_point = report.max_rebuilt_per_point.max(rebuilt);
+        report.healed_free += media.healed_free;
+        target.check(&reference, &db, tid, &log, n)?;
+        report.recovered_points += 1;
     }
+    Ok(report)
+}
 
-    Ok(ErasureSweepReport {
-        recovered_points,
-        silent_points: 0,
-        fault_free_accesses,
-        deleted: ref_out.deleted,
-        steps: plan.steps.len(),
+/// `Err(Divergence)` at `point` with `details`, unless `clean`.
+fn ensure(clean: bool, point: u64, details: impl FnOnce() -> String) -> Result<(), WalError> {
+    if clean {
+        return Ok(());
+    }
+    Err(WalError::Divergence {
+        crash_point: point,
+        details: details(),
     })
 }
 
-/// Sweep a torn write over every write access of a whole erasure
-/// campaign (the write-side mirror of [`erasure_crash_at_every_io`]).
+/// The equivalence and catalog audits of table `t` must both be clean.
+fn audit_table_at(
+    reference: &Database,
+    db: &Database,
+    t: TableId,
+    point: u64,
+) -> Result<(), WalError> {
+    let eq = audit_equivalence(reference, db, t)?;
+    ensure(eq.is_clean(), point, || format!("table {t}: {eq}"))?;
+    let cat = audit_catalog(db, t)?;
+    ensure(cat.is_clean(), point, || {
+        format!("table {t} catalog audit after recovery: {cat}")
+    })
+}
+
+/// Sweep target: one recoverable bulk delete
+/// ([`run_bulk_delete_parallel`]), recovered by [`recover_media`] — which
+/// heals torn pages and **rebuilds** the owning structures from the
+/// surviving heap and the WAL's materialized rows — and checked with
+/// `audit_equivalence` and `audit_catalog`.
+#[derive(Debug, Clone, Copy)]
+pub struct BulkDelete<'a> {
+    /// Attribute of the probe index.
+    pub probe_attr: usize,
+    /// The delete list `D`.
+    pub d_keys: &'a [Key],
+    /// Worker budget of the driver's fan-out group.
+    pub workers: usize,
+}
+
+impl SweepTarget for BulkDelete<'_> {
+    fn run(&self, db: &mut Database, tid: TableId, log: &LogManager) -> Result<usize, WalError> {
+        run_bulk_delete_parallel(
+            db,
+            tid,
+            self.probe_attr,
+            self.d_keys,
+            log,
+            CrashInjector::none(),
+            self.workers,
+        )
+    }
+
+    fn recover(
+        &self,
+        db: &mut Database,
+        tid: TableId,
+        log: &LogManager,
+        corrupt: &[PageId],
+        _point: u64,
+    ) -> Result<MediaRecovery, WalError> {
+        recover_media(db, tid, log, &[], corrupt).map(|(_, media)| media)
+    }
+
+    fn check(
+        &self,
+        reference: &Database,
+        db: &Database,
+        tid: TableId,
+        _log: &LogManager,
+        point: u64,
+    ) -> Result<(), WalError> {
+        audit_table_at(reference, db, tid, point)
+    }
+}
+
+/// Sweep target: a whole erasure campaign — the cascade's bulk deletes, the
+/// physical scrub, and the commit tail — for the cascading delete closure
+/// of `DELETE FROM root WHERE root_attr IN d_keys`.
 ///
-/// Tears surfaced while the campaign is open (a read dies on the torn
-/// page's checksum) recover through
-/// [`crate::erasure::recover_campaign`], which heals the pages, rebuilds
-/// what the in-flight step damaged, and re-runs the scrub. Tears that
-/// stay latent past commit (the campaign finished; the damage sits in a
-/// page nothing re-read, scrub-phase writes included) are surfaced the
-/// way a restart would — drop the cache, scrub the disk for checksum
-/// mismatches — then healed and re-scrubbed: scrub writes never change
+/// `build` must reconstruct the same multi-table database (with its
+/// foreign keys) and return the cascade root's table id. At every fault
+/// point the campaign is recovered with [`recover_campaign`] and must run
+/// to completion: the recovered state must match the fault-free reference
+/// on every campaign table, the catalog audits must be clean, and the
+/// proof-of-deletion — checked against a sensitive list held *outside* the
+/// database, since redaction destroys the log's copy — must find zero
+/// residue.
+///
+/// Tears surfaced while the campaign is open recover through
+/// [`recover_campaign`], which heals the pages, rebuilds what the
+/// in-flight step damaged, and re-runs the scrub. Tears that stay latent
+/// past commit (the damage sits in a page nothing re-read, scrub-phase
+/// writes included) are healed and re-scrubbed: scrub writes never change
 /// live bytes, so accepting the torn image and re-running the scrub
 /// restores both structure and proof.
-pub fn erasure_torn_write_at_every_io<F>(
-    mut build: F,
+#[derive(Debug)]
+pub struct ErasureCampaign<'a> {
     root_attr: usize,
-    d_keys: &[Key],
+    d_keys: &'a [Key],
     workers: usize,
-    start: u64,
-    limit: Option<usize>,
-) -> Result<ErasureSweepReport, WalError>
-where
-    F: FnMut() -> (Database, TableId),
-{
-    use crate::erasure::{recover_campaign, run_erasure_campaign};
-    let pacer = bd_storage::Pacer::new();
+    pacer: Pacer,
+    /// Planned on the reference build: the cascade, its sensitive values,
+    /// and the tables it touches.
+    planned: Option<(CascadePlan, Vec<u64>, Vec<TableId>)>,
+}
 
-    let (mut reference, root) = build();
-    reference.pool().flush_all()?;
-    let (plan, sensitive) = plan_and_sensitive(&reference, root, root_attr, d_keys)?;
-    let mut tables: Vec<TableId> = plan.steps.iter().map(|s| s.table).collect();
-    tables.sort_unstable();
-    tables.dedup();
-    let ref_c0 = reference.pool().with_disk(|d| d.accesses());
-    let ref_log = LogManager::new();
-    let ref_out = run_erasure_campaign(&mut reference, &plan, &ref_log, workers, &pacer)?;
-    if !ref_out.report.is_clean() {
-        return Err(WalError::Divergence {
-            crash_point: 0,
-            details: format!("fault-free proof: {}", ref_out.report.render()),
-        });
-    }
-    let fault_free_accesses = reference.pool().with_disk(|d| d.accesses()) - ref_c0;
-
-    let mut recovered_points = 0usize;
-    let mut silent_points = 0usize;
-    let mut n: u64 = start;
-    loop {
-        n += 1;
-        if let Some(lim) = limit {
-            if recovered_points >= lim {
-                break;
-            }
-        }
-        let (mut db, root_n) = build();
-        assert_eq!(root, root_n, "build() must be deterministic");
-        db.pool().flush_all()?;
-        let (plan_n, _) = plan_and_sensitive(&db, root, root_attr, d_keys)?;
-        let log = LogManager::new();
-        let c0 = db.pool().with_disk(|d| d.accesses());
-        db.pool().with_disk(|d| {
-            d.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_at_access(c0 + n).torn()))
-        });
-
-        let run = run_erasure_campaign(&mut db, &plan_n, &log, workers, &pacer);
-        let used = db.pool().with_disk(|d| d.accesses()) - c0;
-        let fired = db.pool().with_disk(|d| d.fault_plan_fired());
-        match run {
-            Ok(_) if fired == 0 => {
-                if n >= used {
-                    break; // the campaign outran the sweep point: done
-                }
-                continue; // position n was a read: nothing torn
-            }
-            Ok(_) => {
-                // The tear landed but the campaign committed. Surface any
-                // latent damage like a restart would.
-                db.pool().crash();
-                db.pool().with_disk(|d| d.clear_fault_plan());
-                let corrupt = db.pool().with_disk(|d| d.corrupt_pages());
-                if corrupt.is_empty() {
-                    silent_points += 1;
-                    continue;
-                }
-                // The campaign is committed (and its begin record
-                // redacted), so there is nothing to resume — heal the
-                // torn images and re-run the scrub.
-                heal_after_commit(&mut db, &corrupt)?;
-                check_erasure_point(&reference, &db, &log, &tables, &sensitive, n)?;
-                recovered_points += 1;
-            }
-            Err(WalError::Db(DbError::Storage(StorageError::ChecksumMismatch(_)))) => {
-                // The campaign read the torn page back and died on it.
-                db.pool().crash();
-                db.pool().with_disk(|d| d.clear_fault_plan());
-                let corrupt = db.pool().with_disk(|d| d.corrupt_pages());
-                let resumed = recover_campaign(&mut db, &log, workers, &corrupt)?;
-                if resumed.is_none() {
-                    // Legitimate only when the torn page stayed latent
-                    // through commit and the mismatch fired in the proof
-                    // scan itself — same restart path as the Ok case.
-                    if !campaign_committed(&log)? {
-                        return Err(WalError::Divergence {
-                            crash_point: n,
-                            details: "torn campaign not found open in the log".into(),
-                        });
-                    }
-                    heal_after_commit(&mut db, &corrupt)?;
-                }
-                check_erasure_point(&reference, &db, &log, &tables, &sensitive, n)?;
-                recovered_points += 1;
-            }
-            Err(e) => return Err(e),
+impl<'a> ErasureCampaign<'a> {
+    /// A campaign erasing `d_keys` of the root's `root_attr`, each step
+    /// run with `workers`.
+    pub fn new(root_attr: usize, d_keys: &'a [Key], workers: usize) -> Self {
+        ErasureCampaign {
+            root_attr,
+            d_keys,
+            workers,
+            pacer: Pacer::new(),
+            planned: None,
         }
     }
 
-    Ok(ErasureSweepReport {
-        recovered_points,
-        silent_points,
-        fault_free_accesses,
-        deleted: ref_out.deleted,
-        steps: plan.steps.len(),
-    })
+    fn planned(&self) -> &(CascadePlan, Vec<u64>, Vec<TableId>) {
+        self.planned
+            .as_ref()
+            .expect("sweep prepares before it runs")
+    }
+}
+
+impl SweepTarget for ErasureCampaign<'_> {
+    /// Plan the cascade and capture its sensitive values (on every build,
+    /// so each run starts from the same pool contents as the reference).
+    fn prepare(&mut self, db: &Database, root: TableId) -> Result<usize, WalError> {
+        let plan = bd_core::plan_cascade(db, root, self.root_attr, self.d_keys)?;
+        let sensitive = bd_core::collect_sensitive(db, &plan)?;
+        let steps = plan.steps.len();
+        match &self.planned {
+            Some((reference_plan, ..)) => {
+                assert_eq!(*reference_plan, plan, "cascade plan must be deterministic")
+            }
+            None => {
+                let mut tables: Vec<TableId> = plan.steps.iter().map(|s| s.table).collect();
+                tables.sort_unstable();
+                tables.dedup();
+                self.planned = Some((plan, sensitive, tables));
+            }
+        }
+        Ok(steps)
+    }
+
+    fn run(&self, db: &mut Database, _root: TableId, log: &LogManager) -> Result<usize, WalError> {
+        let (plan, ..) = self.planned();
+        run_erasure_campaign(db, plan, log, self.workers, &self.pacer).map(|out| out.deleted)
+    }
+
+    fn recover(
+        &self,
+        db: &mut Database,
+        _root: TableId,
+        log: &LogManager,
+        corrupt: &[PageId],
+        point: u64,
+    ) -> Result<MediaRecovery, WalError> {
+        if recover_campaign(db, log, self.workers, corrupt)?.is_none() {
+            // Legitimate only when the fault surfaced after the campaign
+            // closed — in the proof's own post-commit scan, the one reader
+            // that touches pages nothing else re-reads, or as a tear that
+            // stayed latent through commit. The begin record is redacted
+            // at commit, so "nothing to resume" must come with the commit
+            // marker. Every step and the scrub were flushed before it, so
+            // after a crash the disk is already the final state.
+            let committed = log
+                .records()?
+                .iter()
+                .any(|r| matches!(r, LogRecord::CampaignCommit { .. }));
+            ensure(committed, point, || {
+                "faulted campaign not found open in the log".into()
+            })?;
+            if !corrupt.is_empty() {
+                // Nothing to resume, only physical healing: accept the
+                // torn images and re-run the idempotent whole-database
+                // scrub (it re-derives every byte it writes).
+                accept_torn_pages(db, corrupt)?;
+                bd_core::scrub_database(db)?;
+                db.pool().flush_all()?;
+            }
+        }
+        Ok(MediaRecovery::default())
+    }
+
+    /// Audits every campaign table and re-proves the deletion with the
+    /// externally held sensitive list — the post-redaction log no longer
+    /// remembers it, exactly as designed.
+    fn check(
+        &self,
+        reference: &Database,
+        db: &Database,
+        _root: TableId,
+        log: &LogManager,
+        point: u64,
+    ) -> Result<(), WalError> {
+        let (_, sensitive, tables) = self.planned();
+        let raw = log.raw_bytes();
+        let proof = bd_core::verify_erasure(db, sensitive, &[("wal", &raw)])?;
+        ensure(proof.is_clean(), point, || {
+            format!("erasure proof: {}", proof.render())
+        })?;
+        tables
+            .iter()
+            .try_for_each(|&t| audit_table_at(reference, db, t, point))
+    }
 }

@@ -18,13 +18,12 @@
 //!    §3.2 prescribes. Pending side-files are applied only after the bulk
 //!    delete completes.
 
-use std::sync::Arc;
 use std::sync::Mutex;
 
 use bd_btree::{bulk_delete_sorted, BTree, Key, ReorgPolicy};
 use bd_core::{Database, DbError, PhaseExecutor, PhaseTask, Table, TableId};
 use bd_hashidx::HashIndex;
-use bd_storage::{BufferPool, PageId, Rid, StorageError};
+use bd_storage::{BufferPool, HeapFile, PageId, Rid, StorageError};
 use bd_txn::sidefile::{apply_ops, SideOp};
 
 use crate::log::LogManager;
@@ -67,10 +66,6 @@ impl CrashInjector {
     /// No crash.
     pub fn none() -> Self {
         CrashInjector::default()
-    }
-
-    fn hit(&self, here: CrashSite) -> bool {
-        self.site == Some(here)
     }
 }
 
@@ -131,12 +126,26 @@ impl From<StorageError> for WalError {
     }
 }
 
+/// One structure pass to run: its position in the [`phases`] order (what a
+/// [`CrashSite`] names), the structure, and the victim offset to resume
+/// from (0 outside recovery).
+#[derive(Clone, Copy)]
+struct PassSpec {
+    idx: usize,
+    phase: StructureId,
+    start: usize,
+}
+
 /// The structure order: probe index, table, remaining B-tree indices with
-/// unique ones first (§3.1.3), then hash indices by attribute. Hash phases
-/// come last so the parallel driver's fan-out (non-unique B-tree arms plus
-/// hash arms) stays a contiguous suffix. Deterministic so recovery
-/// re-derives it.
-fn phases(db: &Database, tid: TableId, probe_attr: usize) -> Result<Vec<StructureId>, WalError> {
+/// unique ones first (§3.1.3), then hash indices by attribute — and the
+/// length of its serial prefix (probe, table, unique indices). Hash phases
+/// come last so the fan-out (non-unique B-tree arms plus hash arms) stays a
+/// contiguous suffix. Deterministic so recovery re-derives it.
+fn phases(
+    db: &Database,
+    tid: TableId,
+    probe_attr: usize,
+) -> Result<(Vec<PassSpec>, usize), WalError> {
     let table = db.table(tid)?;
     if table.index_on(probe_attr).is_none() {
         return Err(DbError::NoProbeIndex { attr: probe_attr }.into());
@@ -147,6 +156,7 @@ fn phases(db: &Database, tid: TableId, probe_attr: usize) -> Result<Vec<Structur
         .filter(|i| i.def.attr != probe_attr)
         .collect();
     rest.sort_by_key(|i| (!i.def.unique, i.def.attr));
+    let n_serial = 2 + rest.iter().filter(|i| i.def.unique).count();
     let mut out = vec![StructureId::Probe, StructureId::Table];
     out.extend(rest.iter().map(|i| StructureId::Index(i.def.attr as u16)));
     let mut hashes: Vec<u16> = table
@@ -156,7 +166,12 @@ fn phases(db: &Database, tid: TableId, probe_attr: usize) -> Result<Vec<Structur
         .collect();
     hashes.sort_unstable();
     out.extend(hashes.into_iter().map(StructureId::Hash));
-    Ok(out)
+    let specs = out.into_iter().enumerate().map(|(idx, phase)| PassSpec {
+        idx,
+        phase,
+        start: 0,
+    });
+    Ok((specs.collect(), n_serial))
 }
 
 /// Read-only victim resolution: probe-index lookups, then heap reads in
@@ -221,107 +236,226 @@ fn checkpoint(db: &mut Database, tid: TableId, log: &LogManager) -> Result<(), W
 /// Victims processed between two mid-structure progress records.
 const PROGRESS_CHUNK: usize = 2048;
 
-/// Run one structure pass, chunked: after every [`PROGRESS_CHUNK`] victims
-/// the dirty pages are flushed and a [`LogRecord::Progress`] is written, so
-/// a crash loses at most one chunk of work ("the last processed RID or
-/// key-value ... stored in the log ... will speed up recovery"). `start`
-/// skips victims a pre-crash run already durably processed. Lenient against
-/// already-deleted entries so the first (possibly half-flushed) chunk can
-/// be re-run.
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    db: &mut Database,
-    tid: TableId,
-    probe_attr: usize,
-    phase: StructureId,
-    rows: &[MaterializedRow],
-    start: usize,
-    log: &LogManager,
-    phase_idx: usize,
+/// The injector plus the slot a site fired *inside a pass* is parked in
+/// while the error travels back through the executor as
+/// [`StorageError::SimulatedCrash`] (a [`PhaseTask`] body can only return a
+/// storage error, and may run on a worker thread).
+struct Trip {
     crash: CrashInjector,
-) -> Result<(), WalError> {
-    // Per-structure victim lists, sorted in that structure's order.
-    let sorted_pairs = |attr: usize| -> Vec<(Key, Rid)> {
-        let mut pairs: Vec<(Key, Rid)> = rows.iter().map(|r| (r.attrs[attr], r.rid)).collect();
-        pairs.sort_unstable();
-        pairs
-    };
-    let total = rows.len();
-    let mut done = start;
-    let mut progress_records = 0usize;
-    while done < total || (total == 0 && done == 0) {
-        let end = (done + PROGRESS_CHUNK).min(total);
-        {
-            let table = db.table_mut(tid)?;
-            match phase {
-                StructureId::Probe => {
-                    let pairs = sorted_pairs(probe_attr);
-                    let tree = &mut table
-                        .index_on_mut(probe_attr)
-                        .expect("probe index present")
-                        .tree;
-                    bulk_delete_sorted(tree, &pairs[done..end], ReorgPolicy::FreeAtEmpty)
-                        .map_err(DbError::Storage)?;
-                }
-                StructureId::Table => {
-                    let rids: Vec<Rid> = rows[done..end].iter().map(|r| r.rid).collect();
-                    table
-                        .heap
-                        .bulk_delete_sorted_lenient(&rids)
-                        .map_err(DbError::Storage)?;
-                }
-                StructureId::Index(attr) => {
-                    let pairs = sorted_pairs(attr as usize);
-                    let tree = &mut table
-                        .index_on_mut(attr as usize)
-                        .expect("index present")
-                        .tree;
-                    bulk_delete_sorted(tree, &pairs[done..end], ReorgPolicy::FreeAtEmpty)
-                        .map_err(DbError::Storage)?;
-                }
-                StructureId::Hash(attr) => {
-                    // Hash indices are updated the traditional way, one
-                    // chain walk per victim, in materialized-row order (the
-                    // same chunking the parallel arm and recovery use).
-                    // Deleting an already-absent entry is a no-op, so
-                    // re-running a chunk is safe.
-                    let hi = table
-                        .hash_indices
-                        .iter_mut()
-                        .find(|h| h.def.attr == attr as usize)
-                        .expect("hash index present");
-                    for row in &rows[done..end] {
-                        hi.index
-                            .delete(row.attrs[attr as usize], row.rid)
-                            .map_err(DbError::Storage)?;
-                    }
-                }
-                StructureId::Temp | StructureId::Spatial(_) | StructureId::Lsm(_) => {
-                    unreachable!("scratch, spatial and LSM structures are never bulk-delete phases")
-                }
+    fired: Mutex<Option<CrashSite>>,
+}
+
+impl Trip {
+    fn new(crash: CrashInjector) -> Self {
+        Trip {
+            crash,
+            fired: Mutex::new(None),
+        }
+    }
+
+    fn at(&self, here: CrashSite) -> Result<(), WalError> {
+        if self.crash.site == Some(here) {
+            return Err(WalError::Crashed(here));
+        }
+        Ok(())
+    }
+
+    fn in_pass(&self, here: CrashSite) -> Result<(), StorageError> {
+        self.at(here).map_err(|_| {
+            *self.fired.lock().expect("crash site slot") = Some(here);
+            StorageError::SimulatedCrash
+        })
+    }
+
+    /// An injector site inside a pass travels back as `SimulatedCrash` plus
+    /// the slot. A disk-level crash point (`FaultPlan::crash_at_access`)
+    /// firing inside a pass's I/O also surfaces as `SimulatedCrash` but
+    /// never touches the slot — by contract the empty slot maps to
+    /// [`CrashSite::InIo`] via `From` (pinned by
+    /// `arm_crash_with_empty_site_slot_maps_to_in_io` in tests/campaign.rs).
+    fn surface(&self, e: StorageError) -> WalError {
+        if e == StorageError::SimulatedCrash {
+            if let Some(site) = *self.fired.lock().expect("crash site slot") {
+                return WalError::Crashed(site);
             }
         }
-        done = end;
-        if done < total {
-            // Mid-structure checkpoint: flush, then make progress durable.
-            db.pool().flush_all().map_err(DbError::Storage)?;
-            log.append(&LogRecord::Progress {
+        e.into()
+    }
+}
+
+/// A pass's mutable handle with its victim list.
+enum Victims<'a> {
+    /// A B-tree (probe or secondary index): `(key, RID)` in key order.
+    Tree(&'a mut BTree, Vec<(Key, Rid)>),
+    /// The base table: RIDs in materialized-row (RID) order.
+    Heap(&'a mut HeapFile, Vec<Rid>),
+    /// A hash index, updated the traditional way, one chain walk per
+    /// victim: `(key, RID)` in materialized-row order.
+    Hash(&'a mut HashIndex, Vec<(Key, Rid)>),
+}
+
+impl Victims<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Victims::Tree(_, pairs) | Victims::Hash(_, pairs) => pairs.len(),
+            Victims::Heap(_, rids) => rids.len(),
+        }
+    }
+
+    /// Delete victims `lo..hi`. Lenient against already-deleted entries, so
+    /// a possibly half-flushed chunk can be re-run.
+    fn delete(&mut self, lo: usize, hi: usize) -> Result<(), StorageError> {
+        match self {
+            Victims::Tree(tree, pairs) => {
+                bulk_delete_sorted(tree, &pairs[lo..hi], ReorgPolicy::FreeAtEmpty).map(|_| ())
+            }
+            Victims::Heap(heap, rids) => heap.bulk_delete_sorted_lenient(&rids[lo..hi]).map(|_| ()),
+            Victims::Hash(hash, pairs) => pairs[lo..hi]
+                .iter()
+                .try_for_each(|&(key, rid)| hash.delete(key, rid).map(|_| ())),
+        }
+    }
+}
+
+/// What every pass of one logged statement shares. Each pass derives its
+/// victim list from the durable `rows`, which is what makes it idempotent
+/// and its chunk boundaries the same before and after a crash.
+struct Statement<'a> {
+    tid: TableId,
+    probe_attr: usize,
+    rows: &'a [MaterializedRow],
+    log: &'a LogManager,
+    trip: Trip,
+}
+
+impl Statement<'_> {
+    /// Borrow every structure `group` names out of `table`, disjointly,
+    /// each with its victim list built and ordered once, in `group` order.
+    fn victims_of<'t>(
+        &self,
+        table: &'t mut Table,
+        group: &[PassSpec],
+    ) -> Vec<(PassSpec, Victims<'t>)> {
+        let spec_of = |phase: StructureId| group.iter().find(|s| s.phase == phase).copied();
+        let pairs = |attr: usize| -> Vec<(Key, Rid)> {
+            self.rows.iter().map(|r| (r.attrs[attr], r.rid)).collect()
+        };
+        let Table {
+            heap,
+            indices,
+            hash_indices,
+            ..
+        } = table;
+        let mut out = Vec::with_capacity(group.len());
+        if let Some(spec) = spec_of(StructureId::Table) {
+            let rids = self.rows.iter().map(|r| r.rid).collect();
+            out.push((spec, Victims::Heap(heap, rids)));
+        }
+        for ix in indices {
+            let attr = ix.def.attr;
+            let role = if attr == self.probe_attr {
+                StructureId::Probe
+            } else {
+                StructureId::Index(attr as u16)
+            };
+            if let Some(spec) = spec_of(role) {
+                let mut sorted = pairs(attr);
+                sorted.sort_unstable();
+                out.push((spec, Victims::Tree(&mut ix.tree, sorted)));
+            }
+        }
+        for h in hash_indices {
+            if let Some(spec) = spec_of(StructureId::Hash(h.def.attr as u16)) {
+                out.push((spec, Victims::Hash(&mut h.index, pairs(h.def.attr))));
+            }
+        }
+        assert_eq!(out.len(), group.len(), "a phase names no structure");
+        out.sort_by_key(|(spec, _)| spec.idx);
+        out
+    }
+
+    /// The one structure pass, chunked: after every [`PROGRESS_CHUNK`]
+    /// victims the dirty pages are flushed and a [`LogRecord::Progress`] is
+    /// written, so a crash loses at most one chunk of work ("the last
+    /// processed RID or key-value ... stored in the log ... will speed up
+    /// recovery"). The final flush makes the last chunk durable *before*
+    /// `StructureDone` is logged: a disk-level crash between pass and flush
+    /// must re-run the pass on recovery, never skip it.
+    fn run_pass(
+        &self,
+        pool: &BufferPool,
+        spec: PassSpec,
+        victims: &mut Victims<'_>,
+    ) -> Result<(), StorageError> {
+        let PassSpec { idx, phase, start } = spec;
+        let total = victims.len();
+        let mut done = start.min(total);
+        let mut progress_records = 0usize;
+        loop {
+            let end = (done + PROGRESS_CHUNK).min(total);
+            victims.delete(done, end)?;
+            done = end;
+            if done >= total {
+                break;
+            }
+            // `flush_all` skips frames pinned by sibling arms; this pass
+            // holds no pins here, so its chunk is fully durable before the
+            // progress record claims it — unless a sibling pinned one of
+            // its pages, which is why recovery backs off a chunk when it
+            // resumes from progress.
+            pool.flush_all()?;
+            self.log.append(&LogRecord::Progress {
                 structure: phase,
                 done: done as u32,
             });
             progress_records += 1;
-            if crash.hit(CrashSite::AtProgress(phase_idx, progress_records)) {
-                return Err(WalError::Crashed(CrashSite::AtProgress(
-                    phase_idx,
-                    progress_records,
-                )));
-            }
+            self.trip
+                .in_pass(CrashSite::AtProgress(idx, progress_records))?;
         }
-        if total == 0 {
-            break;
-        }
+        self.trip.in_pass(CrashSite::MidStructure(idx))?;
+        pool.flush_all()?;
+        self.log
+            .append(&LogRecord::StructureDone { structure: phase });
+        Ok(())
     }
-    Ok(())
+
+    /// Run the passes of `group` as one executor fan-out — in order on the
+    /// caller's thread when the group or `workers` is 1 — then log one
+    /// checkpoint covering all of them ("checkpoints are especially
+    /// advisable when the processing of one structure is finished"). The
+    /// executor runs [`PhaseExecutor::without_degradation`]: this driver's
+    /// fault story is roll-forward recovery from the log, so a crashed pass
+    /// must fail the statement and leave recovery to [`recover`], not retry
+    /// behind the log's back.
+    fn run_group(
+        &self,
+        db: &mut Database,
+        group: &[PassSpec],
+        workers: usize,
+    ) -> Result<(), WalError> {
+        if group.is_empty() {
+            return Ok(());
+        }
+        let pool = db.pool().clone();
+        let tasks = self
+            .victims_of(db.table_mut(self.tid)?, group)
+            .into_iter()
+            .map(|(spec, mut victims)| {
+                let pool = &pool;
+                PhaseTask::new(format!("wal bd {:?}", spec.phase), move || {
+                    self.run_pass(pool, spec, &mut victims)
+                })
+            })
+            .collect();
+        PhaseExecutor::new(workers)
+            .without_degradation()
+            .fan_out(tasks)
+            .map_err(|e| self.trip.surface(e))?;
+        checkpoint(db, self.tid, self.log)?;
+        group
+            .iter()
+            .try_for_each(|spec| self.trip.at(CrashSite::AfterStructure(spec.idx)))
+    }
 }
 
 /// Run a recoverable bulk delete, logging every step. On a simulated crash
@@ -335,125 +469,17 @@ pub fn run_bulk_delete(
     log: &LogManager,
     crash: CrashInjector,
 ) -> Result<usize, WalError> {
-    let mut keys = d_keys.to_vec();
-    keys.sort_unstable();
-    keys.dedup();
-    log.append(&LogRecord::BulkBegin {
-        probe_attr: probe_attr as u16,
-        keys: keys.clone(),
-    });
-
-    let rows = materialize(db, tid, probe_attr, &keys)?;
-    log.append(&LogRecord::RowsMaterialized { rows: rows.clone() });
-    checkpoint(db, tid, log)?;
-    if crash.hit(CrashSite::AfterMaterialize) {
-        return Err(WalError::Crashed(CrashSite::AfterMaterialize));
-    }
-
-    for (i, phase) in phases(db, tid, probe_attr)?.into_iter().enumerate() {
-        run_serial_phase(db, tid, probe_attr, phase, &rows, log, i, crash)?;
-    }
-
-    log.append(&LogRecord::BulkCommit);
-    Ok(rows.len())
+    run_bulk_delete_parallel(db, tid, probe_attr, d_keys, log, crash, 1)
 }
 
-/// One serial structure pass end-to-end: the chunked pass, a flush that
-/// makes the final chunk durable *before* completion is logged (a
-/// disk-level crash between pass and flush must re-run the pass on
-/// recovery, never skip it), the `StructureDone` record, and a checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn run_serial_phase(
-    db: &mut Database,
-    tid: TableId,
-    probe_attr: usize,
-    phase: StructureId,
-    rows: &[MaterializedRow],
-    log: &LogManager,
-    i: usize,
-    crash: CrashInjector,
-) -> Result<(), WalError> {
-    run_phase(db, tid, probe_attr, phase, rows, 0, log, i, crash)?;
-    if crash.hit(CrashSite::MidStructure(i)) {
-        return Err(WalError::Crashed(CrashSite::MidStructure(i)));
-    }
-    db.pool().flush_all().map_err(DbError::Storage)?;
-    log.append(&LogRecord::StructureDone { structure: phase });
-    checkpoint(db, tid, log)?;
-    if crash.hit(CrashSite::AfterStructure(i)) {
-        return Err(WalError::Crashed(CrashSite::AfterStructure(i)));
-    }
-    Ok(())
-}
-
-/// One concurrent fan-out arm of [`run_bulk_delete_parallel`]: the chunked
-/// pass over a single structure (a non-unique B-tree index or a hash
-/// index), with per-chunk flushes and durable progress records, ending in
-/// the arm's own `StructureDone`. `chunk(lo, hi)` deletes victims
-/// `lo..hi` of the arm's victim list. The flush before `StructureDone` is
-/// what makes the arm's work durable — the group checkpoint runs only
-/// after every arm has joined.
-#[allow(clippy::too_many_arguments)]
-fn run_fanout_arm(
-    pool: &Arc<BufferPool>,
-    total: usize,
-    phase: StructureId,
-    phase_idx: usize,
-    log: &LogManager,
-    crash: CrashInjector,
-    site: &Mutex<Option<CrashSite>>,
-    mut chunk: impl FnMut(usize, usize) -> Result<(), StorageError>,
-) -> Result<(), StorageError> {
-    let trip = |here: CrashSite| -> Result<(), StorageError> {
-        if crash.hit(here) {
-            *site.lock().expect("crash site slot") = Some(here);
-            return Err(StorageError::SimulatedCrash);
-        }
-        Ok(())
-    };
-    let mut done = 0usize;
-    let mut progress_records = 0usize;
-    loop {
-        let end = (done + PROGRESS_CHUNK).min(total);
-        chunk(done, end)?;
-        done = end;
-        if done >= total {
-            break;
-        }
-        // `flush_all` skips frames pinned by sibling arms; this arm holds
-        // no pins here, so its chunk is fully durable before the progress
-        // record claims it — unless a sibling pinned one of its pages, which
-        // is why recovery backs off a chunk when it resumes from progress.
-        pool.flush_all()?;
-        log.append(&LogRecord::Progress {
-            structure: phase,
-            done: done as u32,
-        });
-        progress_records += 1;
-        trip(CrashSite::AtProgress(phase_idx, progress_records))?;
-    }
-    trip(CrashSite::MidStructure(phase_idx))?;
-    pool.flush_all()?;
-    log.append(&LogRecord::StructureDone { structure: phase });
-    Ok(())
-}
-
-/// A fan-out arm's mutable handle: a B-tree or a hash index.
-enum Arm<'a> {
-    Tree(&'a mut BTree),
-    Hash(&'a mut HashIndex),
-}
-
-/// [`run_bulk_delete`] with the non-unique index passes dispatched to up to
-/// `workers` threads — the recoverable analogue of the strategy layer's
-/// `vertical_parallel`. The serial prefix (materialize, probe, table,
-/// unique indices — §3.1's ordering) is identical to the serial driver;
-/// the fan-out arms log their own progress and completion records into the
-/// shared log, and one group checkpoint follows the join. The executor
-/// runs [`PhaseExecutor::without_degradation`]: this driver's fault story
-/// is roll-forward recovery from the log, so a crashed arm must fail the
-/// statement and leave recovery to [`recover`], not retry behind the
-/// log's back.
+/// [`run_bulk_delete`] with up to `workers` threads — the recoverable
+/// analogue of the strategy layer's `workers`. The serial prefix (probe,
+/// table, unique indices — §3.1's ordering) runs one pass at a time with a
+/// checkpoint after each; the remaining structures (non-unique B-tree
+/// indices and every hash index) form one fan-out group whose arms log
+/// their own progress and completion records into the shared log, with one
+/// group checkpoint after the join. At `workers = 1` the arms run in order
+/// on the caller's thread.
 pub fn run_bulk_delete_parallel(
     db: &mut Database,
     tid: TableId,
@@ -463,9 +489,6 @@ pub fn run_bulk_delete_parallel(
     crash: CrashInjector,
     workers: usize,
 ) -> Result<usize, WalError> {
-    if workers <= 1 {
-        return run_bulk_delete(db, tid, probe_attr, d_keys, log, crash);
-    }
     let mut keys = d_keys.to_vec();
     keys.sort_unstable();
     keys.dedup();
@@ -477,149 +500,19 @@ pub fn run_bulk_delete_parallel(
     let rows = materialize(db, tid, probe_attr, &keys)?;
     log.append(&LogRecord::RowsMaterialized { rows: rows.clone() });
     checkpoint(db, tid, log)?;
-    if crash.hit(CrashSite::AfterMaterialize) {
-        return Err(WalError::Crashed(CrashSite::AfterMaterialize));
-    }
-
-    // Serial prefix: probe, table, then unique indices — `phases` orders
-    // unique indices directly after the table, so the prefix is contiguous.
-    let all = phases(db, tid, probe_attr)?;
-    let n_serial = {
-        let table = db.table(tid)?;
-        all.iter()
-            .take_while(|p| match p {
-                StructureId::Probe | StructureId::Table => true,
-                StructureId::Index(attr) => table
-                    .index_on(*attr as usize)
-                    .map(|i| i.def.unique)
-                    .unwrap_or(false),
-                StructureId::Hash(_)
-                | StructureId::Temp
-                | StructureId::Spatial(_)
-                | StructureId::Lsm(_) => false,
-            })
-            .count()
+    let stmt = Statement {
+        tid,
+        probe_attr,
+        rows: &rows,
+        log,
+        trip: Trip::new(crash),
     };
-    for (i, phase) in all[..n_serial].iter().enumerate() {
-        run_serial_phase(db, tid, probe_attr, *phase, &rows, log, i, crash)?;
-    }
+    stmt.trip.at(CrashSite::AfterMaterialize)?;
 
-    // Fan-out: one arm per remaining structure — the non-unique B-tree
-    // indices and every hash index.
-    let fan: Vec<(usize, StructureId)> = all[n_serial..]
-        .iter()
-        .enumerate()
-        .map(|(j, p)| match p {
-            StructureId::Index(_) | StructureId::Hash(_) => (n_serial + j, *p),
-            _ => unreachable!("serial prefix covers probe and table"),
-        })
-        .collect();
-    if !fan.is_empty() {
-        let pair_lists: Vec<Vec<(Key, Rid)>> = fan
-            .iter()
-            .map(|&(_, phase)| match phase {
-                // B-tree arms delete in key order; hash arms keep the
-                // materialized-row order so their chunk boundaries match
-                // the serial driver's and recovery's.
-                StructureId::Index(attr) => {
-                    let mut pairs: Vec<(Key, Rid)> = rows
-                        .iter()
-                        .map(|r| (r.attrs[attr as usize], r.rid))
-                        .collect();
-                    pairs.sort_unstable();
-                    pairs
-                }
-                StructureId::Hash(attr) => rows
-                    .iter()
-                    .map(|r| (r.attrs[attr as usize], r.rid))
-                    .collect(),
-                _ => unreachable!("fan holds only index and hash phases"),
-            })
-            .collect();
-        let site_slot: Mutex<Option<CrashSite>> = Mutex::new(None);
-        let pool = db.pool().clone();
-        let fan_result = {
-            let Table {
-                indices,
-                hash_indices,
-                ..
-            } = db.table_mut(tid)?;
-            let rank_of = |p: StructureId| fan.iter().position(|&(_, q)| q == p);
-            let mut arms: Vec<(usize, Arm<'_>)> = indices
-                .iter_mut()
-                .filter_map(|ix| {
-                    rank_of(StructureId::Index(ix.def.attr as u16))
-                        .map(|r| (r, Arm::Tree(&mut ix.tree)))
-                })
-                .chain(hash_indices.iter_mut().filter_map(|h| {
-                    rank_of(StructureId::Hash(h.def.attr as u16))
-                        .map(|r| (r, Arm::Hash(&mut h.index)))
-                }))
-                .collect();
-            arms.sort_by_key(|&(r, _)| r);
-
-            let mut exec = PhaseExecutor::new(workers).without_degradation();
-            let mut tasks: Vec<PhaseTask> = Vec::new();
-            for ((rank, mut arm), pairs) in arms.into_iter().zip(pair_lists.iter()) {
-                let (phase_idx, phase) = fan[rank];
-                let pool = pool.clone();
-                let site_slot = &site_slot;
-                let label = match phase {
-                    StructureId::Hash(attr) => format!("wal bd hash {attr}"),
-                    StructureId::Index(attr) => format!("wal bd index {attr}"),
-                    _ => unreachable!("fan holds only index and hash phases"),
-                };
-                tasks.push(PhaseTask::new(label, move || {
-                    let run = |chunk: &mut dyn FnMut(usize, usize) -> Result<(), StorageError>| {
-                        run_fanout_arm(
-                            &pool,
-                            pairs.len(),
-                            phase,
-                            phase_idx,
-                            log,
-                            crash,
-                            site_slot,
-                            chunk,
-                        )
-                    };
-                    match &mut arm {
-                        Arm::Tree(tree) => run(&mut |lo, hi| {
-                            bulk_delete_sorted(tree, &pairs[lo..hi], ReorgPolicy::FreeAtEmpty)
-                                .map(|_| ())
-                        }),
-                        Arm::Hash(h) => run(&mut |lo, hi| {
-                            for &(k, rid) in &pairs[lo..hi] {
-                                h.delete(k, rid)?;
-                            }
-                            Ok(())
-                        }),
-                    }
-                }));
-            }
-            exec.fan_out(tasks)
-        };
-        if let Err(e) = fan_result {
-            // An injector site inside an arm travels back as
-            // `SimulatedCrash` plus the site slot. A disk-level crash point
-            // (`FaultPlan::crash_at_access`) firing inside an arm's I/O also
-            // surfaces as `SimulatedCrash` but never touches the slot — by
-            // contract the empty slot maps to `CrashSite::InIo` via `From`
-            // (pinned by `arm_crash_with_empty_site_slot_maps_to_in_io` in
-            // tests/campaign.rs).
-            if e == StorageError::SimulatedCrash {
-                if let Some(site) = *site_slot.lock().expect("crash site slot") {
-                    return Err(WalError::Crashed(site));
-                }
-            }
-            return Err(e.into());
-        }
-        // One group checkpoint covers every arm's completed pass.
-        checkpoint(db, tid, log)?;
-        for &(phase_idx, _) in &fan {
-            if crash.hit(CrashSite::AfterStructure(phase_idx)) {
-                return Err(WalError::Crashed(CrashSite::AfterStructure(phase_idx)));
-            }
-        }
+    // The serial prefix one pass at a time, then the fan-out suffix.
+    let (all, n_serial) = phases(db, tid, probe_attr)?;
+    for group in all[..n_serial].chunks(1).chain([&all[n_serial..]]) {
+        stmt.run_group(db, group, workers)?;
     }
 
     log.append(&LogRecord::BulkCommit);
@@ -637,7 +530,7 @@ pub fn recover(
     log: &LogManager,
     pending_side_ops: &[(usize, Vec<SideOp>)],
 ) -> Result<usize, WalError> {
-    recover_media(db, tid, log, pending_side_ops, &[])
+    recover_media(db, tid, log, pending_side_ops, &[]).map(|(n, _)| n)
 }
 
 /// Which structures of the table lost pages to media damage, as classified
@@ -665,6 +558,40 @@ impl MediaDamage {
             && self.tree_attrs.is_empty()
             && self.hash_attrs.is_empty()
             && self.foreign.is_empty()
+    }
+
+    /// File each damaged structure, named by its table-scoped owner tag,
+    /// under the list its rebuild runs from: the home table's heap, trees
+    /// and hash indices by attribute, another table's structures as they
+    /// are. Tags that name no rebuildable structure are ignored.
+    fn absorb(&mut self, owners: &[StructureId], home: TableId) {
+        for &s in owners {
+            match s {
+                StructureId::Table => self.heap = true,
+                StructureId::Index(_) | StructureId::Hash(_) => {
+                    let (t, a) = s
+                        .scoped_parts()
+                        .expect("index/hash owner tags carry a table scope");
+                    if t != home {
+                        self.foreign.push(s);
+                    } else if matches!(s, StructureId::Index(_)) {
+                        self.tree_attrs.push(a);
+                    } else {
+                        self.hash_attrs.push(a);
+                    }
+                }
+                StructureId::Probe
+                | StructureId::Temp
+                | StructureId::Spatial(_)
+                | StructureId::Lsm(_) => {}
+            }
+        }
+        self.tree_attrs.sort_unstable();
+        self.tree_attrs.dedup();
+        self.hash_attrs.sort_unstable();
+        self.hash_attrs.dedup();
+        self.foreign.sort_unstable_by_key(|s| s.scoped_parts());
+        self.foreign.dedup();
     }
 
     /// True when `s`'s on-disk pages were damaged: its logged progress
@@ -724,48 +651,32 @@ fn classify_media_damage(
     if corrupt.is_empty() {
         return Ok(damage);
     }
-    db.pool()
-        .with_disk(|d| -> Result<(), StorageError> {
-            for &pid in corrupt {
-                d.accept_torn_page(pid)?;
-            }
-            Ok(())
-        })
-        .map_err(DbError::Storage)?;
+    accept_torn_pages(db, corrupt)?;
     let catalog = db.pool().catalog();
+    let mut owners = Vec::new();
     for &pid in corrupt {
         match catalog.owner(pid) {
             None => report.healed_free += 1,
-            Some(StructureId::Table) => damage.heap = true,
-            Some(s @ (StructureId::Index(_) | StructureId::Hash(_))) => {
-                let (t, a) = s
-                    .scoped_parts()
-                    .expect("index/hash owners carry a table scope");
-                if t == home {
-                    match s {
-                        StructureId::Index(_) => damage.tree_attrs.push(a),
-                        _ => damage.hash_attrs.push(a),
-                    }
-                } else {
-                    damage.foreign.push(s);
-                }
-            }
             Some(StructureId::Temp) | Some(StructureId::Spatial(_)) | Some(StructureId::Lsm(_)) => {
                 report.healed_scratch += 1
             }
             Some(StructureId::Probe) => {
                 unreachable!("probe is a phase role; its pages are catalogued as Index")
             }
+            Some(s) => owners.push(s),
         }
     }
-    damage.tree_attrs.sort_unstable();
-    damage.tree_attrs.dedup();
-    damage.hash_attrs.sort_unstable();
-    damage.hash_attrs.dedup();
-    damage.foreign.sort_unstable_by_key(|s| s.scoped_parts());
-    damage.foreign.dedup();
+    damage.absorb(&owners, home);
     report.heap_damaged = damage.heap;
     Ok(damage)
+}
+
+/// Accept each torn page's current (half-written) image so the page reads
+/// again; what the image is worth is the caller's decision.
+pub(crate) fn accept_torn_pages(db: &Database, corrupt: &[PageId]) -> Result<(), WalError> {
+    db.pool()
+        .with_disk(|d| corrupt.iter().try_for_each(|&pid| d.accept_torn_page(pid)))
+        .map_err(WalError::from)
 }
 
 /// Run `body` inside a durable maintenance bracket on `structure` (a
@@ -833,39 +744,6 @@ fn unclosed_maintenance(records: &[LogRecord]) -> Vec<StructureId> {
     open
 }
 
-/// Fold the structures named by open maintenance brackets into the media
-/// damage set, so the normal rebuild path covers them.
-fn absorb_maintenance_damage(damage: &mut MediaDamage, open: &[StructureId], home: TableId) {
-    for &s in open {
-        match s {
-            StructureId::Table => damage.heap = true,
-            StructureId::Index(_) | StructureId::Hash(_) => {
-                let (t, a) = s
-                    .scoped_parts()
-                    .expect("maintenance brackets carry table-scoped owner tags");
-                if t == home {
-                    match s {
-                        StructureId::Index(_) => damage.tree_attrs.push(a),
-                        _ => damage.hash_attrs.push(a),
-                    }
-                } else {
-                    damage.foreign.push(s);
-                }
-            }
-            StructureId::Probe
-            | StructureId::Temp
-            | StructureId::Spatial(_)
-            | StructureId::Lsm(_) => {}
-        }
-    }
-    damage.tree_attrs.sort_unstable();
-    damage.tree_attrs.dedup();
-    damage.hash_attrs.sort_unstable();
-    damage.hash_attrs.dedup();
-    damage.foreign.sort_unstable_by_key(|s| s.scoped_parts());
-    damage.foreign.dedup();
-}
-
 /// Re-own any catalog-free page that is still reachable from a structure.
 ///
 /// A catalog free is durable disk metadata the instant it happens, but the
@@ -925,20 +803,12 @@ fn reconcile_catalog(db: &mut Database, tid: TableId) -> Result<(), WalError> {
 /// page and the re-run table pass re-clears whatever the tear resurrected.
 /// Expects to run after `db.pool().crash()` — cache loss is what surfaces
 /// tears in the first place.
+///
+/// Returns the number of victim rows the completed bulk delete covered and
+/// the [`MediaRecovery`] report (what was rebuilt, what was healed for
+/// free), which the fault sweeps use to prove recovery never rebuilds an
+/// undamaged structure.
 pub fn recover_media(
-    db: &mut Database,
-    tid: TableId,
-    log: &LogManager,
-    pending_side_ops: &[(usize, Vec<SideOp>)],
-    corrupt: &[PageId],
-) -> Result<usize, WalError> {
-    recover_media_report(db, tid, log, pending_side_ops, corrupt).map(|(n, _)| n)
-}
-
-/// [`recover_media`], also returning the [`MediaRecovery`] report (what was
-/// rebuilt, what was healed for free). The fault campaigns use the report
-/// to prove recovery never rebuilds an undamaged structure.
-pub fn recover_media_report(
     db: &mut Database,
     tid: TableId,
     log: &LogManager,
@@ -952,7 +822,7 @@ pub fn recover_media_report(
     // may be half-applied: the bracketed structure is damage, rebuilt from
     // the heap exactly like a torn page's owner.
     let open_maintenance = unclosed_maintenance(&records);
-    absorb_maintenance_damage(&mut damage, &open_maintenance, tid);
+    damage.absorb(&open_maintenance, tid);
     let close_brackets = |log: &LogManager| {
         for &s in &open_maintenance {
             log.append(&LogRecord::MaintainEnd { structure: s });
@@ -1057,8 +927,15 @@ pub fn recover_media_report(
             r
         }
     };
-    for (i, phase) in phases(db, tid, probe_attr)?.into_iter().enumerate() {
-        if done.contains(&phase) {
+    let stmt = Statement {
+        tid,
+        probe_attr,
+        rows: &rows,
+        log,
+        trip: Trip::new(CrashInjector::none()),
+    };
+    for spec in phases(db, tid, probe_attr)?.0 {
+        if done.contains(&spec.phase) {
             continue;
         }
         // Resume from the last durable progress record for this structure,
@@ -1067,24 +944,11 @@ pub fn recover_media_report(
         // this structure's pre-progress flush, leaving part of the claimed
         // chunk unflushed (the passes are lenient, so re-running is safe).
         let start = progress
-            .get(&phase)
+            .get(&spec.phase)
             .copied()
             .unwrap_or(0)
             .saturating_sub(PROGRESS_CHUNK);
-        run_phase(
-            db,
-            tid,
-            probe_attr,
-            phase,
-            &rows,
-            start,
-            log,
-            i,
-            CrashInjector::none(),
-        )?;
-        db.pool().flush_all().map_err(DbError::Storage)?;
-        log.append(&LogRecord::StructureDone { structure: phase });
-        checkpoint(db, tid, log)?;
+        stmt.run_group(db, &[PassSpec { start, ..spec }], 1)?;
     }
     log.append(&LogRecord::BulkCommit);
 

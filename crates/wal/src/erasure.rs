@@ -84,8 +84,7 @@ fn manifest_steps(plan: &CascadePlan) -> Vec<CampaignStep> {
 ///
 /// The manifest is logged before any other work, so every later crash
 /// point recovers into this campaign via [`recover_campaign`]. `workers`
-/// selects the serial (≤ 1) or parallel fan-out bulk-delete driver per
-/// step. The `pacer` governs the run cooperatively: it is checked with
+/// is each step's bulk-delete worker budget. The `pacer` governs the run cooperatively: it is checked with
 /// nothing in flight between steps (a cancel there seals the campaign
 /// with a [`LogRecord::CampaignCancelled`] naming the committed prefix)
 /// and installed around each step's body with deferred cancellation — a
@@ -249,7 +248,7 @@ pub fn recover_campaign(
         // rebuilding from any torn pages — which can only belong to the
         // in-flight table, the only one being written.
         let cur = &steps[completed];
-        deleted += recover_media(db, cur.table as TableId, log, &[], corrupt)?;
+        deleted += recover_media(db, cur.table as TableId, log, &[], corrupt)?.0;
         // Steps that never started (or only partially ran) still have
         // victims live in the recovered database; fold their attributes
         // into the proof set. (Rows the in-flight step already removed

@@ -15,6 +15,9 @@
 //! * [`driver`] — [`driver::run_bulk_delete`] with crash injection at every
 //!   interesting point, and [`driver::recover`], which *rolls the bulk
 //!   delete forward* and applies pending side-files afterwards;
+//! * [`campaign`] — [`campaign::sweep`], the one fault harness: a crash or
+//!   a torn write at every disk access of a bulk delete or of a whole
+//!   erasure campaign, recovered and audited at every point;
 //! * [`erasure`] — durable erasure campaigns: the full cascade persisted
 //!   as a manifest, each step recoverable, a physical scrub plus log
 //!   redaction at commit, and a byte-level proof of deletion.
@@ -25,15 +28,10 @@ pub mod erasure;
 pub mod log;
 pub mod record;
 
-pub use campaign::{
-    crash_at_every_io, crash_at_every_io_from, erasure_crash_at_every_io,
-    erasure_torn_write_at_every_io, torn_write_at_every_io, CampaignReport, ErasureSweepReport,
-    TornWriteReport,
-};
+pub use campaign::{sweep, BulkDelete, ErasureCampaign, Fault, SweepReport, SweepTarget};
 pub use driver::{
-    recover, recover_media, recover_media_report, run_bulk_delete, run_bulk_delete_parallel,
-    run_maintenance_cycle, with_maintenance_bracket, CrashInjector, CrashSite, MediaRecovery,
-    WalError,
+    recover, recover_media, run_bulk_delete, run_bulk_delete_parallel, run_maintenance_cycle,
+    with_maintenance_bracket, CrashInjector, CrashSite, MediaRecovery, WalError,
 };
 pub use erasure::{recover_campaign, run_erasure_campaign, ErasureOutcome, KEY_BEARING_TAGS};
 pub use log::LogManager;

@@ -1,14 +1,14 @@
-//! The crash-at-every-I/O campaign and the parallel recoverable driver.
+//! The fault sweeps over the recoverable driver.
 //!
-//! For a seeded workload, a crash is injected at each successive disk
-//! access; after `recover`, the state must match the fault-free run —
-//! for the serial driver and the parallel fan-out driver alike.
+//! For a seeded workload, a crash (or a torn write) is injected at each
+//! successive disk access; after recovery the state must match the
+//! fault-free run — at `workers = 1` and under the threaded fan-out alike.
 
 use bd_core::{audit_equivalence, Database, DatabaseConfig, IndexDef};
 use bd_storage::FaultPlan;
 use bd_wal::{
-    crash_at_every_io, crash_at_every_io_from, recover, run_bulk_delete, run_bulk_delete_parallel,
-    torn_write_at_every_io, CrashInjector, CrashSite, LogManager, LogRecord, StructureId, WalError,
+    recover, recover_media, run_bulk_delete, run_bulk_delete_parallel, sweep, BulkDelete,
+    CrashInjector, CrashSite, Fault, LogManager, LogRecord, StructureId, SweepReport, WalError,
 };
 use bd_workload::TableSpec;
 
@@ -54,75 +54,92 @@ fn parallel_driver_matches_serial_state() {
     db_parallel.check_consistency(tid).unwrap();
     let eq = audit_equivalence(&db_serial, &db_parallel, tid).unwrap();
     assert!(eq.is_clean(), "parallel driver diverged: {eq}");
-    // Both arms logged their completion; the log replays cleanly. The
-    // serial driver writes two more checkpoints than the parallel one (one
-    // per fan phase vs one group checkpoint), and each checkpoint is two
-    // records (tree metadata + catalog snapshot), hence the margin of 4.
-    assert!(log_p.records().unwrap().len() >= log_s.records().unwrap().len() - 4);
+    // One driver: the same records at any worker count (three arms, three
+    // `StructureDone`s, one group checkpoint); only their order can differ.
+    assert_eq!(
+        log_p.records().unwrap().len(),
+        log_s.records().unwrap().len()
+    );
 }
 
 #[test]
 fn parallel_arm_crash_sites_recover() {
     // Sites inside the fan-out arms: mid-structure of each non-unique
     // index phase (phases 2–4 — probe and table are the serial prefix;
-    // phase 4 is the hash arm). The site travels out of the worker thread
-    // as `SimulatedCrash` plus the shared site slot.
-    for site in [
-        CrashSite::MidStructure(2),
-        CrashSite::MidStructure(3),
-        CrashSite::MidStructure(4),
-    ] {
-        let (mut reference, tid, a_values) = build(1200);
-        let d = victims(&a_values);
-        let log_ref = LogManager::new();
-        run_bulk_delete(&mut reference, tid, 0, &d, &log_ref, CrashInjector::none()).unwrap();
+    // phase 4 is the hash arm), and after the group checkpoint that follows
+    // the join. The site travels out of the arm (a worker thread when
+    // `workers > 1`) as `SimulatedCrash` plus the shared site slot.
+    for workers in [1, 3] {
+        for site in [
+            CrashSite::MidStructure(2),
+            CrashSite::MidStructure(3),
+            CrashSite::MidStructure(4),
+            CrashSite::AfterStructure(2),
+            CrashSite::AfterStructure(4),
+        ] {
+            let (mut reference, tid, a_values) = build(1200);
+            let d = victims(&a_values);
+            let log_ref = LogManager::new();
+            run_bulk_delete(&mut reference, tid, 0, &d, &log_ref, CrashInjector::none()).unwrap();
 
-        let (mut db, _, _) = build(1200);
-        let log = LogManager::new();
-        let err = run_bulk_delete_parallel(&mut db, tid, 0, &d, &log, CrashInjector::at(site), 3)
-            .unwrap_err();
-        assert!(
-            matches!(err, WalError::Crashed(s) if s == site),
-            "site {site:?} must surface, got {err}"
-        );
-        db.pool().crash();
-        let n = recover(&mut db, tid, &log, &[]).unwrap();
-        assert_eq!(n, d.len());
-        db.check_consistency(tid).unwrap();
-        let eq = audit_equivalence(&reference, &db, tid).unwrap();
-        assert!(eq.is_clean(), "recovery after {site:?} diverged: {eq}");
+            let (mut db, _, _) = build(1200);
+            let log = LogManager::new();
+            let crash = CrashInjector::at(site);
+            let err =
+                run_bulk_delete_parallel(&mut db, tid, 0, &d, &log, crash, workers).unwrap_err();
+            assert!(
+                matches!(err, WalError::Crashed(s) if s == site),
+                "site {site:?} must surface at {workers} worker(s), got {err}"
+            );
+            if let CrashSite::AfterStructure(_) = site {
+                // The fan-out is one group: its `AfterStructure` sites fire
+                // after the join and the group checkpoint, whichever arm
+                // they name, so every arm's completion is already logged.
+                let done = log.records().unwrap();
+                let done = done
+                    .iter()
+                    .filter(|r| matches!(r, LogRecord::StructureDone { .. }));
+                assert_eq!(done.count(), 5, "{site:?} at {workers} worker(s)");
+            }
+            db.pool().crash();
+            let n = recover(&mut db, tid, &log, &[]).unwrap();
+            assert_eq!(n, d.len());
+            db.check_consistency(tid).unwrap();
+            let eq = audit_equivalence(&reference, &db, tid).unwrap();
+            assert!(
+                eq.is_clean(),
+                "recovery after {site:?} at {workers} worker(s) diverged: {eq}"
+            );
+        }
     }
 }
 
 #[test]
 fn recover_is_idempotent_after_parallel_crash() {
-    let (mut db, tid, a_values) = build(1000);
-    let d = victims(&a_values);
-    let log = LogManager::new();
-    let err = run_bulk_delete_parallel(
-        &mut db,
-        tid,
-        0,
-        &d,
-        &log,
-        CrashInjector::at(CrashSite::MidStructure(2)),
-        2,
-    )
-    .unwrap_err();
-    assert!(matches!(err, WalError::Crashed(_)));
-    db.pool().crash();
-    let n = recover(&mut db, tid, &log, &[]).unwrap();
-    assert_eq!(n, d.len());
-    // A second restart finds a committed log: recovery is a no-op, and
-    // the state is unchanged.
-    let (mut reference, _, _) = build(1000);
-    let log_ref = LogManager::new();
-    run_bulk_delete(&mut reference, tid, 0, &d, &log_ref, CrashInjector::none()).unwrap();
-    db.pool().crash();
-    assert_eq!(recover(&mut db, tid, &log, &[]).unwrap(), 0);
-    db.check_consistency(tid).unwrap();
-    let eq = audit_equivalence(&reference, &db, tid).unwrap();
-    assert!(eq.is_clean(), "second recovery changed the state: {eq}");
+    for workers in [1, 3] {
+        let (mut db, tid, a_values) = build(1000);
+        let d = victims(&a_values);
+        let log = LogManager::new();
+        let crash = CrashInjector::at(CrashSite::MidStructure(2));
+        let err = run_bulk_delete_parallel(&mut db, tid, 0, &d, &log, crash, workers).unwrap_err();
+        assert!(matches!(err, WalError::Crashed(_)));
+        db.pool().crash();
+        let n = recover(&mut db, tid, &log, &[]).unwrap();
+        assert_eq!(n, d.len());
+        // A second restart finds a committed log: recovery is a no-op, and
+        // the state is unchanged.
+        let (mut reference, _, _) = build(1000);
+        let log_ref = LogManager::new();
+        run_bulk_delete(&mut reference, tid, 0, &d, &log_ref, CrashInjector::none()).unwrap();
+        db.pool().crash();
+        assert_eq!(recover(&mut db, tid, &log, &[]).unwrap(), 0);
+        db.check_consistency(tid).unwrap();
+        let eq = audit_equivalence(&reference, &db, tid).unwrap();
+        assert!(
+            eq.is_clean(),
+            "second recovery at {workers} worker(s) changed the state: {eq}"
+        );
+    }
 }
 
 #[test]
@@ -194,13 +211,30 @@ fn fresh(n_rows: usize) -> (Database, usize) {
     (db, w.tid)
 }
 
+/// One bulk-delete sweep over `fresh(n_rows)`, probing attribute 0.
+fn bulk_sweep(
+    n_rows: usize,
+    d: &[u64],
+    workers: usize,
+    fault: Fault,
+    start: u64,
+    limit: Option<usize>,
+) -> SweepReport {
+    let mut target = BulkDelete {
+        probe_attr: 0,
+        d_keys: d,
+        workers,
+    };
+    sweep(|| fresh(n_rows), &mut target, fault, start, limit).unwrap()
+}
+
 #[test]
 fn serial_campaign_recovers_at_every_disk_access() {
     let a_values = build(1500).2;
     let d = victims(&a_values);
-    let report = crash_at_every_io(|| fresh(1500), 0, &d, 1, None).unwrap();
+    let report = bulk_sweep(1500, &d, 1, Fault::Crash, 0, None);
     assert!(
-        report.crash_points > 50,
+        report.recovered_points > 50,
         "campaign too small to mean anything: {report:?}"
     );
     assert_eq!(report.deleted, d.len());
@@ -210,9 +244,9 @@ fn serial_campaign_recovers_at_every_disk_access() {
 fn parallel_campaign_recovers_at_every_disk_access() {
     let a_values = build(1500).2;
     let d = victims(&a_values);
-    let report = crash_at_every_io(|| fresh(1500), 0, &d, 3, None).unwrap();
+    let report = bulk_sweep(1500, &d, 3, Fault::Crash, 0, None);
     assert!(
-        report.crash_points > 50,
+        report.recovered_points > 50,
         "campaign too small to mean anything: {report:?}"
     );
     assert_eq!(report.deleted, d.len());
@@ -222,13 +256,13 @@ fn parallel_campaign_recovers_at_every_disk_access() {
 fn serial_torn_write_campaign_recovers_every_surfaced_tear() {
     let a_values = build(900).2;
     let d = victims(&a_values);
-    let report = torn_write_at_every_io(|| fresh(900), 0, &d, 1, 0, None).unwrap();
+    let report = bulk_sweep(900, &d, 1, Fault::TornWrite, 0, None);
     assert!(
-        report.torn_points >= 5,
+        report.recovered_points >= 5,
         "sweep surfaced too few tears to mean anything: {report:?}"
     );
     assert!(
-        report.accesses_swept >= 20,
+        report.recovered_points + report.silent_points >= 20,
         "sweep tore too few writes: {report:?}"
     );
     assert_eq!(report.deleted, d.len());
@@ -241,7 +275,7 @@ fn serial_torn_write_campaign_recovers_every_surfaced_tear() {
         "a torn point rebuilt more than its one damaged structure: {report:?}"
     );
     assert!(
-        report.structures_rebuilt <= report.torn_points,
+        report.structures_rebuilt <= report.recovered_points,
         "rebuilds must be bounded by one per torn point: {report:?}"
     );
 }
@@ -250,9 +284,9 @@ fn serial_torn_write_campaign_recovers_every_surfaced_tear() {
 fn parallel_torn_write_campaign_recovers_every_surfaced_tear() {
     let a_values = build(900).2;
     let d = victims(&a_values);
-    let report = torn_write_at_every_io(|| fresh(900), 0, &d, 3, 0, None).unwrap();
+    let report = bulk_sweep(900, &d, 3, Fault::TornWrite, 0, None);
     assert!(
-        report.torn_points >= 5,
+        report.recovered_points >= 5,
         "sweep surfaced too few tears to mean anything: {report:?}"
     );
     assert_eq!(report.deleted, d.len());
@@ -265,7 +299,6 @@ fn parallel_torn_write_campaign_recovers_every_surfaced_tear() {
 #[test]
 fn torn_free_page_is_healed_without_any_rebuild() {
     use bd_storage::FaultSpec;
-    use bd_wal::recover_media_report;
 
     // Delete *every* row so whole leaves empty out and are returned to the
     // catalog's free set.
@@ -299,7 +332,7 @@ fn torn_free_page_is_healed_without_any_rebuild() {
     assert_eq!(corrupt, vec![pid], "the tear must be detectable");
 
     db.pool().crash();
-    let (_, media) = recover_media_report(&mut db, tid, &log, &[], &corrupt).unwrap();
+    let (_, media) = recover_media(&mut db, tid, &log, &[], &corrupt).unwrap();
     // Regression: the pre-catalog classifier could not attribute a free
     // page to any structure and rebuilt every B-tree for it. The catalog
     // knows the page is free — heal it and rebuild nothing.
@@ -319,7 +352,6 @@ fn torn_free_page_is_healed_without_any_rebuild() {
 #[test]
 fn torn_index_page_rebuilds_only_that_tree() {
     use bd_storage::FaultSpec;
-    use bd_wal::recover_media_report;
 
     let (mut db, tid, a_values) = build(900);
     let d = victims(&a_values);
@@ -346,7 +378,7 @@ fn torn_index_page_rebuilds_only_that_tree() {
     assert_eq!(corrupt, vec![pid]);
 
     db.pool().crash();
-    let (_, media) = recover_media_report(&mut db, tid, &log, &[], &corrupt).unwrap();
+    let (_, media) = recover_media(&mut db, tid, &log, &[], &corrupt).unwrap();
     // Single-tree precision: only the owning index rebuilds. The old
     // classifier would have rebuilt all four B-trees here.
     assert_eq!(media.rebuilt_trees, vec![1], "{media:?}");
@@ -501,13 +533,14 @@ fn arm_crash_with_empty_site_slot_maps_to_in_io() {
     }
 }
 
-#[test]
-fn late_region_campaign_resumes_deep_passes_serial() {
-    // > PROGRESS_CHUNK victims per structure: every pass logs several
-    // Progress records, and the hash pass runs last — so sweeping only
-    // the tail of the access stream exercises resume-from-progress deep
-    // inside the late passes without paying for thousands of early crash
-    // points.
+/// The late-region workload (> PROGRESS_CHUNK victims per structure, so
+/// every pass logs several Progress records) and the sweep start 40
+/// accesses before the end of its run. The end is measured at
+/// `workers = 1`, where the access count is deterministic: threaded runs
+/// only ever add accesses (interleaving changes eviction order), so a
+/// start anchored on a threaded run's count can lie past the end of the
+/// next one.
+fn late_region() -> (Vec<u64>, u64) {
     let a_values = build(5000).2;
     let d: Vec<u64> = a_values
         .iter()
@@ -518,11 +551,19 @@ fn late_region_campaign_resumes_deep_passes_serial() {
         .collect();
     assert!(d.len() > 2 * 2048, "need several progress chunks");
     // A zero-limit sweep measures the fault-free access count.
-    let probe = crash_at_every_io_from(|| fresh(5000), 0, &d, 1, 0, Some(0)).unwrap();
-    let start = probe.fault_free_accesses.saturating_sub(40);
-    let report = crash_at_every_io_from(|| fresh(5000), 0, &d, 1, start, None).unwrap();
+    let probe = bulk_sweep(5000, &d, 1, Fault::Crash, 0, Some(0));
+    (d, probe.fault_free_accesses.saturating_sub(40))
+}
+
+#[test]
+fn late_region_campaign_resumes_deep_passes_serial() {
+    // The hash pass runs last — so sweeping only the tail of the access
+    // stream exercises resume-from-progress deep inside the late passes
+    // without paying for thousands of early crash points.
+    let (d, start) = late_region();
+    let report = bulk_sweep(5000, &d, 1, Fault::Crash, start, None);
     assert!(
-        report.crash_points >= 10,
+        report.recovered_points >= 10,
         "tail sweep too small: {report:?}"
     );
     assert_eq!(report.deleted, d.len());
@@ -530,20 +571,11 @@ fn late_region_campaign_resumes_deep_passes_serial() {
 
 #[test]
 fn late_region_campaign_resumes_deep_passes_parallel() {
-    let a_values = build(5000).2;
-    let d: Vec<u64> = a_values
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(i, _)| i % 10 != 0)
-        .map(|(_, v)| v)
-        .collect();
-    let probe = crash_at_every_io_from(|| fresh(5000), 0, &d, 3, 0, Some(0)).unwrap();
-    // Parallel access counts vary a little run to run (interleaving
-    // changes eviction order), so leave more headroom than the serial
-    // test and accept fewer points.
-    let start = probe.fault_free_accesses.saturating_sub(60);
-    let report = crash_at_every_io_from(|| fresh(5000), 0, &d, 3, start, None).unwrap();
-    assert!(report.crash_points >= 5, "tail sweep too small: {report:?}");
+    let (d, start) = late_region();
+    let report = bulk_sweep(5000, &d, 3, Fault::Crash, start, None);
+    assert!(
+        report.recovered_points >= 5,
+        "tail sweep too small: {report:?}"
+    );
     assert_eq!(report.deleted, d.len());
 }

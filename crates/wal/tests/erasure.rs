@@ -9,8 +9,8 @@ use bd_core::{
 };
 use bd_storage::{FaultPlan, Pacer};
 use bd_wal::{
-    erasure_crash_at_every_io, erasure_torn_write_at_every_io, recover, recover_campaign,
-    run_erasure_campaign, LogManager, LogRecord, WalError,
+    recover, recover_campaign, run_erasure_campaign, sweep, ErasureCampaign, Fault, LogManager,
+    LogRecord, SweepReport, WalError,
 };
 
 // High-entropy values for every attribute of every victim row: the proof
@@ -274,9 +274,21 @@ fn single_crash_point_recovers_into_the_same_campaign() {
     assert!(recover_campaign(&mut db, &log, 1, &[]).unwrap().is_none());
 }
 
+fn erasure_sweep(workers: usize, fault: Fault) -> SweepReport {
+    let d = victims();
+    sweep(
+        build,
+        &mut ErasureCampaign::new(0, &d, workers),
+        fault,
+        0,
+        None,
+    )
+    .unwrap()
+}
+
 #[test]
 fn serial_campaign_proof_holds_at_every_crash_point() {
-    let report = erasure_crash_at_every_io(build, 0, &victims(), 1, 0, None).unwrap();
+    let report = erasure_sweep(1, Fault::Crash);
     assert!(
         report.recovered_points > 50,
         "sweep too small to mean anything: {report:?}"
@@ -287,7 +299,7 @@ fn serial_campaign_proof_holds_at_every_crash_point() {
 
 #[test]
 fn parallel_campaign_proof_holds_at_every_crash_point() {
-    let report = erasure_crash_at_every_io(build, 0, &victims(), 3, 0, None).unwrap();
+    let report = erasure_sweep(3, Fault::Crash);
     assert!(
         report.recovered_points > 50,
         "sweep too small to mean anything: {report:?}"
@@ -297,7 +309,7 @@ fn parallel_campaign_proof_holds_at_every_crash_point() {
 
 #[test]
 fn serial_campaign_proof_holds_at_every_torn_write() {
-    let report = erasure_torn_write_at_every_io(build, 0, &victims(), 1, 0, None).unwrap();
+    let report = erasure_sweep(1, Fault::TornWrite);
     assert!(
         report.recovered_points + report.silent_points >= 10,
         "sweep tore too few writes to mean anything: {report:?}"
@@ -307,7 +319,7 @@ fn serial_campaign_proof_holds_at_every_torn_write() {
 
 #[test]
 fn parallel_campaign_proof_holds_at_every_torn_write() {
-    let report = erasure_torn_write_at_every_io(build, 0, &victims(), 3, 0, None).unwrap();
+    let report = erasure_sweep(3, Fault::TornWrite);
     assert!(
         report.recovered_points + report.silent_points >= 10,
         "sweep tore too few writes to mean anything: {report:?}"

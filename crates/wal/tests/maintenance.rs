@@ -9,9 +9,7 @@ use bd_core::{
     MaintenanceConfig,
 };
 use bd_storage::{FaultPlan, FaultSpec};
-use bd_wal::{
-    recover, recover_media_report, run_maintenance_cycle, LogManager, LogRecord, StructureId,
-};
+use bd_wal::{recover, recover_media, run_maintenance_cycle, LogManager, LogRecord, StructureId};
 use bd_workload::TableSpec;
 
 /// A pool far smaller than the working set (same rationale as the delete
@@ -150,7 +148,7 @@ fn maintenance_torn_write_campaign_recovers_every_surfaced_tear() {
             // it; the tear left no trace.
             continue;
         }
-        let (_, media) = recover_media_report(&mut db, tid, &log, &[], &corrupt).unwrap();
+        let (_, media) = recover_media(&mut db, tid, &log, &[], &corrupt).unwrap();
         if completed {
             // Every bracket closed, so damage is page-precise: one torn
             // page condemns at most the one structure that owns it.
@@ -190,7 +188,7 @@ fn open_maintenance_bracket_rebuilds_the_structure_on_recovery() {
         structure: StructureId::index_of(tid, 1),
     });
     db.pool().crash();
-    let (n, media) = recover_media_report(&mut db, tid, &log, &[], &[]).unwrap();
+    let (n, media) = recover_media(&mut db, tid, &log, &[], &[]).unwrap();
     assert_eq!(n, 0);
     assert_eq!(media.rebuilt_trees, vec![1], "{media:?}");
     db.check_consistency(tid).unwrap();
@@ -201,6 +199,6 @@ fn open_maintenance_bracket_rebuilds_the_structure_on_recovery() {
     assert!(eq.is_clean(), "rebuild from open bracket diverged: {eq}");
 
     // Recovery closed the bracket: a second restart rebuilds nothing.
-    let (_, media2) = recover_media_report(&mut db, tid, &log, &[], &[]).unwrap();
+    let (_, media2) = recover_media(&mut db, tid, &log, &[], &[]).unwrap();
     assert!(media2.rebuilt_trees.is_empty(), "{media2:?}");
 }

@@ -1,5 +1,8 @@
 #!/bin/sh
-# Repo verification: format, lint, release build, tier-1 tests.
+# Repo verification: format, lint, release build, and every test of the
+# workspace — tier-1 (the root package) plus each crate's own suite: the
+# full fault sweeps and the txn protocol tests live in crates/wal/tests and
+# crates/txn/tests, outside tier-1 (~50 s).
 # Everything runs offline — external deps are vendored under vendor/.
 set -eux
 
@@ -8,17 +11,18 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 
 # Differential strategy-equivalence audit: horizontal vs vertical vs
 # vertical with parallel `⋈̄` arms must leave bit-equivalent structures.
 cargo run --release -p bd-bench --bin repro -- --audit --parallel 3
 
 # Fault-injection smoke: a transient fault must be ridden out (retry +
-# serial degradation, bit-identical state), a bounded crash-at-every-I/O
-# campaign must recover every crash point for both WAL drivers, and a
-# bounded torn-write campaign must media-recover every surfaced tear
-# (half-written page images rebuilt from the heap + WAL).
+# serial degradation, bit-identical state), a bounded crash sweep must
+# recover every crash point of the WAL driver at one worker and at three,
+# and a bounded torn-write sweep through the same harness must
+# media-recover every surfaced tear (half-written page images rebuilt from
+# the heap + WAL).
 cargo run --release -p bd-bench --bin repro -- --faults --parallel 3
 
 # Bench-snapshot gate: a bounded fig7 sweep must produce a valid

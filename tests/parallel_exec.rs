@@ -198,40 +198,3 @@ fn failing_arm_aborts_run_without_poisoning_the_pool() {
         "interrupted run must leave an auditable divergence"
     );
 }
-
-/// The historical serial/parallel entry-point pairs survive as deprecated
-/// shims over the collapsed `workers: usize` API; a shim run must be
-/// physically identical to the base-name run.
-#[test]
-#[allow(deprecated)]
-fn deprecated_parallel_shims_match_the_collapsed_entry_points() {
-    let (mut db_base, w) = build(2_000, 31);
-    let (mut db_shim, _) = build(2_000, 31);
-    let d = w.delete_set(0.2, 32);
-
-    let base = strategy::vertical_sort_merge(&mut db_base, w.tid, 0, &d, 2).unwrap();
-    let shim = strategy::vertical_sort_merge_parallel(&mut db_shim, w.tid, 0, &d, 2).unwrap();
-    assert_eq!(base.deleted, shim.deleted);
-    let eq = audit_equivalence(&db_base, &db_shim, w.tid).unwrap();
-    assert!(eq.is_clean(), "shim diverged from base entry point: {eq}");
-
-    let (mut db_base, _) = build(2_000, 31);
-    let (mut db_shim, _) = build(2_000, 31);
-    let base = strategy::drop_create(&mut db_base, w.tid, 0, &d, RebuildMode::BulkLoad, 2).unwrap();
-    let shim = strategy::drop_create_parallel(&mut db_shim, w.tid, 0, &d, RebuildMode::BulkLoad, 2)
-        .unwrap();
-    assert_eq!(base.deleted, shim.deleted);
-    let eq = audit_equivalence(&db_base, &db_shim, w.tid).unwrap();
-    assert!(eq.is_clean(), "drop_create shim diverged: {eq}");
-
-    let (mut db_base, _) = build(2_000, 31);
-    let (mut db_shim, _) = build(2_000, 31);
-    let (_, base) =
-        strategy::vertical_auto(&mut db_base, w.tid, 0, &d, ReorgPolicy::FreeAtEmpty, 2).unwrap();
-    let (_, shim) =
-        strategy::vertical_auto_parallel(&mut db_shim, w.tid, 0, &d, ReorgPolicy::FreeAtEmpty, 2)
-            .unwrap();
-    assert_eq!(base.deleted, shim.deleted);
-    let eq = audit_equivalence(&db_base, &db_shim, w.tid).unwrap();
-    assert!(eq.is_clean(), "vertical_auto shim diverged: {eq}");
-}
