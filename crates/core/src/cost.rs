@@ -60,7 +60,7 @@ pub struct CostEnv {
     /// Sort/hash workspace bytes.
     pub workspace_bytes: usize,
     /// Buffer-pool bytes (drives cache-hit estimates for the traditional
-    /// plan).
+    /// plan and the write-back turn-overs of a sweep).
     pub pool_bytes: usize,
 }
 
@@ -96,16 +96,39 @@ fn leaves_of(index: &Index) -> f64 {
     (index.tree.len() as f64 / index.def.config.leaf_cap as f64).max(1.0)
 }
 
-/// Sequential pass over `pages` with chained reads plus clustered
-/// write-back of the `dirty` fraction.
-fn sequential_pass(pages: f64, dirty_fraction: f64) -> CostEstimate {
-    let dirty = pages * dirty_fraction;
+/// One direction of a sorted sweep over a `span` of pages that wants the
+/// fraction `want` of them: `(pages moved, positionings)`.
+///
+/// Read-ahead and write-behind chain the same way. A chain runs on over
+/// unwanted pages while the gap is no longer than the cost model's
+/// breakeven `g` ([`CostModel::breakeven_pages`]) and ends at a longer one.
+/// With gaps geometric in `r = 1 - want`, the share of unwanted pages that
+/// sit in bridged gaps is `1 - (g+1)·r^g + g·r^(g+1)`, and a wanted page
+/// follows an unbridged gap with probability `r^(g+1)`. Down to a few
+/// percent wanted that is the whole span in one chain; a handful of victims
+/// in a large table degrade to one positioned page each.
+fn chained(span: f64, want: f64, cm: &CostModel) -> (f64, f64) {
+    let g = cm.breakeven_pages() as f64;
+    let r = 1.0 - want;
+    let bridged = 1.0 - (g + 1.0) * r.powf(g) + g * r.powf(g + 1.0);
+    (span * (want + r * bridged), span * want * r.powf(g + 1.0))
+}
+
+/// A sorted sweep over `span` pages that pins the fraction `pinned` of them
+/// (1.0 for a scan or a leaf walk) and dirties the fraction `dirty`: the
+/// pinned pages come in by chained read-ahead, the dirty ones leave by
+/// chained write-behind, both bridging short gaps. The pool turns over once
+/// per pool-full of pages read, and each turn-over moves the head to the
+/// write-back and back to the sweep: one positioning pair.
+fn sweep(span: f64, pinned: f64, dirty: f64, env: &CostEnv) -> CostEstimate {
+    let cm = CostModel::default();
+    let (pages_read, read_breaks) = chained(span, pinned, &cm);
+    let (pages_written, write_breaks) = chained(span, dirty, &cm);
+    let pool_pages = (env.pool_bytes as f64 / PAGE_SIZE as f64).max(1.0);
     CostEstimate {
-        pages_read: pages,
-        pages_written: dirty,
-        // One positioning per chain of reads; dirty pages are written in
-        // clustered batches whose runs shorten as the dirty set thins out.
-        positionings: pages / CHAIN + dirty / (CHAIN * dirty_fraction.max(0.125)),
+        pages_read,
+        pages_written,
+        positionings: read_breaks + write_breaks + 2.0 * pages_read / pool_pages,
     }
 }
 
@@ -142,16 +165,16 @@ pub fn index_bd_cost(index: &Index, method: IndexMethod, env: &CostEnv) -> CostE
             } else {
                 CostEstimate::default()
             };
-            sort.plus(sequential_pass(leaves, dirty))
+            sort.plus(sweep(leaves, 1.0, dirty, env))
         }
         IndexMethod::ClassicHash => {
             // Full leaf scan probing the shared RID hash table.
-            sequential_pass(leaves, dirty)
+            sweep(leaves, 1.0, dirty, env)
         }
         IndexMethod::PartitionedHash { partitions } => {
             // Each partition descends once, then scans its leaf range.
             let descents = partitions as f64 * (index.tree.height() as f64 - 1.0);
-            sequential_pass(leaves, dirty).plus(CostEstimate {
+            sweep(leaves, 1.0, dirty, env).plus(CostEstimate {
                 pages_read: descents,
                 pages_written: 0.0,
                 positionings: descents,
@@ -166,24 +189,15 @@ pub fn table_bd_cost(table_method: TableMethod, env: &CostEnv) -> CostEstimate {
     let dirty = env.affected(per_page);
     match table_method {
         TableMethod::Merge { presort } => {
-            // Only affected pages are pinned; runs of affected pages are
-            // chained, gaps cost a positioning.
-            let affected = env.heap_pages as f64 * dirty;
+            // Only affected pages are pinned.
             let sort = if presort {
                 sort_cost(env.n_delete, 16, env)
             } else {
                 CostEstimate::default()
             };
-            // Expected run length of consecutive affected pages is
-            // geometric, 1/(1-dirty), capped by the chaining window.
-            let run = (1.0 / (1.0 - dirty).max(1.0 / CHAIN)).min(CHAIN);
-            sort.plus(CostEstimate {
-                pages_read: affected,
-                pages_written: affected,
-                positionings: 2.0 * affected / run,
-            })
+            sort.plus(sweep(env.heap_pages as f64, dirty, dirty, env))
         }
-        TableMethod::HashProbe => sequential_pass(env.heap_pages as f64, dirty),
+        TableMethod::HashProbe => sweep(env.heap_pages as f64, 1.0, dirty, env),
     }
 }
 
@@ -289,6 +303,24 @@ mod tests {
         let small = sort_cost(200_000, 8, &env);
         let big = sort_cost(800_000, 8, &env);
         assert!(big.pages_read > small.pages_read);
+    }
+
+    #[test]
+    fn chained_sweep_spans_dense_plans_and_positions_sparse_ones() {
+        let cm = CostModel::default();
+        // Every third page wanted: gaps of two are always bridged, the
+        // whole span moves and no chain ends.
+        let (pages, breaks) = chained(9_000.0, 1.0 / 3.0, &cm);
+        assert!((pages - 9_000.0).abs() < 1.0, "{pages}");
+        assert!(breaks < 0.1, "{breaks}");
+        // One page in a thousand: nothing is bridged, each wanted page is
+        // its own positioned access.
+        let (pages, breaks) = chained(9_000.0, 0.001, &cm);
+        assert!((9.0..14.0).contains(&pages), "{pages}");
+        assert!((8.5..9.0).contains(&breaks), "{breaks}");
+        // Nothing wanted, nothing moved; everything wanted, one chain.
+        assert_eq!(chained(9_000.0, 0.0, &cm), (0.0, 0.0));
+        assert_eq!(chained(9_000.0, 1.0, &cm), (9_000.0, 0.0));
     }
 
     #[test]

@@ -313,9 +313,10 @@ pub fn scrub_database(db: &mut Database) -> DbResult<ScrubReport> {
     }
 
     // Free-page sweep. The zeroing writes bypass the buffer pool (they go
-    // straight to the disk), so flush dirty frames first and drop the
-    // cache after — no frame may outlive the bytes it mirrors.
-    db.pool().flush_all()?;
+    // straight to the disk), so flush and drop the cache first — no frame
+    // may outlive the bytes it mirrors, or a later write-behind chain could
+    // bridge over it and put the erased bytes back.
+    db.pool().clear_cache()?;
     let chained: HashSet<PageId> = rep.tree_pages.iter().copied().collect();
     for pid in db.pool().catalog().free_pages() {
         if chained.contains(&pid) {
@@ -325,7 +326,6 @@ pub fn scrub_database(db: &mut Database) -> DbResult<ScrubReport> {
         db.pool().with_disk(|d| d.scrub_page(pid))?;
         rep.free_pages_zeroed += 1;
     }
-    db.pool().clear_cache()?;
     Ok(rep)
 }
 

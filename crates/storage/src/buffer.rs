@@ -6,7 +6,9 @@
 //! or write through RAII guards; unpinned frames are evicted LRU, writing
 //! dirty pages back to disk. [`BufferPool::prefetch_run`] implements the
 //! chained I/O the paper's traditional algorithm uses "to read chunks of
-//! several pages from disk".
+//! several pages from disk"; write-back is chained the same way, one
+//! write-behind routine behind eviction, [`BufferPool::flush_all`] and
+//! [`BufferPool::clear_cache`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -52,7 +54,9 @@ pub struct PoolStats {
     /// were paid for by a chained read-ahead, so counting them as `hits`
     /// would inflate the cache's apparent warmth.
     pub prefetched: u64,
-    /// Dirty pages written back during eviction or flush.
+    /// Dirty pages written back during eviction or flush. Clean pages a
+    /// write-behind chain rewrites to bridge a gap are not counted: they
+    /// show as the excess of `DiskStats::pages_written` over this.
     pub writebacks: u64,
 }
 
@@ -145,6 +149,9 @@ fn retry_disk<R>(
 pub struct BufferPool {
     disk: Mutex<SimDisk>,
     capacity: usize,
+    /// [`CostModel::breakeven_pages`](crate::CostModel::breakeven_pages) of
+    /// the disk, fixed for its lifetime.
+    breakeven: PageId,
     inner: Mutex<Inner>,
     retry: Mutex<RetryPolicy>,
     hits: AtomicU64,
@@ -158,6 +165,7 @@ impl BufferPool {
     pub fn new(disk: SimDisk, capacity: usize) -> Arc<Self> {
         assert!(capacity >= 2, "buffer pool needs at least 2 frames");
         Arc::new(BufferPool {
+            breakeven: disk.cost_model().breakeven_pages(),
             disk: Mutex::new(disk),
             capacity,
             inner: Mutex::new(Inner {
@@ -181,6 +189,14 @@ impl BufferPool {
     /// Frame capacity of the pool.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Longest gap, in pages, a chained access bridges instead of ending
+    /// the chain: the disk's seek/transfer breakeven. Read-ahead reads that
+    /// many unwanted pages to keep a chain going, write-behind rewrites
+    /// that many clean ones.
+    pub fn breakeven_pages(&self) -> PageId {
+        self.breakeven
     }
 
     /// Allocate one fresh page on disk to `owner` (not yet resident). The
@@ -295,35 +311,65 @@ impl BufferPool {
         frame.last_used.store(inner.tick, Ordering::Relaxed);
     }
 
-    /// Write back every dirty unpinned frame in ascending page order, using
-    /// chained writes for contiguous runs (write clustering, as a real
-    /// background writer would). Caller holds `inner`.
-    fn write_cluster(&self, inner: &mut Inner) -> StorageResult<()> {
-        let mut dirty: Vec<Arc<Frame>> = inner
+    /// Write-behind: write every dirty unpinned frame back, in ascending
+    /// page order, as chained writes. Caller holds `inner`.
+    ///
+    /// A chain runs on across a gap between two dirty pages when the gap is
+    /// no longer than [`BufferPool::breakeven_pages`] and every page in it
+    /// is resident, clean and unpinned — behind a sorted sweep, the pages
+    /// the coalesced read-ahead chain dragged in a moment earlier. The
+    /// bridged pages are written like any other (copied, checksummed,
+    /// charged, mirrored); their bytes are the ones the disk already
+    /// holds, so the rewrite adds transfer time and saves a positioning.
+    /// An absent page breaks the chain, and so does a pinned one: between
+    /// `pin_frame` returning and `pin_write` raising the dirty flag a frame
+    /// is pinned with the flag still down, and its bytes are about to
+    /// change. With the pin count at zero under `inner` nobody can be in
+    /// that window, and nobody can enter it before `inner` is released.
+    fn write_back(&self, inner: &Inner) -> StorageResult<()> {
+        let idle = |f: &Frame| f.pin.load(Ordering::Acquire) == 0;
+        let is_dirty = |f: &Frame| f.dirty.load(Ordering::Acquire);
+        let mut dirty: Vec<&Arc<Frame>> = inner
             .frames
             .values()
-            .filter(|f| f.dirty.load(Ordering::Acquire) && f.pin.load(Ordering::Acquire) == 0)
-            .cloned()
+            .filter(|f| idle(f) && is_dirty(f))
             .collect();
         dirty.sort_by_key(|f| f.pid);
+        let mut dirty = dirty.into_iter().peekable();
         let mut disk = self.disk.lock();
-        let mut i = 0;
-        while i < dirty.len() {
-            let start = dirty[i].pid;
-            let mut len = 1;
-            while i + len < dirty.len() && dirty[i + len].pid == start + len as PageId {
-                len += 1;
+        let retry = *self.retry.lock();
+        let mut chain: Vec<&Arc<Frame>> = Vec::new();
+        while let Some(head) = dirty.next() {
+            chain.clear();
+            chain.push(head);
+            while let Some(next) = dirty.peek() {
+                let gap = chain[chain.len() - 1].pid + 1..next.pid;
+                if gap.len() > self.breakeven as usize {
+                    break;
+                }
+                let unbridged = chain.len();
+                chain.extend(
+                    gap.clone().map_while(|pid| {
+                        inner.frames.get(&pid).filter(|f| idle(f) && !is_dirty(f))
+                    }),
+                );
+                if chain.len() < unbridged + gap.len() {
+                    chain.truncate(unbridged);
+                    break;
+                }
+                chain.extend(dirty.next());
             }
-            let run = &dirty[i..i + len];
-            retry_disk(*self.retry.lock(), &mut disk, |d| {
-                d.write_chain(start, len, |pid, page| {
-                    let frame = &run[(pid - start) as usize];
-                    page.copy_from_slice(&frame.data.read()[..]);
-                    frame.dirty.store(false, Ordering::Release);
+            let start = chain[0].pid;
+            retry_disk(retry, &mut disk, |d| {
+                d.write_chain(start, chain.len(), |pid, page| {
+                    page.copy_from_slice(&chain[(pid - start) as usize].data.read()[..]);
                 })
             })?;
-            self.writebacks.fetch_add(len as u64, Ordering::Relaxed);
-            i += len;
+            let cleaned = chain
+                .iter()
+                .filter(|f| f.dirty.swap(false, Ordering::AcqRel))
+                .count();
+            self.writebacks.fetch_add(cleaned as u64, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -339,8 +385,8 @@ impl BufferPool {
         let pid = victim.ok_or(StorageError::BufferExhausted)?;
         if inner.frames[&pid].dirty.load(Ordering::Acquire) {
             // Eviction hit a dirty page: clean the whole pool in one
-            // clustered pass so scans do not interleave random writes.
-            self.write_cluster(inner)?;
+            // chained pass so scans do not interleave random writes.
+            self.write_back(inner)?;
         }
         inner.frames.remove(&pid).expect("victim frame present");
         Ok(())
@@ -514,23 +560,7 @@ impl BufferPool {
     /// write pin, and flushing under it would both block on its page lock
     /// and persist a half-mutated image.
     pub fn flush_all(&self) -> StorageResult<()> {
-        let inner = self.inner.lock();
-        let mut dirty: Vec<Arc<Frame>> = inner
-            .frames
-            .values()
-            .filter(|f| f.dirty.load(Ordering::Acquire) && f.pin.load(Ordering::Acquire) == 0)
-            .cloned()
-            .collect();
-        // Flush in page order so write-back is as sequential as possible.
-        dirty.sort_by_key(|f| f.pid);
-        let mut disk = self.disk.lock();
-        for frame in dirty {
-            let data = frame.data.read();
-            retry_disk(*self.retry.lock(), &mut disk, |d| d.write(frame.pid, &data))?;
-            frame.dirty.store(false, Ordering::Release);
-            self.writebacks.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+        self.write_back(&self.inner.lock())
     }
 
     /// Drop every unpinned frame (flushing dirty ones). Used by benchmarks
@@ -891,6 +921,163 @@ mod tests {
         pool.reset_stats();
         pool.flush_all().unwrap();
         assert_eq!(pool.disk_stats().pages_written, 1);
+    }
+
+    /// Dirty `dirty` and read `clean` (offsets from `first`), then count
+    /// what one `flush_all` costs.
+    fn flush_stats(
+        pool: &BufferPool,
+        first: PageId,
+        dirty: &[PageId],
+        clean: impl IntoIterator<Item = PageId>,
+    ) -> (DiskStats, PoolStats) {
+        for &i in dirty {
+            pool.pin_write(first + i).unwrap()[0] = 1 + i as u8;
+        }
+        for i in clean {
+            let _ = pool.pin_read(first + i).unwrap();
+        }
+        pool.reset_stats();
+        pool.flush_all().unwrap();
+        (pool.disk_stats(), pool.pool_stats())
+    }
+
+    fn write_accesses(d: &DiskStats) -> u64 {
+        d.random_writes + d.sequential_writes
+    }
+
+    #[test]
+    fn write_behind_bridges_resident_clean_gaps() {
+        let (pool, first) = small_pool(64, 64);
+        let (d, s) = flush_stats(&pool, first, &[0, 3, 6], [1, 2, 4, 5]);
+        assert_eq!(write_accesses(&d), 1, "{d:?}");
+        assert_eq!(d.pages_written, 7, "the gaps are real writes");
+        assert_eq!(s.writebacks, 3, "only the dirty pages are write-backs");
+        // Every frame is clean now: nothing is left to write.
+        pool.reset_stats();
+        pool.flush_all().unwrap();
+        assert_eq!(pool.disk_stats().pages_written, 0);
+        // The bridged rewrites changed no byte.
+        pool.clear_cache().unwrap();
+        for i in 0..7u32 {
+            let expect = if i % 3 == 0 { 1 + i as u8 } else { 0 };
+            assert_eq!(pool.pin_read(first + i).unwrap()[0], expect, "page {i}");
+        }
+    }
+
+    #[test]
+    fn contiguous_dirty_run_flushes_in_one_access() {
+        let (pool, first) = small_pool(16, 8);
+        let (d, s) = flush_stats(&pool, first, &[0, 1, 2, 3, 4, 5, 6, 7], []);
+        assert_eq!(write_accesses(&d), 1, "{d:?}");
+        assert_eq!((d.pages_written, s.writebacks), (8, 8));
+    }
+
+    #[test]
+    fn absent_pinned_or_distant_gap_splits_the_chain() {
+        // Page 1 was never read: nothing to bridge with.
+        let (pool, first) = small_pool(64, 64);
+        let (d, _) = flush_stats(&pool, first, &[0, 2], []);
+        assert_eq!((write_accesses(&d), d.pages_written), (2, 2), "absent");
+
+        // Page 1 is resident and clean but pinned — the state of a frame
+        // whose writer has not raised the dirty flag yet.
+        let (pool, first) = small_pool(64, 64);
+        let held = pool.pin_read(first + 1).unwrap();
+        let (d, _) = flush_stats(&pool, first, &[0, 2], []);
+        assert_eq!((write_accesses(&d), d.pages_written), (2, 2), "pinned");
+        drop(held);
+
+        // A gap of exactly the breakeven is bridged, one page more is not.
+        let gap = pool.breakeven_pages();
+        assert_eq!(gap, 30);
+        let (pool, first) = small_pool(64, 64);
+        let (d, s) = flush_stats(&pool, first, &[0, gap + 1], 1..=gap);
+        assert_eq!(
+            (write_accesses(&d), d.pages_written),
+            (1, 32),
+            "at breakeven"
+        );
+        assert_eq!(s.writebacks, 2);
+        let (pool, first) = small_pool(64, 64);
+        let (d, _) = flush_stats(&pool, first, &[0, gap + 2], 1..=gap + 1);
+        assert_eq!(
+            (write_accesses(&d), d.pages_written),
+            (2, 2),
+            "past breakeven"
+        );
+    }
+
+    #[test]
+    fn transfer_only_disk_bridges_nothing() {
+        let mut disk = SimDisk::new(CostModel::flat(0.4));
+        let first = disk.allocate_contiguous(8, StructureId::Table);
+        let pool = BufferPool::new(disk, 8);
+        assert_eq!(pool.breakeven_pages(), 0);
+        let (d, _) = flush_stats(&pool, first, &[0, 2], [1]);
+        assert_eq!(
+            d.pages_written, 2,
+            "with positioning free, a gap page is pure cost"
+        );
+    }
+
+    #[test]
+    fn retried_chain_cleans_every_frame_exactly_once() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let (pool, first) = small_pool(16, 8);
+        pool.with_disk(|d| {
+            d.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_page(first + 3).transient(2)))
+        });
+        let (d, s) = flush_stats(&pool, first, &[0, 2, 4], [1, 3]);
+        assert_eq!(d.retries, 2);
+        assert_eq!(d.pages_written, 5, "the failed attempts moved nothing");
+        assert_eq!(s.writebacks, 3);
+        pool.reset_stats();
+        pool.flush_all().unwrap();
+        assert_eq!(pool.disk_stats().pages_written, 0, "no frame stayed dirty");
+    }
+
+    #[test]
+    fn bridged_chain_is_mirrored_as_one_chain() {
+        let (pool, first) = small_pool(16, 8);
+        pool.with_disk(|d| d.enable_replicas());
+        let (d, _) = flush_stats(&pool, first, &[0, 3, 6], [1, 2, 4, 5]);
+        assert_eq!(
+            d.replica_writes, 7,
+            "the mirror takes the bridged pages too"
+        );
+        let cm = CostModel::default();
+        let one_chain = cm.positioning_ms() + 7.0 * cm.transfer_ms;
+        assert!(
+            (d.sim_ms - 2.0 * one_chain).abs() < 1e-9,
+            "one positioning on each device: {d:?}"
+        );
+    }
+
+    #[test]
+    fn tear_on_a_bridged_clean_page_is_silent() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let (pool, first) = small_pool(16, 8);
+        pool.pin_write(first + 1).unwrap().fill(0xAB);
+        pool.flush_all().unwrap();
+        for i in [0, 2] {
+            pool.pin_write(first + i).unwrap()[0] = 1;
+        }
+        let next = pool.with_disk(|d| d.accesses()) + 1;
+        pool.with_disk(|d| {
+            d.set_fault_plan(
+                FaultPlan::new().inject(FaultSpec::write_at_access_page(next, 1).torn()),
+            )
+        });
+        pool.reset_stats();
+        pool.flush_all().unwrap();
+        assert_eq!(pool.disk_stats().pages_written, 3, "page 1 was bridged");
+        pool.with_disk(|d| {
+            assert_eq!(d.fault_plan_landed(), Some((next, 1)), "and torn");
+            // The tail the tear kept is the tail the write carried.
+            assert!(d.corrupt_pages().is_empty());
+            assert_eq!(d.peek(first + 1).unwrap(), &[0xAB; PAGE_SIZE]);
+        });
     }
 
     #[test]

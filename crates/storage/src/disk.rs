@@ -22,10 +22,7 @@ use crate::owner::{PageCatalog, StructureId};
 /// Size of one disk page in bytes.
 pub const PAGE_SIZE: usize = 4096;
 
-use crate::page::checksum as page_checksum;
-
-/// Checksum of an all-zero (freshly allocated) page.
-const ZERO_PAGE_CK: u32 = page_checksum(&[0u8; PAGE_SIZE]);
+use crate::page::{checksum as page_checksum, ZERO_PAGE_CK};
 
 /// Identifier of a page on the simulated disk.
 pub type PageId = u32;
@@ -66,6 +63,16 @@ impl CostModel {
     /// Positioning cost (seek + rotation) of one random access.
     pub fn positioning_ms(&self) -> f64 {
         self.seek_ms + self.rotation_ms
+    }
+
+    /// The seek/transfer breakeven in whole pages: how many pages can be
+    /// transferred in the time of one positioning (30 under the default
+    /// model, 0 when positioning is free). Carrying a chain across a gap of
+    /// unwanted pages no longer than this is cheaper than ending the chain
+    /// and repositioning; read-ahead and write-behind both bridge by it.
+    pub fn breakeven_pages(&self) -> PageId {
+        // `as` saturates, and maps the NaN of a 0/0 model to 0.
+        (self.positioning_ms() / self.transfer_ms) as PageId
     }
 }
 
@@ -212,16 +219,25 @@ impl SimDisk {
         self.accesses
     }
 
-    /// Evaluate the fault plan for one access, translating outcomes into
-    /// errors. Returns `Ok(true)` when the access should proceed but
-    /// persist the page image only partially (torn write).
-    fn faulted(&mut self, op: FaultOp, first: PageId, n: u32) -> StorageResult<Option<PageId>> {
+    /// Evaluate the fault plan for one access of `n` pages, translating
+    /// outcomes into errors. What is left for the access to honour comes
+    /// back as `(persist, torn)`: only the first `persist` pages may reach
+    /// the platter before the access fails with `SimulatedCrash` (`n` when
+    /// no crash point lies inside it), and page `torn` persists only
+    /// partially.
+    fn faulted(
+        &mut self,
+        op: FaultOp,
+        first: PageId,
+        n: u32,
+    ) -> StorageResult<(u32, Option<PageId>)> {
         self.accesses += 1;
         match self.plan.evaluate(op, first, n, self.accesses) {
-            None => Ok(None),
-            Some(FaultOutcome::Torn(pid)) => Ok(Some(pid)),
+            None => Ok((n, None)),
+            Some(FaultOutcome::Torn(pid)) => Ok((n, Some(pid))),
             Some(FaultOutcome::Fail(pid)) => Err(StorageError::InjectedFault(pid)),
-            Some(FaultOutcome::Crash) => Err(StorageError::SimulatedCrash),
+            Some(FaultOutcome::Crash { persisted: 0 }) => Err(StorageError::SimulatedCrash),
+            Some(FaultOutcome::Crash { persisted }) => Ok((persisted, None)),
         }
     }
 
@@ -548,7 +564,7 @@ impl SimDisk {
     pub fn write(&mut self, pid: PageId, src: &[u8; PAGE_SIZE]) -> StorageResult<()> {
         crate::io_scope::check_cancelled()?;
         self.check(pid)?;
-        let torn = self.faulted(FaultOp::Write, pid, 1)?;
+        let (_, torn) = self.faulted(FaultOp::Write, pid, 1)?;
         self.charge(pid, 1, false);
         self.charge_replica(1);
         // The device acknowledges the full write (checksum of the intended
@@ -569,7 +585,9 @@ impl SimDisk {
     }
 
     /// Write `n` contiguous pages starting at `first` from the producer
-    /// closure. One positioning cost for the whole chain.
+    /// closure. One positioning cost for the whole chain. A crash point
+    /// inside the chain leaves the pages before it written and fails the
+    /// access.
     pub fn write_chain(
         &mut self,
         first: PageId,
@@ -581,10 +599,11 @@ impl SimDisk {
         }
         crate::io_scope::check_cancelled()?;
         self.check(first + n as PageId - 1)?;
-        let torn = self.faulted(FaultOp::Write, first, n as u32)?;
-        self.charge(first, n as u64, false);
-        self.charge_replica(n as u64);
-        for i in 0..n {
+        let (persist, torn) = self.faulted(FaultOp::Write, first, n as u32)?;
+        let persist = persist as usize;
+        self.charge(first, persist as u64, false);
+        self.charge_replica(persist as u64);
+        for i in 0..persist {
             let pid = first + i as PageId;
             let old_tail: Option<Vec<u8>> =
                 (torn == Some(pid)).then(|| self.pages[pid as usize][PAGE_SIZE / 2..].to_vec());
@@ -600,6 +619,9 @@ impl SimDisk {
                 // intended content, but the tail never hits the platter.
                 self.pages[pid as usize][PAGE_SIZE / 2..].copy_from_slice(&tail);
             }
+        }
+        if persist < n {
+            return Err(StorageError::SimulatedCrash);
         }
         Ok(())
     }
@@ -631,6 +653,12 @@ impl SimDisk {
     /// hit so far (crash points excluded). See [`FaultPlan::fired`].
     pub fn fault_plan_fired(&self) -> u64 {
         self.plan.fired()
+    }
+
+    /// Access number and page offset at which the installed fault plan
+    /// first struck. See [`FaultPlan::landed`].
+    pub fn fault_plan_landed(&self) -> Option<(u64, u32)> {
+        self.plan.landed()
     }
 
     /// Forensic view of a page's current primary image: uncharged, no
@@ -783,6 +811,19 @@ mod tests {
     }
 
     #[test]
+    fn breakeven_is_positioning_over_transfer() {
+        assert_eq!(CostModel::default().breakeven_pages(), 30);
+        assert_eq!(CostModel::flat(0.4).breakeven_pages(), 0);
+        // Free transfer: any gap is worth bridging. Free everything: none is.
+        let free_transfer = CostModel {
+            transfer_ms: 0.0,
+            ..CostModel::default()
+        };
+        assert_eq!(free_transfer.breakeven_pages(), PageId::MAX);
+        assert_eq!(CostModel::flat(0.0).breakeven_pages(), 0);
+    }
+
+    #[test]
     fn flat_cost_model_has_no_positioning() {
         let mut d = SimDisk::new(CostModel::flat(1.0));
         let first = d.allocate_contiguous(5, StructureId::Table);
@@ -866,6 +907,29 @@ mod tests {
             Err(StorageError::ChecksumMismatch(first + 1))
         );
         d.read(first + 2, &mut buf).unwrap();
+    }
+
+    #[test]
+    fn crash_inside_a_chain_leaves_exactly_the_prefix() {
+        let mut d = SimDisk::new(CostModel::default());
+        let first = d.allocate_contiguous(5, StructureId::Table);
+        d.enable_replicas();
+        d.set_fault_plan(FaultPlan::new().crash_at_access_page(1, 2));
+        assert_eq!(
+            d.write_chain(first, 5, |_, page| page.fill(7)),
+            Err(StorageError::SimulatedCrash)
+        );
+        assert_eq!(d.fault_plan_landed(), Some((1, 2)));
+        assert_eq!(d.stats().pages_written, 2);
+        let mut buf = [0u8; PAGE_SIZE];
+        assert_eq!(d.read(first, &mut buf), Err(StorageError::SimulatedCrash));
+        d.clear_fault_plan();
+        for i in 0..5 {
+            let byte = if i < 2 { 7 } else { 0 };
+            d.read(first + i, &mut buf).unwrap();
+            assert_eq!(buf, [byte; PAGE_SIZE], "page {i}");
+            assert_eq!(d.peek_replica(first + i).unwrap(), &[byte; PAGE_SIZE]);
+        }
     }
 
     #[test]

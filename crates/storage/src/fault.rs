@@ -8,7 +8,9 @@
 //! * a **crash point** makes the access — and every access after it — fail
 //!   with [`StorageError::SimulatedCrash`], modelling process death at a
 //!   precise point of the I/O stream (the crash-at-every-I/O campaign
-//!   sweeps this point across a whole run);
+//!   sweeps this point across a whole run). Inside a chained write the
+//!   point can name a page: the pages before it reach the platter, the
+//!   rest do not;
 //! * a matching **persistent** fault fails the access with
 //!   [`StorageError::InjectedFault`] forever (a dead sector);
 //! * a matching **transient** fault fails the next `failures` matching
@@ -40,8 +42,16 @@ pub enum FaultTrigger {
     /// Any matching access touching this page (chains match if the page
     /// lies inside the chained range).
     Page(PageId),
-    /// The n-th disk access overall, 1-based, counted across both ops.
-    NthAccess(u64),
+    /// Page `page` (0-based) of the `access`-th disk access overall
+    /// (1-based, counted across both ops). An access of fewer pages is not
+    /// matched, so a write-behind chain of forty pages offers forty
+    /// distinct torn points, not one.
+    NthAccess {
+        /// Which access.
+        access: u64,
+        /// Which of its pages.
+        page: u32,
+    },
 }
 
 /// Failure mode of an armed fault.
@@ -92,16 +102,22 @@ impl FaultSpec {
     /// Fault armed on the n-th read access (1-based, global counter).
     pub fn read_at_access(n: u64) -> Self {
         FaultSpec {
-            trigger: FaultTrigger::NthAccess(n),
+            trigger: FaultTrigger::NthAccess { access: n, page: 0 },
             op: FaultOp::Read,
             kind: FaultKind::Persistent,
         }
     }
 
-    /// Fault armed on the n-th write access (1-based, global counter).
+    /// Fault armed on the n-th write access (1-based, global counter); a
+    /// chained write is hit on its first page.
     pub fn write_at_access(n: u64) -> Self {
+        FaultSpec::write_at_access_page(n, 0)
+    }
+
+    /// Fault armed on page `page` (0-based) of the n-th write access.
+    pub fn write_at_access_page(n: u64, page: u32) -> Self {
         FaultSpec {
-            trigger: FaultTrigger::NthAccess(n),
+            trigger: FaultTrigger::NthAccess { access: n, page },
             op: FaultOp::Write,
             kind: FaultKind::Persistent,
         }
@@ -137,20 +153,29 @@ pub(crate) enum FaultOutcome {
     Fail(PageId),
     /// Proceed, but persist this page's image only partially.
     Torn(PageId),
-    /// Fail with `SimulatedCrash` (and keep failing forever).
-    Crash,
+    /// Fail with `SimulatedCrash` (and keep failing forever) once the
+    /// first `persisted` pages of this access have reached the platter.
+    Crash {
+        /// Pages of this access written before the crash; 0 for a read
+        /// and for every access after the crash point.
+        persisted: u32,
+    },
 }
 
 /// A programmable set of faults plus an optional crash point.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     slots: Vec<FaultSlot>,
-    crash_at: Option<u64>,
+    /// Crash point: access number and page within it.
+    crash_at: Option<(u64, u32)>,
     /// Slot firings so far (crash points excluded): how many accesses a
     /// programmed fault actually hit. The torn-write campaign uses this to
     /// tell a swept *write* access (the torn slot fired) from a read access
     /// the slot slid past.
     fired: u64,
+    /// Access number and page offset at which the plan first struck (a slot
+    /// firing or the crash point).
+    landed: Option<(u64, u32)>,
 }
 
 impl FaultPlan {
@@ -174,8 +199,17 @@ impl FaultPlan {
     /// one after it fail with [`StorageError::SimulatedCrash`].
     ///
     /// [`StorageError::SimulatedCrash`]: crate::StorageError::SimulatedCrash
-    pub fn crash_at_access(mut self, n: u64) -> Self {
-        self.crash_at = Some(n);
+    pub fn crash_at_access(self, n: u64) -> Self {
+        self.crash_at_access_page(n, 0)
+    }
+
+    /// Crash the disk inside access number `n` (1-based), before its page
+    /// `page` (0-based): if that access is a chained write of more than
+    /// `page` pages, the pages before `page` are persisted and the rest are
+    /// lost. An access with no such page (any read, when `page > 0`)
+    /// completes, and the crash falls on the access after it.
+    pub fn crash_at_access_page(mut self, n: u64, page: u32) -> Self {
+        self.crash_at = Some((n, page));
         self
     }
 
@@ -190,6 +224,15 @@ impl FaultPlan {
         self.fired
     }
 
+    /// Where the plan first struck: the access number and the page offset
+    /// inside that access of the torn or failed page, or of the first page
+    /// a crash kept off the platter. `None` while nothing has struck. A
+    /// sweep reads this to learn whether the point it armed exists — page 7
+    /// of a five-page chain does not — and which point to arm next.
+    pub fn landed(&self) -> Option<(u64, u32)> {
+        self.landed
+    }
+
     /// Decide the fate of one access covering pages `[first, first + n)`.
     /// `access` is the 1-based global access number.
     pub(crate) fn evaluate(
@@ -199,9 +242,12 @@ impl FaultPlan {
         n: u32,
         access: u64,
     ) -> Option<FaultOutcome> {
-        if let Some(c) = self.crash_at {
-            if access >= c {
-                return Some(FaultOutcome::Crash);
+        if let Some((c, page)) = self.crash_at {
+            let mid_chain = op == FaultOp::Write && page < n;
+            if access > c || (access == c && (page == 0 || mid_chain)) {
+                let persisted = if access == c { page } else { 0 };
+                self.landed.get_or_insert((access, persisted));
+                return Some(FaultOutcome::Crash { persisted });
             }
         }
         let range = first..first + n;
@@ -209,19 +255,16 @@ impl FaultPlan {
             if slot.remaining == 0 || slot.spec.op != op {
                 continue;
             }
-            let hit = match slot.spec.trigger {
-                FaultTrigger::Page(p) => range.contains(&p),
-                FaultTrigger::NthAccess(k) => access == k,
+            let pid = match slot.spec.trigger {
+                FaultTrigger::Page(p) if range.contains(&p) => p,
+                FaultTrigger::NthAccess { access: k, page } if access == k && page < n => {
+                    first + page
+                }
+                _ => continue,
             };
-            if !hit {
-                continue;
-            }
             slot.remaining = slot.remaining.saturating_sub(1);
             self.fired += 1;
-            let pid = match slot.spec.trigger {
-                FaultTrigger::Page(p) => p,
-                FaultTrigger::NthAccess(_) => first,
-            };
+            self.landed.get_or_insert((access, pid - first));
             return Some(match slot.spec.kind {
                 FaultKind::TornWrite => FaultOutcome::Torn(pid),
                 _ => FaultOutcome::Fail(pid),
@@ -281,12 +324,51 @@ mod tests {
         assert_eq!(plan.evaluate(FaultOp::Read, 0, 1, 4), None);
         assert_eq!(
             plan.evaluate(FaultOp::Write, 0, 1, 5),
-            Some(FaultOutcome::Crash)
+            Some(FaultOutcome::Crash { persisted: 0 })
         );
         assert_eq!(
             plan.evaluate(FaultOp::Read, 0, 1, 6),
-            Some(FaultOutcome::Crash)
+            Some(FaultOutcome::Crash { persisted: 0 })
         );
+        assert_eq!(plan.landed(), Some((5, 0)));
+    }
+
+    #[test]
+    fn crash_point_inside_a_chain_persists_the_prefix_or_slides() {
+        let mut plan = FaultPlan::new().crash_at_access_page(2, 3);
+        assert_eq!(plan.evaluate(FaultOp::Write, 10, 8, 1), None);
+        assert_eq!(
+            plan.evaluate(FaultOp::Write, 10, 8, 2),
+            Some(FaultOutcome::Crash { persisted: 3 })
+        );
+        assert_eq!(plan.landed(), Some((2, 3)));
+        // A three-page chain has no page 3, and neither has a read: the
+        // access completes and the crash falls on the next one.
+        for op in [FaultOp::Write, FaultOp::Read] {
+            let mut plan = FaultPlan::new().crash_at_access_page(2, 3);
+            assert_eq!(plan.evaluate(op, 10, 3, 2), None);
+            assert_eq!(plan.landed(), None);
+            assert_eq!(
+                plan.evaluate(FaultOp::Write, 20, 8, 3),
+                Some(FaultOutcome::Crash { persisted: 0 })
+            );
+            assert_eq!(plan.landed(), Some((3, 0)));
+        }
+    }
+
+    #[test]
+    fn nth_access_page_addresses_one_page_of_a_chain() {
+        let mut plan = FaultPlan::new().inject(FaultSpec::write_at_access_page(2, 4).torn());
+        assert_eq!(plan.evaluate(FaultOp::Write, 10, 8, 1), None);
+        assert_eq!(
+            plan.evaluate(FaultOp::Write, 10, 8, 2),
+            Some(FaultOutcome::Torn(14))
+        );
+        assert_eq!(plan.landed(), Some((2, 4)));
+        // A chain too short to have the page is not hit at all.
+        let mut plan = FaultPlan::new().inject(FaultSpec::write_at_access_page(2, 4).torn());
+        assert_eq!(plan.evaluate(FaultOp::Write, 10, 4, 2), None);
+        assert_eq!((plan.fired(), plan.landed()), (0, None));
     }
 
     #[test]

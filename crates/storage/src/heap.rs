@@ -661,6 +661,15 @@ mod tests {
         // Every page pinned at most once plus prefetch: misses bounded by
         // page count.
         assert!(pool_stats.misses as usize <= h.num_pages());
+        // And one pass on the way out: the dirty pages (all of them, every
+        // other record is a victim) leave in chains, not one by one.
+        h.pool().flush_all().unwrap();
+        let d = h.pool().disk_stats();
+        assert_eq!(h.pool().pool_stats().writebacks, d.pages_written);
+        assert!(
+            (d.random_writes + d.sequential_writes) * 8 <= d.pages_written,
+            "{d:?}"
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! * **Coalescing.** A positioning costs ~30 pages of transfer, so reading a
 //!   handful of unwanted gap pages to keep one chain going is far cheaper
-//!   than splitting it. Plan entries closer than [`COALESCE_GAP`] pages are
-//!   merged into a single chained read.
+//!   than splitting it. Plan entries no further apart than the cost model's
+//!   breakeven ([`BufferPool::breakeven_pages`]) are merged into a single
+//!   chained read; the pool's write-behind bridges by the same value.
 //! * **Hysteresis.** Topping the window up one page per pin would degrade
 //!   every chain to length 1. The window refills only once fewer than half
 //!   a window of pages is still staged ahead of the cursor, so fresh chains
@@ -40,14 +41,6 @@ use crate::disk::PageId;
 /// (96 frames at the 5 MB-scaled budget).
 pub const READ_AHEAD_WINDOW: usize = 8;
 
-/// Maximum gap (in pages) bridged when coalescing two planned pages into one
-/// chained read. The breakeven is the cost model's positioning/transfer
-/// ratio: one repositioning costs ~12.2 ms, the same as transferring ~30
-/// pages, so bridging any gap shorter than that is a strict win — and a
-/// dense plan (a 5% delete touches every third heap page) degenerates into
-/// one long sequential sweep, exactly the paper's chunked table scan.
-const COALESCE_GAP: PageId = 30;
-
 /// Windowed read-ahead over a sorted stream of upcoming page ids.
 ///
 /// Feed it the pages the caller will pin, in ascending pin order, via
@@ -64,9 +57,9 @@ pub struct ReadAhead {
     /// Plan entries at indices < `staged` have been offered to the pool.
     staged: usize,
     /// Exclusive end of the last chain issued: when the next planned entry
-    /// is within [`COALESCE_GAP`] of it, the new chain starts *here* instead
-    /// of at the entry, so consecutive chains stay head-contiguous and the
-    /// disk charges no positioning between them.
+    /// is within the pool's breakeven of it, the new chain starts *here*
+    /// instead of at the entry, so consecutive chains stay head-contiguous
+    /// and the disk charges no positioning between them.
     cover: Option<PageId>,
 }
 
@@ -145,11 +138,18 @@ impl ReadAhead {
     }
 
     /// Stage planned pages falling within a window of pages after `pid`,
-    /// batching near-adjacent entries into single chained reads. A chain
-    /// whose predecessor ends within [`COALESCE_GAP`] continues from that
-    /// end, so the disk head never repositions between them. Best effort:
-    /// staging failures leave the pages to the pin-time retry path.
+    /// batching near-adjacent entries into single chained reads: two planned
+    /// pages no further apart than the pool's seek/transfer breakeven share
+    /// a chain. One repositioning costs ~12.2 ms under the default model,
+    /// the same as transferring ~30 pages, so bridging any shorter gap is a
+    /// strict win — and a dense plan (a 5% delete touches every third heap
+    /// page) degenerates into one long sequential sweep, exactly the
+    /// paper's chunked table scan. A chain whose predecessor ends within
+    /// the breakeven continues from that end, so the disk head never
+    /// repositions between them. Best effort: staging failures leave the
+    /// pages to the pin-time retry path.
     fn top_up(&mut self, pid: PageId) {
+        let gap = self.pool.breakeven_pages();
         self.staged = self.staged.max(self.consumed);
         let budget_end = pid + self.window as PageId; // exclusive
         let max_run = self.pool.max_prefetch().max(1) as PageId;
@@ -162,14 +162,14 @@ impl ReadAhead {
             // close: the chain start equals the head position, so the disk
             // charges transfer only.
             let start = match self.cover {
-                Some(c) if c <= next && next - c <= COALESCE_GAP && next - c < max_run => c,
+                Some(c) if c <= next && next - c <= gap && next - c < max_run => c,
                 _ => next,
             };
             let mut end = next; // inclusive last page of the chain
             self.staged += 1;
             while self.staged < self.plan.len() {
                 let e = self.plan[self.staged];
-                if e >= budget_end || e > end + COALESCE_GAP || e - start + 1 > max_run {
+                if e >= budget_end || e - end > gap || e - start + 1 > max_run {
                     break;
                 }
                 end = e;
@@ -236,6 +236,25 @@ mod tests {
         // read for the far page.
         assert_eq!(d.random_reads, 2, "stats {d:?}");
         assert_eq!(pool.pool_stats().misses, 0);
+    }
+
+    #[test]
+    fn coalescing_gap_is_the_cost_models_breakeven() {
+        let (default_pool, _) = pool(64, 64);
+        assert_eq!(default_pool.breakeven_pages(), 30);
+        // Positioning free: an unwanted page is pure cost, none is read.
+        let mut disk = SimDisk::new(CostModel::flat(0.4));
+        let first = disk.allocate_contiguous(16, StructureId::Table);
+        let flat_pool = BufferPool::new(disk, 16);
+        let mut ra = ReadAhead::new(flat_pool.clone());
+        let plan = [first, first + 2, first + 4];
+        ra.plan(plan);
+        for pid in plan {
+            ra.before_pin(pid);
+            let _ = flat_pool.pin_read(pid).unwrap();
+        }
+        assert_eq!(flat_pool.disk_stats().pages_read, 3);
+        assert_eq!(flat_pool.pool_stats().misses, 0, "still staged ahead");
     }
 
     #[test]

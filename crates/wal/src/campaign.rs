@@ -3,11 +3,11 @@
 //! [`sweep`] runs a *target* — a recoverable bulk delete ([`BulkDelete`])
 //! or a whole erasure campaign ([`ErasureCampaign`]) — once fault-free to
 //! obtain a reference state, then moves a [`Fault`] over every successive
-//! disk access of the run: rebuild the database, arm the fault at the
-//! `n`-th access, run, discard volatile memory (`pool.crash()`), let the
-//! target recover, and let the target check the recovered state against
-//! the reference. The sweep ends at the first position the run never
-//! reaches. The target's `workers` select serial or fan-out execution; the
+//! disk access of the run, and over every page of each chained write:
+//! rebuild the database, arm the fault at page `k` of the `n`-th access,
+//! run, discard volatile memory (`pool.crash()`), let the target recover,
+//! and let the target check the recovered state against the reference. The
+//! sweep ends at the first position the run never reaches. The target's `workers` select serial or fan-out execution; the
 //! harness is the same for both.
 
 use bd_btree::Key;
@@ -25,21 +25,25 @@ use crate::record::LogRecord;
 /// The fault a [`sweep`] moves over the access stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// [`FaultPlan::crash_at_access`]: the access fails and the run dies;
-    /// everything not yet on stable storage is lost.
+    /// [`FaultPlan::crash_at_access_page`]: the access fails and the run
+    /// dies; everything not yet on stable storage is lost. Inside a chained
+    /// write the pages before the point are on stable storage, the rest
+    /// are not.
     Crash,
-    /// [`FaultSpec::write_at_access`]`.torn()`: the write is acknowledged
-    /// but persists only half the page, with the checksum recording the
-    /// *intended* image. Arms only on writes; a sweep position that lands
-    /// on a read tears nothing and is skipped.
+    /// [`FaultSpec::write_at_access_page`]`.torn()`: the write is
+    /// acknowledged but persists only half the page, with the checksum
+    /// recording the *intended* image. Arms only on writes; a sweep
+    /// position that lands on a read tears nothing and is skipped.
     TornWrite,
 }
 
 impl Fault {
-    fn plan(self, access: u64) -> FaultPlan {
+    fn plan(self, access: u64, page: u32) -> FaultPlan {
         match self {
-            Fault::Crash => FaultPlan::new().crash_at_access(access),
-            Fault::TornWrite => FaultPlan::new().inject(FaultSpec::write_at_access(access).torn()),
+            Fault::Crash => FaultPlan::new().crash_at_access_page(access, page),
+            Fault::TornWrite => {
+                FaultPlan::new().inject(FaultSpec::write_at_access_page(access, page).torn())
+            }
         }
     }
 }
@@ -128,8 +132,17 @@ pub struct SweepReport {
 /// a large table — and ends at the first position the run never reaches;
 /// `limit` optionally caps the number of *recovered* points for smoke runs.
 ///
-/// One outcome match covers both faults. `Ok` with nothing fired: the run
-/// outran the sweep point (done) or the position was a read (skipped).
+/// A position is a page of an access: write-behind leaves dirty pages in
+/// chains of dozens, and a fault that could only hit a chain's first page,
+/// or crash a chain all-or-nothing, would thin the sweep as the chains
+/// grow. After a run the disk says where the fault landed; the next
+/// position is the page after that one. A position that does not exist
+/// (page 5 of a three-page chain; any page but the first of a read) lets
+/// a tear slide off — the sweep moves to the next access — and lets a crash
+/// slide onto the next access's first page, where that run is counted.
+///
+/// One outcome match covers both faults. `Ok` with nothing landed: the run
+/// outran the sweep point (done) or the position did not exist (skipped).
 /// `Ok` with a fired tear: the damage, if any survived later rewrites, is
 /// latent — surface it the way a restart would (drop the cache, scrub the
 /// disk with [`corrupt_pages`]) and media-recover. `Crashed`: recover.
@@ -180,20 +193,25 @@ where
         db.pool().with_disk(|d| d.clear_fault_plan());
     };
     let scrub = |db: &Database| db.pool().with_disk(|d| d.corrupt_pages());
-    let mut n = start;
+    let (mut n, mut page) = (start + 1, 0);
     while limit.is_none_or(|lim| report.recovered_points < lim) {
-        n += 1;
         let (mut db, tid_n, _, c0) = fresh(target)?;
         assert_eq!(tid, tid_n, "build() must be deterministic");
         let log = LogManager::new();
         db.pool()
-            .with_disk(|d| d.set_fault_plan(fault.plan(c0 + n)));
+            .with_disk(|d| d.set_fault_plan(fault.plan(c0 + n, page)));
         let run = target.run(&mut db, tid, &log);
         let used = accesses(&db) - c0;
-        let fired = db.pool().with_disk(|d| d.fault_plan_fired());
+        let Some((access, at)) = db.pool().with_disk(|d| d.fault_plan_landed()) else {
+            run?;
+            if n >= used {
+                break;
+            }
+            (n, page) = (n + 1, 0);
+            continue;
+        };
+        (n, page) = (access - c0, at + 1);
         let corrupt = match run {
-            Ok(_) if fired == 0 && n >= used => break,
-            Ok(_) if fired == 0 => continue,
             Ok(_) => {
                 restart(&db);
                 let corrupt = scrub(&db);

@@ -2,7 +2,8 @@
 # Repo verification: format, lint, release build, and every test of the
 # workspace — tier-1 (the root package) plus each crate's own suite: the
 # full fault sweeps and the txn protocol tests live in crates/wal/tests and
-# crates/txn/tests, outside tier-1 (~50 s).
+# crates/txn/tests, outside tier-1 (~60 s) — plus the out-of-workspace
+# benchmark harness's build and tests.
 # Everything runs offline — external deps are vendored under vendor/.
 set -eux
 
@@ -12,6 +13,12 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test --workspace -q
+
+# The benchmark harness is its own package outside the workspace and calls
+# the crates through their public functions only: build and test it here,
+# so a public-API change that breaks it fails locally, not in the bench
+# pipeline.
+cargo test --offline --manifest-path benchmark/Cargo.toml
 
 # Differential strategy-equivalence audit: horizontal vs vertical vs
 # vertical with parallel `⋈̄` arms must leave bit-equivalent structures.
@@ -30,6 +37,12 @@ cargo run --release -p bd-bench --bin repro -- --faults --parallel 3
 # point count), keeping the perf trajectory emitters honest.
 cargo run --release -p bd-bench --bin repro -- fig7 --rows 20000 --bench-json target/bench_ci.json
 cargo run --release -p bd-bench --bin repro -- --check-bench target/bench_ci.json
+
+# The committed fig7+fig8 snapshots (before and after write-behind) must
+# stay schema-valid.
+for snapshot in BENCH_6.json BENCH_14.json; do
+    cargo run --release -p bd-bench --bin repro -- --check-bench "$snapshot"
+done
 
 # Online smoke: offline vs live bulk delete under foreground traffic at a
 # bounded scale. Every run is shadow-model-checked, and the emitted

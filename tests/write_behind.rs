@@ -1,0 +1,65 @@
+//! Tier-1 gate on the write side of the sorted sweep: behind a vertical
+//! delete the dirty pages must leave the pool in long chains. Every number
+//! here is a simulated-disk count, so a regression to page-at-a-time
+//! write-back fails deterministically.
+
+use bulk_delete::prelude::*;
+
+use bd_core::ShadowDb;
+use bd_storage::{PageId, PAGE_SIZE};
+use bd_workload::TableSpec;
+
+/// Every allocated page's platter image.
+fn platter(db: &Database) -> Vec<[u8; PAGE_SIZE]> {
+    db.pool().with_disk(|d| {
+        (0..d.num_pages() as PageId)
+            .map(|pid| *d.peek(pid).expect("allocated page"))
+            .collect()
+    })
+}
+
+#[test]
+fn vertical_delete_writes_back_in_chains() {
+    // The paper's table over the pool of the benchmark's `heap5` workload
+    // (96 frames): a chain cannot be longer than the pool.
+    let mut db = Database::new(DatabaseConfig::with_total_memory(512 << 10));
+    let w = TableSpec::paper_scaled()
+        .with_rows(20_000)
+        .with_seed(5)
+        .build(&mut db)
+        .unwrap();
+    w.attach_index(&mut db, IndexDef::secondary(0).unique())
+        .unwrap();
+    let d = w.delete_set(0.05, 9);
+    let mut shadow = ShadowDb::mirror_of(&db, w.tid).unwrap();
+
+    db.pool().clear_cache().unwrap();
+    let before = platter(&db);
+    db.pool().reset_stats();
+    let out = strategy::vertical_sort_merge(&mut db, w.tid, 0, &d, 1).unwrap();
+    db.pool().flush_all().unwrap();
+    assert_eq!(out.deleted.len(), d.len());
+
+    let disk = db.pool().disk_stats();
+    assert!(
+        disk.random_writes * 8 <= disk.pages_written,
+        "write-back is not chained: {disk:?}"
+    );
+    // No page is allocated or dirtied twice by this statement, so the
+    // write-backs are the pages whose image changed — the clean pages a
+    // chain rewrote to bridge a gap are in `pages_written` only.
+    let after = platter(&db);
+    assert_eq!(before.len(), after.len());
+    let changed = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+    let writebacks = db.pool().pool_stats().writebacks;
+    assert_eq!(writebacks, changed as u64);
+    assert!(
+        disk.pages_written > writebacks,
+        "a 5% delete leaves gaps to bridge: {disk:?}"
+    );
+
+    shadow.delete_in(w.tid, 0, &d);
+    let diff = shadow.diff(&db, w.tid).unwrap();
+    assert!(diff.is_clean(), "{diff}");
+    db.check_consistency(w.tid).unwrap();
+}
