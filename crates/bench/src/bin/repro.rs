@@ -21,7 +21,9 @@
 //! (heap record multiset, B-tree entries and invariants, FSM accounting,
 //! hash chains) is diffed across the two executions — and then again
 //! between a serial and a parallel vertical run. Exits non-zero and prints
-//! the per-structure diff on divergence.
+//! the per-structure diff on divergence. It also prints the vertical run's
+//! hash-arm phase row as random I/Os per victim and exits non-zero above
+//! 0.2: the arm is a bucket sweep, not a chain walk per victim.
 //!
 //! `--faults` runs the fault-injection demo instead of the experiments:
 //! a transient disk fault is planted under one fan-out arm of a parallel
@@ -344,8 +346,11 @@ fn audit(rows: usize, workers: usize) {
         "differential audit: horizontal vs vertical vs vertical/parallel({par_workers}), \
          {rows} rows, 15% delete, 3 B-tree indices + 1 hash index"
     );
+    // 48 pool frames: none of the four indices fits, so every strategy
+    // runs under eviction and the hash-arm figure below can tell a sweep
+    // from a chain walk per victim (which pays 1.03 here).
     let build = |seed: u64| {
-        let mut db = Database::new(DatabaseConfig::with_total_memory(4 << 20));
+        let mut db = Database::new(DatabaseConfig::with_total_memory(256 << 10));
         let w = TableSpec::tiny(rows)
             .with_seed(seed)
             .build(&mut db)
@@ -375,7 +380,7 @@ fn audit(rows: usize, workers: usize) {
     let (mut db_c, _) = build(1);
     let d = w_a.delete_set(0.15, 2);
     strategy::horizontal(&mut db_a, w_a.tid, 0, &d, true).unwrap();
-    strategy::vertical_sort_merge(&mut db_b, w_a.tid, 0, &d, 1).unwrap();
+    let vertical = strategy::vertical_sort_merge(&mut db_b, w_a.tid, 0, &d, 1).unwrap();
     strategy::vertical_sort_merge(&mut db_c, w_a.tid, 0, &d, par_workers).unwrap();
     check(
         "horizontal vs vertical",
@@ -385,6 +390,26 @@ fn audit(rows: usize, workers: usize) {
         "vertical serial vs parallel",
         audit_equivalence(&db_b, &db_c, w_a.tid),
     );
+    // The hash arm is a sweep: it positions the head per chain of pages,
+    // not per victim.
+    const HASH_ARM_LIMIT: f64 = 0.2;
+    for h in &db_b.table(w_a.tid).unwrap().hash_indices {
+        let arm = vertical
+            .report
+            .phases
+            .iter()
+            .find(|p| p.name.starts_with(&h.def.name))
+            .expect("every hash index has a phase row");
+        let per_victim = arm.io.total_random() as f64 / d.len() as f64;
+        println!(
+            "[{}] {per_victim:.4} random I/Os per victim (limit {HASH_ARM_LIMIT})",
+            arm.name
+        );
+        if per_victim > HASH_ARM_LIMIT {
+            eprintln!("[{}] the hash arm is paying per victim again", arm.name);
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Fault-injection demo: a transient fault ridden out by retry + serial

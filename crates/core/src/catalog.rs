@@ -80,10 +80,11 @@ pub struct HashIndexDef {
     pub attr: usize,
 }
 
-/// One hash index: metadata plus the backing structure. The bulk-delete
-/// algorithms are B-tree-only ("this work was restricted to B+-trees");
-/// hash indices are "updated in the traditional way" — one chain walk per
-/// record — by every strategy.
+/// One hash index: metadata plus the backing structure. The paper's
+/// bulk-delete algorithms are B-tree-only ("this work was restricted to
+/// B+-trees"); here the set-oriented drivers delete from a hash index in
+/// one bucket-ordered sweep ([`HashIndex::bulk_delete`]) and only the
+/// record-at-a-time paths walk one chain per record.
 pub struct HashIdx {
     /// Index metadata.
     pub def: HashIndexDef,
@@ -101,7 +102,7 @@ pub struct Table {
     pub heap: HeapFile,
     /// B-tree indices (bulk-deletable).
     pub indices: Vec<Index>,
-    /// Hash indices (always maintained record-at-a-time).
+    /// Hash indices (bulk-deleted by bucket sweep).
     pub hash_indices: Vec<HashIdx>,
 }
 

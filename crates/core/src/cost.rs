@@ -11,7 +11,7 @@
 
 use bd_storage::{CostModel, PAGE_SIZE};
 
-use crate::catalog::{Index, Table};
+use crate::catalog::{HashIdx, Index, Table};
 use crate::error::{DbError, DbResult};
 use crate::plan::{DeletePlan, IndexMethod, TableMethod};
 
@@ -94,6 +94,14 @@ impl CostEnv {
 
 fn leaves_of(index: &Index) -> f64 {
     (index.tree.len() as f64 / index.def.config.leaf_cap as f64).max(1.0)
+}
+
+/// Pages in a hash index's chains, from the catalog alone: every bucket's
+/// chain is as long as an even spread of the entries makes it.
+fn chain_pages_of(h: &HashIdx) -> f64 {
+    let buckets = h.index.n_buckets() as f64;
+    let per_bucket = h.index.len() as f64 / buckets;
+    buckets * (per_bucket / bd_hashidx::BUCKET_CAP as f64).ceil().max(1.0)
 }
 
 /// One direction of a sorted sweep over a `span` of pages that wants the
@@ -201,8 +209,16 @@ pub fn table_bd_cost(table_method: TableMethod, env: &CostEnv) -> CostEstimate {
     }
 }
 
+/// Cost of one hash index's bucket sweep: the chain pages that hold a
+/// victim are pinned, and every pinned page is dirtied.
+fn hash_bd_cost(h: &HashIdx, env: &CostEnv) -> CostEstimate {
+    let pages = chain_pages_of(h);
+    let hit = env.affected(h.index.len() as f64 / pages);
+    sweep(pages, hit, hit, env)
+}
+
 /// Estimated cost of a whole vertical plan (probe-index key merge + table
-/// step + one `⋈̄` per downstream index).
+/// step + one `⋈̄` per downstream index + one sweep per hash index).
 pub fn plan_cost(table: &Table, plan: &DeletePlan, env: &CostEnv) -> DbResult<CostEstimate> {
     let probe = table
         .index_on(plan.probe_attr)
@@ -223,19 +239,23 @@ pub fn plan_cost(table: &Table, plan: &DeletePlan, env: &CostEnv) -> DbResult<Co
             .ok_or(DbError::NoSuchIndex { attr: step.attr })?;
         total = total.plus(index_bd_cost(index, step.method, env));
     }
+    for h in &table.hash_indices {
+        total = total.plus(hash_bd_cost(h, env));
+    }
     Ok(total)
 }
 
 /// Estimated cost of the traditional (horizontal) plan: one probe-index
-/// descent per key, a random heap read+write per record, and one
-/// root-to-leaf traversal per index per record. Sorting D first converts
-/// the probe-leaf accesses into a near-sequential sweep.
+/// descent per key, a random heap read+write per record, one root-to-leaf
+/// traversal per index per record and one chain walk per hash index per
+/// record. Sorting D first converts the probe-leaf accesses into a
+/// near-sequential sweep.
 pub fn horizontal_cost(table: &Table, presort: bool, env: &CostEnv) -> CostEstimate {
     let n = env.n_delete as f64;
-    // The pool is shared by every index's leaves plus the heap's hot set;
-    // credit each structure a proportional slice.
-    let pool_pages =
-        (env.pool_bytes as f64 / PAGE_SIZE as f64).max(1.0) / (table.indices.len() as f64 + 1.0);
+    // The pool is shared by every index's leaves or chains plus the heap's
+    // hot set; credit each structure a proportional slice.
+    let structures = table.indices.len() + table.hash_indices.len() + 1;
+    let pool_pages = (env.pool_bytes as f64 / PAGE_SIZE as f64).max(1.0) / structures as f64;
     let mut total = if presort {
         sort_cost(env.n_delete, 8, env)
     } else {
@@ -259,6 +279,16 @@ pub fn horizontal_cost(table: &Table, presort: bool, env: &CostEnv) -> CostEstim
             pages_read: n * leaf_miss,
             pages_written: dirty_leaves,
             positionings: n * leaf_miss + dirty_leaves / CHAIN,
+        });
+    }
+    for h in &table.hash_indices {
+        // A walk that misses reads its chain page and evicts a page an
+        // earlier walk dirtied: one positioned read and write each.
+        let miss = n * (1.0 - pool_pages / chain_pages_of(h)).max(0.0);
+        total = total.plus(CostEstimate {
+            pages_read: miss,
+            pages_written: miss,
+            positionings: 2.0 * miss,
         });
     }
     // Heap: a random read per record (sorted D does not sort RIDs), plus

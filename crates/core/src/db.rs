@@ -179,9 +179,9 @@ impl Database {
         Ok(())
     }
 
-    /// Build a hash index on `attr` over the current table contents. Hash
-    /// indices are always maintained record-at-a-time ("updated in the
-    /// traditional way"); the bulk-delete operators never touch them.
+    /// Build a hash index on `attr` over the current table contents, one
+    /// insert per record. Every bulk-delete driver then maintains it with
+    /// one bucket-ordered sweep per statement.
     pub fn create_hash_index(&mut self, id: TableId, attr: usize) -> DbResult<()> {
         let pool = self.pool.clone();
         let table = self.tables.get_mut(id).ok_or(DbError::NoSuchTable(id))?;
@@ -316,7 +316,8 @@ pub struct TableParts<'a> {
     pub heap: &'a mut bd_storage::HeapFile,
     /// All B-tree indices.
     pub indices: &'a mut Vec<Index>,
-    /// All hash indices (maintained record-at-a-time by every strategy).
+    /// All hash indices (one bucket sweep each under the vertical
+    /// strategies, one chain walk per record under the horizontal ones).
     pub hash_indices: &'a mut Vec<crate::catalog::HashIdx>,
 }
 

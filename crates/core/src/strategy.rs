@@ -522,9 +522,9 @@ fn execute_vertical(
     }
 
     // The fan-out group: one arm per remaining secondary index, plus one
-    // per hash index ("updated in the traditional way" — the chain walks
-    // of one hash index are independent of every other structure). Arms
-    // borrow disjoint structures, so the group can run on worker threads.
+    // per hash index (one bucket-ordered sweep each — the chains of one
+    // hash index are independent of every other structure). Arms borrow
+    // disjoint structures, so the group can run on worker threads.
     let n_arms = fan_steps.len() + hash_indices.len();
     if n_arms > 0 {
         let concurrency = workers.clamp(1, n_arms);
@@ -566,7 +566,7 @@ fn execute_vertical(
             }));
         }
         for h in hash_indices.iter_mut() {
-            let name = format!("{} (traditional)", h.def.name);
+            let name = format!("{} (bucket sweep)", h.def.name);
             let attr = h.def.attr;
             tasks.push(PhaseTask::new(name, move || {
                 let entries: Vec<(Key, Rid)> = deleted_rows

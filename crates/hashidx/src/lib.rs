@@ -5,10 +5,14 @@
 //! The paper restricts its bulk-delete algorithms to B⁺-trees and states
 //! that "in our prototype, other kinds of indices are updated in the
 //! traditional way" (§5), naming hash tables first among the structures
-//! left to future work. This crate supplies that other kind of index: a
-//! bucket-array hash index whose entries the engine maintains
-//! record-at-a-time — including during a vertical bulk delete, exactly as
-//! the paper's prototype did.
+//! left to future work. This crate supplies that other kind of index — a
+//! bucket-array hash index — and extends the paper's operator to it:
+//! [`HashIndex::bulk_delete`] is the partitioned-hash plan of Fig. 5 turned
+//! inside out. The *deleted entries* are partitioned by bucket and the
+//! buckets visited in page order, so a bulk delete sweeps each chain once
+//! instead of walking one chain per victim. Record-at-a-time maintenance
+//! ([`HashIndex::insert`], [`HashIndex::delete`]) stays for the callers
+//! that have one record in hand.
 //!
 //! Layout: a fixed bucket directory (catalog metadata) points at bucket
 //! pages; each bucket page holds `(key, rid)` entries and an overflow
@@ -24,7 +28,7 @@
 use std::sync::Arc;
 
 use bd_storage::page::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
-use bd_storage::{BufferPool, PageId, Rid, StorageResult, StructureId, PAGE_SIZE};
+use bd_storage::{BufferPool, PageId, ReadAhead, Rid, StorageResult, StructureId, PAGE_SIZE};
 
 /// Key type (matches the B-tree's).
 pub type Key = u64;
@@ -204,43 +208,121 @@ impl HashIndex {
         Ok(out)
     }
 
-    /// Delete exactly `(key, rid)` — one chain walk, the "traditional way".
+    /// Delete exactly `(key, rid)` — one chain walk, for callers with one
+    /// record in hand. Pages are searched under a read pin and only the
+    /// page holding the entry is dirtied, so a miss writes nothing back.
     /// Returns `true` if the entry existed.
     pub fn delete(&mut self, key: Key, rid: Rid) -> StorageResult<bool> {
         let mut pid = Some(self.buckets[bucket_of(key, self.buckets.len())]);
         while let Some(p) = pid {
             // Pause point: between chain pages, no pin held (the previous
-            // iteration's write guard dropped at the end of its block).
+            // iteration's guard dropped at the end of its block).
             bd_storage::pacer::checkpoint()?;
-            let mut w = self.pool.pin_write(p)?;
-            let n = page_n(&w[..]);
-            for i in 0..n {
-                if page_entry(&w[..], i) == (key, rid) {
-                    // Swap-remove with the last entry of this page.
-                    let last = page_entry(&w[..], n - 1);
-                    page_set_entry(&mut w[..], i, last);
-                    page_set_n(&mut w[..], n - 1);
-                    self.n_entries -= 1;
-                    return Ok(true);
-                }
+            let r = self.pool.pin_read(p)?;
+            let n = page_n(&r[..]);
+            if let Some(i) = (0..n).find(|&i| page_entry(&r[..], i) == (key, rid)) {
+                // Swap-remove with the last entry of this page.
+                let mut w = r.upgrade();
+                let last = page_entry(&w[..], n - 1);
+                page_set_entry(&mut w[..], i, last);
+                page_set_n(&mut w[..], n - 1);
+                self.n_entries -= 1;
+                return Ok(true);
             }
-            pid = page_overflow(&w[..]);
+            pid = page_overflow(&r[..]);
         }
         Ok(false)
     }
 
+    /// Sort `entries` into the order [`HashIndex::bulk_delete`] sweeps
+    /// them: by bucket, then `(key, rid)`. Bucket pages are allocated
+    /// contiguously, so any contiguous slice of the result is a contiguous
+    /// range of primary pages — which is what lets a caller that deletes in
+    /// chunks (the WAL driver's progress records) hand each chunk a short
+    /// monotone sweep, with the same chunk boundaries on every run.
+    pub fn sort_for_sweep(&self, entries: &mut [(Key, Rid)]) {
+        let n = self.buckets.len();
+        entries.sort_unstable_by_key(|&(key, rid)| (bucket_of(key, n), key, rid));
+    }
+
     /// Delete every `(key, rid)` entry of `entries` — the hash-index arm
-    /// of a bulk delete. Each entry still costs one chain walk (hash
-    /// indices are "updated in the traditional way"; the bulk-delete
-    /// operator "was restricted to B+-trees"), but the whole arm is one
-    /// entry point on an owned, `Send` handle, so the executor can
-    /// dispatch it to a worker thread. Returns how many entries existed.
+    /// of a bulk delete, as one bucket-ordered sweep. Returns how many
+    /// entries existed.
+    ///
+    /// The entries are sorted by bucket in memory, then the chains are
+    /// swept **level by level**: level 0 is the primary page of every
+    /// bucket that has victims, level *k + 1* the overflow pages of the
+    /// level-*k* pages whose bucket still has unfound victims. Each level
+    /// is visited in page-id order through [`ReadAhead`], so it arrives in
+    /// chained reads and its dirty pages leave in chained write-behind.
+    /// A page is searched under a read pin, dirtied only if it holds a
+    /// victim, and loses all its victims in that one visit; no chain page
+    /// is pinned twice.
+    ///
+    /// An entry that is not there is a no-op, and each list entry removes
+    /// at most one index entry, exactly as a [`HashIndex::delete`] per
+    /// entry would. That makes the pass idempotent: re-running it after a
+    /// crash finds the already-deleted victims absent and writes nothing.
     pub fn bulk_delete(&mut self, entries: &[(Key, Rid)]) -> StorageResult<usize> {
+        let mut victims = entries.to_vec();
+        self.sort_for_sweep(&mut victims);
+        let mut found = vec![false; victims.len()];
+        let n_buckets = self.buckets.len();
+
+        // Level 0: (page, this bucket's slice of `victims`, still unfound).
+        let mut level: Vec<(PageId, std::ops::Range<usize>, usize)> = Vec::new();
+        let mut lo = 0;
+        while lo < victims.len() {
+            let bucket = bucket_of(victims[lo].0, n_buckets);
+            let len = victims[lo..].partition_point(|e| bucket_of(e.0, n_buckets) == bucket);
+            level.push((self.buckets[bucket], lo..lo + len, len));
+            lo += len;
+        }
+
         let mut removed = 0;
-        for &(key, rid) in entries {
-            if self.delete(key, rid)? {
-                removed += 1;
+        let mut survivors: Vec<(Key, Rid)> = Vec::with_capacity(BUCKET_CAP);
+        while !level.is_empty() {
+            level.sort_unstable_by_key(|&(pid, ..)| pid);
+            let mut ra = ReadAhead::new(self.pool.clone());
+            ra.plan(level.iter().map(|&(pid, ..)| pid));
+            let mut next = Vec::new();
+            for (pid, range, mut unfound) in level {
+                // Pause point: between pages, no pin held.
+                bd_storage::pacer::checkpoint()?;
+                ra.before_pin(pid);
+                let r = self.pool.pin_read(pid)?;
+                let n = page_n(&r[..]);
+                survivors.clear();
+                for i in 0..n {
+                    let e = page_entry(&r[..], i);
+                    // Equal list entries are adjacent; each claims one hit.
+                    let first = range.start + victims[range.clone()].partition_point(|v| *v < e);
+                    let hit = (first..range.end)
+                        .take_while(|&j| victims[j] == e)
+                        .find(|&j| !found[j]);
+                    match hit {
+                        Some(j) => {
+                            found[j] = true;
+                            unfound -= 1;
+                        }
+                        None => survivors.push(e),
+                    }
+                }
+                let overflow = page_overflow(&r[..]);
+                if survivors.len() < n {
+                    let mut w = r.upgrade();
+                    for (i, &e) in survivors.iter().enumerate() {
+                        page_set_entry(&mut w[..], i, e);
+                    }
+                    page_set_n(&mut w[..], survivors.len());
+                    removed += n - survivors.len();
+                    self.n_entries -= n - survivors.len();
+                }
+                if unfound > 0 {
+                    next.extend(overflow.map(|p| (p, range, unfound)));
+                }
             }
+            level = next;
         }
         Ok(removed)
     }
@@ -525,6 +607,149 @@ mod tests {
         got.sort_unstable();
         expect.sort_unstable();
         assert_eq!(got, expect, "resumed delete diverged");
+    }
+
+    #[test]
+    fn absent_delete_leaves_the_chain_clean() {
+        // A miss walks the whole 4-page chain. It must do so under read
+        // pins: a write pin dirties on acquire, and every page walked would
+        // be written back unchanged.
+        let p = pool();
+        let mut h = HashIndex::create(p.clone(), 1, StructureId::Hash(0)).unwrap();
+        let n = (BUCKET_CAP * 4) as u64;
+        for k in 0..n {
+            h.insert(k, rid(k)).unwrap();
+        }
+        assert_eq!(h.max_chain_len().unwrap(), 4);
+        p.flush_all().unwrap();
+        p.reset_stats();
+        assert!(!h.delete(n + 1, rid(0)).unwrap());
+        assert_eq!(h.bulk_delete(&[(n + 1, rid(0)), (0, rid(1))]).unwrap(), 0);
+        p.flush_all().unwrap();
+        assert_eq!(p.pool_stats().writebacks, 0, "a miss dirtied the chain");
+        // A hit dirties exactly the page that held the entry.
+        assert!(h.delete(n - 1, rid(n - 1)).unwrap());
+        p.flush_all().unwrap();
+        assert_eq!(p.pool_stats().writebacks, 1);
+    }
+
+    fn sorted_scan(h: &HashIndex) -> Vec<(Key, Rid)> {
+        let mut entries = h.scan().unwrap();
+        entries.sort_unstable();
+        entries
+    }
+
+    #[test]
+    fn bulk_delete_sweeps_a_table_larger_than_the_pool_once() {
+        // 120 buckets of ~3 pages behind a 16-frame pool. One statement
+        // must read no page twice and position the head per chain of
+        // pages, not per victim.
+        let p = BufferPool::new(SimDisk::new(CostModel::default()), 16);
+        let mut h = HashIndex::create(p.clone(), 120, StructureId::Hash(0)).unwrap();
+        let n = (120 * BUCKET_CAP * 5 / 2) as u64;
+        for k in 0..n {
+            h.insert(k, rid(k)).unwrap();
+        }
+        let chain_pages = h.pages().unwrap().len() as u64;
+        assert!(chain_pages > 300, "{chain_pages} pages");
+        let victims: Vec<(Key, Rid)> = (0..n).step_by(5).map(|k| (k, rid(k))).collect();
+        p.clear_cache().unwrap();
+        p.reset_stats();
+        assert_eq!(h.bulk_delete(&victims).unwrap(), victims.len());
+        p.flush_all().unwrap();
+        let d = p.disk_stats();
+        assert!(
+            d.pages_read <= chain_pages,
+            "read {} of {chain_pages} chain pages",
+            d.pages_read
+        );
+        let random = d.random_reads + d.random_writes;
+        assert!(
+            random * 10 <= victims.len() as u64,
+            "{random} random I/Os for {} victims",
+            victims.len()
+        );
+        assert_eq!(h.len(), n as usize - victims.len());
+        let audit = h.audit().unwrap();
+        assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+        assert!(sorted_scan(&h).iter().all(|&(k, _)| k % 5 != 0));
+    }
+
+    #[test]
+    fn paused_mid_sweep_holds_no_pins_and_matches_uninterrupted() {
+        // The twin of the chain-walk test above for the set-oriented pass:
+        // a four-bucket index with three-page chains crosses a checkpoint
+        // per page, so trip 7 parks inside level 1 of the sweep.
+        let n = (4 * BUCKET_CAP * 5 / 2) as u64;
+        let mut reference = HashIndex::create(pool(), 4, StructureId::Hash(0)).unwrap();
+        let p = pool();
+        let mut h = HashIndex::create(p.clone(), 4, StructureId::Hash(0)).unwrap();
+        for k in 0..n {
+            reference.insert(k, rid(k)).unwrap();
+            h.insert(k, rid(k)).unwrap();
+        }
+        let victims: Vec<(Key, Rid)> = (0..n).step_by(2).map(|k| (k, rid(k))).collect();
+        assert_eq!(reference.bulk_delete(&victims).unwrap(), victims.len());
+
+        let pacer = bd_storage::Pacer::new();
+        pacer.pause_after(7);
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let _g = pacer.enter();
+                assert_eq!(h.bulk_delete(&victims).unwrap(), victims.len());
+            });
+            assert!(
+                pacer.wait_parked(1, std::time::Duration::from_secs(10)),
+                "sweep never parked"
+            );
+            assert_eq!(p.pinned_frames(), 0, "parked mid-sweep with a pin held");
+            pacer.resume();
+            worker.join().unwrap();
+        });
+
+        assert!(pacer.checks() > 7, "the sweep ended before the trip point");
+        assert_eq!(h.len(), reference.len());
+        assert_eq!(
+            sorted_scan(&h),
+            sorted_scan(&reference),
+            "resumed sweep diverged"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The sweep is the delete loop: over a list with absent pairs and
+        /// repeated pairs, both remove the same entries and report the
+        /// same count — on the first run and on a lenient re-run.
+        #[test]
+        fn bulk_delete_matches_a_delete_loop(
+            keys in proptest::collection::vec(0u64..400, 1..1500),
+            picks in proptest::collection::vec((0u64..500, 0u64..3), 0..600),
+            n_buckets in 1usize..6,
+        ) {
+            let mut swept = HashIndex::create(pool(), n_buckets, StructureId::Hash(0)).unwrap();
+            let mut looped = HashIndex::create(pool(), n_buckets, StructureId::Hash(0)).unwrap();
+            for (i, &k) in keys.iter().enumerate() {
+                // Few distinct keys and RIDs: the index holds repeated
+                // keys and, now and then, a repeated `(key, rid)` pair.
+                let r = rid(i as u64 % 3);
+                swept.insert(k, r).unwrap();
+                looped.insert(k, r).unwrap();
+            }
+            // Keys ≥ 400 are absent; a small domain repeats list entries.
+            let list: Vec<(Key, Rid)> = picks.iter().map(|&(k, r)| (k, rid(r))).collect();
+            for _rerun in 0..2 {
+                let mut by_loop = 0;
+                for &(k, r) in &list {
+                    by_loop += looped.delete(k, r).unwrap() as usize;
+                }
+                proptest::prop_assert_eq!(swept.bulk_delete(&list).unwrap(), by_loop);
+                proptest::prop_assert_eq!(swept.len(), looped.len());
+                proptest::prop_assert_eq!(sorted_scan(&swept), sorted_scan(&looped));
+                proptest::prop_assert!(swept.audit().unwrap().violations.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -598,6 +598,23 @@ pub struct PageRead {
     guard: ReadGuard,
 }
 
+impl PageRead {
+    /// Trade this read pin for a write pin on the same frame, marking the
+    /// page dirty. The frame stays pinned throughout, so it cannot be
+    /// evicted in between; the read latch is released before the write
+    /// latch is taken, so a caller that needs the bytes it just read to be
+    /// unchanged must own the structure exclusively (`&mut self`), as every
+    /// index handle here does.
+    pub fn upgrade(self) -> PageWrite {
+        let frame = self.frame.clone();
+        frame.pin.fetch_add(1, Ordering::AcqRel);
+        frame.dirty.store(true, Ordering::Release);
+        drop(self);
+        let guard = frame.data.write_arc();
+        PageWrite { frame, guard }
+    }
+}
+
 impl std::ops::Deref for PageRead {
     type Target = [u8; PAGE_SIZE];
     fn deref(&self) -> &Self::Target {

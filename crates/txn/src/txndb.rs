@@ -9,8 +9,9 @@
 //!    exclusive span switch the non-unique secondary indices offline ("X
 //!    lock, then indices off-line");
 //! 2. still under the lock, process the probe index, the base table, the
-//!    hash indices and all **unique indices** (unique first, so the
-//!    constraint stays checkable) for the chunk's keys;
+//!    hash indices (one bucket sweep each) and all **unique indices**
+//!    (unique first, so the constraint stays checkable) for the chunk's
+//!    keys;
 //! 3. commit the chunk: release the table lock — "As soon as table R and
 //!    all unique indices are processed ... the lock on R is released"; the
 //!    probe and unique indices are only ever modified under it, so they
@@ -454,7 +455,7 @@ impl TxnDb {
                 let chunk_res: TxnResult<()> = (|| {
                     let mut db = self.db.lock();
                     // Deep page-visit loops below checkpoint against this
-                    // pacer (leaf walks, heap passes, hash chains, sorts),
+                    // pacer (leaf walks, heap passes, hash sweeps, sorts),
                     // so a pause parks mid-chunk at a pin-free point. The
                     // install defers cancellation: probe index, heap, hash
                     // and unique indices must move together, so a cancel
@@ -478,9 +479,11 @@ impl TxnDb {
                     let rows = table.heap.bulk_delete_sorted(&rids)?;
                     for h in &mut table.hash_indices {
                         let attr = h.def.attr;
-                        for (rid, bytes) in &rows {
-                            h.index.delete(schema.attr_of(bytes, attr), *rid)?;
-                        }
+                        let entries: Vec<(Key, Rid)> = rows
+                            .iter()
+                            .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
+                            .collect();
+                        h.index.bulk_delete(&entries)?;
                     }
                     for index in table
                         .indices

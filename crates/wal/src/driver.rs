@@ -139,8 +139,9 @@ struct PassSpec {
 /// The structure order: probe index, table, remaining B-tree indices with
 /// unique ones first (§3.1.3), then hash indices by attribute — and the
 /// length of its serial prefix (probe, table, unique indices). Hash phases
-/// come last so the fan-out (non-unique B-tree arms plus hash arms) stays a
-/// contiguous suffix. Deterministic so recovery re-derives it.
+/// (one bucket sweep per progress chunk) come last so the fan-out
+/// (non-unique B-tree arms plus hash arms) stays a contiguous suffix.
+/// Deterministic so recovery re-derives it.
 fn phases(
     db: &Database,
     tid: TableId,
@@ -289,8 +290,8 @@ enum Victims<'a> {
     Tree(&'a mut BTree, Vec<(Key, Rid)>),
     /// The base table: RIDs in materialized-row (RID) order.
     Heap(&'a mut HeapFile, Vec<Rid>),
-    /// A hash index, updated the traditional way, one chain walk per
-    /// victim: `(key, RID)` in materialized-row order.
+    /// A hash index: `(key, RID)` in the index's bucket-sweep order, so
+    /// every chunk of the pass is a contiguous range of buckets.
     Hash(&'a mut HashIndex, Vec<(Key, Rid)>),
 }
 
@@ -310,9 +311,7 @@ impl Victims<'_> {
                 bulk_delete_sorted(tree, &pairs[lo..hi], ReorgPolicy::FreeAtEmpty).map(|_| ())
             }
             Victims::Heap(heap, rids) => heap.bulk_delete_sorted_lenient(&rids[lo..hi]).map(|_| ()),
-            Victims::Hash(hash, pairs) => pairs[lo..hi]
-                .iter()
-                .try_for_each(|&(key, rid)| hash.delete(key, rid).map(|_| ())),
+            Victims::Hash(hash, pairs) => hash.bulk_delete(&pairs[lo..hi]).map(|_| ()),
         }
     }
 }
@@ -366,7 +365,9 @@ impl Statement<'_> {
         }
         for h in hash_indices {
             if let Some(spec) = spec_of(StructureId::Hash(h.def.attr as u16)) {
-                out.push((spec, Victims::Hash(&mut h.index, pairs(h.def.attr))));
+                let mut sorted = pairs(h.def.attr);
+                h.index.sort_for_sweep(&mut sorted);
+                out.push((spec, Victims::Hash(&mut h.index, sorted)));
             }
         }
         assert_eq!(out.len(), group.len(), "a phase names no structure");

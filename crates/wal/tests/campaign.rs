@@ -23,6 +23,9 @@ fn build(n_rows: usize) -> (Database, usize, Vec<u64>) {
     w.attach_index(&mut db, IndexDef::secondary(1)).unwrap();
     w.attach_index(&mut db, IndexDef::secondary(2)).unwrap();
     db.create_hash_index(w.tid, 3).unwrap();
+    // The load is durable before any statement runs: a crash that lands
+    // before the driver's first checkpoint must find the table on disk.
+    db.pool().flush_all().unwrap();
     (db, w.tid, w.a_values)
 }
 
@@ -104,6 +107,51 @@ fn parallel_arm_crash_sites_recover() {
             db.pool().crash();
             let n = recover(&mut db, tid, &log, &[]).unwrap();
             assert_eq!(n, d.len());
+            db.check_consistency(tid).unwrap();
+            let eq = audit_equivalence(&reference, &db, tid).unwrap();
+            assert!(
+                eq.is_clean(),
+                "recovery after {site:?} at {workers} worker(s) diverged: {eq}"
+            );
+        }
+    }
+}
+
+#[test]
+fn crash_inside_the_hash_sweep_recovers_and_recovery_is_idempotent() {
+    // 2667 victims: the hash pass (phase 4) is two bucket-ordered chunks
+    // with one progress record between them. A crash at that record has
+    // the first bucket range swept and flushed; a crash mid-structure has
+    // both swept and the last one only partly on disk. Recovery re-sweeps
+    // from the victim order it re-derives, finds what is already gone
+    // absent, and a second restart finds a committed log.
+    let (mut reference, tid, a_values) = build(8000);
+    let d = victims(&a_values);
+    assert!(d.len() > 2048, "the progress record must exist");
+    run_bulk_delete(
+        &mut reference,
+        tid,
+        0,
+        &d,
+        &LogManager::new(),
+        CrashInjector::none(),
+    )
+    .unwrap();
+    for workers in [1, 3] {
+        for site in [CrashSite::MidStructure(4), CrashSite::AtProgress(4, 1)] {
+            let (mut db, _, _) = build(8000);
+            let log = LogManager::new();
+            let crash = CrashInjector::at(site);
+            let err =
+                run_bulk_delete_parallel(&mut db, tid, 0, &d, &log, crash, workers).unwrap_err();
+            assert!(
+                matches!(err, WalError::Crashed(s) if s == site),
+                "site {site:?} must surface at {workers} worker(s), got {err}"
+            );
+            db.pool().crash();
+            assert_eq!(recover(&mut db, tid, &log, &[]).unwrap(), d.len());
+            db.pool().crash();
+            assert_eq!(recover(&mut db, tid, &log, &[]).unwrap(), 0);
             db.check_consistency(tid).unwrap();
             let eq = audit_equivalence(&reference, &db, tid).unwrap();
             assert!(

@@ -275,7 +275,7 @@ fn crash_at_progress_resumes_from_last_chunk() {
 fn crash_at_progress_of_hash_pass() {
     // The hash phase runs last (phase 4 in this layout); crashing at its
     // second progress record exercises resume-from-progress for a hash
-    // index, whose deletes run in materialized-row order so the chunk
+    // index, whose victims are ordered by bucket once per pass so the chunk
     // boundaries match recovery's.
     let (mut db, tid, a_values) = setup(8000);
     let victims: Vec<u64> = a_values

@@ -21,7 +21,8 @@ cargo test --workspace -q
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
 # Differential strategy-equivalence audit: horizontal vs vertical vs
-# vertical with parallel `⋈̄` arms must leave bit-equivalent structures.
+# vertical with parallel `⋈̄` arms must leave bit-equivalent structures, and
+# the vertical run's hash arm must stay under 0.2 random I/Os per victim.
 cargo run --release -p bd-bench --bin repro -- --audit --parallel 3
 
 # Fault-injection smoke: a transient fault must be ridden out (retry +

@@ -35,39 +35,67 @@ fn within_factor(estimate: f64, measured: f64, limit: f64) -> bool {
     estimate <= measured * limit && measured <= estimate * limit
 }
 
+/// Estimate the sort/merge vertical plan on `db`, run it, and hold the two
+/// within the factor.
+fn check_vertical(mut db: Database, w: &bd_workload::Workload, frac: f64) {
+    let d = w.delete_set(frac, 9);
+    let plan = plan_sort_merge(db.table(w.tid).unwrap(), 0).unwrap();
+    let est = plan_cost(db.table(w.tid).unwrap(), &plan, &env(&db, w.tid, d.len()))
+        .unwrap()
+        .sim_ms(&CostModel::default());
+    let out = bd_core::strategy::vertical(&mut db, w.tid, &d, &plan, ReorgPolicy::FreeAtEmpty, 1)
+        .unwrap();
+    let measured = out.report.sim_ms();
+    assert!(
+        within_factor(est, measured, 3.0),
+        "vertical at {frac}: estimated {est:.0} ms vs measured {measured:.0} ms"
+    );
+}
+
+/// The same for the horizontal plan.
+fn check_horizontal(mut db: Database, w: &bd_workload::Workload, frac: f64, presort: bool) {
+    let d = w.delete_set(frac, 9);
+    let est = horizontal_cost(db.table(w.tid).unwrap(), presort, &env(&db, w.tid, d.len()))
+        .sim_ms(&CostModel::default());
+    let out = bd_core::strategy::horizontal(&mut db, w.tid, 0, &d, presort).unwrap();
+    let measured = out.report.sim_ms();
+    assert!(
+        within_factor(est, measured, 3.0),
+        "horizontal at {frac}, presort {presort}: estimated {est:.0} ms vs measured {measured:.0} ms"
+    );
+}
+
 #[test]
 fn vertical_estimate_tracks_measurement() {
     for frac in [0.05, 0.20] {
-        let (mut db, w) = build(20_000, 2, 1 << 20);
-        let d = w.delete_set(frac, 9);
-        let plan = plan_sort_merge(db.table(w.tid).unwrap(), 0).unwrap();
-        let est = plan_cost(db.table(w.tid).unwrap(), &plan, &env(&db, w.tid, d.len()))
-            .unwrap()
-            .sim_ms(&CostModel::default());
-        let out =
-            bd_core::strategy::vertical(&mut db, w.tid, &d, &plan, ReorgPolicy::FreeAtEmpty, 1)
-                .unwrap();
-        let measured = out.report.sim_ms();
-        assert!(
-            within_factor(est, measured, 3.0),
-            "frac {frac}: estimated {est:.0} ms vs measured {measured:.0} ms"
-        );
+        let (db, w) = build(20_000, 2, 1 << 20);
+        check_vertical(db, &w, frac);
     }
 }
 
 #[test]
 fn horizontal_estimate_tracks_measurement() {
     for presort in [false, true] {
-        let (mut db, w) = build(20_000, 1, 1 << 20);
-        let d = w.delete_set(0.15, 9);
-        let est = horizontal_cost(db.table(w.tid).unwrap(), presort, &env(&db, w.tid, d.len()))
-            .sim_ms(&CostModel::default());
-        let out = bd_core::strategy::horizontal(&mut db, w.tid, 0, &d, presort).unwrap();
-        let measured = out.report.sim_ms();
-        assert!(
-            within_factor(est, measured, 3.0),
-            "presort {presort}: estimated {est:.0} ms vs measured {measured:.0} ms"
-        );
+        let (db, w) = build(20_000, 1, 1 << 20);
+        check_horizontal(db, &w, 0.15, presort);
+    }
+}
+
+/// One B-tree and one hash index behind a pool the chains do not fit in:
+/// the hash arm is most of the horizontal clock and none of it may be
+/// missing from either estimate.
+#[test]
+fn estimates_price_the_hash_index() {
+    let hashed = || {
+        let (mut db, w) = build(20_000, 0, 256 << 10);
+        db.create_hash_index(w.tid, 1).unwrap();
+        (db, w)
+    };
+    for frac in [0.01, 0.05, 0.15] {
+        let (db, w) = hashed();
+        check_vertical(db, &w, frac);
+        let (db, w) = hashed();
+        check_horizontal(db, &w, frac, true);
     }
 }
 
