@@ -1,47 +1,19 @@
-//! Shared Criterion scaffolding for the figure benches.
+//! Shared Criterion scaffolding for the ablation benches.
 //!
-//! Criterion measures *wall time* of each strategy at a reduced scale
-//! (10,000 rows) to keep iteration cheap; the `repro` binary regenerates
-//! the full simulated-time tables. Shapes agree between the two.
+//! Criterion measures *wall time* at a reduced scale to keep iteration
+//! cheap; the `repro` binary regenerates the paper's figures on the
+//! simulated clock.
 
-use bd_bench::{prepare, PointConfig, StrategyKind};
-use criterion::{BatchSize, Criterion};
 use std::time::Duration;
 
 /// Rows per benchmark point (kept small: Criterion re-runs the setup once
 /// per iteration).
-#[allow(dead_code)] // each bench binary uses a subset of this module
 pub const BENCH_ROWS: usize = 5_000;
 
 /// Apply fast timing settings (setup dominates, so long measurement
 /// windows only multiply table builds).
-#[allow(dead_code)]
 pub fn tune(g: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_secs(1));
-}
-
-/// Register one `(strategy, point, fraction)` cell.
-#[allow(dead_code)] // each bench binary uses a subset of this module
-pub fn bench_cell(
-    c: &mut Criterion,
-    group: &str,
-    name: &str,
-    cfg: PointConfig,
-    strategy: StrategyKind,
-    fraction: f64,
-) {
-    let mut g = c.benchmark_group(group);
-    tune(&mut g);
-    g.bench_function(name, |b| {
-        b.iter_batched(
-            || prepare(&cfg, fraction),
-            |(mut db, tid, d)| {
-                strategy.run(&mut db, tid, &d).expect("strategy run");
-            },
-            BatchSize::PerIteration,
-        )
-    });
-    g.finish();
 }

@@ -1,19 +1,65 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and gate them.
 //!
 //! ```text
-//! repro [fig1|fig7|fig8|table1|fig9|fig10|all]... [--rows N] [--parallel N]
-//!       [--phases] [--audit] [--faults] [--live] [--erase] [--maintain]
-//!       [--lsm] [--bench-json PATH] [--check-bench PATH]
+//! repro [<id>|all]... [--rows N] [--parallel N] [--phases]
+//!       [--bench-json PATH] [--check-bench PATH] [--audit] [--faults]
 //! ```
+//!
+//! Every sweep is an experiment id from one registry
+//! ([`bd_bench::experiments::REGISTRY`]); ids run in the order given, `all`
+//! (the default) stands for the paper's six, and each experiment that
+//! reaches a verdict beside its numbers fails — and exits 1 — when the
+//! verdict does:
+//!
+//! * `fig1 fig7 fig8 table1 fig9 fig10` — the paper's figures (§1, §4);
+//! * `live` — the same foreground mix (point reads, range scans, inserts on
+//!   4 threads) against the blocking offline delete and against the chunked
+//!   live driver (`TxnDb::bulk_delete_live`), at two delete fractions; every
+//!   cell's end state is diffed against a shadow model, and the per-class
+//!   foreground p50/p95/p99 follow the table;
+//! * `erase` — the §1 sliding-window warehouse (sales + CASCADE line items)
+//!   erases its oldest 1/2/3 months as a plain cascading bulk delete and as
+//!   a durable erasure campaign (WAL manifest, physical scrub, log
+//!   redaction, proof-of-deletion — which must come back clean), then a
+//!   bounded crash/torn-write sample of the campaign fault sweep must
+//!   recover and re-prove at every point;
+//! * `maintain` — a sliding-window workload (delete the oldest quarter,
+//!   refill, repeat) with and without the incremental maintenance daemon:
+//!   the daemon's end state must keep its in-use pages within 10% of a
+//!   fresh bulk load of the same live rows, and the unmaintained arm's file
+//!   must be strictly larger — the space leak the daemon exists to stop;
+//! * `lsm` — fig7's delete-fraction sweep replayed through the engine seam:
+//!   B-tree vertical bulk delete vs the delete-aware LSM's tombstone write
+//!   (deferred cost) and the same plus a forced purge (total cost); every
+//!   LSM cell is differentially audited against a B-tree twin
+//!   (`audit_engine_equivalence`) and its page catalog checked for leaks.
+//!
+//! Default scale is 100,000 rows (1/10 of the paper with all ratios
+//! preserved); `--rows 1000000` runs the paper's full scale. Output times
+//! are simulated minutes from the disk cost model.
 //!
 //! `--parallel N` allows the independent `⋈̄` / rebuild arms of the bulk
 //! strategies N worker threads. Parallel runs produce the identical
-//! physical state (the arms touch disjoint structures); the figures gain a
-//! `crit-path` column per parallelizable strategy — the simulated time if
-//! the arms truly overlap — next to the serial clock.
+//! physical state (the arms touch disjoint structures); a series whose arms
+//! overlapped gains a `crit` column — the simulated time if the arms truly
+//! overlap — next to the serial clock.
 //!
 //! `--phases` additionally prints the per-`⋈̄` I/O breakdown of one bulk
 //! delete at the chosen scale (`∥` marks arms of a concurrent group).
+//!
+//! `--bench-json PATH` additionally dumps every measured cell of the run as
+//! a snapshot whose header records how to regenerate it (ids, rows). The
+//! committed `BENCH.json` is `repro all erase maintain lsm --rows 20000
+//! --bench-json BENCH.json`; its `git diff` is a PR's before/after.
+//!
+//! `--check-bench PATH` is the gate: it reads that header, re-runs exactly
+//! those experiments at those rows with one worker, and compares every
+//! field of every cell and every experiment's notes as printed. The
+//! simulated clock is deterministic, so nothing is tolerated: it prints one
+//! line per divergence (`lsm/5%/lsm tombstone.sim_minutes: 0.332365 →
+//! 0.351514`), plus missing and extra cells, and exits 1 if there is any. A
+//! snapshot taken with `--parallel` or holding a `live` cell is refused
+//! (exit 2): threaded cells do not repeat.
 //!
 //! `--audit` runs the differential audit harness instead of the
 //! experiments: the same build + delete workload is executed horizontally
@@ -35,55 +81,10 @@
 //! write persists only half a page and media recovery must rebuild the
 //! damaged structure back to the reference state. Exits non-zero on any
 //! divergence.
-//!
-//! Default scale is 100,000 rows (1/10 of the paper with all ratios
-//! preserved); `--rows 1000000` runs the paper's full scale. Output times
-//! are simulated minutes from the disk cost model.
-//!
-//! `--live` runs the online experiment instead of the offline figures: the
-//! same foreground mix (point reads, range scans, inserts on 4 threads)
-//! runs against the blocking offline delete statement and against the
-//! chunked live driver (`TxnDb::bulk_delete_live`), at two delete
-//! fractions. Every run is model-checked against a shadow before its
-//! numbers are accepted; the output is the per-class foreground
-//! p50/p95/p99 under each driver, and `--bench-json` dumps them in the
-//! per-point `foreground` arrays.
-//!
-//! `--erase` runs the retention-window erasure sweep instead of the
-//! offline figures: the §1 sliding-window warehouse (sales + CASCADE line
-//! items) erases its oldest 1/2/3 months, once as a plain cascading bulk
-//! delete and once as a durable erasure campaign (WAL manifest, physical
-//! scrub, log redaction, proof-of-deletion — which must come back clean),
-//! followed by a bounded crash/torn-write sample of the campaign fault
-//! sweep as a recovery smoke. Exits non-zero on any proof residue or
-//! unrecovered fault point.
-//!
-//! `--maintain` runs the steady-state space sweep instead of the offline
-//! figures: a sliding-window workload (delete the oldest quarter of the
-//! keys, refill with fresh rows, repeat) runs with and without the
-//! incremental maintenance daemon. The daemon's end state must keep its
-//! in-use page count within 10% of a fresh bulk load of the same live
-//! rows, and the unmaintained arm's file must be strictly larger — the
-//! space leak the daemon exists to stop. Exits non-zero otherwise.
-//!
-//! `--lsm` runs the engine comparison instead of the offline figures: the
-//! fig7 delete-fraction sweep replayed through the engine seam, four arms
-//! per fraction — B-tree vertical bulk delete, B-tree drop&create, the
-//! delete-aware LSM's tombstone write (deferred cost), and the same LSM
-//! delete plus a forced purge of every tombstone (total cost). Every LSM
-//! cell is differentially audited against a B-tree twin fed the identical
-//! workload (`audit_engine_equivalence`) and its page catalog is audited
-//! for leaks before its numbers are accepted; exits non-zero on any
-//! divergence.
-//!
-//! `--bench-json PATH` additionally dumps every measured cell of the
-//! selected experiments as a machine-readable snapshot (the `BENCH_<n>.json`
-//! trajectory files); `--check-bench PATH` parses and validates such a
-//! snapshot — schema, required fields, point count — and exits non-zero on
-//! any problem (the CI gate for the emitted files).
 
-use bd_bench::experiments;
-use bd_bench::snapshot::BenchSnapshot;
+use bd_bench::experiments::{Experiment, PAPER_FIGURES, REGISTRY};
+use bd_bench::snapshot::{self, Snapshot};
+use bd_bench::ExperimentReport;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,10 +94,6 @@ fn main() {
     let mut show_phases = false;
     let mut run_audit = false;
     let mut run_faults = false;
-    let mut run_live = false;
-    let mut run_erase = false;
-    let mut run_maintain = false;
-    let mut run_lsm = false;
     let mut bench_json: Option<String> = None;
     let mut check_bench: Option<String> = None;
     let mut i = 0;
@@ -105,10 +102,6 @@ fn main() {
             "--phases" => show_phases = true,
             "--audit" => run_audit = true,
             "--faults" => run_faults = true,
-            "--live" => run_live = true,
-            "--erase" => run_erase = true,
-            "--maintain" => run_maintain = true,
-            "--lsm" => run_lsm = true,
             "--rows" => {
                 i += 1;
                 rows = args
@@ -138,26 +131,6 @@ fn main() {
         i += 1;
     }
 
-    if let Some(path) = check_bench {
-        validate_snapshot(&path);
-        return;
-    }
-
-    let run = |id: &str| -> bd_core::DbResult<bd_bench::ExperimentReport> {
-        match id {
-            "fig1" => experiments::fig1(rows, workers),
-            "fig7" => experiments::fig7(rows, workers),
-            "fig8" => experiments::fig8(rows, workers),
-            "table1" => experiments::table1(rows, workers),
-            "fig9" => experiments::fig9(rows, workers),
-            "fig10" => experiments::fig10(rows, workers),
-            other => {
-                eprintln!("unknown experiment `{other}`");
-                usage()
-            }
-        }
-    };
-
     if run_audit {
         audit(rows, workers);
         return;
@@ -166,21 +139,37 @@ fn main() {
         faults(rows, workers);
         return;
     }
-    if run_live {
-        live(rows, bench_json.as_deref());
-        return;
+
+    // The gate re-runs what the baseline's header says it holds.
+    let baseline = check_bench.map(|path| {
+        let read = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Snapshot::read(&text))
+            .and_then(|snap| snap.refuse_as_baseline().map(|()| snap));
+        match read {
+            Ok(snap) => (path, snap),
+            Err(e) => {
+                eprintln!("`{path}` cannot serve as a baseline: {e}");
+                std::process::exit(2);
+            }
+        }
+    });
+    if let Some((_, snap)) = &baseline {
+        (which, rows, workers) = (snap.ids.clone(), snap.rows, 1);
     }
-    if run_erase {
-        erase(rows, workers, bench_json.as_deref());
-        return;
+    if which.is_empty() {
+        which.push("all".to_string());
     }
-    if run_maintain {
-        maintain(rows, bench_json.as_deref());
-        return;
-    }
-    if run_lsm {
-        lsm(rows, workers, bench_json.as_deref());
-        return;
+    let mut selected: Vec<(&str, Experiment)> = Vec::new();
+    for id in &which {
+        match REGISTRY.iter().find(|(name, _)| name == id) {
+            Some(entry) => selected.push(*entry),
+            None if id == "all" => selected.extend(&REGISTRY[..PAPER_FIGURES]),
+            None => {
+                eprintln!("unknown experiment `{id}`");
+                usage()
+            }
+        }
     }
 
     println!(
@@ -190,22 +179,17 @@ fn main() {
     );
     if workers > 1 {
         println!(
-            "parallel arms: {workers} workers; `crit-path` columns give the \
+            "parallel arms: {workers} workers; `crit` columns give the \
              simulated time with concurrent `⋈̄` arms overlapped\n"
         );
     }
-    let ids: Vec<&str> = if which.is_empty() || which.iter().any(|w| w == "all") {
-        vec!["fig1", "fig7", "fig8", "table1", "fig9", "fig10"]
-    } else {
-        which.iter().map(|s| s.as_str()).collect()
-    };
     if show_phases {
         print_phases(rows, workers);
     }
-    let mut snap = BenchSnapshot::new(&format!("repro {}", ids.join(" ")), rows, workers);
-    for id in &ids {
+    let mut reports: Vec<ExperimentReport> = Vec::new();
+    for (id, run) in selected {
         let started = std::time::Instant::now();
-        match run(id) {
+        match run(rows, workers) {
             Ok(report) => {
                 println!("{}", report.render());
                 eprintln!(
@@ -213,7 +197,7 @@ fn main() {
                     id,
                     started.elapsed().as_secs_f32()
                 );
-                snap.points.extend(report.points);
+                reports.push(report);
             }
             Err(e) => {
                 eprintln!("{id} failed: {e}");
@@ -221,89 +205,26 @@ fn main() {
             }
         }
     }
+    let json = snapshot::to_json(rows, workers, &reports);
+    let cells: usize = reports.iter().map(|r| r.points.len()).sum();
     if let Some(path) = bench_json {
-        if let Err(e) = std::fs::write(&path, snap.to_json()) {
+        if let Err(e) = std::fs::write(&path, &json) {
             eprintln!("failed to write bench snapshot `{path}`: {e}");
             std::process::exit(1);
         }
-        eprintln!("[bench snapshot: {} points -> {path}]", snap.points.len());
+        eprintln!("[bench snapshot: {cells} cells -> {path}]");
     }
-}
-
-/// `--check-bench`: parse + validate a `BENCH_<n>.json` file, print a
-/// one-line summary, exit non-zero on any schema problem.
-fn validate_snapshot(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read `{path}`: {e}");
-            std::process::exit(2);
-        }
-    };
-    match BenchSnapshot::validate(&text) {
-        Ok(snap) => {
-            if snap.points.is_empty() {
-                eprintln!("`{path}` is valid but has no points");
-                std::process::exit(2);
+    if let Some((path, snap)) = baseline {
+        let fresh = Snapshot::read(&json).expect("the writer's own output parses");
+        let lines = snap.diff(&fresh);
+        if !lines.is_empty() {
+            for line in &lines {
+                println!("{line}");
             }
-            println!(
-                "`{path}` ok: label `{}`, {} rows, {} workers, {} points",
-                snap.label,
-                snap.rows,
-                snap.workers,
-                snap.points.len()
-            );
-        }
-        Err(e) => {
-            eprintln!("`{path}` is not a valid bench snapshot: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `--live`: the online experiment — foreground latency percentiles under
-/// the offline vs the chunked live bulk delete, model-checked per run.
-fn live(rows: usize, bench_json: Option<&str>) {
-    use bd_bench::live::{live_experiment, LiveConfig, LIVE_CHUNK};
-
-    let cfg = LiveConfig::new(rows);
-    println!(
-        "online experiment: offline vs live bulk delete under foreground \
-         traffic ({} threads, point reads / range scans / inserts), \
-         {rows} rows, live chunk {LIVE_CHUNK} keys\n",
-        cfg.threads
-    );
-    let started = std::time::Instant::now();
-    let report = match live_experiment(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("live experiment failed: {e}");
+            eprintln!("`{path}`: {} divergence(s) from the re-run", lines.len());
             std::process::exit(1);
         }
-    };
-    println!("{}", report.render());
-    println!("foreground latency per op class:");
-    for p in &report.points {
-        println!("  {} @ {} (deleted {}):", p.strategy, p.x, p.deleted);
-        for c in &p.foreground {
-            println!(
-                "    {:<12} n {:>7}  p50 {:>7} µs  p95 {:>7} µs  p99 {:>7} µs  max {:>8} µs",
-                c.class, c.ops, c.p50_us, c.p95_us, c.p99_us, c.max_us
-            );
-        }
-    }
-    eprintln!(
-        "[live finished in {:.1}s wall]",
-        started.elapsed().as_secs_f32()
-    );
-    if let Some(path) = bench_json {
-        let mut snap = BenchSnapshot::new("repro live", rows, cfg.threads);
-        snap.points.extend(report.points);
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("failed to write bench snapshot `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("[bench snapshot: {} points -> {path}]", snap.points.len());
+        println!("`{path}` ok: {cells} cells re-run and identical");
     }
 }
 
@@ -584,157 +505,12 @@ fn faults(rows: usize, workers: usize) {
     }
 }
 
-/// `--erase`: the retention-window erasure sweep over the warehouse
-/// example, plus a bounded crash/torn sample of the campaign fault sweep.
-fn erase(rows: usize, workers: usize, bench_json: Option<&str>) {
-    use bd_bench::erase::{crash_sample, erase_experiment};
-
-    println!(
-        "retention-window erasure: plain cascade vs durable erasure \
-         campaign over the sliding-window warehouse, {rows} sales\n"
-    );
-    let started = std::time::Instant::now();
-    let report = match erase_experiment(rows, workers) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("erase sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", report.render());
-    println!("[every campaign proof clean: zero erased-key residue on any surface]");
-    eprintln!(
-        "[erase finished in {:.1}s wall]",
-        started.elapsed().as_secs_f32()
-    );
-
-    // Recovery smoke: a few crash points and torn writes over the whole
-    // campaign of a small warehouse; every sampled point must recover and
-    // re-prove the erasure.
-    match crash_sample(4, workers) {
-        Ok((crash, torn)) => println!(
-            "[fault sample: {} crash points recovered; {} torn writes \
-             recovered + {} silent; {}-step cascade, proof clean at every \
-             point]",
-            crash.recovered_points, torn.recovered_points, torn.silent_points, crash.steps
-        ),
-        Err(e) => {
-            eprintln!("campaign fault sample failed: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = bench_json {
-        let mut snap = BenchSnapshot::new("repro erase", rows, workers);
-        snap.points.extend(report.points);
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("failed to write bench snapshot `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("[bench snapshot: {} points -> {path}]", snap.points.len());
-    }
-}
-
-/// `--maintain`: the steady-state space sweep — a sliding-window workload
-/// with and without the maintenance daemon, judged against a fresh bulk
-/// load of the same live rows. Exits non-zero if the daemon fails to hold
-/// the footprint (or no leak shows up without it).
-fn maintain(rows: usize, bench_json: Option<&str>) {
-    use bd_bench::maintain::{maintain_experiment, ROUNDS};
-
-    println!(
-        "steady-state space: sliding window over {rows} rows ({ROUNDS} rounds \
-         of delete-oldest-quarter + refill), daemon on vs off vs fresh load\n"
-    );
-    let started = std::time::Instant::now();
-    let summary = match maintain_experiment(rows) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("maintain sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", summary.report.render());
-    match summary.check() {
-        Ok(()) => println!("{}\n[steady state held]", summary.verdict()),
-        Err(e) => {
-            eprintln!("{}", summary.verdict());
-            eprintln!("maintain sweep verdict failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    eprintln!(
-        "[maintain finished in {:.1}s wall]",
-        started.elapsed().as_secs_f32()
-    );
-
-    if let Some(path) = bench_json {
-        let mut snap = BenchSnapshot::new(
-            &format!(
-                "repro maintain (pages in use/file: on {}/{}, off {}/{}, \
-                 fresh {}/{}, {} reclaimed)",
-                summary.on.in_use,
-                summary.on.file,
-                summary.off.in_use,
-                summary.off.file,
-                summary.fresh.in_use,
-                summary.fresh.file,
-                summary.reclaimed
-            ),
-            rows,
-            1,
-        );
-        snap.points.extend(summary.report.points);
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("failed to write bench snapshot `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("[bench snapshot: {} points -> {path}]", snap.points.len());
-    }
-}
-
-/// `--lsm`: the engine comparison — B-tree bulk delete and drop&create vs
-/// the delete-aware LSM engine's deferred (tombstone) and total (purged)
-/// cost, every LSM cell differentially audited against its B-tree twin.
-fn lsm(rows: usize, workers: usize, bench_json: Option<&str>) {
-    use bd_bench::lsm::lsm_experiment;
-
-    println!(
-        "engine comparison: B-tree vertical bulk delete vs drop&create vs \
-         delete-aware LSM (tombstone write and forced purge), {rows} rows; \
-         every LSM cell audit-equivalent to its B-tree twin\n"
-    );
-    let started = std::time::Instant::now();
-    let report = match lsm_experiment(rows, workers) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lsm experiment failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", report.render());
-    println!("[every LSM cell audit-equivalent to its B-tree twin; page catalog clean]");
-    eprintln!(
-        "[lsm finished in {:.1}s wall]",
-        started.elapsed().as_secs_f32()
-    );
-
-    if let Some(path) = bench_json {
-        let mut snap = BenchSnapshot::new("repro lsm", rows, workers);
-        snap.points.extend(report.points);
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("failed to write bench snapshot `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("[bench snapshot: {} points -> {path}]", snap.points.len());
-    }
-}
-
 fn usage() -> ! {
+    let ids: Vec<&str> = REGISTRY.iter().map(|(id, _)| *id).collect();
     eprintln!(
-        "usage: repro [fig1|fig7|fig8|table1|fig9|fig10|all]... [--rows N] \
-         [--parallel N] [--phases] [--audit] [--faults] [--live] [--erase] \
-         [--maintain] [--lsm] [--bench-json PATH] [--check-bench PATH]"
+        "usage: repro [{}|all]... [--rows N] [--parallel N] [--phases] \
+         [--bench-json PATH] [--check-bench PATH] [--audit] [--faults]",
+        ids.join("|")
     );
     std::process::exit(2);
 }

@@ -130,11 +130,13 @@ fn measured(
 }
 
 /// The retention-window sweep: for each erased-months point, the plain
-/// cascade and the full erasure campaign over a fresh warehouse.
+/// cascade and the full erasure campaign over a fresh warehouse — every
+/// campaign's proof-of-deletion must come back clean — then a
+/// [`crash_sample`] of the campaign fault sweep, which must recover and
+/// re-prove at every sampled point.
 pub fn erase_experiment(rows: usize, workers: usize) -> Result<ExperimentReport, WalError> {
     let spm = (rows as u64 / WINDOW_MONTHS).max(16);
     let pool_bytes = crate::mem_bytes(5.0, rows.max(1));
-    let mut table_rows = Vec::new();
     let mut points = Vec::new();
 
     for &w in ERASED_MONTHS {
@@ -178,11 +180,11 @@ pub fn erase_experiment(rows: usize, workers: usize) -> Result<ExperimentReport,
                     ),
                 });
             }
-            points.push(BenchPoint::from_report("erase", &x, r));
+            points.push(BenchPoint::from_report("erase", &x, &r.strategy, r));
         }
-        table_rows.push((x, vec![plain.sim_minutes(), campaign.sim_minutes()]));
     }
 
+    let (crash, torn) = crash_sample(4, workers)?;
     Ok(ExperimentReport {
         id: "erase",
         title: format!(
@@ -191,12 +193,16 @@ pub fn erase_experiment(rows: usize, workers: usize) -> Result<ExperimentReport,
             spm * WINDOW_MONTHS
         ),
         x_label: "months erased",
-        series: vec!["cascade", "campaign"],
-        rows: table_rows,
-        notes: "expected: campaign > cascade at every window (the scrub reads \
-                every live page and zeroes the freed ones, and the proof \
-                re-scans the database); both grow with months erased"
-            .into(),
+        notes: format!(
+            "expected: campaign > cascade at every window (the scrub reads \
+             every live page and zeroes the freed ones, and the proof \
+             re-scans the database); both grow with months erased. Every \
+             campaign proof clean: zero erased-key residue on any surface. \
+             Fault sample: {} crash points recovered; {} torn writes \
+             recovered + {} silent; {}-step cascade, proof clean at every \
+             point",
+            crash.recovered_points, torn.recovered_points, torn.silent_points, crash.steps
+        ),
         points,
     })
 }
@@ -225,17 +231,17 @@ mod tests {
     #[test]
     fn retention_sweep_proves_every_window() {
         let report = erase_experiment(600, 1).unwrap();
-        assert_eq!(report.series, vec!["cascade", "campaign"]);
-        assert_eq!(report.rows.len(), ERASED_MONTHS.len());
+        assert_eq!(report.series(), vec!["cascade", "campaign"]);
+        assert_eq!(report.xs().len(), ERASED_MONTHS.len());
         assert_eq!(report.points.len(), 2 * ERASED_MONTHS.len());
+        assert!(report.notes.contains("crash points recovered"));
         // The campaign's physical scrub and proof cost real I/O on top of
         // the cascade at every window.
-        for (x, cells) in &report.rows {
+        for x in report.xs() {
+            let (cascade, campaign) = (report.value(x, "cascade"), report.value(x, "campaign"));
             assert!(
-                cells[1] > cells[0],
-                "{x}: campaign ({}) not above cascade ({})",
-                cells[1],
-                cells[0]
+                campaign > cascade,
+                "{x}: campaign ({campaign}) not above cascade ({cascade})"
             );
         }
     }

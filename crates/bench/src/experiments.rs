@@ -1,14 +1,49 @@
 //! One runner per table/figure of the paper's evaluation (§4) plus the
-//! motivation figure (§1).
+//! motivation figure (§1), and the registry of every experiment `repro`
+//! can run.
 
+use crate::erase::erase_experiment;
+use crate::live::live_experiment;
+use crate::lsm::lsm_experiment;
+use crate::maintain::maintain_experiment;
 use crate::snapshot::BenchPoint;
 use crate::{run_point, ExperimentReport, PointConfig, StrategyKind};
 use bd_core::DbResult;
 
-fn pct(f: f64) -> String {
+/// What every experiment is: `(rows, workers)` in, measured cells out. An
+/// experiment that reaches a verdict beside its numbers (an audit, a proof,
+/// a space budget) fails as a whole when the verdict does.
+pub type Experiment = fn(usize, usize) -> Result<ExperimentReport, String>;
+
+fn text<E: ToString>(r: Result<ExperimentReport, E>) -> Result<ExperimentReport, String> {
+    r.map_err(|e| e.to_string())
+}
+
+/// Every experiment id `repro` accepts. The first [`PAPER_FIGURES`] are the
+/// paper's own figures in paper order — what `all` stands for.
+pub const REGISTRY: &[(&str, Experiment)] = &[
+    ("fig1", |r, w| text(fig1(r, w))),
+    ("fig7", |r, w| text(fig7(r, w))),
+    ("fig8", |r, w| text(fig8(r, w))),
+    ("table1", |r, w| text(table1(r, w))),
+    ("fig9", |r, w| text(fig9(r, w))),
+    ("fig10", |r, w| text(fig10(r, w))),
+    ("live", |r, w| text(live_experiment(r, w))),
+    ("erase", |r, w| text(erase_experiment(r, w))),
+    ("maintain", |r, w| text(maintain_experiment(r, w))),
+    ("lsm", |r, w| text(lsm_experiment(r, w))),
+];
+
+/// How many leading [`REGISTRY`] entries reproduce a figure of the paper.
+pub const PAPER_FIGURES: usize = 6;
+
+/// A delete fraction as an x value: `0.15` is `15%`.
+pub(crate) fn pct(f: f64) -> String {
     format!("{:.0}%", f * 100.0)
 }
 
+/// Run every strategy at every point; each cell is filed under its
+/// strategy's series label.
 fn sweep(
     id: &'static str,
     title: String,
@@ -17,36 +52,17 @@ fn sweep(
     points: &[(String, PointConfig, f64)],
     notes: String,
 ) -> DbResult<ExperimentReport> {
-    // When the points run with workers, every parallelizable strategy gets
-    // a second column: its critical-path clock (concurrent arms overlap).
-    let workers = points.first().map_or(1, |p| p.1.workers.max(1));
-    let mut rows = Vec::new();
     let mut cells = Vec::new();
     for (x, cfg, fraction) in points {
-        let mut vals = Vec::new();
         for s in strategies {
             let report = run_point(cfg, *s, *fraction)?;
-            vals.push(report.sim_minutes());
-            if workers > 1 && s.parallelizable() {
-                vals.push(report.critical_path_minutes());
-            }
-            cells.push(BenchPoint::from_report(id, x, &report));
-        }
-        rows.push((x.clone(), vals));
-    }
-    let mut series = Vec::new();
-    for s in strategies {
-        series.push(s.label());
-        if workers > 1 && s.parallelizable() {
-            series.push(s.crit_label());
+            cells.push(BenchPoint::from_report(id, x, s.label(), &report));
         }
     }
     Ok(ExperimentReport {
         id,
         title,
         x_label,
-        series,
-        rows,
         notes,
         points: cells,
     })
@@ -136,7 +152,9 @@ pub fn fig8(rows: usize, workers: usize) -> DbResult<ExperimentReport> {
         &points,
         "expected: bulk's advantage grows with index count; drop/create \
          (record-at-a-time rebuild, as in the paper's prototype) is the \
-         worst series"
+         worst series; with one index there is nothing to drop, so its \
+         x = 1 cell is sorted/trad by construction (kept because the \
+         paper plots it)"
             .into(),
     )
 }
@@ -217,75 +235,39 @@ pub fn fig9(rows: usize, workers: usize) -> DbResult<ExperimentReport> {
 /// Figure 10 (Experiment 5): clustered index on A (table sorted by A);
 /// vary delete fraction; plus the unclustered sorted/trad baseline.
 pub fn fig10(rows: usize, workers: usize) -> DbResult<ExperimentReport> {
-    let clustered = PointConfig {
-        cluster_a: true,
-        workers,
-        ..PointConfig::base(rows)
-    };
     let unclustered = PointConfig {
         workers,
         ..PointConfig::base(rows)
     };
-    let fractions = [0.06, 0.10, 0.15, 0.20];
-    let mut rows_out = Vec::new();
-    let mut cells = Vec::new();
-    for &f in &fractions {
-        let sorted_clust = run_point(&clustered, StrategyKind::SortedTrad, f)?;
-        let sorted_unclust = run_point(&unclustered, StrategyKind::SortedTrad, f)?;
-        let notsorted_clust = run_point(&clustered, StrategyKind::NotSortedTrad, f)?;
-        let bulk = run_point(&clustered, StrategyKind::Bulk, f)?;
-        let mut vals = vec![
-            sorted_clust.sim_minutes(),
-            sorted_unclust.sim_minutes(),
-            notsorted_clust.sim_minutes(),
-            bulk.sim_minutes(),
-        ];
-        if workers > 1 {
-            vals.push(bulk.critical_path_minutes());
-        }
-        for (label, r) in [
-            ("sorted/trad/clust", &sorted_clust),
-            ("sorted/trad/unclust", &sorted_unclust),
-            ("not sorted/trad/clust", &notsorted_clust),
-            ("bulk delete", &bulk),
-        ] {
-            let mut p = BenchPoint::from_report("fig10", &pct(f), r);
-            p.strategy = label.to_string();
-            cells.push(p);
-        }
-        rows_out.push((pct(f), vals));
-    }
-    let mut series = vec![
-        "sorted/trad/clust",
-        "sorted/trad/unclust",
-        "not sorted/trad/clust",
-        "bulk delete",
+    let clustered = PointConfig {
+        cluster_a: true,
+        ..unclustered
+    };
+    let series = [
+        ("sorted/trad/clust", clustered, StrategyKind::SortedTrad),
+        ("sorted/trad/unclust", unclustered, StrategyKind::SortedTrad),
+        (
+            "not sorted/trad/clust",
+            clustered,
+            StrategyKind::NotSortedTrad,
+        ),
+        ("bulk delete", clustered, StrategyKind::Bulk),
     ];
-    if workers > 1 {
-        series.push(StrategyKind::Bulk.crit_label());
+    let mut cells = Vec::new();
+    for f in [0.06, 0.10, 0.15, 0.20] {
+        for (label, cfg, strategy) in series {
+            let report = run_point(&cfg, strategy, f)?;
+            cells.push(BenchPoint::from_report("fig10", &pct(f), label, &report));
+        }
     }
     Ok(ExperimentReport {
         id: "fig10",
         title: format!("clustered index: {rows} rows, 1 index, 5 MB memory"),
         x_label: "deleted tuples",
-        series,
-        rows: rows_out,
         notes: "expected: sorted/trad on a clustered index is the best case \
                 for the traditional approach and slightly beats bulk; bulk \
                 stays within a small factor; not-sorted/trad remains poor"
             .into(),
         points: cells,
     })
-}
-
-/// Every experiment at the given scale, in paper order.
-pub fn all(rows: usize, workers: usize) -> DbResult<Vec<ExperimentReport>> {
-    Ok(vec![
-        fig1(rows, workers)?,
-        fig7(rows, workers)?,
-        fig8(rows, workers)?,
-        table1(rows, workers)?,
-        fig9(rows, workers)?,
-        fig10(rows, workers)?,
-    ])
 }

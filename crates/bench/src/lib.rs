@@ -174,24 +174,6 @@ impl StrategyKind {
         };
         Ok(outcome.report)
     }
-
-    /// Whether this strategy has independent arms that parallelise (and
-    /// therefore a critical-path clock distinct from the serial one).
-    pub fn parallelizable(&self) -> bool {
-        !matches!(self, StrategyKind::SortedTrad | StrategyKind::NotSortedTrad)
-    }
-
-    /// Label of this strategy's critical-path series in parallel sweeps.
-    pub fn crit_label(&self) -> &'static str {
-        match self {
-            StrategyKind::SortedTrad => "sorted/trad crit",
-            StrategyKind::NotSortedTrad => "not sorted crit",
-            StrategyKind::DropCreate => "drop&create crit",
-            StrategyKind::DropCreateInsertRebuild => "drop/create crit",
-            StrategyKind::Bulk => "bulk crit-path",
-            StrategyKind::BulkPresorted => "sorted/bulk crit",
-        }
-    }
 }
 
 /// Run one `(point, strategy, fraction)` cell on a freshly built database,
@@ -215,7 +197,9 @@ pub fn prepare(cfg: &PointConfig, delete_fraction: f64) -> (Database, TableId, V
     (db, w.tid, d)
 }
 
-/// A rendered experiment: one row per x-value, one column per series.
+/// One experiment's measured cells plus what is printed around them. The
+/// rendered table is derived from `points`: one row per distinct x, one
+/// column per distinct series label, both in first-measured order.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Experiment id, e.g. `fig7`.
@@ -224,51 +208,107 @@ pub struct ExperimentReport {
     pub title: String,
     /// X-axis label.
     pub x_label: &'static str,
-    /// Series names in column order.
-    pub series: Vec<&'static str>,
-    /// `(x, simulated minutes per series)`.
-    pub rows: Vec<(String, Vec<f64>)>,
-    /// Expected qualitative shape, checked by tests.
+    /// Expected qualitative shape (checked by tests) and whatever verdict
+    /// the experiment reached beside its table; compared by the gate.
     pub notes: String,
-    /// Full per-cell counters behind `rows`, for `BENCH_<n>.json` dumps.
+    /// Every measured cell, in the order measured.
     pub points: Vec<snapshot::BenchPoint>,
 }
 
+/// Suffix of a series' critical-path column (see [`ExperimentReport::series`]).
+const CRIT: &str = " crit";
+
+fn distinct<'a>(names: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for n in names {
+        if !out.contains(&n) {
+            out.push(n);
+        }
+    }
+    out
+}
+
 impl ExperimentReport {
-    /// Render as an aligned text table (the `repro` binary's output).
+    /// The table's rows: distinct x values in first-measured order.
+    pub fn xs(&self) -> Vec<&str> {
+        distinct(self.points.iter().map(|p| p.x.as_str()))
+    }
+
+    /// The table's columns: each series label, followed by `<label> crit`
+    /// when any of its cells ran concurrent arms (its critical path — the
+    /// simulated time with the arms overlapped — differs from its serial
+    /// clock).
+    pub fn series(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for s in distinct(self.points.iter().map(|p| p.strategy.as_str())) {
+            out.push(s.to_string());
+            let mut cells = self.points.iter().filter(|p| p.strategy == s);
+            if cells.any(|p| p.crit_path_minutes != p.sim_minutes) {
+                out.push(format!("{s}{CRIT}"));
+            }
+        }
+        out
+    }
+
+    fn cell(&self, x: &str, series: &str) -> Option<f64> {
+        let (strategy, crit) = match series.strip_suffix(CRIT) {
+            Some(s) => (s, true),
+            None => (series, false),
+        };
+        let p = self
+            .points
+            .iter()
+            .find(|p| p.x == x && p.strategy == strategy)?;
+        Some(if crit {
+            p.crit_path_minutes
+        } else {
+            p.sim_minutes
+        })
+    }
+
+    /// Render as an aligned text table (the `repro` binary's output),
+    /// followed by the per-class foreground latencies of any cell measured
+    /// under live traffic.
     pub fn render(&self) -> String {
+        let series = self.series();
         let mut out = String::new();
         out.push_str(&format!("## {} — {}\n", self.id, self.title));
         out.push_str(&format!("{:<24}", self.x_label));
-        for s in &self.series {
+        for s in &series {
             out.push_str(&format!("{s:>20}"));
         }
         out.push('\n');
-        out.push_str(&"-".repeat(24 + 20 * self.series.len()));
+        out.push_str(&"-".repeat(24 + 20 * series.len()));
         out.push('\n');
-        for (x, vals) in &self.rows {
+        for x in self.xs() {
             out.push_str(&format!("{x:<24}"));
-            for v in vals {
-                out.push_str(&format!("{v:>16.2} min"));
+            for s in &series {
+                match self.cell(x, s) {
+                    Some(v) => out.push_str(&format!("{v:>16.2} min")),
+                    None => out.push_str(&format!("{:>20}", "-")),
+                }
             }
             out.push('\n');
         }
         out.push_str(&format!("note: {}\n", self.notes));
+        for p in self.points.iter().filter(|p| !p.foreground.is_empty()) {
+            out.push_str(&format!(
+                "foreground under {} @ {} (deleted {}):\n",
+                p.strategy, p.x, p.deleted
+            ));
+            for c in &p.foreground {
+                out.push_str(&format!(
+                    "  {:<12} n {:>7}  p50 {:>7} µs  p95 {:>7} µs  p99 {:>7} µs  max {:>8} µs\n",
+                    c.class, c.ops, c.p50_us, c.p95_us, c.p99_us, c.max_us
+                ));
+            }
+        }
         out
     }
 
     /// Value for `(x-row, series)` (panics on unknown names; test helper).
     pub fn value(&self, x: &str, series: &str) -> f64 {
-        let col = self
-            .series
-            .iter()
-            .position(|s| *s == series)
-            .unwrap_or_else(|| panic!("unknown series {series}"));
-        let row = self
-            .rows
-            .iter()
-            .find(|(r, _)| r == x)
-            .unwrap_or_else(|| panic!("unknown x {x}"));
-        row.1[col]
+        self.cell(x, series)
+            .unwrap_or_else(|| panic!("no cell at x {x}, series {series}"))
     }
 }

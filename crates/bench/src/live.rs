@@ -15,6 +15,7 @@ use bd_storage::Pacer;
 use bd_txn::{PropagationMode, TxnDb};
 use bd_workload::{run_with_foreground, DeleteDriver, FgConfig};
 
+use crate::experiments::pct;
 use crate::snapshot::BenchPoint;
 use crate::{ExperimentReport, PointConfig};
 
@@ -24,27 +25,8 @@ pub const LIVE_FRACTIONS: &[f64] = &[0.05, 0.15];
 /// Keys per exclusive span of the live driver.
 pub const LIVE_CHUNK: usize = 512;
 
-/// Configuration of the live sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveConfig {
-    /// Table rows.
-    pub rows: usize,
-    /// Foreground threads.
-    pub threads: usize,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-impl LiveConfig {
-    /// Default scale: matches `PointConfig::base` with 4 foreground threads.
-    pub fn new(rows: usize) -> Self {
-        LiveConfig {
-            rows,
-            threads: 4,
-            seed: 42,
-        }
-    }
-}
+/// Foreground threads beside the delete.
+pub const FG_THREADS: usize = 4;
 
 fn driver_label(driver: DeleteDriver) -> &'static str {
     match driver {
@@ -56,14 +38,15 @@ fn driver_label(driver: DeleteDriver) -> &'static str {
 /// Run one `(fraction, driver)` cell: build the full vertical structure
 /// (unique probe index, two secondary B-trees, one hash index), start the
 /// foreground pool, run the delete, and model-check the end state.
-fn run_cell(cfg: &LiveConfig, fraction: f64, driver: DeleteDriver) -> Result<RunReport, String> {
-    let mut point = PointConfig::base(cfg.rows);
-    point.n_secondary = 2;
-    point.seed = cfg.seed;
+fn run_cell(rows: usize, fraction: f64, driver: DeleteDriver) -> Result<RunReport, String> {
+    let point = PointConfig {
+        n_secondary: 2,
+        ..PointConfig::base(rows)
+    };
     let (mut db, w) = point.build().map_err(|e| e.to_string())?;
     db.create_hash_index(w.tid, 3).map_err(|e| e.to_string())?;
     let mut shadow = ShadowDb::mirror_of(&db, w.tid).map_err(|e| e.to_string())?;
-    let victims = w.delete_set(fraction, cfg.seed.wrapping_add(1));
+    let victims = w.delete_set(fraction, point.seed.wrapping_add(1));
 
     let tdb = TxnDb::new(db);
     let pool = tdb.with(|db| db.pool().clone());
@@ -76,8 +59,8 @@ fn run_cell(cfg: &LiveConfig, fraction: f64, driver: DeleteDriver) -> Result<Run
         &victims,
         driver,
         FgConfig {
-            threads: cfg.threads,
-            seed: cfg.seed ^ 0xF0,
+            threads: FG_THREADS,
+            seed: point.seed ^ 0xF0,
             ..FgConfig::default()
         },
         &Pacer::new(),
@@ -117,8 +100,9 @@ fn run_cell(cfg: &LiveConfig, fraction: f64, driver: DeleteDriver) -> Result<Run
 
 /// The full sweep: every [`LIVE_FRACTIONS`] fraction, offline then live,
 /// both drivers propagating the non-probe non-unique indices through the
-/// side file.
-pub fn live_experiment(cfg: &LiveConfig) -> Result<ExperimentReport, String> {
+/// side file. The delete itself is serial whatever `_workers` says; the
+/// threads are the foreground's.
+pub fn live_experiment(rows: usize, _workers: usize) -> Result<ExperimentReport, String> {
     let drivers = [
         DeleteDriver::Offline(PropagationMode::SideFile),
         DeleteDriver::Live {
@@ -126,32 +110,29 @@ pub fn live_experiment(cfg: &LiveConfig) -> Result<ExperimentReport, String> {
             chunk: LIVE_CHUNK,
         },
     ];
-    let mut report = ExperimentReport {
+    let mut points = Vec::new();
+    for &fraction in LIVE_FRACTIONS {
+        let x = pct(fraction);
+        for driver in drivers {
+            let cell = run_cell(rows, fraction, driver)?;
+            points.push(BenchPoint::from_report("live", &x, &cell.strategy, &cell));
+        }
+    }
+    Ok(ExperimentReport {
         id: "live",
-        title: "foreground latency under an offline vs a live bulk delete".to_string(),
+        title: format!(
+            "offline vs live bulk delete under foreground traffic: {rows} rows, \
+             {FG_THREADS} threads of point reads / range scans / inserts"
+        ),
         x_label: "% deleted",
-        series: vec!["offline", "live"],
-        rows: Vec::new(),
         notes: format!(
             "live = {LIVE_CHUNK}-key exclusive spans with pacer checkpoints; \
-             both drivers side-file the non-probe secondary indices; \
-             foreground percentiles are in the per-point `foreground` arrays"
+             both drivers side-file the non-probe secondary indices; every \
+             cell's end state is diffed against a shadow model; foreground \
+             percentiles per op class follow"
         ),
-        points: Vec::new(),
-    };
-    for &fraction in LIVE_FRACTIONS {
-        let x = format!("{:.0}%", fraction * 100.0);
-        let mut row = Vec::new();
-        for driver in drivers {
-            let cell = run_cell(cfg, fraction, driver)?;
-            row.push(cell.sim_minutes());
-            report
-                .points
-                .push(BenchPoint::from_report("live", &x, &cell));
-        }
-        report.rows.push((x, row));
-    }
-    Ok(report)
+        points,
+    })
 }
 
 #[cfg(test)]
@@ -163,13 +144,8 @@ mod tests {
     /// percentiles for all three op classes.
     #[test]
     fn live_sweep_reports_foreground_percentiles() {
-        let cfg = LiveConfig {
-            rows: 4_000,
-            threads: 2,
-            seed: 42,
-        };
-        let report = live_experiment(&cfg).expect("sweep");
-        assert_eq!(report.rows.len(), LIVE_FRACTIONS.len());
+        let report = live_experiment(4_000, 1).expect("sweep");
+        assert_eq!(report.xs().len(), LIVE_FRACTIONS.len());
         assert_eq!(report.points.len(), 2 * LIVE_FRACTIONS.len());
         for p in &report.points {
             assert!(

@@ -20,7 +20,7 @@
 //!   or there was no leak to stop.
 //!
 //! Both arms are audited (`check_consistency` + `audit_catalog`) before
-//! any number is reported.
+//! any number is reported, and a failed verdict fails the experiment.
 
 use bd_core::{
     audit_catalog, strategy, Database, DatabaseConfig, DbError, DbResult, IndexDef, Maintainer,
@@ -39,12 +39,12 @@ pub const ROUNDS: usize = 4;
 
 /// Page accounting of one database at a point in time.
 #[derive(Debug, Clone, Copy)]
-pub struct SpaceUse {
+struct SpaceUse {
     /// Pages the catalog holds an owner for (heap + index + hash).
-    pub in_use: usize,
+    in_use: usize,
     /// Pages the backing file spans (the allocation frontier — what the
     /// leak grows).
-    pub file: usize,
+    file: usize,
 }
 
 fn space(db: &Database) -> SpaceUse {
@@ -55,68 +55,47 @@ fn space(db: &Database) -> SpaceUse {
     }
 }
 
-/// Everything the sweep measured beyond the rendered minutes table.
-pub struct MaintainSummary {
-    /// The per-round cost table (`daemon off` / `daemon on` /
-    /// `maintenance` series) plus its [`BenchPoint`]s.
-    pub report: ExperimentReport,
-    /// End-state pages with the daemon.
-    pub on: SpaceUse,
-    /// End-state pages without it.
-    pub off: SpaceUse,
-    /// Pages of a fresh bulk load of the same live rows.
-    pub fresh: SpaceUse,
-    /// Pages the daemon zeroed and returned to the allocator.
-    pub reclaimed: usize,
-    /// Full daemon cycles the sweep ran.
-    pub cycles: usize,
-}
-
-impl MaintainSummary {
-    /// The steady-state verdict the sweep exists to prove. `Err` carries
-    /// the failed comparison, numbers included.
-    pub fn check(&self) -> Result<(), String> {
-        if self.reclaimed == 0 {
-            return Err("the daemon reclaimed no pages at all".into());
-        }
-        if self.off.file <= self.on.file {
-            return Err(format!(
-                "no leak demonstrated: daemon-off file {} pages <= daemon-on {}",
-                self.off.file, self.on.file
-            ));
-        }
-        let budget = self.fresh.in_use + self.fresh.in_use / 10;
-        if self.on.in_use > budget {
-            return Err(format!(
-                "daemon-on keeps {} pages in use; a fresh bulk load of the \
-                 same rows needs {} (budget {budget}, +10%)",
-                self.on.in_use, self.fresh.in_use
-            ));
-        }
-        Ok(())
+/// The steady-state verdict the sweep exists to prove, rendered with its
+/// numbers. `Err` carries the failed comparison.
+fn verdict(
+    on: SpaceUse,
+    off: SpaceUse,
+    fresh: SpaceUse,
+    reclaimed: usize,
+    cycles: u64,
+) -> Result<String, String> {
+    if reclaimed == 0 {
+        return Err("the daemon reclaimed no pages at all".into());
     }
-
-    /// One-paragraph rendering of the space verdict.
-    pub fn verdict(&self) -> String {
-        format!(
-            "space after {} rounds / {} daemon cycles:\n\
-             \x20 daemon on   {:>6} pages in use, {:>6} in file ({} reclaimed)\n\
-             \x20 daemon off  {:>6} pages in use, {:>6} in file\n\
-             \x20 fresh load  {:>6} pages in use, {:>6} in file\n\
-             daemon-on in-use is within 10% of a fresh bulk load; \
-             daemon-off file is {} pages larger than daemon-on",
-            ROUNDS,
-            self.cycles,
-            self.on.in_use,
-            self.on.file,
-            self.reclaimed,
-            self.off.in_use,
-            self.off.file,
-            self.fresh.in_use,
-            self.fresh.file,
-            self.off.file - self.on.file,
-        )
+    if off.file <= on.file {
+        return Err(format!(
+            "no leak demonstrated: daemon-off file {} pages <= daemon-on {}",
+            off.file, on.file
+        ));
     }
+    let budget = fresh.in_use + fresh.in_use / 10;
+    if on.in_use > budget {
+        return Err(format!(
+            "daemon-on keeps {} pages in use; a fresh bulk load of the \
+             same rows needs {} (budget {budget}, +10%)",
+            on.in_use, fresh.in_use
+        ));
+    }
+    Ok(format!(
+        "space after {ROUNDS} rounds / {cycles} daemon cycles:\n\
+         \x20 daemon on   {:>6} pages in use, {:>6} in file ({reclaimed} reclaimed)\n\
+         \x20 daemon off  {:>6} pages in use, {:>6} in file\n\
+         \x20 fresh load  {:>6} pages in use, {:>6} in file\n\
+         daemon-on in-use is within 10% of a fresh bulk load; \
+         daemon-off file is {} pages larger than daemon-on",
+        on.in_use,
+        on.file,
+        off.in_use,
+        off.file,
+        fresh.in_use,
+        fresh.file,
+        off.file - on.file,
+    ))
 }
 
 /// One arm of the sweep: the paper-scaled table with the usual vertical
@@ -143,7 +122,7 @@ fn fresh_row(rows: usize, i: usize, n_attrs: usize) -> Tuple {
 
 /// Account one maintenance slice's I/O the way [`bd_core::measure`] does
 /// for a strategy (cold cache, reset counters, flush at the end).
-fn measured_cycle(db: &mut Database, m: &mut Maintainer, label: &str) -> DbResult<RunReport> {
+fn measured_cycle(db: &mut Database, m: &mut Maintainer) -> DbResult<RunReport> {
     let pool = db.pool().clone();
     pool.clear_cache().map_err(DbError::from)?;
     pool.reset_stats();
@@ -151,7 +130,7 @@ fn measured_cycle(db: &mut Database, m: &mut Maintainer, label: &str) -> DbResul
     m.run_cycle(db)?;
     pool.flush_all().map_err(DbError::from)?;
     Ok(RunReport {
-        strategy: label.to_string(),
+        strategy: "maintenance".to_string(),
         deleted: 0,
         io: pool.disk_stats().since(&before),
         phases: Vec::new(),
@@ -191,15 +170,11 @@ fn fresh_copy(db: &Database, tid: TableId, rows: usize) -> DbResult<Database> {
     Ok(fresh)
 }
 
-/// Run the sliding-window sweep at `rows` scale and return the verdict.
-///
-/// The caller decides what to do with a failed [`MaintainSummary::check`];
-/// the sweep itself only errors on real execution or audit failures.
-pub fn maintain_experiment(rows: usize) -> Result<MaintainSummary, String> {
-    maintain_sweep(rows).map_err(|e| e.to_string())
-}
-
-fn maintain_sweep(rows: usize) -> DbResult<MaintainSummary> {
+/// Run the sliding-window sweep at `rows` scale. Errors on an execution
+/// or audit failure and on a failed space [`verdict`]; the verdict's page
+/// counts ride in the report's notes. The sweep is serial whatever
+/// `_workers` says.
+pub fn maintain_experiment(rows: usize, _workers: usize) -> DbResult<ExperimentReport> {
     let (mut db_on, tid) = build_arm(rows, 42)?;
     let (mut db_off, _) = build_arm(rows, 42)?;
     let n_attrs = db_on.table(tid)?.schema.n_attrs;
@@ -216,21 +191,23 @@ fn maintain_sweep(rows: usize) -> DbResult<MaintainSummary> {
     let window = rows / ROUNDS;
 
     let mut maintainer = Maintainer::new(MaintenanceConfig::default());
-    let mut table_rows = Vec::new();
     let mut points = Vec::new();
+    let mut cell = |x: &str, label: &str, r: &RunReport| {
+        points.push(BenchPoint::from_report("maintain", x, label, r));
+    };
     for round in 0..ROUNDS {
         let d = &victims[round * window..(round + 1) * window];
         let x = format!("round {}", round + 1);
 
-        let mut off = strategy::vertical_auto(&mut db_off, tid, 0, d, ReorgPolicy::FreeAtEmpty, 1)?
-            .1
-            .report;
-        off.strategy = "daemon off".to_string();
-        let mut on = strategy::vertical_auto(&mut db_on, tid, 0, d, ReorgPolicy::FreeAtEmpty, 1)?
-            .1
-            .report;
-        on.strategy = "daemon on".to_string();
-        let maint = measured_cycle(&mut db_on, &mut maintainer, "maintenance")?;
+        let off = strategy::vertical_auto(&mut db_off, tid, 0, d, ReorgPolicy::FreeAtEmpty, 1)?;
+        cell(&x, "daemon off", &off.1.report);
+        let on = strategy::vertical_auto(&mut db_on, tid, 0, d, ReorgPolicy::FreeAtEmpty, 1)?;
+        cell(&x, "daemon on", &on.1.report);
+        cell(
+            &x,
+            "maintenance",
+            &measured_cycle(&mut db_on, &mut maintainer)?,
+        );
 
         // Refill both arms so the live row count never changes; the
         // daemon's arm must satisfy these inserts from recycled pages.
@@ -239,62 +216,56 @@ fn maintain_sweep(rows: usize) -> DbResult<MaintainSummary> {
             db_on.insert(tid, &t)?;
             db_off.insert(tid, &t)?;
         }
-
-        table_rows.push((
-            x.clone(),
-            vec![off.sim_minutes(), on.sim_minutes(), maint.sim_minutes()],
-        ));
-        for r in [&off, &on, &maint] {
-            points.push(BenchPoint::from_report("maintain", &x, r));
-        }
     }
 
     // Settling cycles: the last round's inserts have not seen the daemon
     // yet, and packing may need a second pass to converge.
-    let settle_a = measured_cycle(&mut db_on, &mut maintainer, "maintenance")?;
-    let settle_b = measured_cycle(&mut db_on, &mut maintainer, "maintenance")?;
-    let settle = settle_a.sim_minutes() + settle_b.sim_minutes();
-    table_rows.push(("settle".to_string(), vec![0.0, 0.0, settle]));
-    points.push(BenchPoint::from_report("maintain", "settle", &settle_a));
-    points.push(BenchPoint::from_report("maintain", "settle", &settle_b));
+    for x in ["settle 1", "settle 2"] {
+        cell(
+            x,
+            "maintenance",
+            &measured_cycle(&mut db_on, &mut maintainer)?,
+        );
+    }
 
     for db in [&db_on, &db_off] {
         db.check_consistency(tid)?;
         let cat = audit_catalog(db, tid)?;
-        assert!(
-            cat.is_clean(),
-            "maintain sweep left a dirty catalog: {:?}",
-            cat.findings
-        );
+        if !cat.is_clean() {
+            return Err(DbError::Audit(format!(
+                "maintain sweep left a dirty catalog: {:?}",
+                cat.findings
+            )));
+        }
     }
 
     let fresh_db = fresh_copy(&db_on, tid, rows)?;
     db_on.pool().flush_all().map_err(DbError::from)?;
     db_off.pool().flush_all().map_err(DbError::from)?;
+    let space_verdict = verdict(
+        space(&db_on),
+        space(&db_off),
+        space(&fresh_db),
+        maintainer.report().pages_reclaimed,
+        maintainer.report().cycles,
+    )
+    .map_err(DbError::Audit)?;
 
-    let summary = MaintainSummary {
-        on: space(&db_on),
-        off: space(&db_off),
-        fresh: space(&fresh_db),
-        reclaimed: maintainer.report().pages_reclaimed,
-        cycles: maintainer.report().cycles as usize,
-        report: ExperimentReport {
-            id: "maintain",
-            title: format!(
-                "steady-state space under a sliding window: {rows} rows, \
-                 {ROUNDS} rounds of delete-oldest-quarter + refill"
-            ),
-            x_label: "window round",
-            series: vec!["daemon off", "daemon on", "maintenance"],
-            rows: table_rows,
-            notes: "expected: both delete arms cost the same (the daemon runs \
-                    after, not during); the maintenance column is the upkeep \
-                    price; the space verdict below the table is the point"
-                .into(),
-            points,
-        },
-    };
-    Ok(summary)
+    Ok(ExperimentReport {
+        id: "maintain",
+        title: format!(
+            "steady-state space under a sliding window: {rows} rows, \
+             {ROUNDS} rounds of delete-oldest-quarter + refill"
+        ),
+        x_label: "window round",
+        notes: format!(
+            "expected: both delete arms cost the same (the daemon runs \
+             after, not during); the maintenance column is the upkeep \
+             price; the space verdict is the point\n{space_verdict}\n\
+             [steady state held]"
+        ),
+        points,
+    })
 }
 
 #[cfg(test)]
@@ -302,19 +273,35 @@ mod tests {
     use super::*;
 
     /// A bounded end-to-end sweep: the daemon arm plateaus within 10% of
-    /// a fresh bulk load while the unmaintained arm leaks.
+    /// a fresh bulk load while the unmaintained arm leaks (or the
+    /// experiment fails), and the verdict rides in the notes.
     #[test]
     fn sliding_window_sweep_reaches_steady_state() {
-        let summary = maintain_experiment(8_000).expect("sweep");
-        summary.check().expect("steady-state verdict");
-        assert_eq!(summary.report.rows.len(), ROUNDS + 1);
-        assert_eq!(summary.report.points.len(), 3 * ROUNDS + 2);
-        assert!(summary.cycles >= ROUNDS);
+        let report = maintain_experiment(8_000, 1).expect("steady-state verdict");
+        assert_eq!(report.xs().len(), ROUNDS + 2);
+        assert_eq!(report.points.len(), 3 * ROUNDS + 2);
+        assert!(report.notes.contains("[steady state held]"));
+        assert!(report.notes.contains(" reclaimed)"));
+        assert!(report
+            .notes
+            .contains(&format!("{} daemon cycles", ROUNDS + 2)));
         // Upkeep is paid I/O: every measured cycle moved real pages.
-        for p in &summary.report.points {
+        for p in &report.points {
             if p.strategy == "maintenance" {
                 assert!(p.sim_minutes > 0.0, "{} cycle cost nothing", p.x);
             }
         }
+    }
+
+    #[test]
+    fn verdict_fails_without_a_leak_or_over_budget() {
+        let use_of = |in_use, file| SpaceUse { in_use, file };
+        let (fresh, off) = (use_of(100, 120), use_of(130, 200));
+        assert!(verdict(use_of(110, 150), off, fresh, 40, 6).is_ok());
+        let over = verdict(use_of(111, 150), off, fresh, 40, 6).unwrap_err();
+        assert!(over.contains("budget 110"), "{over}");
+        let no_leak = verdict(use_of(100, 200), off, fresh, 40, 6).unwrap_err();
+        assert!(no_leak.contains("no leak"), "{no_leak}");
+        assert!(verdict(use_of(100, 150), off, fresh, 0, 6).is_err());
     }
 }

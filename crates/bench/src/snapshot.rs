@@ -1,51 +1,36 @@
-//! Machine-readable bench snapshots (`BENCH_<n>.json`).
+//! The bench snapshot (`BENCH.json`) and the gate that re-checks it.
 //!
-//! Each `repro` sweep can dump every measured `(experiment, x, strategy)`
-//! cell as a flat JSON document, so the perf trajectory across PRs is
-//! diffable by scripts instead of living only in prose. No serde is
-//! vendored, so both the writer and the validating reader are hand-rolled
-//! against the one fixed schema below.
-//!
-//! Schema (all fields required):
+//! `repro <ids> --bench-json PATH` dumps every measured `(experiment, x,
+//! strategy)` cell of a run, one per line, under a header that records
+//! what is needed to regenerate the file: the experiment ids (each with
+//! its `notes`), the row count and the worker count. `repro --check-bench
+//! PATH` reads that header, re-runs exactly that at one worker and
+//! compares the two documents with [`Snapshot::diff`] — every field of
+//! every cell *as printed*. The simulated clock is deterministic, so there
+//! is no tolerance: one moved digit is one divergence line.
 //!
 //! ```json
 //! {
-//!   "schema": 1,
-//!   "label": "...",
-//!   "rows": 100000,
+//!   "schema": 2,
+//!   "rows": 20000,
 //!   "workers": 1,
-//!   "points": [ { ...BenchPoint fields... } ]
+//!   "experiments": [
+//!     {"id": "fig7", "notes": "expected: ..."}
+//!   ],
+//!   "points": [
+//!     {"experiment": "fig7", "x": "5%", "strategy": "bulk delete", "deleted": 1000, ...}
+//!   ]
 //! }
 //! ```
+//!
+//! No serde is vendored. The writer prints one object per line, so the
+//! reader is a line splitter that keeps every value as the text it was
+//! printed as; nothing is re-typed, and a missing field is a divergence
+//! like any other.
 
 use bd_core::{ForegroundReport, RunReport};
 
-/// Fields every snapshot point must carry, used by the writer and checked
-/// by [`BenchSnapshot::validate`].
-pub const POINT_FIELDS: &[&str] = &[
-    "experiment",
-    "x",
-    "strategy",
-    "deleted",
-    "sim_minutes",
-    "crit_path_minutes",
-    "random_reads",
-    "sequential_reads",
-    "random_writes",
-    "sequential_writes",
-    "pages_read",
-    "pages_written",
-    "retries",
-    "pool_hits",
-    "pool_misses",
-    "pool_prefetched",
-    "pool_writebacks",
-    "buffer_hit_rate",
-];
-
-/// Fields every per-class foreground entry must carry when a point has a
-/// `foreground` array (points without live traffic simply omit the array).
-pub const FG_FIELDS: &[&str] = &["class", "ops", "p50_us", "p95_us", "p99_us", "max_us"];
+use crate::ExperimentReport;
 
 /// Foreground latency percentiles for one op class of a live run.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +73,7 @@ pub struct BenchPoint {
     pub experiment: String,
     /// X-axis value, e.g. `15%` or `2` (indices).
     pub x: String,
-    /// Strategy label, e.g. `bulk delete`.
+    /// Series label, e.g. `bulk delete`.
     pub strategy: String,
     /// Records deleted.
     pub deleted: u64,
@@ -127,12 +112,14 @@ pub struct BenchPoint {
 }
 
 impl BenchPoint {
-    /// Flatten one [`RunReport`] into a snapshot point.
-    pub fn from_report(experiment: &str, x: &str, report: &RunReport) -> Self {
+    /// Flatten one [`RunReport`] into the cell `(experiment, x, strategy)`.
+    /// The series label is the caller's: two series may run the same
+    /// strategy (and so share `report.strategy`) under different inputs.
+    pub fn from_report(experiment: &str, x: &str, strategy: &str, report: &RunReport) -> Self {
         BenchPoint {
             experiment: experiment.to_string(),
             x: x.to_string(),
-            strategy: report.strategy.clone(),
+            strategy: strategy.to_string(),
             deleted: report.deleted as u64,
             sim_minutes: report.sim_minutes(),
             crit_path_minutes: report.critical_path_minutes(),
@@ -155,19 +142,51 @@ impl BenchPoint {
                 .unwrap_or_default(),
         }
     }
-}
 
-/// A full snapshot: run metadata plus every measured point.
-#[derive(Debug, Clone, Default)]
-pub struct BenchSnapshot {
-    /// Free-form label, e.g. `PR 6 after` or a git describe string.
-    pub label: String,
-    /// Table rows the sweep ran at.
-    pub rows: u64,
-    /// Worker threads the sweep ran with.
-    pub workers: u64,
-    /// Every measured cell, in sweep order.
-    pub points: Vec<BenchPoint>,
+    fn to_json(&self) -> String {
+        let fields = [
+            format!("\"experiment\": \"{}\"", esc(&self.experiment)),
+            format!("\"x\": \"{}\"", esc(&self.x)),
+            format!("\"strategy\": \"{}\"", esc(&self.strategy)),
+            format!("\"deleted\": {}", self.deleted),
+            format!("\"sim_minutes\": {}", num(self.sim_minutes)),
+            format!("\"crit_path_minutes\": {}", num(self.crit_path_minutes)),
+            format!("\"random_reads\": {}", self.random_reads),
+            format!("\"sequential_reads\": {}", self.sequential_reads),
+            format!("\"random_writes\": {}", self.random_writes),
+            format!("\"sequential_writes\": {}", self.sequential_writes),
+            format!("\"pages_read\": {}", self.pages_read),
+            format!("\"pages_written\": {}", self.pages_written),
+            format!("\"retries\": {}", self.retries),
+            format!("\"pool_hits\": {}", self.pool_hits),
+            format!("\"pool_misses\": {}", self.pool_misses),
+            format!("\"pool_prefetched\": {}", self.pool_prefetched),
+            format!("\"pool_writebacks\": {}", self.pool_writebacks),
+            format!("\"buffer_hit_rate\": {}", num(self.buffer_hit_rate)),
+        ];
+        let mut out = format!("{{{}", fields.join(", "));
+        if !self.foreground.is_empty() {
+            let classes: Vec<String> = self
+                .foreground
+                .iter()
+                .map(|c| {
+                    format!(
+                        "{{\"class\": \"{}\", \"ops\": {}, \"p50_us\": {}, \"p95_us\": {}, \
+                         \"p99_us\": {}, \"max_us\": {}}}",
+                        esc(&c.class),
+                        c.ops,
+                        c.p50_us,
+                        c.p95_us,
+                        c.p99_us,
+                        c.max_us
+                    )
+                })
+                .collect();
+            out.push_str(&format!(", \"foreground\": [{}]", classes.join(", ")));
+        }
+        out.push('}');
+        out
+    }
 }
 
 fn esc(s: &str) -> String {
@@ -195,396 +214,205 @@ fn num(v: f64) -> String {
     }
 }
 
-impl BenchSnapshot {
-    /// A snapshot with metadata and no points yet.
-    pub fn new(label: &str, rows: usize, workers: usize) -> Self {
-        BenchSnapshot {
-            label: label.to_string(),
-            rows: rows as u64,
-            workers: workers as u64,
-            points: Vec::new(),
-        }
-    }
+/// Serialise one `repro` run — the experiments in the order they ran —
+/// as the snapshot document described in the module docs.
+pub fn to_json(rows: usize, workers: usize, reports: &[ExperimentReport]) -> String {
+    let experiments: Vec<String> = reports
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"id\": \"{}\", \"notes\": \"{}\"}}",
+                r.id,
+                esc(&r.notes)
+            )
+        })
+        .collect();
+    let points: Vec<String> = reports
+        .iter()
+        .flat_map(|r| &r.points)
+        .map(|p| format!("    {}", p.to_json()))
+        .collect();
+    format!(
+        "{{\n  \"schema\": 2,\n  \"rows\": {rows},\n  \"workers\": {workers},\n  \
+         \"experiments\": [\n{}\n  ],\n  \"points\": [\n{}\n  ]\n}}\n",
+        experiments.join(",\n"),
+        points.join(",\n")
+    )
+}
 
-    /// Serialise to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"label\": \"{}\",\n", esc(&self.label)));
-        out.push_str(&format!("  \"rows\": {},\n", self.rows));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str("    {");
-            let fields = [
-                format!("\"experiment\": \"{}\"", esc(&p.experiment)),
-                format!("\"x\": \"{}\"", esc(&p.x)),
-                format!("\"strategy\": \"{}\"", esc(&p.strategy)),
-                format!("\"deleted\": {}", p.deleted),
-                format!("\"sim_minutes\": {}", num(p.sim_minutes)),
-                format!("\"crit_path_minutes\": {}", num(p.crit_path_minutes)),
-                format!("\"random_reads\": {}", p.random_reads),
-                format!("\"sequential_reads\": {}", p.sequential_reads),
-                format!("\"random_writes\": {}", p.random_writes),
-                format!("\"sequential_writes\": {}", p.sequential_writes),
-                format!("\"pages_read\": {}", p.pages_read),
-                format!("\"pages_written\": {}", p.pages_written),
-                format!("\"retries\": {}", p.retries),
-                format!("\"pool_hits\": {}", p.pool_hits),
-                format!("\"pool_misses\": {}", p.pool_misses),
-                format!("\"pool_prefetched\": {}", p.pool_prefetched),
-                format!("\"pool_writebacks\": {}", p.pool_writebacks),
-                format!("\"buffer_hit_rate\": {}", num(p.buffer_hit_rate)),
-            ];
-            out.push_str(&fields.join(", "));
-            if !p.foreground.is_empty() {
-                let classes: Vec<String> = p
-                    .foreground
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{{\"class\": \"{}\", \"ops\": {}, \"p50_us\": {}, \
-                             \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-                            esc(&c.class),
-                            c.ops,
-                            c.p50_us,
-                            c.p95_us,
-                            c.p99_us,
-                            c.max_us
-                        )
-                    })
-                    .collect();
-                out.push_str(&format!(", \"foreground\": [{}]", classes.join(", ")));
-            }
-            out.push_str(if i + 1 < self.points.len() {
-                "},\n"
-            } else {
-                "}\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+/// One line of a snapshot: an experiment's notes (`fig7`) or a measured
+/// cell (`fig7/5%/bulk delete`), with its remaining fields as printed.
+#[derive(Debug)]
+struct Entry {
+    name: String,
+    fields: Vec<(String, String)>,
+}
 
-    /// Parse and validate a snapshot document: well-formed JSON, required
-    /// top-level fields, and every [`POINT_FIELDS`] entry present in every
-    /// point. Returns a human-readable error otherwise.
-    pub fn validate(text: &str) -> Result<BenchSnapshot, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level is not an object")?;
-        let get = |k: &str| {
-            obj.get(k)
-                .ok_or_else(|| format!("missing top-level field `{k}`"))
-        };
-        let schema = get("schema")?.as_u64().ok_or("`schema` is not a number")?;
-        if schema != 1 {
-            return Err(format!("unsupported schema version {schema}"));
-        }
-        let mut snap = BenchSnapshot {
-            label: get("label")?
-                .as_str()
-                .ok_or("`label` is not a string")?
-                .to_string(),
-            rows: get("rows")?.as_u64().ok_or("`rows` is not a number")?,
-            workers: get("workers")?
-                .as_u64()
-                .ok_or("`workers` is not a number")?,
-            points: Vec::new(),
-        };
-        let points = get("points")?
-            .as_array()
-            .ok_or("`points` is not an array")?;
-        for (i, p) in points.iter().enumerate() {
-            let p = p
-                .as_object()
-                .ok_or_else(|| format!("point {i} is not an object"))?;
-            for field in POINT_FIELDS {
-                if !p.contains_key(*field) {
-                    return Err(format!("point {i} is missing field `{field}`"));
-                }
-            }
-            let s = |k: &str| -> Result<String, String> {
-                p[k].as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("point {i} field `{k}` is not a string"))
-            };
-            let u = |k: &str| -> Result<u64, String> {
-                p[k].as_u64()
-                    .ok_or_else(|| format!("point {i} field `{k}` is not an integer"))
-            };
-            let f = |k: &str| -> Result<f64, String> {
-                p[k].as_f64()
-                    .ok_or_else(|| format!("point {i} field `{k}` is not a number"))
-            };
-            let mut foreground = Vec::new();
-            if let Some(fg) = p.get("foreground") {
-                let classes = fg
-                    .as_array()
-                    .ok_or_else(|| format!("point {i} `foreground` is not an array"))?;
-                for (j, c) in classes.iter().enumerate() {
-                    let c = c
-                        .as_object()
-                        .ok_or_else(|| format!("point {i} foreground[{j}] is not an object"))?;
-                    for field in FG_FIELDS {
-                        if !c.contains_key(*field) {
-                            return Err(format!(
-                                "point {i} foreground[{j}] is missing field `{field}`"
-                            ));
-                        }
-                    }
-                    let cu = |k: &str| -> Result<u64, String> {
-                        c[k].as_u64().ok_or_else(|| {
-                            format!("point {i} foreground[{j}] field `{k}` is not an integer")
-                        })
-                    };
-                    foreground.push(FgClass {
-                        class: c["class"]
-                            .as_str()
-                            .ok_or_else(|| {
-                                format!("point {i} foreground[{j}] field `class` is not a string")
-                            })?
-                            .to_string(),
-                        ops: cu("ops")?,
-                        p50_us: cu("p50_us")?,
-                        p95_us: cu("p95_us")?,
-                        p99_us: cu("p99_us")?,
-                        max_us: cu("max_us")?,
-                    });
-                }
-            }
-            snap.points.push(BenchPoint {
-                experiment: s("experiment")?,
-                x: s("x")?,
-                strategy: s("strategy")?,
-                deleted: u("deleted")?,
-                sim_minutes: f("sim_minutes")?,
-                crit_path_minutes: f("crit_path_minutes")?,
-                random_reads: u("random_reads")?,
-                sequential_reads: u("sequential_reads")?,
-                random_writes: u("random_writes")?,
-                sequential_writes: u("sequential_writes")?,
-                pages_read: u("pages_read")?,
-                pages_written: u("pages_written")?,
-                retries: u("retries")?,
-                pool_hits: u("pool_hits")?,
-                pool_misses: u("pool_misses")?,
-                pool_prefetched: u("pool_prefetched")?,
-                pool_writebacks: u("pool_writebacks")?,
-                buffer_hit_rate: f("buffer_hit_rate")?,
-                foreground,
-            });
-        }
-        Ok(snap)
+/// What [`Snapshot::diff`] prints for a field one side does not have.
+const ABSENT: &str = "(absent)";
+
+impl Entry {
+    fn get(&self, key: &str) -> &str {
+        let found = self.fields.iter().find(|(k, _)| k == key);
+        found.map_or(ABSENT, |(_, v)| v)
     }
 }
 
-/// A minimal recursive-descent JSON reader — just enough to validate the
-/// snapshots this module writes (no serde in the vendor set).
-mod json {
-    use std::collections::BTreeMap;
+/// A snapshot document as read back from its text.
+#[derive(Debug)]
+pub struct Snapshot {
+    /// Table rows the run used.
+    pub rows: usize,
+    /// Worker threads the run used.
+    pub workers: usize,
+    /// Experiment ids in the order they ran.
+    pub ids: Vec<String>,
+    entries: Vec<Entry>,
+}
 
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(BTreeMap<String, Value>),
+/// Index of the quote closing the string that opens at `b[open]`.
+fn string_end(b: &[u8], open: usize) -> usize {
+    let mut i = open + 1;
+    while i < b.len() && b[i] != b'"' {
+        i += if b[i] == b'\\' { 2 } else { 1 };
     }
+    i.min(b.len())
+}
 
-    impl Value {
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Obj(m) => Some(m),
-                _ => None,
+/// Split one snapshot line into its `"key": value` pairs. Values stay the
+/// text they were printed as; strings lose their quotes, not their escapes,
+/// and a nested array or object is one value.
+fn fields(line: &str) -> Vec<(String, String)> {
+    let b = line.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while let Some(open) = (i..b.len()).find(|&j| b[j] == b'"') {
+        let close = string_end(b, open);
+        let start = (close + 1..b.len())
+            .find(|&j| b[j] != b':' && b[j] != b' ')
+            .unwrap_or(b.len());
+        let (mut end, mut depth) = (start, 0usize);
+        while end < b.len() {
+            match b[end] {
+                b'"' => end = string_end(b, end),
+                b'[' | b'{' => depth += 1,
+                b',' | b']' | b'}' if depth == 0 => break,
+                b']' | b'}' => depth -= 1,
+                _ => {}
             }
+            end += 1;
         }
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        }
+        let end = end.min(b.len());
+        let value = line[start..end].trim();
+        let value = value
+            .strip_prefix('"')
+            .and_then(|v| v.strip_suffix('"'))
+            .unwrap_or(value);
+        out.push((line[open + 1..close].to_string(), value.to_string()));
+        i = end + 1;
     }
+    out
+}
 
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, *pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_number(b, pos),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", *pos))
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
+impl Snapshot {
+    /// Read a snapshot document back. `Err` names what is malformed.
+    pub fn read(text: &str) -> Result<Snapshot, String> {
+        let (mut schema, mut rows, mut workers) = (None, None, None);
+        let mut ids = Vec::new();
+        let mut entries = Vec::new();
+        for (n, line) in text.lines().enumerate() {
+            let mut f = fields(line);
+            match f.first().map(|(k, _)| k.as_str()) {
+                Some("schema") => schema = Some(f.remove(0).1),
+                Some("rows") => rows = f[0].1.parse().ok(),
+                Some("workers") => workers = f[0].1.parse().ok(),
+                Some("id") => {
+                    let name = f.remove(0).1;
+                    ids.push(name.clone());
+                    entries.push(Entry { name, fields: f });
                 }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("invalid \\u escape")?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("invalid escape at byte {}", *pos)),
+                Some("experiment") => {
+                    if f.len() < 3 || f[1].0 != "x" || f[2].0 != "strategy" {
+                        return Err(format!(
+                            "line {}: a cell starts with experiment, x, strategy",
+                            n + 1
+                        ));
                     }
-                    *pos += 1;
+                    let name = format!("{}/{}/{}", f[0].1, f[1].1, f[2].1);
+                    entries.push(Entry {
+                        name,
+                        fields: f.split_off(3),
+                    });
                 }
-                Some(&c) => {
-                    // Multi-byte UTF-8 passes through unchanged.
-                    let ch_len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let s = std::str::from_utf8(&b[*pos..*pos + ch_len])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    out.push_str(s);
-                    *pos += ch_len;
-                }
+                _ => {} // the brackets around the two arrays
             }
         }
+        if schema.as_deref() != Some("2") {
+            return Err(format!(
+                "schema is {}, expected 2 (a file `repro --bench-json` wrote)",
+                schema.as_deref().unwrap_or("absent")
+            ));
+        }
+        Ok(Snapshot {
+            rows: rows.ok_or("no `rows` in the header")?,
+            workers: workers.ok_or("no `workers` in the header")?,
+            ids,
+            entries,
+        })
     }
 
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
+    /// Why this snapshot cannot serve as a baseline, if it cannot: only
+    /// single-threaded cells repeat to the digit, and two cells under one
+    /// identity cannot be told apart.
+    pub fn refuse_as_baseline(&self) -> Result<(), String> {
+        if self.workers > 1 {
+            return Err(format!(
+                "taken with {} workers: threaded cells do not repeat",
+                self.workers
+            ));
         }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
+        if self.ids.is_empty() {
+            return Err("no experiments recorded".to_string());
+        }
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.fields.iter().any(|(k, _)| k == "foreground") {
+                return Err(format!(
+                    "{} was measured under foreground threads: it does not repeat",
+                    e.name
+                ));
+            }
+            if self.entries[..i].iter().any(|o| o.name == e.name) {
+                return Err(format!("two cells are both named {}", e.name));
             }
         }
+        Ok(())
     }
 
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut map = BTreeMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            expect(b, pos, b':')?;
-            map.insert(key, parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(map));
+    /// Compare `fresh` against this snapshot, one line per divergence:
+    /// `experiment/x/strategy.field: old → new` for a field that differs,
+    /// plus one line per cell missing from `fresh` and per cell only in it.
+    /// Equal snapshots give no lines.
+    pub fn diff(&self, fresh: &Snapshot) -> Vec<String> {
+        let mut out = Vec::new();
+        for old in &self.entries {
+            let Some(new) = fresh.entries.iter().find(|e| e.name == old.name) else {
+                out.push(format!("{}: missing from the re-run", old.name));
+                continue;
+            };
+            let only_new = new.fields.iter().filter(|(k, _)| old.get(k) == ABSENT);
+            for (key, _) in old.fields.iter().chain(only_new) {
+                let (was, is) = (old.get(key), new.get(key));
+                if was != is {
+                    out.push(format!("{}.{key}: {was} → {is}", old.name));
                 }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
             }
         }
+        for new in &fresh.entries {
+            if !self.entries.iter().any(|e| e.name == new.name) {
+                out.push(format!("{}: not in the baseline", new.name));
+            }
+        }
+        out
     }
 }
 
@@ -592,11 +420,11 @@ mod json {
 mod tests {
     use super::*;
 
-    fn sample_point() -> BenchPoint {
+    fn point(x: &str, strategy: &str) -> BenchPoint {
         BenchPoint {
             experiment: "fig7".into(),
-            x: "15%".into(),
-            strategy: "bulk delete".into(),
+            x: x.into(),
+            strategy: strategy.into(),
             deleted: 15_000,
             sim_minutes: 1.25,
             crit_path_minutes: 1.25,
@@ -616,96 +444,98 @@ mod tests {
         }
     }
 
-    fn sample_fg() -> Vec<FgClass> {
-        vec![
-            FgClass {
-                class: "point_read".into(),
-                ops: 4_200,
-                p50_us: 18,
-                p95_us: 95,
-                p99_us: 240,
-                max_us: 1_900,
-            },
-            FgClass {
-                class: "range_scan".into(),
-                ops: 800,
-                p50_us: 120,
-                p95_us: 600,
-                p99_us: 1_500,
-                max_us: 4_000,
-            },
-        ]
+    fn report(points: Vec<BenchPoint>) -> ExperimentReport {
+        ExperimentReport {
+            id: "fig7",
+            title: "unit".into(),
+            x_label: "deleted tuples",
+            notes: "a \"quoted\", comma-laden note:\nsecond line".into(),
+            points,
+        }
+    }
+
+    fn sample() -> Vec<BenchPoint> {
+        vec![point("5%", "bulk delete"), point("5%", "sorted/trad")]
+    }
+
+    fn read(points: Vec<BenchPoint>) -> Snapshot {
+        Snapshot::read(&to_json(20_000, 1, &[report(points)])).expect("parses")
     }
 
     #[test]
-    fn snapshot_round_trips_through_json() {
-        let mut snap = BenchSnapshot::new("unit \"quoted\" label", 100_000, 3);
-        snap.points.push(sample_point());
-        snap.points.push(BenchPoint {
-            x: "20%".into(),
-            ..sample_point()
-        });
-        let parsed = BenchSnapshot::validate(&snap.to_json()).expect("round trip");
-        assert_eq!(parsed.label, snap.label);
-        assert_eq!(parsed.rows, 100_000);
-        assert_eq!(parsed.workers, 3);
-        assert_eq!(parsed.points.len(), 2);
-        assert_eq!(parsed.points[0].strategy, "bulk delete");
-        assert_eq!(parsed.points[1].x, "20%");
-        assert!((parsed.points[0].sim_minutes - 1.25).abs() < 1e-9);
+    fn equal_snapshots_give_no_lines() {
+        let snap = read(sample());
+        assert_eq!((snap.rows, snap.workers), (20_000, 1));
+        assert_eq!(snap.ids, vec!["fig7"]);
+        snap.refuse_as_baseline().expect("a fine baseline");
+        assert_eq!(snap.diff(&read(sample())), Vec::<String>::new());
     }
 
     #[test]
-    fn foreground_classes_round_trip_through_json() {
-        let mut snap = BenchSnapshot::new("live", 100_000, 4);
-        snap.points.push(BenchPoint {
-            foreground: sample_fg(),
-            ..sample_point()
-        });
-        snap.points.push(sample_point());
-        let parsed = BenchSnapshot::validate(&snap.to_json()).expect("round trip");
-        assert_eq!(parsed.points[0].foreground, sample_fg());
-        assert!(parsed.points[1].foreground.is_empty());
-        // An offline point's JSON must not mention foreground at all, so
-        // pre-live snapshots stay byte-identical.
-        let offline_only = BenchSnapshot::new("offline", 1, 1).to_json();
-        assert!(!offline_only.contains("foreground"));
+    fn one_perturbed_field_is_the_one_line() {
+        let mut moved = sample();
+        moved[1].sim_minutes = 1.250001;
+        assert_eq!(
+            read(sample()).diff(&read(moved)),
+            vec!["fig7/5%/sorted/trad.sim_minutes: 1.250000 → 1.250001"]
+        );
+        let mut noted = report(sample());
+        noted.notes.push('!');
+        let fresh = Snapshot::read(&to_json(20_000, 1, &[noted])).unwrap();
+        let lines = read(sample()).diff(&fresh);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].starts_with("fig7.notes: a \\\"quoted\\\", comma"));
     }
 
     #[test]
-    fn missing_foreground_subfield_is_rejected() {
-        let mut snap = BenchSnapshot::new("live", 1, 1);
-        snap.points.push(BenchPoint {
-            foreground: sample_fg(),
-            ..sample_point()
-        });
-        let json = snap.to_json().replace("\"p99_us\": 240, ", "");
-        let err = BenchSnapshot::validate(&json).unwrap_err();
-        assert!(err.contains("p99_us"), "err: {err}");
+    fn missing_extra_and_fieldless_cells_are_named() {
+        let mut fresh = sample();
+        fresh[1].strategy = "not sorted/trad".into();
+        assert_eq!(
+            read(sample()).diff(&read(fresh)),
+            vec![
+                "fig7/5%/sorted/trad: missing from the re-run",
+                "fig7/5%/not sorted/trad: not in the baseline"
+            ]
+        );
+        // A field dropped from a hand-edited baseline is a divergence too.
+        let edited = to_json(20_000, 1, &[report(sample())]).replacen("\"retries\": 0, ", "", 1);
+        assert_eq!(
+            Snapshot::read(&edited).unwrap().diff(&read(sample())),
+            vec!["fig7/5%/bulk delete.retries: (absent) → 0"]
+        );
     }
 
     #[test]
-    fn missing_point_field_is_rejected() {
-        let mut snap = BenchSnapshot::new("x", 1, 1);
-        snap.points.push(sample_point());
-        let json = snap.to_json().replace("\"retries\": 0, ", "");
-        let err = BenchSnapshot::validate(&json).unwrap_err();
-        assert!(err.contains("retries"), "err: {err}");
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        assert!(BenchSnapshot::validate("{\"schema\": 1,").is_err());
-        assert!(BenchSnapshot::validate("").is_err());
-        assert!(BenchSnapshot::validate("[1, 2]").is_err());
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let snap = BenchSnapshot::new("x", 1, 1);
-        let json = snap.to_json().replace("\"schema\": 1", "\"schema\": 2");
-        assert!(BenchSnapshot::validate(&json)
+    fn threaded_foreground_and_duplicate_baselines_are_refused() {
+        let threaded = Snapshot::read(&to_json(20_000, 3, &[report(sample())])).unwrap();
+        assert!(threaded
+            .refuse_as_baseline()
             .unwrap_err()
-            .contains("schema"));
+            .contains("3 workers"));
+
+        let mut live = sample();
+        live[0].foreground = vec![FgClass {
+            class: "point_read".into(),
+            ops: 4_200,
+            p50_us: 18,
+            p95_us: 95,
+            p99_us: 240,
+            max_us: 1_900,
+        }];
+        let err = read(live).refuse_as_baseline().unwrap_err();
+        assert!(err.contains("fig7/5%/bulk delete"), "{err}");
+
+        let twice = vec![point("5%", "bulk delete"), point("5%", "bulk delete")];
+        let err = read(twice).refuse_as_baseline().unwrap_err();
+        assert!(err.contains("both named fig7/5%/bulk delete"), "{err}");
+    }
+
+    #[test]
+    fn other_documents_are_rejected() {
+        assert!(Snapshot::read("").is_err());
+        assert!(Snapshot::read("{\"schema\": 1, \"label\": \"old\"}").is_err());
+        let cell = to_json(1, 1, &[report(sample())]).replacen("\"x\": \"5%\", ", "", 1);
+        assert!(Snapshot::read(&cell).unwrap_err().contains("line 9"));
     }
 }

@@ -74,7 +74,7 @@ fn fig8_bulk_advantage_grows_with_indices() {
 #[test]
 fn table1_bulk_height_independent_traditional_not() {
     let r = experiments::table1(ROWS, 1).unwrap();
-    let rows: Vec<&str> = r.rows.iter().map(|(x, _)| x.as_str()).collect();
+    let rows = r.xs();
     assert_eq!(rows.len(), 2);
     let (short, tall) = (rows[0].to_string(), rows[1].to_string());
     assert_ne!(short, tall, "the two configurations must differ in height");
@@ -133,13 +133,13 @@ fn fig8_parallel_crit_path_beats_serial_clock() {
     // With 3 indices the fan-out group has two concurrent arms, so the
     // critical path is strictly below the serial clock; with 1 index
     // there is nothing to overlap and the clocks agree.
-    let crit3 = parallel.value("3", "bulk crit-path");
+    let crit3 = parallel.value("3", "bulk delete crit");
     let serial3 = parallel.value("3", "bulk delete");
     assert!(
         crit3 < serial3,
         "critical path must be strictly below serial ({crit3} !< {serial3})"
     );
-    let crit1 = parallel.value("1", "bulk crit-path");
+    let crit1 = parallel.value("1", "bulk delete crit");
     let serial1 = parallel.value("1", "bulk delete");
     assert!((crit1 - serial1).abs() < 1e-9, "no arms, no overlap");
 }

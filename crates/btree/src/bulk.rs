@@ -16,6 +16,7 @@
 //! requires of any viable ⋈̄ method, and both return the deleted entries so
 //! the operator's output can be piped into downstream bulk deletes.
 
+use std::cell::Cell;
 use std::collections::HashSet;
 
 use bd_storage::{PageId, ReadAhead, Rid, StorageResult};
@@ -58,29 +59,29 @@ fn leaf_read_ahead(tree: &BTree, start: PageId) -> ReadAhead {
     ReadAhead::over_extent(tree.pool().clone(), tree.leaf_extent(), start)
 }
 
-/// Delete every `(key, rid)` in `victims` (sorted ascending) by merging the
-/// list into a left-to-right leaf walk. Victims not present in the tree are
-/// skipped. Returns the deleted entries in order.
-pub fn bulk_delete_sorted(
+/// The one leaf walk behind every variant below: from `start`, strictly
+/// left to right, each leaf pinned for write exactly once and rewritten in
+/// place without the entries `doomed` picks (it sees every entry of every
+/// visited leaf, in order). `stop` is asked before each pin, with the number
+/// of entries deleted so far; the walk also ends at the end of the chain.
+/// Emptied leaves are freed and unlinked unless `policy` is `None`.
+/// Returns the deleted entries in walk order.
+fn sweep_leaves(
     tree: &mut BTree,
-    victims: &[(Key, Rid)],
+    start: PageId,
     policy: ReorgPolicy,
+    mut stop: impl FnMut(usize) -> bool,
+    mut doomed: impl FnMut((Key, Rid)) -> bool,
 ) -> StorageResult<Vec<(Key, Rid)>> {
-    debug_assert!(victims.windows(2).all(|w| w[0] <= w[1]), "victims unsorted");
-    if victims.is_empty() {
-        return Ok(Vec::new());
-    }
-    let (start_leaf, _) = tree.descend(victims[0])?;
-    let mut deleted = Vec::with_capacity(victims.len());
-    let mut vi = 0usize;
+    let mut deleted = Vec::new();
     let mut freed: HashSet<PageId> = HashSet::new();
     let mut prev: Option<PageId> = None;
-    let mut cur = Some(start_leaf);
-    let mut ra = leaf_read_ahead(tree, start_leaf);
+    let mut cur = Some(start);
+    let mut ra = leaf_read_ahead(tree, start);
 
     let walked = (|| -> StorageResult<()> {
         while let Some(pid) = cur {
-            if vi >= victims.len() {
+            if stop(deleted.len()) {
                 break;
             }
             // Pause point: between leaves, no pin held, freed set and the
@@ -93,12 +94,8 @@ pub fn bulk_delete_sorted(
             let mut keep = Vec::with_capacity(entries.len());
             let before = deleted.len();
             for e in entries.iter().copied() {
-                while vi < victims.len() && victims[vi] < e {
-                    vi += 1; // victim not present in the tree
-                }
-                if vi < victims.len() && victims[vi] == e {
+                if doomed(e) {
                     deleted.push(e);
-                    vi += 1;
                 } else {
                     keep.push(e);
                 }
@@ -134,6 +131,37 @@ pub fn bulk_delete_sorted(
     Ok(deleted)
 }
 
+/// Delete every `(key, rid)` in `victims` (sorted ascending) by merging the
+/// list into a left-to-right leaf walk. Victims not present in the tree are
+/// skipped. Returns the deleted entries in order.
+pub fn bulk_delete_sorted(
+    tree: &mut BTree,
+    victims: &[(Key, Rid)],
+    policy: ReorgPolicy,
+) -> StorageResult<Vec<(Key, Rid)>> {
+    debug_assert!(victims.windows(2).all(|w| w[0] <= w[1]), "victims unsorted");
+    if victims.is_empty() {
+        return Ok(Vec::new());
+    }
+    let (start_leaf, _) = tree.descend(victims[0])?;
+    let vi = Cell::new(0usize);
+    sweep_leaves(
+        tree,
+        start_leaf,
+        policy,
+        |_| vi.get() >= victims.len(),
+        |e| {
+            let mut i = vi.get();
+            while i < victims.len() && victims[i] < e {
+                i += 1; // victim not present in the tree
+            }
+            let hit = i < victims.len() && victims[i] == e;
+            vi.set(i + usize::from(hit));
+            hit
+        },
+    )
+}
+
 /// Delete every entry whose *key* appears in `keys` (sorted ascending,
 /// duplicates in the tree all removed) by merging the key list into a
 /// left-to-right leaf walk. This is the first `⋈̄` of every vertical plan:
@@ -149,63 +177,22 @@ pub fn bulk_delete_by_keys(
         return Ok(Vec::new());
     }
     let (start_leaf, _) = tree.descend(key_floor(keys[0]))?;
-    let mut deleted = Vec::with_capacity(keys.len());
-    let mut ki = 0usize;
-    let mut freed: HashSet<PageId> = HashSet::new();
-    let mut prev: Option<PageId> = None;
-    let mut cur = Some(start_leaf);
-    let mut ra = leaf_read_ahead(tree, start_leaf);
-
-    let walked = (|| -> StorageResult<()> {
-        while let Some(pid) = cur {
-            if ki >= keys.len() {
-                break;
+    let ki = Cell::new(0usize);
+    sweep_leaves(
+        tree,
+        start_leaf,
+        policy,
+        |_| ki.get() >= keys.len(),
+        |e| {
+            let mut i = ki.get();
+            while i < keys.len() && keys[i] < e.0 {
+                i += 1; // key not present in the tree
             }
-            // Pause point: between leaves, no pin held.
-            bd_storage::pacer::checkpoint()?;
-            ra.before_pin(pid);
-            let mut w = tree.pool().pin_write(pid)?;
-            let mut node = NodeMut::new(&mut w[..]);
-            let entries = node.as_ref().leaf_entries();
-            let mut keep = Vec::with_capacity(entries.len());
-            let before = deleted.len();
-            for e in entries.iter().copied() {
-                while ki < keys.len() && keys[ki] < e.0 {
-                    ki += 1; // key not present in the tree
-                }
-                if ki < keys.len() && keys[ki] == e.0 {
-                    // Do not advance ki: the key may have more duplicates.
-                    deleted.push(e);
-                } else {
-                    keep.push(e);
-                }
-            }
-            let changed = deleted.len() > before;
-            if changed {
-                node.leaf_set_entries(&keep);
-            }
-            let next = node.as_ref().right_sibling();
-            let emptied = changed && keep.is_empty();
-            drop(w);
-            tree.sub_len(deleted.len() - before);
-            if emptied && pid != tree.root_page() && policy != ReorgPolicy::None {
-                freed.insert(pid);
-                tree.stats_mut().leaves_freed += 1;
-                tree.pool().free_page(pid);
-                if let Some(pv) = prev {
-                    let mut pw = tree.pool().pin_write(pv)?;
-                    NodeMut::new(&mut pw[..]).set_right_sibling(next);
-                }
-            } else if !entries.is_empty() || pid == tree.root_page() {
-                prev = Some(pid);
-            }
-            cur = next;
-        }
-        Ok(())
-    })();
-
-    finish_pass(tree, walked, &freed, policy)?;
-    Ok(deleted)
+            // A hit does not advance: the key may have more duplicates.
+            ki.set(i);
+            i < keys.len() && keys[i] == e.0
+        },
+    )
 }
 
 /// Delete every entry whose RID is in `victims`, scanning the leaf level
@@ -224,66 +211,20 @@ pub fn bulk_delete_probe(
         Some((lo, _)) => tree.descend(key_floor(lo))?.0,
         None => tree.first_leaf()?,
     };
-    let mut deleted = Vec::new();
-    let mut freed: HashSet<PageId> = HashSet::new();
-    let mut prev: Option<PageId> = None;
-    let mut cur = Some(start_leaf);
-    let mut ra = leaf_read_ahead(tree, start_leaf);
-
-    let walked = (|| -> StorageResult<()> {
-        'walk: while let Some(pid) = cur {
-            // Pause point: between leaves, no pin held.
-            bd_storage::pacer::checkpoint()?;
-            ra.before_pin(pid);
-            let mut w = tree.pool().pin_write(pid)?;
-            let mut node = NodeMut::new(&mut w[..]);
-            let entries = node.as_ref().leaf_entries();
-            let mut keep = Vec::with_capacity(entries.len());
-            let before = deleted.len();
-            let mut past_range = false;
-            for e in entries.iter().copied() {
-                if let Some((_, hi)) = key_range {
-                    if e.0 > hi {
-                        past_range = true;
-                        keep.push(e);
-                        continue;
-                    }
-                }
-                if victims.contains(&e.1) {
-                    deleted.push(e);
-                } else {
-                    keep.push(e);
-                }
+    let past_range = Cell::new(false);
+    sweep_leaves(
+        tree,
+        start_leaf,
+        policy,
+        |deleted| past_range.get() || deleted == victims.len(),
+        |e| {
+            if key_range.is_some_and(|(_, hi)| e.0 > hi) {
+                past_range.set(true);
+                return false;
             }
-            let changed = deleted.len() > before;
-            if changed {
-                node.leaf_set_entries(&keep);
-            }
-            let next = node.as_ref().right_sibling();
-            let emptied = changed && keep.is_empty();
-            drop(w);
-            tree.sub_len(deleted.len() - before);
-            if emptied && pid != tree.root_page() && policy != ReorgPolicy::None {
-                freed.insert(pid);
-                tree.stats_mut().leaves_freed += 1;
-                tree.pool().free_page(pid);
-                if let Some(pv) = prev {
-                    let mut pw = tree.pool().pin_write(pv)?;
-                    NodeMut::new(&mut pw[..]).set_right_sibling(next);
-                }
-            } else if !entries.is_empty() || pid == tree.root_page() {
-                prev = Some(pid);
-            }
-            cur = next;
-            if past_range || deleted.len() == victims.len() {
-                break 'walk;
-            }
-        }
-        Ok(())
-    })();
-
-    finish_pass(tree, walked, &freed, policy)?;
-    Ok(deleted)
+            victims.contains(&e.1)
+        },
+    )
 }
 
 #[cfg(test)]

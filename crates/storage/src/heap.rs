@@ -320,9 +320,8 @@ impl HeapFile {
             ra.before_pin(pid);
             let r = self.pool.pin_read(pid)?;
             n += crate::slotted::read::live_records(&r[..]);
-            let mut buf: crate::page::PageBuf = Box::new(*r);
+            let free = crate::slotted::read::usable_free(&r[..]);
             drop(r);
-            let free = SlottedPage::new(&mut buf[..]).usable_free();
             self.fsm.update(pid, free);
         }
         self.n_records = n;
@@ -399,9 +398,7 @@ impl HeapFile {
     pub fn audit_fsm(&self) -> StorageResult<Vec<FsmMismatch>> {
         let mut out = Vec::new();
         for &pid in &self.pages {
-            let mut w = self.pool.pin_write(pid)?;
-            let page = SlottedPage::new(&mut w[..]);
-            let actual = page.usable_free();
+            let actual = crate::slotted::read::usable_free(&self.pool.pin_read(pid)?[..]);
             let recorded = self.fsm.free_bytes(pid);
             if recorded != Some(actual) {
                 out.push(FsmMismatch {
@@ -632,6 +629,21 @@ mod tests {
             assert!(h.get(v).is_err());
         }
         h.verify_fsm().unwrap();
+    }
+
+    #[test]
+    fn auditing_a_clean_heap_writes_nothing() {
+        // Regression: `audit_fsm` pinned every page for write just to read
+        // its free space, so each audit dirtied the whole heap.
+        let mut h = heap(16);
+        for i in 0..100 {
+            h.insert(&record(i)).unwrap();
+        }
+        h.pool().flush_all().unwrap();
+        h.pool().reset_stats();
+        assert_eq!(h.audit_fsm().unwrap(), vec![]);
+        h.pool().flush_all().unwrap();
+        assert_eq!(h.pool().pool_stats().writebacks, 0);
     }
 
     #[test]

@@ -90,8 +90,7 @@ impl<'a> SlottedPage<'a> {
     /// Free bytes available after a hypothetical compaction (counts holes
     /// left by deleted records).
     pub fn usable_free(&self) -> usize {
-        let live: usize = (0..self.n_slots()).map(|i| self.slot(i).1).sum();
-        PAGE_SIZE - HDR - self.n_slots() * SLOT - live
+        read::usable_free(self.buf)
     }
 
     /// Largest record insertable into a fresh page.
@@ -239,7 +238,7 @@ impl<'a> SlottedPage<'a> {
 
 /// Read-only access to a slotted page image (no `&mut` required).
 pub mod read {
-    use super::{HDR, SLOT};
+    use super::{HDR, PAGE_SIZE, SLOT};
     use crate::error::{StorageError, StorageResult};
     use crate::page::get_u16;
     use crate::rid::Rid;
@@ -275,6 +274,16 @@ pub mod read {
             .filter(|&s| is_live(buf, s))
             .count()
     }
+
+    /// Free bytes available after a hypothetical compaction (counts holes
+    /// left by deleted records).
+    pub fn usable_free(buf: &[u8]) -> usize {
+        let n = slot_count(buf);
+        let live: usize = (0..n)
+            .map(|i| get_u16(buf, HDR + i * SLOT + 2) as usize)
+            .sum();
+        PAGE_SIZE - HDR - n * SLOT - live
+    }
 }
 
 #[cfg(test)]
@@ -295,6 +304,9 @@ mod tests {
         assert_eq!(read::get(&buf[..], b).unwrap(), b"beta");
         assert!(read::get(&buf[..], a).is_err());
         assert_eq!(read::live_records(&buf[..]), 1);
+        // Two directory entries, one live 4-byte record.
+        assert_eq!(read::usable_free(&buf[..]), PAGE_SIZE - HDR - 2 * SLOT - 4);
+        assert_eq!(SlottedPage::new(&mut buf[..]).usable_free(), 4080);
     }
 
     #[test]

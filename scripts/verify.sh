@@ -33,64 +33,17 @@ cargo run --release -p bd-bench --bin repro -- --audit --parallel 3
 # the heap + WAL).
 cargo run --release -p bd-bench --bin repro -- --faults --parallel 3
 
-# Bench-snapshot gate: a bounded fig7 sweep must produce a valid
-# machine-readable BENCH_<n>.json snapshot (schema, required fields,
-# point count), keeping the perf trajectory emitters honest.
-cargo run --release -p bd-bench --bin repro -- fig7 --rows 20000 --bench-json target/bench_ci.json
-cargo run --release -p bd-bench --bin repro -- --check-bench target/bench_ci.json
+# The gate: re-run what the committed snapshot's header says it holds (the
+# six figures plus erase, maintain and lsm at 20000 rows, one worker) and
+# compare every field of every cell and every experiment's notes as
+# printed. One moved digit exits 1 with the cell and field named; each
+# experiment's own verdict (erasure proofs + fault sample, the 10% space
+# budget, the LSM twin and page audits) fails it the same way. After an
+# intended change regenerate the file (README, "Reproducing the paper")
+# and commit the diff: it is the PR's before/after.
+cargo run --release -p bd-bench --bin repro -- --check-bench BENCH.json
 
-# The committed fig7+fig8 snapshots (before and after write-behind) must
-# stay schema-valid.
-for snapshot in BENCH_6.json BENCH_14.json; do
-    cargo run --release -p bd-bench --bin repro -- --check-bench "$snapshot"
-done
-
-# Online smoke: offline vs live bulk delete under foreground traffic at a
-# bounded scale. Every run is shadow-model-checked, and the emitted
-# snapshot must validate including its per-point foreground percentile
-# arrays.
-cargo run --release -p bd-bench --bin repro -- --live --rows 20000 --bench-json target/bench_live_ci.json
-cargo run --release -p bd-bench --bin repro -- --check-bench target/bench_live_ci.json
-
-# The committed live snapshot must stay schema-valid.
-if [ -f BENCH_7.json ]; then
-    cargo run --release -p bd-bench --bin repro -- --check-bench BENCH_7.json
-fi
-
-# Erasure smoke: the retention-window sweep (plain cascade vs durable
-# erasure campaign over the sliding-window warehouse) at a bounded scale.
-# Every campaign's proof-of-deletion must come back clean, and a bounded
-# crash/torn-write sample of the campaign fault sweep must recover and
-# re-prove at every sampled point.
-cargo run --release -p bd-bench --bin repro -- --erase --rows 6000 --bench-json target/bench_erase_ci.json
-cargo run --release -p bd-bench --bin repro -- --check-bench target/bench_erase_ci.json
-
-# The committed erasure snapshot must stay schema-valid.
-if [ -f BENCH_8.json ]; then
-    cargo run --release -p bd-bench --bin repro -- --check-bench BENCH_8.json
-fi
-
-# Steady-state maintenance smoke: the sliding-window sweep must show the
-# daemon holding the disk footprint (in-use pages within 10% of a fresh
-# bulk load of the same live rows) while the unmaintained arm leaks, and
-# the emitted snapshot must validate.
-cargo run --release -p bd-bench --bin repro -- --maintain --rows 20000 --bench-json target/bench_maintain_ci.json
-cargo run --release -p bd-bench --bin repro -- --check-bench target/bench_maintain_ci.json
-
-# The committed maintenance snapshot must stay schema-valid.
-if [ -f BENCH_9.json ]; then
-    cargo run --release -p bd-bench --bin repro -- --check-bench BENCH_9.json
-fi
-
-# Engine-comparison smoke: the delete-fraction sweep replayed through the
-# engine seam (B-tree bulk delete / drop&create vs the delete-aware LSM's
-# tombstone and forced-purge arms) at a bounded scale. Every LSM cell is
-# differentially audited against its B-tree twin and its page catalog is
-# checked for leaks; the emitted snapshot must validate.
-cargo run --release -p bd-bench --bin repro -- --lsm --rows 20000 --bench-json target/bench_lsm_ci.json
-cargo run --release -p bd-bench --bin repro -- --check-bench target/bench_lsm_ci.json
-
-# The committed engine-comparison snapshot must stay schema-valid.
-if [ -f BENCH_10.json ]; then
-    cargo run --release -p bd-bench --bin repro -- --check-bench BENCH_10.json
-fi
+# Online smoke: offline vs live bulk delete beside four foreground threads.
+# Threaded cells do not repeat, so its gate is the shadow-model diff every
+# cell runs before its numbers are accepted.
+cargo run --release -p bd-bench --bin repro -- live --rows 20000
