@@ -32,7 +32,14 @@
 //!   B-tree vertical bulk delete vs the delete-aware LSM's tombstone write
 //!   (deferred cost) and the same plus a forced purge (total cost); every
 //!   LSM cell is differentially audited against a B-tree twin
-//!   (`audit_engine_equivalence`) and its page catalog checked for leaks.
+//!   (`audit_engine_equivalence`) and its page catalog checked for leaks;
+//! * `plans` — §4's remark that the `⋈̄` methods differ little, measured: the
+//!   front door's sort/merge plan beside classic hash, partitioned hash and
+//!   hash probe forced by hand and beside itself under the two §2.3
+//!   reorganization policies, at 2/10 MB × 1/5/15 % deletes on the 3-index
+//!   table; a forced plan whose RID set overruns the workspace is an absent
+//!   cell, and the run fails if sort/merge is more than 1.05× behind any
+//!   index-method cell.
 //!
 //! Default scale is 100,000 rows (1/10 of the paper with all ratios
 //! preserved); `--rows 1000000` runs the paper's full scale. Output times
@@ -49,8 +56,8 @@
 //!
 //! `--bench-json PATH` additionally dumps every measured cell of the run as
 //! a snapshot whose header records how to regenerate it (ids, rows). The
-//! committed `BENCH.json` is `repro all erase maintain lsm --rows 20000
-//! --bench-json BENCH.json`; its `git diff` is a PR's before/after.
+//! committed `BENCH.json` is `repro all erase maintain lsm plans --rows
+//! 20000 --bench-json BENCH.json`; its `git diff` is a PR's before/after.
 //!
 //! `--check-bench PATH` is the gate: it reads that header, re-runs exactly
 //! those experiments at those rows with one worker, and compares every

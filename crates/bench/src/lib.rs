@@ -15,6 +15,7 @@ pub mod experiments;
 pub mod live;
 pub mod lsm;
 pub mod maintain;
+pub mod plans;
 pub mod snapshot;
 
 use bd_btree::BTreeConfig;
@@ -183,18 +184,23 @@ pub fn run_point(
     strategy: StrategyKind,
     delete_fraction: f64,
 ) -> DbResult<RunReport> {
-    let (mut db, w) = cfg.build()?;
-    let d = w.delete_set(delete_fraction, cfg.seed.wrapping_add(1));
-    let report = strategy.run_workers(&mut db, w.tid, &d, cfg.workers.max(1))?;
-    db.check_consistency(w.tid)?;
-    Ok(report)
+    run_point_with(cfg, delete_fraction, |db, tid, d| {
+        strategy.run_workers(db, tid, d, cfg.workers.max(1))
+    })
 }
 
-/// Build a point and draw its delete set (Criterion setup closure).
-pub fn prepare(cfg: &PointConfig, delete_fraction: f64) -> (Database, TableId, Vec<Key>) {
-    let (db, w) = cfg.build().expect("build point");
+/// [`run_point`] for any statement: build the point, draw its delete set,
+/// run `statement` over them, verify consistency afterwards.
+pub fn run_point_with(
+    cfg: &PointConfig,
+    delete_fraction: f64,
+    statement: impl FnOnce(&mut Database, TableId, &[Key]) -> DbResult<RunReport>,
+) -> DbResult<RunReport> {
+    let (mut db, w) = cfg.build()?;
     let d = w.delete_set(delete_fraction, cfg.seed.wrapping_add(1));
-    (db, w.tid, d)
+    let report = statement(&mut db, w.tid, &d)?;
+    db.check_consistency(w.tid)?;
+    Ok(report)
 }
 
 /// One experiment's measured cells plus what is printed around them. The

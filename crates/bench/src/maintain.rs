@@ -27,7 +27,7 @@ use bd_core::{
     MaintenanceConfig, RunReport, TableId, Tuple,
 };
 
-use bd_btree::{Key, ReorgPolicy};
+use bd_btree::Key;
 use bd_workload::TableSpec;
 
 use crate::snapshot::BenchPoint;
@@ -199,10 +199,10 @@ pub fn maintain_experiment(rows: usize, _workers: usize) -> DbResult<ExperimentR
         let d = &victims[round * window..(round + 1) * window];
         let x = format!("round {}", round + 1);
 
-        let off = strategy::vertical_auto(&mut db_off, tid, 0, d, ReorgPolicy::FreeAtEmpty, 1)?;
-        cell(&x, "daemon off", &off.1.report);
-        let on = strategy::vertical_auto(&mut db_on, tid, 0, d, ReorgPolicy::FreeAtEmpty, 1)?;
-        cell(&x, "daemon on", &on.1.report);
+        let off = strategy::vertical_sort_merge(&mut db_off, tid, 0, d, 1)?;
+        cell(&x, "daemon off", &off.report);
+        let on = strategy::vertical_sort_merge(&mut db_on, tid, 0, d, 1)?;
+        cell(&x, "daemon on", &on.report);
         cell(
             &x,
             "maintenance",

@@ -6,17 +6,11 @@ use bd_bench::snapshot::{to_json, Snapshot};
 
 #[test]
 fn every_id_round_trips_with_distinct_cell_identities() {
-    // 2000 rows, except `erase`: between ~700 and ~6000 sales its cascade
-    // planner sizes a hash set by victim keys, meets twice as many line-item
-    // rows and overruns the 16 KiB workspace (ROADMAP, findings).
     let reports: Vec<_> = REGISTRY
         .iter()
-        .map(|(id, run)| {
-            let rows = if *id == "erase" { 600 } else { 2_000 };
-            run(rows, 1).unwrap_or_else(|e| panic!("{id}: {e}"))
-        })
+        .map(|(id, run)| run(2_000, 1).unwrap_or_else(|e| panic!("{id}: {e}")))
         .collect();
-    assert_eq!(reports.len(), 10);
+    assert_eq!(reports.len(), 11);
 
     let mut seen = std::collections::HashSet::new();
     for p in reports.iter().flat_map(|r| &r.points) {
@@ -35,7 +29,7 @@ fn every_id_round_trips_with_distinct_cell_identities() {
         Snapshot::read(&json).unwrap(),
         Snapshot::read(&json).unwrap(),
     );
-    assert_eq!(a.ids.len(), 10);
+    assert_eq!(a.ids.len(), 11);
     assert_eq!(a.diff(&b), Vec::<String>::new());
     // The live cells carry foreground arrays: fine to write and to read,
     // refused as something a re-run could be held to.

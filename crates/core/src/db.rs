@@ -242,9 +242,9 @@ impl Database {
     }
 
     /// `DELETE FROM <table> WHERE <attr> IN (<keys>)` — the crate's
-    /// front-door API: plans with the optimizer, enforces registered
-    /// referential constraints vertically and early, then executes the
-    /// vertical bulk delete.
+    /// front-door API: enforces registered referential constraints
+    /// vertically and early, then executes the sort/merge vertical bulk
+    /// delete ([`crate::plan_sort_merge`]) on every table of the cascade.
     pub fn delete_in(
         &mut self,
         id: TableId,

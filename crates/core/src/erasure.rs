@@ -255,12 +255,7 @@ pub fn run_cascade_step(
     policy: ReorgPolicy,
     workers: usize,
 ) -> DbResult<DeleteOutcome> {
-    let p = crate::planner::plan_delete(
-        db.table(step.table)?,
-        step.attr,
-        step.keys.len(),
-        db.workspace().capacity(),
-    )?;
+    let p = crate::planner::plan_sort_merge(db.table(step.table)?, step.attr)?;
     crate::strategy::vertical(db, step.table, &step.keys, &p, policy, workers)
 }
 

@@ -7,16 +7,17 @@
 //! A [`db::Database`] holds tables (heap files with slotted pages) and
 //! B-link-tree indices over a simulated disk with an honest 1999-era cost
 //! model. `DELETE FROM R WHERE R.A IN (SELECT D.A FROM D)` can then be
-//! executed four ways:
+//! executed three ways:
 //!
 //! * [`strategy::horizontal`] — the traditional record-at-a-time executor
 //!   (`sorted/trad` and `not sorted/trad` in the paper's figures);
 //! * [`strategy::drop_create`] — drop secondary indices, delete, rebuild;
 //! * [`strategy::vertical`] — the paper's set-oriented bulk delete, driven
-//!   by a [`plan::DeletePlan`];
-//! * [`planner::plan_delete`] — the optimizer choosing ⋈̄ method
-//!   (sort/merge vs. classic hash vs. partitioned hash), ⋈̄ order (unique
-//!   indices first), and primary ⋈̄ predicate (key vs. RID).
+//!   by a [`plan::DeletePlan`]: [`planner::plan_sort_merge`] writes the one
+//!   the paper measured (sort/merge `⋈̄`s, unique indices first), which is
+//!   what [`strategy::vertical_sort_merge`] and [`Database::delete_in`] run;
+//!   the classic-hash, partitioned-hash and hash-probe methods of Fig. 4/5
+//!   are plans built by hand.
 //!
 //! ```
 //! use bd_core::prelude::*;
@@ -30,9 +31,10 @@
 //! }
 //! // DELETE FROM R WHERE R.A IN (0, 2, 4, ...)
 //! let d: Vec<u64> = (0..1000).step_by(2).collect();
-//! let (plan, outcome) = strategy::vertical_auto(
-//!     &mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1).unwrap();
+//! let plan = bd_core::plan_sort_merge(db.table(tid).unwrap(), 0).unwrap();
 //! println!("{}", plan.render(db.table(tid).unwrap()));
+//! let outcome =
+//!     strategy::vertical(&mut db, tid, &d, &plan, ReorgPolicy::FreeAtEmpty, 1).unwrap();
 //! assert_eq!(outcome.deleted.len(), 500);
 //! db.check_consistency(tid).unwrap();
 //! ```
@@ -40,7 +42,6 @@
 pub mod audit;
 pub mod catalog;
 pub mod constraint;
-pub mod cost;
 pub mod db;
 pub mod engine;
 pub mod erasure;
@@ -60,7 +61,6 @@ pub use audit::{
 };
 pub use catalog::{HashIdx, HashIndexDef, Index, IndexDef, Table};
 pub use constraint::{ForeignKey, RefAction};
-pub use cost::{horizontal_cost, plan_cost, CostEnv, CostEstimate};
 pub use db::{Database, DatabaseConfig, TableId};
 pub use engine::{audit_engine_equivalence, BtreeEngine, EngineStats, TableEngine};
 pub use erasure::{
@@ -71,7 +71,7 @@ pub use error::{DbError, DbResult};
 pub use executor::{PhaseExecutor, PhaseTask};
 pub use maintain::{Maintainer, MaintenanceConfig, MaintenanceReport};
 pub use plan::{DeletePlan, IndexMethod, IndexStep, TableMethod};
-pub use planner::{plan_delete, plan_delete_costed, plan_sort_merge};
+pub use planner::plan_sort_merge;
 pub use report::{
     measure, DegradeEvent, ForegroundReport, LatencyHistogram, PhaseRow, PhaseTimer, RunReport,
 };

@@ -286,7 +286,7 @@ mod tests {
     use crate::db::DatabaseConfig;
     use crate::strategy;
     use crate::tuple::{Schema, Tuple};
-    use bd_btree::{BTreeConfig, ReorgPolicy};
+    use bd_btree::BTreeConfig;
 
     // High-entropy keys so the erasure byte scan cannot collide with page
     // metadata or shifted images of small live values.
@@ -330,7 +330,7 @@ mod tests {
 
         for r in 0..4u64 {
             let d: Vec<u64> = (r * W..(r + 1) * W).collect();
-            strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1).unwrap();
+            strategy::vertical_sort_merge(&mut db, tid, 0, &d, 1).unwrap();
             m.run_cycle(&mut db).unwrap();
             db.check_consistency(tid).unwrap();
             let audit = crate::audit::audit_catalog(&db, tid).unwrap();
@@ -381,7 +381,7 @@ mod tests {
         let (mut db, tid) = db_with_keys((0..2000).map(skey));
         // Delete rows carrying a sensitive middle band of attribute-0 keys.
         let sensitive: Vec<u64> = (500..1500).map(skey).collect();
-        strategy::vertical_auto(&mut db, tid, 0, &sensitive, ReorgPolicy::FreeAtEmpty, 1).unwrap();
+        strategy::vertical_sort_merge(&mut db, tid, 0, &sensitive, 1).unwrap();
         let mut m = Maintainer::new(MaintenanceConfig::default());
         m.run_cycle(&mut db).unwrap();
         assert!(m.report().pages_reclaimed > 0);
@@ -398,7 +398,7 @@ mod tests {
     fn paused_maintenance_leaves_a_consistent_database() {
         let (mut db, tid) = db_with_keys(0..3000);
         let d: Vec<u64> = (0..3000u64).filter(|k| k % 3 != 0).collect();
-        strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1).unwrap();
+        strategy::vertical_sort_merge(&mut db, tid, 0, &d, 1).unwrap();
 
         let mut m = Maintainer::new(MaintenanceConfig {
             pack_subtrees: 1,

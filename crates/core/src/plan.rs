@@ -1,5 +1,5 @@
 //! Delete plans: the logical `D ⋈̄ I_A ⋈̄ R ⋈̄ I_B ⋈̄ I_C` shape with the
-//! optimizer's three degrees of freedom (§2.1): ⋈̄ *method*, ⋈̄ *order*, and
+//! three degrees of freedom §2.1 names: ⋈̄ *method*, ⋈̄ *order*, and
 //! primary ⋈̄ *predicate*.
 
 use crate::catalog::Table;
@@ -19,12 +19,9 @@ pub enum IndexMethod {
     /// classic hash). Requires the RID set to fit the workspace.
     ClassicHash,
     /// Range-partition the list so each partition's RID set fits the
-    /// workspace, then probe partition by partition over the matching leaf
-    /// ranges (Fig. 5).
-    PartitionedHash {
-        /// Number of partitions.
-        partitions: usize,
-    },
+    /// workspace (the executor sizes partitions from its sort budget), then
+    /// probe partition by partition over the matching leaf ranges (Fig. 5).
+    PartitionedHash,
 }
 
 /// How the base-table `⋈̄` is executed.
@@ -104,8 +101,8 @@ impl DeletePlan {
                 IndexMethod::ClassicHash => out.push_str(&format!(
                     "  -> bd[hash probe, rid] I_{n}{tag}   (shared RID hash table)\n"
                 )),
-                IndexMethod::PartitionedHash { partitions } => out.push_str(&format!(
-                    "  -> project({n},RID) -> range-partition x{partitions} -> bd[hash probe, rid] I_{n}{tag}\n"
+                IndexMethod::PartitionedHash => out.push_str(&format!(
+                    "  -> project({n},RID) -> range-partition -> bd[hash probe, rid] I_{n}{tag}\n"
                 )),
             }
         }

@@ -1,178 +1,30 @@
-//! The delete-plan optimizer.
+//! The delete planner.
 //!
-//! "Being aware of all these options, it is quite straightforward to extend
-//! an existing optimizer to make these decisions" (§2.1). The decisions,
-//! in the order the paper lists them:
+//! §2.1 lists three degrees of freedom and says an optimizer "can easily be
+//! extended" to choose; §4 then reports sort/merge only and remarks that the
+//! method differences are "much smaller than the differences between the
+//! horizontal and vertical approach". `repro plans` holds that remark as a
+//! gate, so the one planner writes the plan the paper measured:
 //!
-//! * **⋈̄ method** — classic hash when the RID set fits the workspace
-//!   ("particularly attractive if the hash table really fits into physical
-//!   main memory"); range-partitioned hash when it does not but a modest
-//!   number of partitions suffices; sort/merge otherwise (external sort
-//!   handles any size).
+//! * **⋈̄ method** — sort/merge everywhere (external sort handles any size,
+//!   so a plan cannot fail on a size estimate); the Fig. 4/5 hash methods
+//!   stay executable as hand-built plans.
 //! * **⋈̄ order** — unique indices first (§3.1.3: "Especially the unique
 //!   indices can be processed first"), then the rest in attribute order.
-//! * **primary ⋈̄ predicate** — the probe index uses the key predicate (the
-//!   delete list holds keys); downstream indices use the RID predicate
-//!   under hash methods and the composite predicate under sort/merge.
+//! * **primary ⋈̄ predicate** — key on the probe index (the delete list
+//!   holds keys), key + RID on the downstream indices.
 //!
 //! Clustering elides sorts: a clustered probe index yields a RID-sorted
 //! list for free; a clustered downstream index receives its keys already
 //! ordered because RID order implies key order.
 
-use bd_exec::{partitions_needed, BYTES_PER_RID};
-
 use crate::catalog::Table;
 use crate::error::{DbError, DbResult};
 use crate::plan::{DeletePlan, IndexMethod, IndexStep, TableMethod};
 
-/// Above this many range partitions the planner falls back to sort/merge.
-const MAX_PARTITIONS: usize = 16;
-
-/// Plan a vertical bulk delete of about `n_delete` keys on `probe_attr`
-/// with `workspace_bytes` of sort/hash memory.
-pub fn plan_delete(
-    table: &Table,
-    probe_attr: usize,
-    n_delete: usize,
-    workspace_bytes: usize,
-) -> DbResult<DeletePlan> {
-    let probe = table
-        .index_on(probe_attr)
-        .ok_or(DbError::NoProbeIndex { attr: probe_attr })?;
-
-    // Table step: merge, with the RID sort elided when the probe index is
-    // clustered.
-    let table_method = TableMethod::Merge {
-        presort: !probe.def.clustered,
-    };
-
-    // Hash fits when the whole RID set plus working slack fits.
-    let rid_set_fits = n_delete * BYTES_PER_RID <= workspace_bytes;
-
-    // Downstream indices: unique first, then attribute order.
-    let mut downstream: Vec<&crate::catalog::Index> = table
-        .indices
-        .iter()
-        .filter(|i| i.def.attr != probe_attr)
-        .collect();
-    downstream.sort_by_key(|i| (!i.def.unique, i.def.attr));
-
-    let index_steps = downstream
-        .into_iter()
-        .map(|index| {
-            let method = if index.def.clustered {
-                // Clustered: the projected list is already in key order.
-                IndexMethod::SortMerge { presort: false }
-            } else if rid_set_fits {
-                IndexMethod::ClassicHash
-            } else {
-                let partitions = partitions_needed(n_delete, BYTES_PER_RID, workspace_bytes);
-                if partitions <= MAX_PARTITIONS {
-                    IndexMethod::PartitionedHash { partitions }
-                } else {
-                    IndexMethod::SortMerge { presort: true }
-                }
-            };
-            IndexStep {
-                attr: index.def.attr,
-                method,
-            }
-        })
-        .collect();
-
-    Ok(DeletePlan {
-        probe_attr,
-        table: table_method,
-        index_steps,
-    })
-}
-
-/// Cost-based planning: enumerate the viable `⋈̄` method combinations,
-/// price each with the [`crate::cost`] model, and return the cheapest plan
-/// together with its estimate — the "optimizer based on dynamic
-/// programming" extension §2.1 sketches, specialized to this plan space
-/// (the steps are independent given the shared RID list, so per-step
-/// minimization is globally optimal).
-pub fn plan_delete_costed(
-    table: &Table,
-    probe_attr: usize,
-    n_delete: usize,
-    workspace_bytes: usize,
-    pool_bytes: usize,
-) -> DbResult<(DeletePlan, crate::cost::CostEstimate)> {
-    use crate::cost::{index_bd_cost, table_bd_cost, CostEnv};
-
-    let probe = table
-        .index_on(probe_attr)
-        .ok_or(DbError::NoProbeIndex { attr: probe_attr })?;
-    let env = CostEnv::of(table, n_delete, workspace_bytes, pool_bytes);
-
-    // Table step: merge with/without the RID sort vs hash probe.
-    let rid_set_fits = n_delete * BYTES_PER_RID <= workspace_bytes;
-    let mut table_candidates = vec![TableMethod::Merge {
-        presort: !probe.def.clustered,
-    }];
-    if rid_set_fits {
-        table_candidates.push(TableMethod::HashProbe);
-    }
-    let table_method = *table_candidates
-        .iter()
-        .min_by(|a, b| {
-            table_bd_cost(**a, &env)
-                .sim_ms(&bd_storage::CostModel::default())
-                .total_cmp(&table_bd_cost(**b, &env).sim_ms(&bd_storage::CostModel::default()))
-        })
-        .expect("non-empty candidates");
-
-    // Downstream indices: per index, the cheapest viable method.
-    let mut downstream: Vec<&crate::catalog::Index> = table
-        .indices
-        .iter()
-        .filter(|i| i.def.attr != probe_attr)
-        .collect();
-    downstream.sort_by_key(|i| (!i.def.unique, i.def.attr));
-    let cm = bd_storage::CostModel::default();
-    let index_steps: Vec<IndexStep> = downstream
-        .into_iter()
-        .map(|index| {
-            let mut candidates = vec![IndexMethod::SortMerge {
-                presort: !index.def.clustered,
-            }];
-            if rid_set_fits {
-                candidates.push(IndexMethod::ClassicHash);
-            } else {
-                let partitions = partitions_needed(n_delete, BYTES_PER_RID, workspace_bytes);
-                if partitions <= MAX_PARTITIONS {
-                    candidates.push(IndexMethod::PartitionedHash { partitions });
-                }
-            }
-            let method = candidates
-                .into_iter()
-                .min_by(|a, b| {
-                    index_bd_cost(index, *a, &env)
-                        .sim_ms(&cm)
-                        .total_cmp(&index_bd_cost(index, *b, &env).sim_ms(&cm))
-                })
-                .expect("non-empty candidates");
-            IndexStep {
-                attr: index.def.attr,
-                method,
-            }
-        })
-        .collect();
-
-    let plan = DeletePlan {
-        probe_attr,
-        table: table_method,
-        index_steps,
-    };
-    let estimate = crate::cost::plan_cost(table, &plan, &env)?;
-    Ok((plan, estimate))
-}
-
-/// A plan that forces sort/merge everywhere — the configuration the paper's
-/// experiments report ("We will only present results that were obtained
-/// using sorting and merging").
+/// Plan a vertical bulk delete on `probe_attr`: sort/merge everywhere — the
+/// configuration the paper's experiments report ("We will only present
+/// results that were obtained using sorting and merging").
 pub fn plan_sort_merge(table: &Table, probe_attr: usize) -> DbResult<DeletePlan> {
     let probe = table
         .index_on(probe_attr)
@@ -226,65 +78,37 @@ mod tests {
     }
 
     #[test]
-    fn hash_chosen_when_rid_set_fits() {
-        let (db, tid) = db_with_indices(false);
-        let plan = plan_delete(db.table(tid).unwrap(), 0, 100, 1 << 20).unwrap();
-        assert_eq!(plan.table, TableMethod::Merge { presort: true });
-        assert!(plan
-            .index_steps
-            .iter()
-            .all(|s| s.method == IndexMethod::ClassicHash));
-    }
-
-    #[test]
     fn unique_indices_ordered_first() {
         let (db, tid) = db_with_indices(false);
-        let plan = plan_delete(db.table(tid).unwrap(), 0, 100, 1 << 20).unwrap();
+        let plan = plan_sort_merge(db.table(tid).unwrap(), 0).unwrap();
+        assert_eq!(plan.table, TableMethod::Merge { presort: true });
         // attr 2 is unique, attr 1 is not: 2 must come first.
         let attrs: Vec<usize> = plan.index_steps.iter().map(|s| s.attr).collect();
         assert_eq!(attrs, vec![2, 1]);
-    }
-
-    #[test]
-    fn partitioned_hash_when_set_overflows() {
-        let (db, tid) = db_with_indices(false);
-        // 100k rids * 24B = 2.4MB against a 1MB workspace => 3 partitions.
-        let plan = plan_delete(db.table(tid).unwrap(), 0, 100_000, 1 << 20).unwrap();
-        match plan.index_steps[0].method {
-            IndexMethod::PartitionedHash { partitions } => assert_eq!(partitions, 3),
-            m => panic!("expected partitioned hash, got {m:?}"),
-        }
-    }
-
-    #[test]
-    fn sort_merge_when_partitions_explode() {
-        let (db, tid) = db_with_indices(false);
-        // Tiny workspace: too many partitions => sort/merge.
-        let plan = plan_delete(db.table(tid).unwrap(), 0, 100_000, 4096).unwrap();
-        assert_eq!(
-            plan.index_steps[0].method,
-            IndexMethod::SortMerge { presort: true }
-        );
+        assert!(plan
+            .index_steps
+            .iter()
+            .all(|s| s.method == IndexMethod::SortMerge { presort: true }));
     }
 
     #[test]
     fn clustered_probe_elides_rid_sort() {
         let (db, tid) = db_with_indices(true);
-        let plan = plan_delete(db.table(tid).unwrap(), 0, 100, 1 << 20).unwrap();
+        let plan = plan_sort_merge(db.table(tid).unwrap(), 0).unwrap();
         assert_eq!(plan.table, TableMethod::Merge { presort: false });
     }
 
     #[test]
     fn missing_probe_index_is_error() {
         let (db, tid) = db_with_indices(false);
-        let err = plan_delete(db.table(tid).unwrap(), 3, 10, 1 << 20).unwrap_err();
+        let err = plan_sort_merge(db.table(tid).unwrap(), 3).unwrap_err();
         assert_eq!(err, DbError::NoProbeIndex { attr: 3 });
     }
 
     #[test]
     fn render_mentions_every_index() {
         let (db, tid) = db_with_indices(false);
-        let plan = plan_delete(db.table(tid).unwrap(), 0, 100, 1 << 20).unwrap();
+        let plan = plan_sort_merge(db.table(tid).unwrap(), 0).unwrap();
         let text = plan.render(db.table(tid).unwrap());
         assert!(text.contains("I_A"));
         assert!(text.contains("I_B"));

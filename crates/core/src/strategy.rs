@@ -415,7 +415,7 @@ fn run_index_arm(
             let set = RidSet::build(ws, deleted_rows.iter().map(|e| e.0))?;
             bulk_delete_probe(tree, set.as_set(), None, policy)?;
         }
-        IndexMethod::PartitionedHash { .. } => {
+        IndexMethod::PartitionedHash => {
             let proj = deleted_rows
                 .iter()
                 .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid));
@@ -434,7 +434,7 @@ fn method_tag(method: IndexMethod) -> &'static str {
     match method {
         IndexMethod::SortMerge { .. } => "sort/merge",
         IndexMethod::ClassicHash => "hash probe",
-        IndexMethod::PartitionedHash { .. } => "partitioned hash",
+        IndexMethod::PartitionedHash => "partitioned hash",
     }
 }
 
@@ -589,22 +589,6 @@ fn execute_vertical(
         rows,
         events,
     ))
-}
-
-/// Plan with the optimizer, then run [`vertical`] with `workers` arms.
-/// Returns the plan used.
-pub fn vertical_auto(
-    db: &mut Database,
-    tid: TableId,
-    probe_attr: usize,
-    d_keys: &[Key],
-    policy: ReorgPolicy,
-    workers: usize,
-) -> DbResult<(DeletePlan, DeleteOutcome)> {
-    let ws_bytes = db.workspace().capacity();
-    let plan = crate::planner::plan_delete(db.table(tid)?, probe_attr, d_keys.len(), ws_bytes)?;
-    let outcome = vertical(db, tid, d_keys, &plan, policy, workers)?;
-    Ok((plan, outcome))
 }
 
 /// Vertical bulk delete with referential-integrity enforcement: every

@@ -37,7 +37,7 @@ fn paused_vertical_resumes_to_the_uninterrupted_state() {
     let counter = Pacer::new();
     {
         let _g = counter.enter();
-        strategy::vertical_auto(&mut reference, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1).unwrap();
+        strategy::vertical_sort_merge(&mut reference, tid, 0, &d, 1).unwrap();
     }
     let total = counter.checks();
     assert!(total > 30, "statement crossed only {total} checkpoints");
@@ -51,8 +51,7 @@ fn paused_vertical_resumes_to_the_uninterrupted_state() {
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
                 let _g = pacer.enter();
-                strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1)
-                    .map(|(_, o)| o.deleted.len())
+                strategy::vertical_sort_merge(&mut db, tid, 0, &d, 1).map(|o| o.deleted.len())
             });
             assert!(
                 pacer.wait_parked(1, Duration::from_secs(10)),
@@ -79,7 +78,7 @@ fn paused_vertical_resumes_to_the_uninterrupted_state() {
 fn paused_parallel_vertical_resumes_to_the_serial_state() {
     let (mut reference, tid, a_values) = build(1200);
     let d: Vec<u64> = a_values.iter().copied().step_by(3).collect();
-    strategy::vertical_auto(&mut reference, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1).unwrap();
+    strategy::vertical_sort_merge(&mut reference, tid, 0, &d, 1).unwrap();
 
     let (mut db, _, _) = build(1200);
     let pacer = Pacer::new();
@@ -87,8 +86,7 @@ fn paused_parallel_vertical_resumes_to_the_serial_state() {
     std::thread::scope(|s| {
         let worker = s.spawn(|| {
             let _g = pacer.enter();
-            strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 3)
-                .map(|(_, o)| o.deleted.len())
+            strategy::vertical_sort_merge(&mut db, tid, 0, &d, 3).map(|o| o.deleted.len())
         });
         assert!(
             pacer.wait_parked(1, Duration::from_secs(10)),
@@ -114,7 +112,7 @@ fn cancelled_vertical_unwinds_and_unpins() {
     std::thread::scope(|s| {
         let worker = s.spawn(|| {
             let _g = pacer.enter();
-            strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1)
+            strategy::vertical_sort_merge(&mut db, tid, 0, &d, 1)
         });
         assert!(pacer.wait_parked(1, Duration::from_secs(10)));
         pacer.cancel();

@@ -4,8 +4,9 @@
 //! table really fits into physical main memory; in fact, it is only
 //! necessary that the RIDs (without any keys) fit into main memory".
 //! [`RidSet`] is that structure: a RID hash set whose construction reserves
-//! its footprint against a [`MemoryBudget`], so the optimizer's fits-in-
-//! memory decision is enforced rather than assumed.
+//! its footprint against a [`MemoryBudget`], so "fits in memory" is
+//! enforced rather than assumed: a set that overruns the workspace fails
+//! with `BudgetExceeded`.
 
 use std::collections::HashSet;
 

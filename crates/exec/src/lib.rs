@@ -18,5 +18,5 @@ pub mod partition;
 pub mod sort;
 
 pub use hash::{rid_set_bytes, EntrySet, RidSet, BYTES_PER_ENTRY, BYTES_PER_RID};
-pub use partition::{partitions_needed, range_partitions, Partition};
+pub use partition::{range_partitions, Partition};
 pub use sort::{sort_all, ByRid, ExternalSorter, Rec, SortStats, SortedStream};

@@ -52,16 +52,6 @@ pub fn range_partitions(sorted: &[(Key, Rid)], max_per_partition: usize) -> Vec<
         .collect()
 }
 
-/// Number of partitions needed so each fits `budget_bytes` at
-/// `bytes_per_entry` of hash-table footprint.
-pub fn partitions_needed(n_entries: usize, bytes_per_entry: usize, budget_bytes: usize) -> usize {
-    if n_entries == 0 {
-        return 0;
-    }
-    let per_part = (budget_bytes / bytes_per_entry).max(1);
-    n_entries.div_ceil(per_part)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,13 +95,5 @@ mod tests {
         assert!(parts.iter().all(|p| p.lo == 5 && p.hi == 5));
         let total: usize = parts.iter().map(|p| p.entries.len()).sum();
         assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn partitions_needed_math() {
-        assert_eq!(partitions_needed(0, 24, 1000), 0);
-        assert_eq!(partitions_needed(100, 24, 2400), 1);
-        assert_eq!(partitions_needed(101, 24, 2400), 2);
-        assert_eq!(partitions_needed(1000, 24, 24), 1000);
     }
 }

@@ -3,9 +3,8 @@
 //! The paper's prototype shares one memory allotment between page caching
 //! and sorting ("The bulk deletion algorithm uses this main memory not only
 //! for caching but also to carry out sorting", §4.1). The buffer pool takes
-//! its share as frames; operators reserve workspace bytes here, and the
-//! optimizer consults [`MemoryBudget::would_fit`] to choose between the
-//! classic-hash and partitioned-hash bulk delete plans.
+//! its share as frames; operators reserve workspace bytes here, so a hash
+//! `⋈̄` whose RID set overruns the workspace fails with `BudgetExceeded`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -45,11 +44,6 @@ impl MemoryBudget {
     /// Bytes still available.
     pub fn available(&self) -> usize {
         self.cap.saturating_sub(self.used())
-    }
-
-    /// Whether a fresh reservation of `bytes` would succeed right now.
-    pub fn would_fit(&self, bytes: usize) -> bool {
-        bytes <= self.available()
     }
 
     /// Reserve `bytes`, failing if the budget would be exceeded.
@@ -116,10 +110,10 @@ mod tests {
         let b = MemoryBudget::new(1000);
         let r = b.reserve(600).unwrap();
         assert_eq!(b.used(), 600);
-        assert!(!b.would_fit(500));
+        assert_eq!(b.available(), 400);
         drop(r);
         assert_eq!(b.used(), 0);
-        assert!(b.would_fit(1000));
+        assert_eq!(b.available(), 1000);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! must recover to a database logically identical to one that never ran
 //! maintenance at all — the daemon only moves and frees pages.
 
-use bd_btree::{BTreeConfig, ReorgPolicy};
+use bd_btree::BTreeConfig;
 use bd_core::{
     audit_catalog, audit_equivalence, strategy, Database, DatabaseConfig, IndexDef, Maintainer,
     MaintenanceConfig,
@@ -35,7 +35,7 @@ fn deleted(n_rows: usize) -> (Database, usize) {
         let a = TableSpec::tiny(n_rows).generate_rows();
         a.iter().map(|r| r.attr(0)).filter(|k| k % 3 != 0).collect()
     };
-    strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1).unwrap();
+    strategy::vertical_sort_merge(&mut db, tid, 0, &d, 1).unwrap();
     db.pool().flush_all().unwrap();
     (db, tid)
 }
@@ -110,7 +110,7 @@ fn deleted_dense(n_rows: usize) -> (Database, usize) {
         a.sort_unstable();
         a[n_rows / 6..n_rows - n_rows / 6].to_vec()
     };
-    strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1).unwrap();
+    strategy::vertical_sort_merge(&mut db, tid, 0, &d, 1).unwrap();
     db.pool().flush_all().unwrap();
     (db, tid)
 }

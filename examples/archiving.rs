@@ -67,11 +67,12 @@ fn main() -> DbResult<()> {
 
     // Step 2: bulk delete by order id; the outcome carries the full rows,
     // which go to the archive ("tape").
-    let (plan, outcome) = strategy::vertical_auto(
+    let plan = bd_core::plan_sort_merge(db.table(tid)?, ORDER_ID)?;
+    let outcome = strategy::vertical(
         &mut db,
         tid,
-        ORDER_ID,
         &archive_ids,
+        &plan,
         ReorgPolicy::FreeAtEmpty,
         1,
     )?;

@@ -1,5 +1,5 @@
 //! Quickstart: create a table with indices, run a bulk `DELETE ... WHERE A
-//! IN (...)` through the optimizer, and compare against the traditional
+//! IN (...)` under the sort/merge plan, and compare against the traditional
 //! record-at-a-time executor.
 //!
 //! ```sh
@@ -34,9 +34,10 @@ fn main() -> DbResult<()> {
     db.check_consistency(tid)?;
     println!("{}", trad.report.summary());
 
-    // Vertical bulk delete, planned by the optimizer.
+    // Vertical bulk delete under the sort/merge plan.
     let (mut db, tid, d) = build()?;
-    let (plan, bulk) = strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 1)?;
+    let plan = bd_core::plan_sort_merge(db.table(tid)?, 0)?;
+    let bulk = strategy::vertical(&mut db, tid, &d, &plan, ReorgPolicy::FreeAtEmpty, 1)?;
     db.check_consistency(tid)?;
     println!("{}", bulk.report.summary());
     println!("\n{}", plan.render(db.table(tid)?));

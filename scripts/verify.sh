@@ -34,11 +34,12 @@ cargo run --release -p bd-bench --bin repro -- --audit --parallel 3
 cargo run --release -p bd-bench --bin repro -- --faults --parallel 3
 
 # The gate: re-run what the committed snapshot's header says it holds (the
-# six figures plus erase, maintain and lsm at 20000 rows, one worker) and
-# compare every field of every cell and every experiment's notes as
+# six figures plus erase, maintain, lsm and plans at 20000 rows, one worker)
+# and compare every field of every cell and every experiment's notes as
 # printed. One moved digit exits 1 with the cell and field named; each
 # experiment's own verdict (erasure proofs + fault sample, the 10% space
-# budget, the LSM twin and page audits) fails it the same way. After an
+# budget, the LSM twin and page audits, sort/merge within 1.05x of every
+# forced index method) fails it the same way. After an
 # intended change regenerate the file (README, "Reproducing the paper")
 # and commit the diff: it is the PR's before/after.
 cargo run --release -p bd-bench --bin repro -- --check-bench BENCH.json

@@ -70,3 +70,23 @@ fn delete_in_dedups_its_key_list() {
     assert_eq!(out.deleted.len(), 1);
     db.check_consistency(w.tid).unwrap();
 }
+
+/// A non-unique probe attribute selects more rows than it names keys: the
+/// plan must not be sized by the key count (600 keys, 1 200 rows, 16 KiB of
+/// workspace used to end in `BudgetExceeded`).
+#[test]
+fn delete_in_on_a_non_unique_attribute_cannot_overrun_the_workspace() {
+    let mut db = Database::new(DatabaseConfig::with_total_memory(64 << 10));
+    let tid = db.create_table("R", Schema::new(3, 64));
+    db.create_index(tid, IndexDef::secondary(0).unique())
+        .unwrap();
+    db.create_index(tid, IndexDef::secondary(1)).unwrap();
+    db.create_index(tid, IndexDef::secondary(2)).unwrap();
+    for i in 0..4_000u64 {
+        db.insert(tid, &Tuple::new(vec![i, i / 2, i % 97])).unwrap();
+    }
+    let keys: Vec<u64> = (0..600).collect();
+    let out = db.delete_in(tid, 1, &keys).unwrap();
+    assert_eq!(out.deleted.len(), 1_200);
+    db.check_consistency(tid).unwrap();
+}

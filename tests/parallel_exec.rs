@@ -96,8 +96,7 @@ fn unique_arms_run_serially_before_the_fan_out() {
             .unwrap();
     }
     let d: Vec<u64> = (0..2_000).step_by(4).collect();
-    let (_, out) =
-        strategy::vertical_auto(&mut db, tid, 0, &d, ReorgPolicy::FreeAtEmpty, 2).unwrap();
+    let out = strategy::vertical_sort_merge(&mut db, tid, 0, &d, 2).unwrap();
     db.check_consistency(tid).unwrap();
 
     let phases = &out.report.phases;

@@ -1,10 +1,9 @@
 //! The three `⋈̄` methods (sort/merge, classic hash, partitioned hash) and
-//! both table methods must produce identical states, and the optimizer must
-//! pick sensibly across workloads.
+//! both table methods must produce identical states, whichever a plan names.
 
 use bulk_delete::prelude::*;
 
-use bd_core::{plan_delete, IndexMethod, IndexStep, TableMethod};
+use bd_core::{plan_sort_merge, IndexMethod, IndexStep, TableMethod};
 use bd_workload::TableSpec;
 
 fn build(n_rows: usize, mem: usize, clustered: bool) -> (Database, bd_workload::Workload) {
@@ -52,7 +51,7 @@ fn every_method_combination_is_equivalent() {
     let methods = [
         IndexMethod::SortMerge { presort: true },
         IndexMethod::ClassicHash,
-        IndexMethod::PartitionedHash { partitions: 4 },
+        IndexMethod::PartitionedHash,
     ];
     let tables = [TableMethod::Merge { presort: true }, TableMethod::HashProbe];
     for m in methods {
@@ -75,7 +74,7 @@ fn partitioned_hash_with_tiny_workspace_still_correct() {
     let (mut db, w) = build(800, 1 << 20, false);
     let d = w.delete_set(0.5, 2);
     let plan = plan_with(
-        IndexMethod::PartitionedHash { partitions: 16 },
+        IndexMethod::PartitionedHash,
         TableMethod::Merge { presort: true },
     );
     let out = strategy::vertical(&mut db, w.tid, &d, &plan, ReorgPolicy::FreeAtEmpty, 1).unwrap();
@@ -88,7 +87,7 @@ fn clustered_probe_plan_elides_rid_sort_and_is_correct() {
     let (mut db, w) = build(700, 2 << 20, true);
     let d = w.delete_set(0.3, 3);
     let table = db.table(w.tid).unwrap();
-    let plan = plan_delete(table, 0, d.len(), db.workspace().capacity()).unwrap();
+    let plan = plan_sort_merge(table, 0).unwrap();
     assert_eq!(plan.table, TableMethod::Merge { presort: false });
     let out = strategy::vertical(&mut db, w.tid, &d, &plan, ReorgPolicy::FreeAtEmpty, 1).unwrap();
     assert_eq!(out.deleted.len(), d.len());
@@ -96,34 +95,10 @@ fn clustered_probe_plan_elides_rid_sort_and_is_correct() {
 }
 
 #[test]
-fn planner_adapts_to_workspace_size() {
-    let (db, _) = build(500, 16 << 20, false);
-    let table = db.table(0).unwrap();
-    // Huge workspace: classic hash everywhere.
-    let plan = plan_delete(table, 0, 10_000, 16 << 20).unwrap();
-    assert!(plan
-        .index_steps
-        .iter()
-        .all(|s| s.method == IndexMethod::ClassicHash));
-    // Medium: partitioned.
-    let plan = plan_delete(table, 0, 100_000, 512 * 1024).unwrap();
-    assert!(matches!(
-        plan.index_steps[0].method,
-        IndexMethod::PartitionedHash { .. }
-    ));
-    // Tiny: sort/merge fallback.
-    let plan = plan_delete(table, 0, 1_000_000, 16 * 1024).unwrap();
-    assert!(matches!(
-        plan.index_steps[0].method,
-        IndexMethod::SortMerge { .. }
-    ));
-}
-
-#[test]
 fn explain_renders_plan_dag() {
     let (db, _) = build(300, 2 << 20, false);
     let table = db.table(0).unwrap();
-    let plan = plan_delete(table, 0, 50, 2 << 20).unwrap();
+    let plan = plan_sort_merge(table, 0).unwrap();
     let text = plan.render(table);
     assert!(text.contains("bd["), "{text}");
     assert!(text.contains("I_A"));

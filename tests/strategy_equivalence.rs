@@ -84,16 +84,6 @@ fn run_all_strategies(n_rows: usize, frac: f64, seed: u64) {
             }),
         ),
         (
-            "vertical/auto",
-            Box::new(|db, tid, d| {
-                strategy::vertical_auto(db, tid, 0, d, ReorgPolicy::FreeAtEmpty, 1)
-                    .unwrap()
-                    .1
-                    .deleted
-                    .len()
-            }),
-        ),
-        (
             "vertical/compact",
             Box::new(|db, tid, d| {
                 let plan = bd_core::plan_sort_merge(db.table(tid).unwrap(), 0).unwrap();
