@@ -10,6 +10,10 @@
 //! never changes. With the daemon, packed leaves and recycled pages feed
 //! the next round's allocations and the footprint plateaus.
 //!
+//! Each round files five cells: the delete in both arms, the daemon's
+//! cycle, and the refill in both arms (`refill off`, `refill on`), each
+//! measured from a cold cache through its final flush.
+//!
 //! The verdict compares three databases at the end of the sweep:
 //!
 //! * **daemon on** — in-use pages must land within 10% of **fresh**, a
@@ -120,17 +124,21 @@ fn fresh_row(rows: usize, i: usize, n_attrs: usize) -> Tuple {
     Tuple::new((0..n_attrs as Key).map(|a| base + a * 2).collect())
 }
 
-/// Account one maintenance slice's I/O the way [`bd_core::measure`] does
-/// for a strategy (cold cache, reset counters, flush at the end).
-fn measured_cycle(db: &mut Database, m: &mut Maintainer) -> DbResult<RunReport> {
+/// Account `body`'s I/O the way [`bd_core::measure`] does for a strategy
+/// (cold cache, reset counters, flush at the end).
+fn measured(
+    db: &mut Database,
+    label: &str,
+    body: impl FnOnce(&mut Database) -> DbResult<()>,
+) -> DbResult<RunReport> {
     let pool = db.pool().clone();
     pool.clear_cache().map_err(DbError::from)?;
     pool.reset_stats();
     let before = pool.disk_stats();
-    m.run_cycle(db)?;
+    body(db)?;
     pool.flush_all().map_err(DbError::from)?;
     Ok(RunReport {
-        strategy: "maintenance".to_string(),
+        strategy: label.to_string(),
         deleted: 0,
         io: pool.disk_stats().since(&before),
         phases: Vec::new(),
@@ -203,29 +211,26 @@ pub fn maintain_experiment(rows: usize, _workers: usize) -> DbResult<ExperimentR
         cell(&x, "daemon off", &off.report);
         let on = strategy::vertical_sort_merge(&mut db_on, tid, 0, d, 1)?;
         cell(&x, "daemon on", &on.report);
-        cell(
-            &x,
-            "maintenance",
-            &measured_cycle(&mut db_on, &mut maintainer)?,
-        );
+        let cycle = measured(&mut db_on, "maintenance", |db| maintainer.run_cycle(db))?;
+        cell(&x, "maintenance", &cycle);
 
         // Refill both arms so the live row count never changes; the
         // daemon's arm must satisfy these inserts from recycled pages.
-        for i in 0..window {
-            let t = fresh_row(rows, round * window + i, n_attrs);
-            db_on.insert(tid, &t)?;
-            db_off.insert(tid, &t)?;
-        }
+        let fresh: Vec<Tuple> = (0..window)
+            .map(|i| fresh_row(rows, round * window + i, n_attrs))
+            .collect();
+        let refill = |db: &mut Database| -> DbResult<()> {
+            fresh.iter().try_for_each(|t| db.insert(tid, t).map(|_| ()))
+        };
+        cell(&x, "refill off", &measured(&mut db_off, "refill", refill)?);
+        cell(&x, "refill on", &measured(&mut db_on, "refill", refill)?);
     }
 
     // Settling cycles: the last round's inserts have not seen the daemon
     // yet, and packing may need a second pass to converge.
     for x in ["settle 1", "settle 2"] {
-        cell(
-            x,
-            "maintenance",
-            &measured_cycle(&mut db_on, &mut maintainer)?,
-        );
+        let cycle = measured(&mut db_on, "maintenance", |db| maintainer.run_cycle(db))?;
+        cell(x, "maintenance", &cycle);
     }
 
     for db in [&db_on, &db_off] {
@@ -261,7 +266,8 @@ pub fn maintain_experiment(rows: usize, _workers: usize) -> DbResult<ExperimentR
         notes: format!(
             "expected: both delete arms cost the same (the daemon runs \
              after, not during); the maintenance column is the upkeep \
-             price; the space verdict is the point\n{space_verdict}\n\
+             price and the refill columns the price of inserting the \
+             window back; the space verdict is the point\n{space_verdict}\n\
              [steady state held]"
         ),
         points,
@@ -279,16 +285,17 @@ mod tests {
     fn sliding_window_sweep_reaches_steady_state() {
         let report = maintain_experiment(8_000, 1).expect("steady-state verdict");
         assert_eq!(report.xs().len(), ROUNDS + 2);
-        assert_eq!(report.points.len(), 3 * ROUNDS + 2);
+        assert_eq!(report.points.len(), 5 * ROUNDS + 2);
         assert!(report.notes.contains("[steady state held]"));
         assert!(report.notes.contains(" reclaimed)"));
         assert!(report
             .notes
             .contains(&format!("{} daemon cycles", ROUNDS + 2)));
-        // Upkeep is paid I/O: every measured cycle moved real pages.
+        // Upkeep and refill are paid I/O: every measured cycle and refill
+        // moved real pages.
         for p in &report.points {
-            if p.strategy == "maintenance" {
-                assert!(p.sim_minutes > 0.0, "{} cycle cost nothing", p.x);
+            if p.strategy == "maintenance" || p.strategy.starts_with("refill") {
+                assert!(p.sim_minutes > 0.0, "{} {} cost nothing", p.x, p.strategy);
             }
         }
     }

@@ -325,7 +325,7 @@ pub fn audit_catalog(db: &Database, tid: TableId) -> DbResult<AuditReport> {
         }
     }
     // The dual: every FSM entry names a current heap page. A stale entry
-    // for a released (possibly recycled) page would let `find_page` steer
+    // for a released (possibly recycled) page would let `next_fit` steer
     // an insert into a page the table no longer owns.
     {
         let heap_pages: std::collections::BTreeSet<PageId> =

@@ -16,7 +16,7 @@
 //!
 //! 1. **Heap release** — [`bd_storage::HeapFile::release_empty_pages`]
 //!    drops record-free heap pages from the page list *and* the free-space
-//!    map (fixing the FSM/catalog drift where `find_page` could steer an
+//!    map (fixing the FSM/catalog drift where `next_fit` could steer an
 //!    insert into a released page).
 //! 2. **Incremental packing** — an [`IncrementalPacker`] per B-tree index
 //!    walks the base level a few subtrees per round, shifting live leaf

@@ -20,7 +20,7 @@ use crate::disk::PageId;
 use crate::error::{StorageError, StorageResult};
 use crate::fsm::FreeSpaceMap;
 use crate::owner::StructureId;
-use crate::readahead::ReadAhead;
+use crate::readahead::{ReadAhead, READ_AHEAD_WINDOW};
 use crate::rid::Rid;
 use crate::slotted::SlottedPage;
 
@@ -30,6 +30,8 @@ pub struct HeapFile {
     /// Pages in ascending-id (= RID, = scan) order.
     pages: Vec<PageId>,
     fsm: FreeSpaceMap,
+    /// The page the last insert went to, where the next one starts looking.
+    cursor: Option<PageId>,
     n_records: usize,
 }
 
@@ -40,6 +42,7 @@ impl HeapFile {
             pool,
             pages: Vec::new(),
             fsm: FreeSpaceMap::new(),
+            cursor: None,
             n_records: 0,
         }
     }
@@ -83,14 +86,30 @@ impl HeapFile {
         Ok(pid)
     }
 
-    /// Append a record, returning its RID. Prefers the page the FSM finds;
-    /// allocates a new page when nothing fits.
+    /// Insert a record, returning its RID.
+    ///
+    /// Placement is next-fit ([`FreeSpaceMap::next_fit`]): the record goes
+    /// to the first page at or after the insert cursor — the page the
+    /// previous insert went to — with room, wrapping to the lowest page
+    /// with room; a page is allocated only when no page has any. A run of
+    /// inserts therefore fills the heap's free space once, in address
+    /// order. When the cursor moves onto a page that is not resident, the
+    /// pages with room among the next [`READ_AHEAD_WINDOW`] are staged in
+    /// one chained read (gaps bridged as [`ReadAhead`] bridges them), so
+    /// the inserts that follow hit the pool, and the clean bridged frames
+    /// let write-behind chain the dirtied pages out together.
     pub fn insert(&mut self, record: &[u8]) -> StorageResult<Rid> {
         let needed = record.len() + 4; // record + slot entry
-        let pid = match self.fsm.find_page(needed) {
+        let pid = match self.fsm.next_fit(self.cursor.unwrap_or(0), needed) {
             Some(p) => p,
             None => self.new_heap_page()?,
         };
+        if self.cursor != Some(pid) {
+            self.cursor = Some(pid);
+            if !self.pool.contains(pid) {
+                self.stage_inserts_from(pid, needed);
+            }
+        }
         let mut w = self.pool.pin_write(pid)?;
         let mut page = SlottedPage::new(&mut w[..]);
         let slot = page.insert(record)?;
@@ -99,6 +118,18 @@ impl HeapFile {
         self.fsm.update(pid, free);
         self.n_records += 1;
         Ok(Rid::new(pid, slot))
+    }
+
+    /// Best effort: stage `pid` and every later page with room for
+    /// `needed` bytes inside the read-ahead window starting at `pid`.
+    fn stage_inserts_from(&self, pid: PageId, needed: usize) {
+        let end = pid.saturating_add(READ_AHEAD_WINDOW as PageId);
+        let mut ra = ReadAhead::new(self.pool.clone());
+        ra.plan(
+            std::iter::successors(Some(pid), |&p| self.fsm.first_fit_from(p + 1, needed))
+                .take_while(|&p| p < end),
+        );
+        ra.before_pin(pid);
     }
 
     /// Read the record at `rid`.
@@ -302,6 +333,7 @@ impl HeapFile {
             pool,
             pages,
             fsm: FreeSpaceMap::new(),
+            cursor: None,
             n_records: 0,
         };
         heap.recount()?;
@@ -356,13 +388,13 @@ impl HeapFile {
 
     /// Pages the FSM currently tracks, ascending. Audit hook: every entry
     /// must be a page of this heap — a freed page left in the FSM would let
-    /// `find_page` hand it out as an insert target after recycling.
+    /// `next_fit` hand it out as an insert target after recycling.
     pub fn fsm_pages(&self) -> Vec<PageId> {
         self.fsm.pages()
     }
 
     /// Give every record-free page back to the disk allocator: the page
-    /// leaves the scan order and the FSM (so [`FreeSpaceMap::find_page`]
+    /// leaves the scan order and the FSM (so [`FreeSpaceMap::next_fit`]
     /// can never offer a freed page as an insert target) and is
     /// catalog-freed for the maintenance daemon to zero and recycle.
     /// Returns the released ids, ascending. Paced: checkpoints between
@@ -371,8 +403,7 @@ impl HeapFile {
         // A page whose records were all deleted has most of its bytes free
         // (only header and dead slot entries remain), so half a page is a
         // safe candidate filter; occupancy is then confirmed exactly.
-        let mut candidates = self.fsm.pages_with_at_least(crate::disk::PAGE_SIZE / 2);
-        candidates.sort_unstable();
+        let candidates = self.fsm.pages_with_at_least(crate::disk::PAGE_SIZE / 2);
         let mut released = Vec::new();
         for pid in candidates {
             crate::pacer::checkpoint()?;
@@ -834,6 +865,47 @@ mod tests {
         );
         let live: Vec<Rid> = h.scan().map(|(rid, _)| rid).collect();
         assert!(live.windows(2).all(|w| w[0] < w[1]), "RID order preserved");
+        h.verify_fsm().unwrap();
+    }
+
+    #[test]
+    fn refill_after_a_bulk_delete_walks_the_heap_once_in_page_order() {
+        // The sliding-window shape at heap level: fill, delete every
+        // fourth record (one or two free slots on every page), then insert
+        // as many records as were deleted from a cold 32-frame pool. The
+        // last page — where the insert cursor rests — is left full, so the
+        // refill starts at the lowest page with room and never wraps.
+        let mut h = heap(32);
+        let rids: Vec<Rid> = (0..1400).map(|i| h.insert(&record(i)).unwrap()).collect();
+        let last = *h.page_ids().last().unwrap();
+        let victims: Vec<Rid> = rids
+            .iter()
+            .copied()
+            .step_by(4)
+            .filter(|r| r.page != last)
+            .collect();
+        h.bulk_delete_sorted(&victims).unwrap();
+        let n_pages = h.num_pages();
+        h.pool().clear_cache().unwrap();
+        h.pool().reset_stats();
+        let refill: Vec<Rid> = (0..victims.len() as u64)
+            .map(|i| h.insert(&record(10_000 + i)).unwrap())
+            .collect();
+        h.pool().flush_all().unwrap();
+        assert_eq!(h.num_pages(), n_pages, "freed slots absorb the refill");
+        assert!(
+            refill.windows(2).all(|w| w[0].page <= w[1].page),
+            "one pass in page order"
+        );
+        let mut touched: Vec<PageId> = refill.iter().map(|r| r.page).collect();
+        touched.dedup();
+        let d = h.pool().disk_stats();
+        assert!(
+            (d.random_reads + d.random_writes) * 4 <= touched.len() as u64,
+            "{} positioned accesses for {} pages: {d:?}",
+            d.random_reads + d.random_writes,
+            touched.len()
+        );
         h.verify_fsm().unwrap();
     }
 

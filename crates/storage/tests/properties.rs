@@ -96,20 +96,32 @@ proptest! {
         prop_assert_eq!(sa, sb);
     }
 
-    /// The FSM always returns a page that truly fits, and returns `None`
-    /// only when no tracked page fits.
+    /// Next-fit returns a page that truly fits and is the first fitting
+    /// page at or after the cursor, wrapping to the lowest one; `None`
+    /// only when no tracked page fits. Pages sit at scattered ids, as a
+    /// heap's do between its indices' pages.
     #[test]
-    fn fsm_find_is_sound_and_complete(
-        pages in prop::collection::vec(0usize..PAGE_SIZE, 1..60),
+    fn fsm_next_fit_is_sound_complete_and_ordered(
+        pages in prop::collection::vec((1u32..40, 0usize..PAGE_SIZE), 1..60),
         request in 0usize..PAGE_SIZE,
+        cursor in 0u32..2500,
     ) {
         let mut fsm = FreeSpaceMap::new();
-        for (i, &free) in pages.iter().enumerate() {
-            fsm.update(i as u32, free);
+        let mut model = std::collections::BTreeMap::new();
+        let mut pid = 0;
+        for &(gap, free) in &pages {
+            pid += gap;
+            fsm.update(pid, free);
+            model.insert(pid, free);
         }
-        match fsm.find_page(request) {
-            Some(pid) => prop_assert!(pages[pid as usize] >= request),
-            None => prop_assert!(pages.iter().all(|&f| f < request)),
+        let fits = |(&p, &f): (&u32, &usize)| (f >= request).then_some(p);
+        let expect = model
+            .range(cursor..)
+            .find_map(fits)
+            .or_else(|| model.iter().find_map(fits));
+        prop_assert_eq!(fsm.next_fit(cursor, request), expect);
+        if let Some(p) = expect {
+            prop_assert!(model[&p] >= request);
         }
     }
 
