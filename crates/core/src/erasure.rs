@@ -72,25 +72,33 @@ impl CascadePlan {
 }
 
 /// Read-only victim resolution: the rows a bulk delete of `keys` on
-/// `(tid, attr)` would remove, in RID order. `keys` need not be sorted.
-pub fn victim_rows(db: &Database, tid: TableId, attr: usize, keys: &[Key]) -> DbResult<Vec<Tuple>> {
+/// `(tid, attr)` would remove, with their RIDs, in RID order. One sorted
+/// merge over the probe index's leaf chain (the read-only analogue of the
+/// key-predicate bulk delete), then one read-ahead pass over the heap pages
+/// holding the victims ([`bd_storage::HeapFile::get_sorted`]). `keys` need
+/// not be sorted. The WAL driver materializes its victim rows with this.
+pub fn victim_rows(
+    db: &Database,
+    tid: TableId,
+    attr: usize,
+    keys: &[Key],
+) -> DbResult<Vec<(Rid, Tuple)>> {
     let table = db.table(tid)?;
     let index = table.index_on(attr).ok_or(DbError::NoProbeIndex { attr })?;
     let mut sorted = keys.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    let mut rids: Vec<Rid> = bd_btree::lookup_keys_sorted(&index.tree, &sorted)
-        .map_err(DbError::Storage)?
+    let mut rids: Vec<Rid> = bd_btree::lookup_keys_sorted(&index.tree, &sorted)?
         .into_iter()
         .map(|(_, rid)| rid)
         .collect();
     rids.sort_unstable();
-    rids.into_iter()
-        .map(|rid| {
-            let bytes = table.heap.get(rid).map_err(DbError::Storage)?;
-            Ok(table.schema.decode(&bytes))
-        })
-        .collect()
+    let records = table.heap.get_sorted(&rids)?;
+    Ok(rids
+        .into_iter()
+        .zip(records)
+        .map(|(rid, bytes)| (rid, table.schema.decode(&bytes)))
+        .collect())
 }
 
 /// Compute the delete closure of `DELETE FROM tid WHERE attr IN d_keys`
@@ -129,7 +137,7 @@ pub fn plan_cascade(
         }
         let rows = victim_rows(db, t, a, &delta)?;
         for fk in fks {
-            let mut vals: Vec<Key> = rows.iter().map(|r| r.attr(fk.parent_attr)).collect();
+            let mut vals: Vec<Key> = rows.iter().map(|(_, r)| r.attr(fk.parent_attr)).collect();
             vals.sort_unstable();
             vals.dedup();
             if vals.is_empty() {
@@ -378,7 +386,7 @@ impl ErasureReport {
 pub fn collect_sensitive(db: &Database, plan: &CascadePlan) -> DbResult<Vec<u64>> {
     let mut out: BTreeSet<u64> = BTreeSet::new();
     for step in &plan.steps {
-        for row in victim_rows(db, step.table, step.attr, &step.keys)? {
+        for (_, row) in victim_rows(db, step.table, step.attr, &step.keys)? {
             out.extend(row.attrs.iter().copied());
         }
         out.extend(step.keys.iter().copied());

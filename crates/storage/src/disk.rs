@@ -537,6 +537,11 @@ impl SimDisk {
 
     /// Chained read of `n` contiguous pages starting at `first`; the visitor
     /// receives each page in order. One positioning cost for the whole chain.
+    ///
+    /// One pass: each page is verified against its checksum and handed to
+    /// the visitor while it is still in cache. A torn page fails the chain
+    /// after the visitor has seen the pages before it, so a caller must
+    /// discard what an `Err` chain delivered.
     pub fn read_chain(
         &mut self,
         first: PageId,
@@ -550,11 +555,8 @@ impl SimDisk {
         self.check(first + n as PageId - 1)?;
         self.faulted(FaultOp::Read, first, n as u32)?;
         self.charge(first, n as u64, true);
-        for i in 0..n {
-            self.verify_checksum(first + i as PageId)?;
-        }
-        for i in 0..n {
-            let pid = first + i as PageId;
+        for pid in first..first + n as PageId {
+            self.verify_checksum(pid)?;
             visit(pid, &self.pages[pid as usize]);
         }
         Ok(())

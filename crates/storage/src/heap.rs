@@ -141,6 +141,22 @@ impl HeapFile {
         Ok(bytes)
     }
 
+    /// Read the records at `rids` (sorted ascending), in that order: `get`
+    /// mapped over the list, as one read-ahead pass over the pages holding
+    /// them instead of one positioned read per record.
+    pub fn get_sorted(&self, rids: &[Rid]) -> StorageResult<Vec<Vec<u8>>> {
+        let mut out = Vec::with_capacity(rids.len());
+        walk_sorted(&self.pool, rids, BufferPool::pin_read, |_, r, on_page| {
+            for &rid in on_page {
+                let bytes = crate::slotted::read::get(&r[..], rid.slot)
+                    .map_err(|e| Self::rebind_rid(e, rid))?;
+                out.push(bytes.to_vec());
+            }
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
     fn rebind_rid(e: StorageError, rid: Rid) -> StorageError {
         match e {
             StorageError::SlotEmpty(_) => StorageError::SlotEmpty(rid),
@@ -224,37 +240,31 @@ impl HeapFile {
     /// page is pinned exactly once and pages are visited monotonically — the
     /// exact shape [`ReadAhead`] wants, so the whole victim-page sequence is
     /// planned up front and streamed in via chained reads.
+    ///
+    /// Lenient: a RID whose slot is already empty is skipped and not
+    /// returned. Crash recovery *rolls the bulk delete forward* and re-runs
+    /// a partially completed pass, which must tolerate records the
+    /// pre-crash run already deleted and flushed.
     pub fn bulk_delete_sorted(&mut self, rids: &[Rid]) -> StorageResult<Vec<(Rid, Vec<u8>)>> {
-        debug_assert!(rids.windows(2).all(|w| w[0] <= w[1]), "rid list not sorted");
-        let mut ra = ReadAhead::new(self.pool.clone());
-        let mut prev = None;
-        ra.plan(rids.iter().map(|r| r.page).filter(|&p| {
-            let fresh = prev != Some(p);
-            prev = Some(p);
-            fresh
-        }));
         let mut out = Vec::with_capacity(rids.len());
-        let mut i = 0;
-        while i < rids.len() {
-            // Pause point: between pages, with no pin held.
-            crate::pacer::checkpoint()?;
-            let pid = rids[i].page;
-            ra.before_pin(pid);
-            let mut w = self.pool.pin_write(pid)?;
-            let mut page = SlottedPage::new(&mut w[..]);
-            while i < rids.len() && rids[i].page == pid {
-                let rid = rids[i];
-                let bytes = page
-                    .delete(rid.slot)
-                    .map_err(|e| Self::rebind_rid(e, rid))?;
-                out.push((rid, bytes));
-                self.n_records -= 1;
-                i += 1;
-            }
-            let free = page.usable_free();
-            drop(w);
-            self.fsm.update(pid, free);
-        }
+        walk_sorted(
+            &self.pool,
+            rids,
+            BufferPool::pin_write,
+            |pid, mut w, on_page| {
+                let mut page = SlottedPage::new(&mut w[..]);
+                for &rid in on_page {
+                    if page.is_live(rid.slot) {
+                        out.push((rid, page.delete(rid.slot)?));
+                        self.n_records -= 1;
+                    }
+                }
+                let free = page.usable_free();
+                drop(w);
+                self.fsm.update(pid, free);
+                Ok(())
+            },
+        )?;
         Ok(out)
     }
 
@@ -289,38 +299,6 @@ impl HeapFile {
                 drop(w);
                 self.fsm.update(pid, f);
             }
-        }
-        Ok(out)
-    }
-
-    /// Like [`HeapFile::bulk_delete_sorted`] but silently skips RIDs whose
-    /// slot is already empty. Used by crash recovery, which *rolls the bulk
-    /// delete forward*: re-running a partially completed pass must tolerate
-    /// records that the pre-crash run already deleted and flushed.
-    pub fn bulk_delete_sorted_lenient(
-        &mut self,
-        rids: &[Rid],
-    ) -> StorageResult<Vec<(Rid, Vec<u8>)>> {
-        debug_assert!(rids.windows(2).all(|w| w[0] <= w[1]), "rid list not sorted");
-        let mut out = Vec::with_capacity(rids.len());
-        let mut i = 0;
-        while i < rids.len() {
-            crate::pacer::checkpoint()?;
-            let pid = rids[i].page;
-            let mut w = self.pool.pin_write(pid)?;
-            let mut page = SlottedPage::new(&mut w[..]);
-            while i < rids.len() && rids[i].page == pid {
-                let rid = rids[i];
-                if page.is_live(rid.slot) {
-                    let bytes = page.delete(rid.slot)?;
-                    out.push((rid, bytes));
-                    self.n_records -= 1;
-                }
-                i += 1;
-            }
-            let free = page.usable_free();
-            drop(w);
-            self.fsm.update(pid, free);
         }
         Ok(out)
     }
@@ -450,6 +428,31 @@ impl HeapFile {
         assert!(mismatches.is_empty(), "fsm mismatches: {mismatches:?}");
         Ok(self.pages.len())
     }
+}
+
+/// The heap's one sorted-RID page walk, under both [`HeapFile::get_sorted`]
+/// and [`HeapFile::bulk_delete_sorted`]. The distinct pages of `rids`
+/// (sorted ascending) are planned into a [`ReadAhead`]; each is then pinned
+/// once with `pin`, right after `before_pin` staged it, and handed to
+/// `visit` with the RIDs that fall on it. Pause point between pages, with
+/// no pin held.
+fn walk_sorted<G>(
+    pool: &Arc<BufferPool>,
+    rids: &[Rid],
+    pin: impl Fn(&BufferPool, PageId) -> StorageResult<G>,
+    mut visit: impl FnMut(PageId, G, &[Rid]) -> StorageResult<()>,
+) -> StorageResult<()> {
+    debug_assert!(rids.is_sorted(), "rid list not sorted");
+    let by_page = || rids.chunk_by(|a, b| a.page == b.page);
+    let mut ra = ReadAhead::new(pool.clone());
+    ra.plan(by_page().map(|on_page| on_page[0].page));
+    for on_page in by_page() {
+        crate::pacer::checkpoint()?;
+        let pid = on_page[0].page;
+        ra.before_pin(pid);
+        visit(pid, pin(pool, pid)?, on_page)?;
+    }
+    Ok(())
 }
 
 /// One FSM-vs-occupancy divergence found by [`HeapFile::audit_fsm`].
@@ -752,10 +755,82 @@ mod tests {
         h.delete(rids[7]).unwrap();
         let mut victims = rids[..10].to_vec();
         victims.sort_unstable();
-        let out = h.bulk_delete_sorted_lenient(&victims).unwrap();
+        let out = h.bulk_delete_sorted(&victims).unwrap();
         assert_eq!(out.len(), 8, "two were already gone");
+        assert!(out
+            .iter()
+            .all(|(rid, _)| *rid != rids[3] && *rid != rids[7]));
         assert_eq!(h.len(), 20);
-        // Strict variant would have failed on the same input.
+        // A re-run finds nothing left to delete.
+        assert_eq!(h.bulk_delete_sorted(&victims).unwrap(), vec![]);
+        assert_eq!(h.len(), 20);
+        h.verify_fsm().unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// `get_sorted` is `get` mapped over the list, errors included: the
+        /// first RID whose `get` fails fails the whole read with that error.
+        /// Per record: 0 = not asked, 1 = asked, 2 = asked twice, 3 =
+        /// deleted, then asked (when `deletes`; else not asked).
+        #[test]
+        fn get_sorted_equals_get_mapped(
+            lens in proptest::collection::vec(1usize..600, 1..150),
+            picks in proptest::collection::vec(0u8..4, 150),
+            deletes in proptest::prelude::any::<bool>(),
+            frames in 4usize..24,
+        ) {
+            let mut h = heap(frames);
+            let rids: Vec<Rid> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| h.insert(&vec![i as u8; len]).unwrap())
+                .collect();
+            let mut asked = Vec::new();
+            for (&rid, &pick) in rids.iter().zip(&picks) {
+                let times = match pick {
+                    0 => 0,
+                    2 => 2,
+                    3 if !deletes => 0,
+                    3 => {
+                        h.delete(rid).unwrap();
+                        1
+                    }
+                    _ => 1,
+                };
+                asked.extend(std::iter::repeat_n(rid, times));
+            }
+            asked.sort_unstable();
+            h.pool().clear_cache().unwrap();
+            let expect: StorageResult<Vec<Vec<u8>>> = asked.iter().map(|&r| h.get(r)).collect();
+            proptest::prop_assert_eq!(h.get_sorted(&asked), expect);
+        }
+    }
+
+    #[test]
+    fn get_sorted_serves_a_dense_list_with_chained_reads() {
+        // 1 000 records on ~143 pages, every third one asked for: each page
+        // holds two or three of them, so one chained sweep serves the list.
+        let mut h = heap(32);
+        let rids: Vec<Rid> = (0..1000).map(|i| h.insert(&record(i)).unwrap()).collect();
+        let picks: Vec<Rid> = rids.iter().copied().step_by(3).collect();
+        h.pool().clear_cache().unwrap();
+        h.pool().reset_stats();
+        let got = h.get_sorted(&picks).unwrap();
+        assert_eq!(got.len(), picks.len());
+        for (bytes, rid) in got.iter().zip(&picks) {
+            let i = rids.iter().position(|r| r == rid).unwrap() as u64;
+            assert_eq!(bytes[..8], i.to_le_bytes());
+        }
+        let d = h.pool().disk_stats();
+        let pages = h.num_pages() as u64;
+        assert!(
+            d.random_reads * 8 <= pages,
+            "{} positioned reads for {pages} pages: {d:?}",
+            d.random_reads
+        );
+        assert_eq!(h.pool().pool_stats().misses, 0, "every page was staged");
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl SegmentReader {
         self.buf_off = 0;
         let buf = &mut self.buf;
         let next = &mut self.next;
-        self.pool.with_disk(|disk| {
+        let read = self.pool.with_disk(|disk| {
             disk.read_chain(first, n, |pid, page| {
                 if ((pid - first) as usize) < split {
                     buf.extend_from_slice(&page[..]);
@@ -205,7 +205,14 @@ impl SegmentReader {
                     next.extend_from_slice(&page[..]);
                 }
             })
-        })?;
+        });
+        if let Err(e) = read {
+            // A torn page fails the chain part-way: drop what it delivered,
+            // so a later read starts the chain over.
+            self.buf.clear();
+            self.next.clear();
+            return Err(e);
+        }
         self.ext_off += n;
         if self.ext_off == ext_len {
             self.ext_idx += 1;
@@ -389,6 +396,38 @@ mod tests {
         // 32 pages in double-chunk chains of 16: two chains, not four.
         assert_eq!(s.pages_read, 32);
         assert!(s.total_random() <= 2, "random ios: {}", s.total_random());
+    }
+
+    #[test]
+    fn a_torn_page_fails_the_chain_and_the_next_read_starts_it_over() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let pool = pool();
+        let data: Vec<u8> = (0..CHUNK_PAGES * PAGE_SIZE * 2)
+            .map(|i| (i % 253) as u8)
+            .collect();
+        // The segment's fourth page tears as it is written.
+        let torn = pool.with_disk(|d| d.num_pages()) as PageId + 3;
+        pool.with_disk(|d| {
+            d.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_page(torn).torn()))
+        });
+        let mut w = SegmentWriter::new(pool.clone());
+        w.write(&data).unwrap();
+        let seg = w.finish().unwrap();
+        let mut r = seg.reader(pool.clone());
+        let mut out = vec![0u8; data.len()];
+        // The chain delivered three pages before the fourth failed it.
+        assert_eq!(
+            r.read_exact(&mut out[..PAGE_SIZE]),
+            Err(StorageError::ChecksumMismatch(torn))
+        );
+        // Accept the torn image: the reader starts the chain over and
+        // returns exactly what the disk holds, the three pages once.
+        pool.with_disk(|d| d.accept_torn_page(torn)).unwrap();
+        r.read_exact(&mut out).unwrap();
+        let mut expect = data;
+        let tail = torn as usize * PAGE_SIZE + PAGE_SIZE / 2..(torn as usize + 1) * PAGE_SIZE;
+        expect[tail].fill(0);
+        assert_eq!(out, expect);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use std::sync::Mutex;
 
 use bd_btree::{bulk_delete_sorted, BTree, Key, ReorgPolicy};
+use bd_core::erasure::victim_rows;
 use bd_core::{Database, DbError, PhaseExecutor, PhaseTask, Table, TableId};
 use bd_hashidx::HashIndex;
 use bd_storage::{BufferPool, HeapFile, PageId, Rid, StorageError};
@@ -175,43 +176,22 @@ fn phases(
     Ok((specs.collect(), n_serial))
 }
 
-/// Read-only victim resolution: probe-index lookups, then heap reads in
-/// RID order.
+/// Read-only victim resolution ([`victim_rows`]: one sorted merge over the
+/// probe index's leaves, one read-ahead pass over the heap), as log rows.
 fn materialize(
     db: &Database,
     tid: TableId,
     probe_attr: usize,
     keys: &[Key],
 ) -> Result<Vec<MaterializedRow>, WalError> {
-    let table = db.table(tid)?;
-    let tree = &table
-        .index_on(probe_attr)
-        .ok_or(DbError::NoProbeIndex { attr: probe_attr })?
-        .tree;
-    // One sorted merge over the leaf chain instead of a random probe per
-    // key (the read-only analogue of the key-predicate bulk delete).
-    let mut rids: Vec<Rid> = bd_btree::lookup_keys_sorted(tree, &{
-        let mut k = keys.to_vec();
-        k.sort_unstable();
-        k
-    })
-    .map_err(DbError::Storage)?
-    .into_iter()
-    .map(|(_, rid)| rid)
-    .collect();
-    rids.sort_unstable();
-    let schema = table.schema;
-    let rows = rids
+    let rows = victim_rows(db, tid, probe_attr, keys)?;
+    Ok(rows
         .into_iter()
-        .map(|rid| {
-            let bytes = table.heap.get(rid).map_err(DbError::Storage)?;
-            Ok(MaterializedRow {
-                rid,
-                attrs: schema.decode(&bytes).attrs,
-            })
+        .map(|(rid, row)| MaterializedRow {
+            rid,
+            attrs: row.attrs,
         })
-        .collect::<Result<Vec<_>, WalError>>()?;
-    Ok(rows)
+        .collect())
 }
 
 /// Flush everything and log a checkpoint with current tree metadata.
@@ -310,7 +290,7 @@ impl Victims<'_> {
             Victims::Tree(tree, pairs) => {
                 bulk_delete_sorted(tree, &pairs[lo..hi], ReorgPolicy::FreeAtEmpty).map(|_| ())
             }
-            Victims::Heap(heap, rids) => heap.bulk_delete_sorted_lenient(&rids[lo..hi]).map(|_| ()),
+            Victims::Heap(heap, rids) => heap.bulk_delete_sorted(&rids[lo..hi]).map(|_| ()),
             Victims::Hash(hash, pairs) => hash.bulk_delete(&pairs[lo..hi]).map(|_| ()),
         }
     }

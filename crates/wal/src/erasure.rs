@@ -254,7 +254,7 @@ pub fn recover_campaign(
         // into the proof set. (Rows the in-flight step already removed
         // were captured from its RowsMaterialized record above.)
         for s in &steps[completed..] {
-            for row in victim_rows(db, s.table as TableId, s.attr as usize, &s.keys)? {
+            for (_, row) in victim_rows(db, s.table as TableId, s.attr as usize, &s.keys)? {
                 sensitive.extend(row.attrs.iter().copied());
             }
         }
