@@ -1,0 +1,146 @@
+//! Tier-1 pin on the access stream of each delete driver. The offline
+//! vertical delete, the uncrashed logged delete and the blocking
+//! concurrent delete all run Fig. 3 over the same small table behind a
+//! 48-frame pool, and each must leave exactly the disk and pool counters
+//! recorded here. The simulated clock is deterministic and each run is
+//! single-threaded, so any moved count is a changed access stream.
+
+use bulk_delete::prelude::*;
+
+use bd_storage::PoolStats;
+use bd_workload::{TableSpec, Workload};
+
+/// 12 000 rows of 512 B, a unique probe index, two non-unique B-trees and
+/// a hash index, on a 48-frame pool none of the four indices fits. A
+/// quarter of the rows go: more than one of the logged driver's
+/// 2048-victim progress chunks, so its interior chunk boundary is part of
+/// the stream.
+fn build() -> (Database, Workload, Vec<Key>) {
+    let mut db = Database::new(DatabaseConfig::with_total_memory(256 << 10));
+    let w = TableSpec {
+        record_len: 512,
+        ..TableSpec::tiny(12_000)
+    }
+    .with_seed(1)
+    .build(&mut db)
+    .unwrap();
+    w.attach_index(&mut db, IndexDef::secondary(0).unique())
+        .unwrap();
+    w.attach_index(&mut db, IndexDef::secondary(1)).unwrap();
+    w.attach_index(&mut db, IndexDef::secondary(2)).unwrap();
+    db.create_hash_index(w.tid, 3).unwrap();
+    let d = w.delete_set(0.25, 2);
+    db.pool().clear_cache().unwrap();
+    db.pool().reset_stats();
+    (db, w, d)
+}
+
+/// Flush what the statement left dirty and read both counters.
+fn counters(db: &Database) -> (DiskStats, PoolStats) {
+    db.pool().flush_all().unwrap();
+    (db.pool().disk_stats(), db.pool().pool_stats())
+}
+
+fn check(driver: &str, got: (DiskStats, PoolStats), want: (DiskStats, PoolStats)) {
+    assert_eq!(got.0, want.0, "{driver}: disk counters moved");
+    assert_eq!(got.1, want.1, "{driver}: pool counters moved");
+}
+
+#[test]
+fn offline_vertical_stream_is_pinned() {
+    let (mut db, w, d) = build();
+    let out = strategy::vertical_sort_merge(&mut db, w.tid, 0, &d, 1).unwrap();
+    assert_eq!(out.deleted.len(), d.len());
+    check(
+        "vertical",
+        counters(&db),
+        (
+            DiskStats {
+                random_reads: 47,
+                sequential_reads: 342,
+                random_writes: 69,
+                sequential_writes: 0,
+                pages_read: 1929,
+                pages_written: 1886,
+                retries: 0,
+                replica_writes: 0,
+                sim_ms: 2937.720000000003,
+            },
+            PoolStats {
+                hits: 3,
+                misses: 6,
+                prefetched: 1705,
+                writebacks: 1708,
+            },
+        ),
+    );
+    db.check_consistency(w.tid).unwrap();
+}
+
+#[test]
+fn logged_stream_is_pinned() {
+    let (mut db, w, d) = build();
+    let log = LogManager::new();
+    let n = run_bulk_delete(&mut db, w.tid, 0, &d, &log, CrashInjector::none()).unwrap();
+    assert_eq!(n, d.len());
+    check(
+        "logged",
+        counters(&db),
+        (
+            DiskStats {
+                random_reads: 52,
+                sequential_reads: 694,
+                random_writes: 72,
+                sequential_writes: 0,
+                pages_read: 3692,
+                pages_written: 1890,
+                retries: 0,
+                replica_writes: 0,
+                sim_ms: 3741.880000000003,
+            },
+            PoolStats {
+                hits: 62,
+                misses: 8,
+                prefetched: 3248,
+                writebacks: 1712,
+            },
+        ),
+    );
+    db.check_consistency(w.tid).unwrap();
+}
+
+#[test]
+fn blocking_concurrent_stream_is_pinned() {
+    let (db, w, d) = build();
+    let txn = TxnDb::new(db);
+    let n = txn
+        .bulk_delete(w.tid, 0, &d, PropagationMode::SideFile)
+        .unwrap();
+    assert_eq!(n, d.len());
+    txn.with(|db| {
+        check(
+            "blocking",
+            counters(db),
+            (
+                DiskStats {
+                    random_reads: 49,
+                    sequential_reads: 340,
+                    random_writes: 71,
+                    sequential_writes: 0,
+                    pages_read: 1929,
+                    pages_written: 1886,
+                    retries: 0,
+                    replica_writes: 0,
+                    sim_ms: 2986.4000000000033,
+                },
+                PoolStats {
+                    hits: 3,
+                    misses: 6,
+                    prefetched: 1705,
+                    writebacks: 1708,
+                },
+            ),
+        );
+        db.check_consistency(w.tid).unwrap();
+    });
+}
