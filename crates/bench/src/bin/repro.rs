@@ -74,13 +74,14 @@
 //! (heap record multiset, B-tree entries and invariants, FSM accounting,
 //! hash chains) is diffed across the two executions — and then again
 //! between a serial and a parallel vertical run, and between the vertical
-//! run and the same statement through the WAL driver. Exits non-zero and
+//! run and the same statement through the WAL driver and through the
+//! blocking concurrent driver (`TxnDb::bulk_delete`). Exits non-zero and
 //! prints the per-structure diff on divergence. It also prints the vertical
 //! run's hash-arm phase row as random I/Os per victim and exits non-zero
-//! above 0.2 (the arm is a bucket sweep, not a chain walk per victim), and
-//! the logged run's simulated clock over the vertical run's, exiting
-//! non-zero above 3.0 (the logged delete reads the heap through read-ahead
-//! too).
+//! above 0.2 (the arm is a bucket sweep, not a chain walk per victim), the
+//! logged run's simulated clock over the vertical run's, exiting non-zero
+//! above 3.0 (the logged delete reads the heap through read-ahead too), and
+//! the blocking run's clock over the vertical run's.
 //!
 //! `--faults` runs the fault-injection demo instead of the experiments:
 //! a transient disk fault is planted under one fan-out arm of a parallel
@@ -265,8 +266,9 @@ fn print_phases(rows: usize, workers: usize) {
 }
 
 /// Differential strategy-equivalence audit: run the same workload
-/// horizontally and vertically (and vertically again with parallel arms),
-/// then diff all physical structures pairwise.
+/// horizontally and vertically (and vertically again with parallel arms,
+/// logged, and through the blocking concurrent driver), then diff all
+/// physical structures pairwise.
 fn audit(rows: usize, workers: usize) {
     use bd_core::prelude::*;
     use bd_core::{audit_equivalence, IndexDef};
@@ -276,7 +278,8 @@ fn audit(rows: usize, workers: usize) {
     let par_workers = if workers > 1 { workers } else { 3 };
     println!(
         "differential audit: horizontal vs vertical vs vertical/parallel({par_workers}) \
-         vs logged, {rows} rows of 512 B, 15% delete, 3 B-tree indices + 1 hash index"
+         vs logged vs blocking, {rows} rows of 512 B, 15% delete, 3 B-tree indices + 1 hash \
+         index"
     );
     // 48 pool frames: none of the four indices fits, so every strategy
     // runs under eviction and the hash-arm figure below can tell a sweep
@@ -371,6 +374,27 @@ fn audit(rows: usize, workers: usize) {
         eprintln!("[logged] the logged delete reads the heap the slow way again");
         std::process::exit(1);
     }
+
+    // The fifth arm: the blocking concurrent driver, which runs the same
+    // pass core with all of `D` in one exclusive span and no foreground.
+    // Its clock is read before the audit: the logged figure above also
+    // counts the audit's own reads of the logged database.
+    let (db_e, _) = build(1);
+    let pool = db_e.pool().clone();
+    pool.clear_cache().unwrap();
+    pool.reset_stats();
+    let txn = bd_txn::TxnDb::new(db_e);
+    txn.bulk_delete(w_a.tid, 0, &d, bd_txn::PropagationMode::SideFile)
+        .unwrap();
+    pool.flush_all().unwrap();
+    let ratio = pool.disk_stats().sim_ms / vertical.report.io.sim_ms;
+    txn.with(|db_e| {
+        check(
+            "vertical vs blocking",
+            audit_equivalence(&db_b, db_e, w_a.tid),
+        )
+    });
+    println!("[blocking] {ratio:.3}x the vertical run's simulated clock");
 }
 
 /// Fault-injection demo: a transient fault ridden out by retry + serial

@@ -4,7 +4,10 @@ use std::sync::Arc;
 
 use bd_btree::{bulk_load, BTree, Key, LeafScan};
 use bd_exec::sort_all;
-use bd_storage::{BufferPool, CostModel, MemoryBudget, Rid, SimDisk, StructureId};
+use bd_hashidx::HashIndex;
+use bd_storage::{
+    BufferPool, CostModel, HeapFile, MemoryBudget, Rid, SimDisk, StorageResult, StructureId,
+};
 
 use crate::catalog::{Index, IndexDef, Table};
 use crate::constraint::ForeignKey;
@@ -87,7 +90,7 @@ impl Database {
 
     /// Create an empty table.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> TableId {
-        let heap = bd_storage::HeapFile::create(self.pool.clone());
+        let heap = HeapFile::create(self.pool.clone());
         self.tables.push(Table {
             name: name.to_string(),
             schema,
@@ -150,53 +153,37 @@ impl Database {
         Ok(index.tree.search(key)?)
     }
 
-    /// Build an index described by `def` over the current table contents:
-    /// heap scan → external sort → bottom-up bulk load.
+    /// Build an index described by `def` over the current table contents
+    /// ([`build_index`]).
     pub fn create_index(&mut self, id: TableId, def: IndexDef) -> DbResult<()> {
-        let workspace = self.workspace.clone();
-        let pool = self.pool.clone();
+        let sort_bytes = self.workspace.capacity().max(4096);
         let table = self.tables.get_mut(id).ok_or(DbError::NoSuchTable(id))?;
         if table.index_on(def.attr).is_some() {
             return Err(DbError::IndexExists { attr: def.attr });
         }
-        let schema = table.schema;
-        let mut scan = table.heap.scan();
-        let entries = (&mut scan).map(|(rid, bytes)| (schema.attr_of(&bytes, def.attr), rid));
-        let (sorted, _) = sort_all(pool.clone(), entries, workspace.capacity().max(4096))?;
-        // A fused scan means the sorted entry list is missing records: the
-        // index must not be built from it.
-        if let Some(e) = scan.take_error() {
-            return Err(DbError::Storage(e));
-        }
-        let tree = bulk_load(
-            pool,
-            def.config,
-            &sorted,
-            def.fill,
-            StructureId::index_of(id, def.attr),
+        let owner = StructureId::index_of(id, def.attr);
+        let tree = build_index(
+            &self.pool,
+            &table.heap,
+            table.schema,
+            &def,
+            owner,
+            sort_bytes,
         )?;
         table.indices.push(Index { def, tree });
         Ok(())
     }
 
-    /// Build a hash index on `attr` over the current table contents, one
-    /// insert per record. Every bulk-delete driver then maintains it with
-    /// one bucket-ordered sweep per statement.
+    /// Build a hash index on `attr` over the current table contents
+    /// ([`build_hash`]). Every bulk-delete driver then maintains it with one
+    /// bucket-ordered sweep per statement.
     pub fn create_hash_index(&mut self, id: TableId, attr: usize) -> DbResult<()> {
-        let pool = self.pool.clone();
         let table = self.tables.get_mut(id).ok_or(DbError::NoSuchTable(id))?;
         if table.hash_index_on(attr).is_some() {
             return Err(DbError::IndexExists { attr });
         }
-        let schema = table.schema;
-        let mut index = bd_hashidx::HashIndex::with_capacity(
-            pool,
-            table.heap.len().max(64),
-            StructureId::hash_of(id, attr),
-        )?;
-        for (rid, bytes) in table.heap.dump()? {
-            index.insert(schema.attr_of(&bytes, attr), rid)?;
-        }
+        let owner = StructureId::hash_of(id, attr);
+        let index = build_hash(&self.pool, &table.heap, table.schema, attr, owner)?;
         table.hash_indices.push(crate::catalog::HashIdx {
             def: crate::catalog::HashIndexDef {
                 name: format!("H_{}", crate::tuple::attr_name(attr)),
@@ -307,13 +294,53 @@ impl Database {
     }
 }
 
+/// Build `def`'s B-tree over `heap`'s rows, its pages owned by `owner`:
+/// heap scan → external sort in `sort_bytes` → bottom-up bulk load. Index
+/// creation, drop & create's rebuilds and media recovery all build here.
+pub fn build_index(
+    pool: &Arc<BufferPool>,
+    heap: &HeapFile,
+    schema: Schema,
+    def: &IndexDef,
+    owner: StructureId,
+    sort_bytes: usize,
+) -> StorageResult<BTree> {
+    let mut scan = heap.scan();
+    let entries = (&mut scan).map(|(rid, bytes)| (schema.attr_of(&bytes, def.attr), rid));
+    let (sorted, _) = sort_all(pool.clone(), entries, sort_bytes)?;
+    // A fused scan means the sorted entry list is missing records: the
+    // index must not be built from it.
+    if let Some(e) = scan.take_error() {
+        return Err(e);
+    }
+    bulk_load(pool.clone(), def.config, &sorted, def.fill, owner)
+}
+
+/// Build a hash index on `attr` over `heap`'s rows, its pages owned by
+/// `owner`: one insert per record, sized by the rows read (the heap's own
+/// count may not be recounted yet after a crash).
+pub fn build_hash(
+    pool: &Arc<BufferPool>,
+    heap: &HeapFile,
+    schema: Schema,
+    attr: usize,
+    owner: StructureId,
+) -> StorageResult<HashIndex> {
+    let rows = heap.dump()?;
+    let mut index = HashIndex::with_capacity(pool.clone(), rows.len().max(64), owner)?;
+    for (rid, bytes) in rows {
+        index.insert(schema.attr_of(&bytes, attr), rid)?;
+    }
+    Ok(index)
+}
+
 /// Borrow the pieces a delete strategy needs from one table, splitting the
 /// borrow so heap and indices can be mutated independently.
 pub struct TableParts<'a> {
     /// Record layout.
     pub schema: Schema,
     /// The heap.
-    pub heap: &'a mut bd_storage::HeapFile,
+    pub heap: &'a mut HeapFile,
     /// All B-tree indices.
     pub indices: &'a mut Vec<Index>,
     /// All hash indices (one bucket sweep each under the vertical
@@ -341,11 +368,6 @@ impl Database {
             pool,
         ))
     }
-}
-
-/// Direct access to a tree for tests.
-pub fn tree_of(table: &Table, attr: usize) -> &BTree {
-    &table.index_on(attr).expect("index exists").tree
 }
 
 #[cfg(test)]

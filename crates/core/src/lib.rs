@@ -19,6 +19,11 @@
 //!   the classic-hash, partitioned-hash and hash-probe methods of Fig. 4/5
 //!   are plans built by hand.
 //!
+//! Fig. 3 itself is written once, in [`pass`]: the pass order, the table's
+//! structures borrowed apart, and one chunked pass per structure. The
+//! offline strategy, the logged driver (`bd-wal`) and the live driver
+//! (`bd-txn`) differ only in where a pass pauses.
+//!
 //! ```
 //! use bd_core::prelude::*;
 //!
@@ -48,6 +53,7 @@ pub mod erasure;
 pub mod error;
 pub mod executor;
 pub mod maintain;
+pub mod pass;
 pub mod plan;
 pub mod planner;
 pub mod report;
@@ -61,7 +67,7 @@ pub use audit::{
 };
 pub use catalog::{HashIdx, HashIndexDef, Index, IndexDef, Table};
 pub use constraint::{ForeignKey, RefAction};
-pub use db::{Database, DatabaseConfig, TableId};
+pub use db::{build_hash, build_index, Database, DatabaseConfig, TableId};
 pub use engine::{audit_engine_equivalence, BtreeEngine, EngineStats, TableEngine};
 pub use erasure::{
     collect_sensitive, plan_cascade, run_cascade, run_cascade_step, scrub_database, verify_erasure,
@@ -70,6 +76,7 @@ pub use erasure::{
 pub use error::{DbError, DbResult};
 pub use executor::{PhaseExecutor, PhaseTask};
 pub use maintain::{Maintainer, MaintenanceConfig, MaintenanceReport};
+pub use pass::{pass_order, project, split, Victims};
 pub use plan::{DeletePlan, IndexMethod, IndexStep, TableMethod};
 pub use planner::plan_sort_merge;
 pub use report::{

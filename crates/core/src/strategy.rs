@@ -12,14 +12,15 @@
 //!   set-oriented `⋈̄` at a time, following a [`DeletePlan`].
 //!
 //! The vertical and drop&create strategies run on the
-//! [`PhaseExecutor`](crate::executor::PhaseExecutor): the serial prefix
-//! (sort `D`, the key-predicate `⋈̄`, the table pass, and §3.1's
-//! unique-index arms) in plan order, then one independent arm per remaining
-//! secondary index and hash index. Every entry point takes a
-//! `workers: usize` — `1` runs the arms on the caller's thread, `> 1`
-//! dispatches them to worker threads; because each arm touches only its own
-//! structure's pages, the physical result is identical to the serial run —
-//! only the critical-path clock shrinks.
+//! [`PhaseExecutor`](crate::executor::PhaseExecutor). The vertical one is
+//! [`run_passes`] over the [`pass`](crate::pass) core: the serial prefix
+//! (the key-predicate `⋈̄`, the table pass, and §3.1's unique-index arms) in
+//! pass order, then one independent arm per remaining secondary index and
+//! hash index. Every entry point takes a `workers: usize` — `1` runs the
+//! arms on the caller's thread, `> 1` dispatches them to worker threads;
+//! because each arm touches only its own structure's pages, the physical
+//! result is identical to the serial run — only the critical-path clock
+//! shrinks.
 //!
 //! Every strategy returns the same [`DeleteOutcome`] and leaves the table
 //! and indices in exactly equivalent states (property-tested, and audited
@@ -28,17 +29,18 @@
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use bd_btree::{bulk_delete_by_keys, bulk_delete_probe, bulk_delete_sorted, Key, ReorgPolicy};
+use bd_btree::{bulk_delete_by_keys, bulk_delete_probe, Key, ReorgPolicy};
 use bd_exec::{range_partitions, sort_all, ByRid, RidSet, BYTES_PER_RID};
 use bd_storage::{BufferPool, MemoryBudget, Rid, StorageResult, StructureId};
 
-use crate::catalog::{HashIdx, Index, IndexDef};
-use crate::db::{Database, TableId};
+use crate::catalog::Index;
+use crate::db::{build_index, Database, TableId, TableParts};
 use crate::error::{DbError, DbResult};
 use crate::executor::{PhaseExecutor, PhaseTask};
+use crate::pass::{pass_order, project, split, Victims};
 use crate::plan::{DeletePlan, IndexMethod, TableMethod};
 use crate::planner::plan_sort_merge;
-use crate::report::{measure, DegradeEvent, PhaseRow, RunReport};
+use crate::report::{measure, RunReport};
 use crate::tuple::{Schema, Tuple};
 
 /// What a strategy deleted, plus its cost report.
@@ -51,19 +53,39 @@ pub struct DeleteOutcome {
     pub deleted: Vec<(Rid, Tuple)>,
 }
 
-/// What the table-and-index passes of a strategy hand back to `measure`:
-/// the deleted rows, the per-phase I/O rows the executor recorded, and any
-/// graceful-degradation events.
-type RowsAndPhases = (Vec<(Rid, Tuple)>, Vec<PhaseRow>, Vec<DegradeEvent>);
-
-/// The planner's per-index steps, as `(position in catalog, ⋈̄ method)`.
-type IndexSteps = Vec<(usize, IndexMethod)>;
-
 fn probe_pos(indices: &[Index], attr: usize) -> DbResult<usize> {
     indices
         .iter()
         .position(|i| i.def.attr == attr)
         .ok_or(DbError::NoProbeIndex { attr })
+}
+
+/// The record-at-a-time delete both horizontal baselines share: each key's
+/// victims through the probe index `parts.indices[probe]`, then each victim
+/// out of the heap and immediately out of every index and hash index the
+/// table has — one root-to-leaf traversal per index per record.
+fn delete_each(
+    parts: &mut TableParts<'_>,
+    probe: usize,
+    keys: &[Key],
+) -> StorageResult<Vec<(Rid, Tuple)>> {
+    let schema = parts.schema;
+    let mut deleted: Vec<(Rid, Tuple)> = Vec::new();
+    for &key in keys {
+        for rid in parts.indices[probe].tree.search(key)? {
+            let bytes = parts.heap.delete(rid)?;
+            for index in parts.indices.iter_mut() {
+                let k = schema.attr_of(&bytes, index.def.attr);
+                let existed = index.tree.delete_one(k, rid)?;
+                debug_assert!(existed, "index entry missing for rid {rid}");
+            }
+            for h in parts.hash_indices.iter_mut() {
+                h.index.delete(schema.attr_of(&bytes, h.def.attr), rid)?;
+            }
+            deleted.push((rid, schema.decode(&bytes)));
+        }
+    }
+    Ok(deleted)
 }
 
 /// Traditional horizontal delete (`sorted/trad` when `presort`, else
@@ -75,12 +97,9 @@ pub fn horizontal(
     d_keys: &[Key],
     presort: bool,
 ) -> DbResult<DeleteOutcome> {
-    let (parts, ws, pool) = db.parts(tid)?;
+    let (mut parts, ws, pool) = db.parts(tid)?;
     let pos = probe_pos(parts.indices, probe_attr)?;
-    let schema = parts.schema;
-    let heap = parts.heap;
-    let indices = parts.indices;
-    let hash_indices = parts.hash_indices;
+    let ws_bytes = ws.capacity().max(4096);
     let label = if presort {
         "sorted/trad"
     } else {
@@ -89,35 +108,11 @@ pub fn horizontal(
 
     let (deleted, mut report) = measure(&pool, label, || {
         let keys: Vec<Key> = if presort {
-            sort_all(
-                pool.clone(),
-                d_keys.iter().copied(),
-                ws.capacity().max(4096),
-            )?
-            .0
+            sort_all(pool.clone(), d_keys.iter().copied(), ws_bytes)?.0
         } else {
             d_keys.to_vec()
         };
-        let mut deleted: Vec<(Rid, Tuple)> = Vec::new();
-        for &key in &keys {
-            // Find the victims through the probe index, then delete the
-            // record and immediately remove it from every index —
-            // one root-to-leaf traversal per index per record.
-            let rids = indices[pos].tree.search(key)?;
-            for rid in rids {
-                let bytes = heap.delete(rid)?;
-                for index in indices.iter_mut() {
-                    let k = schema.attr_of(&bytes, index.def.attr);
-                    let existed = index.tree.delete_one(k, rid)?;
-                    debug_assert!(existed, "index entry missing for rid {rid}");
-                }
-                for h in hash_indices.iter_mut() {
-                    h.index.delete(schema.attr_of(&bytes, h.def.attr), rid)?;
-                }
-                deleted.push((rid, schema.decode(&bytes)));
-            }
-        }
-        Ok(deleted)
+        delete_each(&mut parts, pos, &keys)
     })?;
     report.deleted = deleted.len();
     Ok(DeleteOutcome { report, deleted })
@@ -150,105 +145,40 @@ pub fn drop_create(
     rebuild: RebuildMode,
     workers: usize,
 ) -> DbResult<DeleteOutcome> {
-    let (parts, ws, pool) = db.parts(tid)?;
-    probe_pos(parts.indices, probe_attr)?; // validate before measuring
-    let schema = parts.schema;
-    let heap = parts.heap;
-    let indices = parts.indices;
-    let hash_indices = parts.hash_indices;
+    let (mut parts, ws, pool) = db.parts(tid)?;
+    let pos = probe_pos(parts.indices, probe_attr)?; // validate before measuring
+    let ws_bytes = ws.capacity().max(4096);
 
     let ((deleted, phases, events), mut report) = measure(&pool, "drop&create", || {
-        execute_drop_create(
-            &pool,
-            &ws,
-            tid,
-            schema,
-            heap,
-            indices,
-            hash_indices,
-            probe_attr,
-            d_keys,
-            rebuild,
-            workers,
-        )
-    })?;
-    report.deleted = deleted.len();
-    report.phases = phases;
-    report.workers = workers.max(1);
-    report.events = events;
-    Ok(DeleteOutcome { report, deleted })
-}
+        let mut exec = PhaseExecutor::new(workers);
+        // Drop every index except the probe index (still needed to find the
+        // records to delete), which is left alone at position 0.
+        // Catalog-only: no I/O, no phase row.
+        let probe = parts.indices.remove(pos);
+        let dropped = std::mem::replace(parts.indices, vec![probe]);
 
-#[allow(clippy::too_many_arguments)] // split borrows of one table
-fn execute_drop_create(
-    pool: &Arc<BufferPool>,
-    ws: &Arc<MemoryBudget>,
-    tid: TableId,
-    schema: Schema,
-    heap: &mut bd_storage::HeapFile,
-    indices: &mut Vec<Index>,
-    hash_indices: &mut [HashIdx],
-    probe_attr: usize,
-    d_keys: &[Key],
-    rebuild: RebuildMode,
-    workers: usize,
-) -> StorageResult<RowsAndPhases> {
-    let ws_bytes = ws.capacity().max(4096);
-    let mut exec = PhaseExecutor::new(workers);
+        // Sorted traditional delete against heap + probe index.
+        let keys: Vec<Key> = exec.serial("sort(D)", || {
+            Ok(sort_all(pool.clone(), d_keys.iter().copied(), ws_bytes)?.0)
+        })?;
+        let deleted = exec.serial("trad delete (probe+heap)", || {
+            delete_each(&mut parts, 0, &keys)
+        })?;
 
-    // Drop every index except the probe index (still needed to find the
-    // records to delete). Catalog-only: no I/O, no phase row.
-    let mut dropped: Vec<IndexDef> = Vec::new();
-    let mut i = 0;
-    while i < indices.len() {
-        if indices[i].def.attr != probe_attr {
-            dropped.push(indices.remove(i).def);
-        } else {
-            i += 1;
-        }
-    }
-    let pos = indices
-        .iter()
-        .position(|ix| ix.def.attr == probe_attr)
-        .expect("probe index kept");
-    debug_assert!(pos == 0 || pos < indices.len());
-
-    // Sorted traditional delete against heap + probe index.
-    let keys: Vec<Key> = exec.serial("sort(D)", || {
-        Ok(sort_all(pool.clone(), d_keys.iter().copied(), ws_bytes)?.0)
-    })?;
-    let deleted: Vec<(Rid, Tuple)> = exec.serial("trad delete (probe+heap)", || {
-        let mut deleted: Vec<(Rid, Tuple)> = Vec::new();
-        for &key in &keys {
-            let rids = indices[pos].tree.search(key)?;
-            for rid in rids {
-                let bytes = heap.delete(rid)?;
-                let k = schema.attr_of(&bytes, probe_attr);
-                indices[pos].tree.delete_one(k, rid)?;
-                for h in hash_indices.iter_mut() {
-                    h.index.delete(schema.attr_of(&bytes, h.def.attr), rid)?;
-                }
-                deleted.push((rid, schema.decode(&bytes)));
-            }
-        }
-        Ok(deleted)
-    })?;
-
-    // Re-create the dropped indices — one independent arm per index. Each
-    // arm scans the (now immutable) heap and builds only its own tree, so
-    // the arms are safe to dispatch concurrently.
-    let n_arms = dropped.len();
-    if n_arms > 0 {
-        let concurrency = workers.clamp(1, n_arms);
+        // Re-create the dropped indices — one independent arm per index.
+        // Each arm scans the (now immutable) heap and builds only its own
+        // tree, so the arms are safe to dispatch concurrently.
+        let n_arms = dropped.len();
+        let concurrency = workers.clamp(1, n_arms.max(1));
         let arm_bytes = if concurrency > 1 {
             (ws_bytes / concurrency).max(4096)
         } else {
             ws_bytes
         };
-        let heap: &bd_storage::HeapFile = heap;
+        let (heap, schema) = (&*parts.heap, parts.schema);
         let slots: Vec<Mutex<Option<Index>>> = (0..n_arms).map(|_| Mutex::new(None)).collect();
         let mut tasks: Vec<PhaseTask> = Vec::new();
-        for (slot, def) in slots.iter().zip(dropped) {
+        for (slot, def) in slots.iter().zip(dropped.into_iter().map(|ix| ix.def)) {
             let tag = match rebuild {
                 RebuildMode::BulkLoad => "bulk load",
                 RebuildMode::InsertEach => "insert each",
@@ -256,31 +186,13 @@ fn execute_drop_create(
             let name = format!("rebuild {} ({tag})", def.name);
             let pool = pool.clone();
             tasks.push(PhaseTask::new(name, move || {
+                let owner = StructureId::index_of(tid, def.attr);
                 let tree = match rebuild {
                     RebuildMode::BulkLoad => {
-                        let mut scan = heap.scan();
-                        let entries =
-                            (&mut scan).map(|(rid, bytes)| (schema.attr_of(&bytes, def.attr), rid));
-                        let (sorted, _) = sort_all(pool.clone(), entries, arm_bytes)?;
-                        // A fused scan would rebuild the index without the
-                        // unread pages' records — abort instead.
-                        if let Some(e) = scan.take_error() {
-                            return Err(e);
-                        }
-                        bd_btree::bulk_load(
-                            pool.clone(),
-                            def.config,
-                            &sorted,
-                            def.fill,
-                            StructureId::index_of(tid, def.attr),
-                        )?
+                        build_index(&pool, heap, schema, &def, owner, arm_bytes)?
                     }
                     RebuildMode::InsertEach => {
-                        let mut tree = bd_btree::BTree::create(
-                            pool.clone(),
-                            def.config,
-                            StructureId::index_of(tid, def.attr),
-                        )?;
+                        let mut tree = bd_btree::BTree::create(pool.clone(), def.config, owner)?;
                         for (rid, bytes) in heap.dump()? {
                             tree.insert(schema.attr_of(&bytes, def.attr), rid)?;
                         }
@@ -298,15 +210,17 @@ fn execute_drop_create(
         }
         exec.fan_out(tasks)?;
         for slot in slots {
-            let index = slot
-                .into_inner()
-                .expect("rebuild slot lock")
-                .expect("rebuild arm completed");
-            indices.push(index);
+            let index = slot.into_inner().expect("rebuild slot lock");
+            parts.indices.push(index.expect("rebuild arm completed"));
         }
-    }
-    let (rows, events) = exec.into_parts();
-    Ok((deleted, rows, events))
+        let (phases, events) = exec.into_parts();
+        Ok((deleted, phases, events))
+    })?;
+    report.deleted = deleted.len();
+    report.phases = phases;
+    report.workers = workers.max(1);
+    report.events = events;
+    Ok(DeleteOutcome { report, deleted })
 }
 
 /// The vertical (set-oriented) bulk delete, following `plan`.
@@ -327,48 +241,158 @@ pub fn vertical(
     policy: ReorgPolicy,
     workers: usize,
 ) -> DbResult<DeleteOutcome> {
+    // Resolve the pass order up front (the plan may be stale).
+    let (order, n_serial) = pass_order(db.table(tid)?, plan)?;
     let (parts, ws, pool) = db.parts(tid)?;
-    let pos = probe_pos(parts.indices, plan.probe_attr)?;
-    // Resolve index-step positions up front (plan may be stale).
-    let step_pos: Vec<(usize, IndexMethod)> = plan
-        .index_steps
-        .iter()
-        .map(|s| {
-            parts
-                .indices
-                .iter()
-                .position(|i| i.def.attr == s.attr)
-                .map(|p| (p, s.method))
-                .ok_or(DbError::NoSuchIndex { attr: s.attr })
-        })
-        .collect::<DbResult<_>>()?;
     let schema = parts.schema;
-    let heap = parts.heap;
-    let indices = parts.indices;
-    let hash_indices = parts.hash_indices;
-    let table_method = plan.table;
+    let passes = split(parts, plan.probe_attr, &order);
+    let ws_bytes = ws.capacity().max(4096);
 
     let ((deleted, phases, events), mut report) = measure(&pool, "bulk delete", || {
-        execute_vertical(
-            &pool,
-            &ws,
-            schema,
-            heap,
-            indices,
-            hash_indices,
-            pos,
-            &step_pos,
-            table_method,
-            d_keys,
-            policy,
-            workers,
-        )
+        let mut exec = PhaseExecutor::new(workers);
+        // Sort D on the probe key (sort_D in Fig. 3).
+        let keys: Vec<Key> = exec.serial("sort(D)", || {
+            Ok(sort_all(pool.clone(), d_keys.iter().copied(), ws_bytes)?.0)
+        })?;
+        let rows = run_passes(
+            &mut exec, &pool, &ws, schema, plan, passes, n_serial, &keys, policy,
+        )?;
+        let (phases, events) = exec.into_parts();
+        let deleted: Vec<(Rid, Tuple)> = rows
+            .into_iter()
+            .map(|(rid, bytes)| (rid, schema.decode(&bytes)))
+            .collect();
+        Ok((deleted, phases, events))
     })?;
     report.deleted = deleted.len();
     report.phases = phases;
     report.workers = workers.max(1);
     report.events = events;
     Ok(DeleteOutcome { report, deleted })
+}
+
+/// Fig. 3 on `exec` for the sorted delete keys, over the `passes` that
+/// [`split`] hands out for a [`pass_order`] of `plan` (or a subsequence of
+/// one that keeps its first `n_serial`). The serial prefix runs one phase
+/// at a time: `D ⋈̄ I_probe` by key merge, `⋈̄ R` by the plan's table
+/// method, then each unique B-tree. The rest form one fan-out group, one
+/// arm per structure, on up to `exec.workers()` threads. Returns the heap's
+/// deleted rows.
+///
+/// The offline statement runs it once. The live driver runs it once per
+/// chunk of keys, with the non-unique B-trees left out until its
+/// propagation phase.
+#[allow(clippy::too_many_arguments)] // one table's passes plus the statement
+pub fn run_passes(
+    exec: &mut PhaseExecutor,
+    pool: &Arc<BufferPool>,
+    ws: &MemoryBudget,
+    schema: Schema,
+    plan: &DeletePlan,
+    passes: Vec<Victims<'_>>,
+    n_serial: usize,
+    keys: &[Key],
+    policy: ReorgPolicy,
+) -> StorageResult<Vec<(Rid, Vec<u8>)>> {
+    let ws_bytes = ws.capacity().max(4096);
+    let method_of = |index: &Index| {
+        plan.index_steps
+            .iter()
+            .find(|s| s.attr == index.def.attr)
+            .expect("the pass order comes from the plan")
+            .method
+    };
+    let mut passes = passes.into_iter();
+    let (Some(Victims::Tree(probe, _)), Some(Victims::Heap(heap, _))) =
+        (passes.next(), passes.next())
+    else {
+        unreachable!("a pass order starts with the probe index and the table")
+    };
+
+    // D ⋈̄ I_probe — key-predicate sort/merge bulk delete; its output is the
+    // list of (key, RID) entries removed.
+    let deleted_a = exec.serial(format!("bd {} (key merge)", probe.def.name), || {
+        bulk_delete_by_keys(&mut probe.tree, keys, policy)
+    })?;
+
+    // ⋈̄ R — delete the records from the base table.
+    let rows = exec.serial("bd R (table)", || match plan.table {
+        TableMethod::Merge { presort } => {
+            let rids: Vec<Rid> = if presort {
+                let (sorted, _) = sort_all(
+                    pool.clone(),
+                    deleted_a.iter().map(|&(k, r)| ByRid(r, k)),
+                    ws_bytes,
+                )?;
+                sorted.into_iter().map(|b| b.0).collect()
+            } else {
+                // Clustered probe index: already in RID order.
+                let rids: Vec<Rid> = deleted_a.iter().map(|e| e.1).collect();
+                debug_assert!(rids.windows(2).all(|w| w[0] <= w[1]));
+                rids
+            };
+            Victims::Heap(heap, rids).run(0, usize::MAX, policy, |_| Ok(()))
+        }
+        TableMethod::HashProbe => {
+            let set = RidSet::build(ws, deleted_a.iter().map(|e| e.1))?;
+            heap.bulk_delete_probe(set.as_set())
+        }
+    })?;
+
+    // §3.1: unique indices next, serially — they can be brought back
+    // online before anything else runs.
+    let mut rest: Vec<Victims<'_>> = passes.collect();
+    let fan = rest.split_off(n_serial - 2);
+    for pass in rest {
+        let Victims::Tree(index, _) = pass else {
+            unreachable!("the serial prefix ends with the unique B-trees")
+        };
+        let method = method_of(index);
+        let name = format!("bd {} ({})", index.def.name, method_tag(method));
+        exec.serial(name, || {
+            run_index_arm(pool, ws, ws_bytes, schema, index, method, &rows, policy)
+        })?;
+    }
+
+    // The fan-out group: one arm per remaining secondary index, plus one
+    // per hash index (one bucket-ordered sweep each — the chains of one
+    // hash index are independent of every other structure). Arms borrow
+    // disjoint structures, so the group can run on worker threads.
+    if !fan.is_empty() {
+        let concurrency = exec.workers().clamp(1, fan.len());
+        // Concurrent arms split the sort workspace; the serial path keeps
+        // the full budget (bit-identical to the pre-executor behaviour).
+        let arm_bytes = if concurrency > 1 {
+            (ws_bytes / concurrency).max(4096)
+        } else {
+            ws_bytes
+        };
+        let rows = &rows;
+        let tasks: Vec<PhaseTask> = fan
+            .into_iter()
+            .map(|pass| match pass {
+                Victims::Tree(index, _) => {
+                    let method = method_of(index);
+                    let name = format!("bd {} ({})", index.def.name, method_tag(method));
+                    let pool = pool.clone();
+                    PhaseTask::new(name, move || {
+                        run_index_arm(&pool, ws, arm_bytes, schema, index, method, rows, policy)
+                    })
+                }
+                Victims::Hash(h, _) => {
+                    let name = format!("{} (bucket sweep)", h.def.name);
+                    PhaseTask::new(name, move || {
+                        let entries = project(rows, schema, h.def.attr).collect();
+                        Victims::Hash(&mut *h, entries).run(0, usize::MAX, policy, |_| Ok(()))?;
+                        Ok(())
+                    })
+                }
+                Victims::Heap(..) => unreachable!("the table pass is in the serial prefix"),
+            })
+            .collect();
+        exec.fan_out(tasks)?;
+    }
+    Ok(rows)
 }
 
 /// One downstream index `⋈̄` arm: consume the deleted-record stream and
@@ -385,26 +409,19 @@ fn run_index_arm(
     deleted_rows: &[(Rid, Vec<u8>)],
     policy: ReorgPolicy,
 ) -> StorageResult<()> {
-    let attr = index.def.attr;
-    let tree = &mut index.tree;
+    let proj = project(deleted_rows, schema, index.def.attr);
     match method {
         IndexMethod::SortMerge { presort } => {
             let pairs: Vec<(Key, Rid)> = if presort {
-                let proj = deleted_rows
-                    .iter()
-                    .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid));
                 sort_all(pool.clone(), proj, sort_bytes)?.0
             } else {
                 // Clustered downstream index: RID order implies key
                 // order, so the projection arrives sorted.
-                let pairs: Vec<(Key, Rid)> = deleted_rows
-                    .iter()
-                    .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
-                    .collect();
+                let pairs: Vec<(Key, Rid)> = proj.collect();
                 debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
                 pairs
             };
-            bulk_delete_sorted(tree, &pairs, policy)?;
+            Victims::Tree(index, pairs).run(0, usize::MAX, policy, |_| Ok(()))?;
         }
         IndexMethod::ClassicHash => {
             // "On a single-processor machine the same hash table can be
@@ -413,14 +430,12 @@ fn run_index_arm(
             // hold a reservation against the shared workspace budget, so
             // oversubscription fails honestly instead of silently.
             let set = RidSet::build(ws, deleted_rows.iter().map(|e| e.0))?;
-            bulk_delete_probe(tree, set.as_set(), None, policy)?;
+            bulk_delete_probe(&mut index.tree, set.as_set(), None, policy)?;
         }
         IndexMethod::PartitionedHash => {
-            let proj = deleted_rows
-                .iter()
-                .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid));
             let (pairs, _) = sort_all(pool.clone(), proj, sort_bytes)?;
             let per_part = (sort_bytes / BYTES_PER_RID).max(1);
+            let tree = &mut index.tree;
             for part in range_partitions(&pairs, per_part) {
                 let set = RidSet::build(ws, part.rids())?;
                 bulk_delete_probe(tree, set.as_set(), Some((part.lo, part.hi)), policy)?;
@@ -436,159 +451,6 @@ fn method_tag(method: IndexMethod) -> &'static str {
         IndexMethod::ClassicHash => "hash probe",
         IndexMethod::PartitionedHash => "partitioned hash",
     }
-}
-
-#[allow(clippy::too_many_arguments)] // split borrows of one table
-fn execute_vertical(
-    pool: &Arc<BufferPool>,
-    ws: &Arc<MemoryBudget>,
-    schema: Schema,
-    heap: &mut bd_storage::HeapFile,
-    indices: &mut [Index],
-    hash_indices: &mut [HashIdx],
-    probe: usize,
-    steps: &[(usize, IndexMethod)],
-    table_method: TableMethod,
-    d_keys: &[Key],
-    policy: ReorgPolicy,
-    workers: usize,
-) -> StorageResult<RowsAndPhases> {
-    let ws_bytes = ws.capacity().max(4096);
-    let mut exec = PhaseExecutor::new(workers);
-
-    // Step 1: sort D on the probe key (sort_D in Fig. 3).
-    let keys: Vec<Key> = exec.serial("sort(D)", || {
-        Ok(sort_all(pool.clone(), d_keys.iter().copied(), ws_bytes)?.0)
-    })?;
-
-    // Step 2: D ⋈̄ I_A — key-predicate sort/merge bulk delete; its output is
-    // the list of (A, RID) entries removed.
-    let deleted_a = exec.serial(
-        format!("bd {} (key merge)", indices[probe].def.name),
-        || bulk_delete_by_keys(&mut indices[probe].tree, &keys, policy),
-    )?;
-
-    // Step 3: ⋈̄ R — delete the records from the base table.
-    let deleted_rows: Vec<(Rid, Vec<u8>)> = exec.serial("bd R (table)", || match table_method {
-        TableMethod::Merge { presort } => {
-            let rids: Vec<Rid> = if presort {
-                let (sorted, _) = sort_all(
-                    pool.clone(),
-                    deleted_a.iter().map(|&(k, r)| ByRid(r, k)),
-                    ws_bytes,
-                )?;
-                sorted.into_iter().map(|b| b.0).collect()
-            } else {
-                // Clustered probe index: already in RID order.
-                let rids: Vec<Rid> = deleted_a.iter().map(|e| e.1).collect();
-                debug_assert!(rids.windows(2).all(|w| w[0] <= w[1]));
-                rids
-            };
-            heap.bulk_delete_sorted(&rids)
-        }
-        TableMethod::HashProbe => {
-            let set = RidSet::build(ws, deleted_a.iter().map(|e| e.1))?;
-            heap.bulk_delete_probe(set.as_set())
-        }
-    })?;
-
-    // Step 4: pipe the deleted rows into one ⋈̄ per remaining index.
-    //
-    // §3.1: unique indices first, serially — they can be brought back
-    // online before anything else runs. The planner already orders them
-    // first in `index_steps`; the partition below keeps that guarantee
-    // even against a hand-built plan.
-    let (unique_steps, fan_steps): (IndexSteps, IndexSteps) = steps
-        .iter()
-        .copied()
-        .partition(|&(ipos, _)| indices[ipos].def.unique);
-
-    for &(ipos, method) in &unique_steps {
-        let name = format!("bd {} ({})", indices[ipos].def.name, method_tag(method));
-        let index = &mut indices[ipos];
-        let deleted_rows = &deleted_rows;
-        exec.serial(name, || {
-            run_index_arm(
-                pool,
-                ws,
-                ws_bytes,
-                schema,
-                index,
-                method,
-                deleted_rows,
-                policy,
-            )
-        })?;
-    }
-
-    // The fan-out group: one arm per remaining secondary index, plus one
-    // per hash index (one bucket-ordered sweep each — the chains of one
-    // hash index are independent of every other structure). Arms borrow
-    // disjoint structures, so the group can run on worker threads.
-    let n_arms = fan_steps.len() + hash_indices.len();
-    if n_arms > 0 {
-        let concurrency = workers.clamp(1, n_arms);
-        // Concurrent arms split the sort workspace; the serial path keeps
-        // the full budget (bit-identical to the pre-executor behaviour).
-        let arm_bytes = if concurrency > 1 {
-            (ws_bytes / concurrency).max(4096)
-        } else {
-            ws_bytes
-        };
-
-        // Disjoint `&mut Index` borrows for the fan-out arms, re-ordered
-        // to match plan order (iter_mut yields catalog order).
-        let rank_of = |ipos: usize| fan_steps.iter().position(|&(p, _)| p == ipos);
-        let mut arm_indices: Vec<(usize, &mut Index)> = indices
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, ix)| rank_of(i).map(|r| (r, ix)))
-            .collect();
-        arm_indices.sort_by_key(|&(r, _)| r);
-
-        let deleted_rows = &deleted_rows;
-        let ws: &MemoryBudget = ws;
-        let mut tasks: Vec<PhaseTask> = Vec::new();
-        for ((_, index), &(_, method)) in arm_indices.into_iter().zip(fan_steps.iter()) {
-            let name = format!("bd {} ({})", index.def.name, method_tag(method));
-            let pool = pool.clone();
-            tasks.push(PhaseTask::new(name, move || {
-                run_index_arm(
-                    &pool,
-                    ws,
-                    arm_bytes,
-                    schema,
-                    index,
-                    method,
-                    deleted_rows,
-                    policy,
-                )
-            }));
-        }
-        for h in hash_indices.iter_mut() {
-            let name = format!("{} (bucket sweep)", h.def.name);
-            let attr = h.def.attr;
-            tasks.push(PhaseTask::new(name, move || {
-                let entries: Vec<(Key, Rid)> = deleted_rows
-                    .iter()
-                    .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
-                    .collect();
-                h.index.bulk_delete(&entries)?;
-                Ok(())
-            }));
-        }
-        exec.fan_out(tasks)?;
-    }
-
-    let (rows, events) = exec.into_parts();
-    Ok((
-        deleted_rows
-            .into_iter()
-            .map(|(rid, bytes)| (rid, schema.decode(&bytes)))
-            .collect(),
-        rows,
-        events,
-    ))
 }
 
 /// Vertical bulk delete with referential-integrity enforcement: every

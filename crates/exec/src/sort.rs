@@ -19,6 +19,11 @@ use bd_storage::{
 use bd_btree::Key;
 
 /// Fixed-size record that can live in a sort run.
+///
+/// The codecs below and the sorter's per-item methods are `#[inline]`: the
+/// sort is instantiated in each calling crate, and without the hint how
+/// fast its per-item path runs depends on how that crate's code happens to
+/// be split into code-generation units.
 pub trait Rec: Copy + Ord {
     /// Encoded size in bytes.
     const SIZE: usize;
@@ -30,9 +35,11 @@ pub trait Rec: Copy + Ord {
 
 impl Rec for u64 {
     const SIZE: usize = 8;
+    #[inline]
     fn encode(&self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn decode(src: &[u8]) -> Self {
         u64::from_le_bytes(src.try_into().expect("8 bytes"))
     }
@@ -40,10 +47,12 @@ impl Rec for u64 {
 
 impl Rec for (Key, Rid) {
     const SIZE: usize = 16;
+    #[inline]
     fn encode(&self, dst: &mut [u8]) {
         dst[..8].copy_from_slice(&self.0.to_le_bytes());
         dst[8..].copy_from_slice(&self.1.to_u64().to_le_bytes());
     }
+    #[inline]
     fn decode(src: &[u8]) -> Self {
         (
             u64::from_le_bytes(src[..8].try_into().expect("8 bytes")),
@@ -58,10 +67,12 @@ pub struct ByRid(pub Rid, pub Key);
 
 impl Rec for ByRid {
     const SIZE: usize = 16;
+    #[inline]
     fn encode(&self, dst: &mut [u8]) {
         dst[..8].copy_from_slice(&self.0.to_u64().to_le_bytes());
         dst[8..].copy_from_slice(&self.1.to_le_bytes());
     }
+    #[inline]
     fn decode(src: &[u8]) -> Self {
         ByRid(
             Rid::from_u64(u64::from_le_bytes(src[..8].try_into().expect("8 bytes"))),
@@ -109,6 +120,7 @@ impl<T: Rec> ExternalSorter<T> {
     }
 
     /// Add one item.
+    #[inline]
     pub fn push(&mut self, item: T) -> StorageResult<()> {
         self.buf.push(item);
         self.stats.items += 1;
@@ -126,6 +138,7 @@ impl<T: Rec> ExternalSorter<T> {
         Ok(())
     }
 
+    #[inline]
     fn spill(&mut self) -> StorageResult<()> {
         if self.buf.is_empty() {
             return Ok(());
@@ -293,6 +306,7 @@ struct RunCursor<T: Rec> {
 }
 
 impl<T: Rec> RunCursor<T> {
+    #[inline]
     fn next(&mut self) -> StorageResult<Option<T>> {
         if self.reader.remaining() == 0 {
             self.release();
@@ -345,6 +359,7 @@ impl<T: Rec> KWayMerge<T> {
         Ok(KWayMerge { cursors, heap })
     }
 
+    #[inline]
     fn next_item(&mut self) -> StorageResult<Option<T>> {
         // Pause point: between merge outputs; run cursors read through
         // temp segments, never through pinned frames.

@@ -8,10 +8,11 @@
 //! 1. per chunk, acquire the **exclusive table lock**; inside the first
 //!    exclusive span switch the non-unique secondary indices offline ("X
 //!    lock, then indices off-line");
-//! 2. still under the lock, process the probe index, the base table, the
-//!    hash indices (one bucket sweep each) and all **unique indices**
-//!    (unique first, so the constraint stays checkable) for the chunk's
-//!    keys;
+//! 2. still under the lock, run the pass core's serial prefix for the
+//!    chunk's keys — the probe index, the base table and all **unique
+//!    indices** (unique first, so the constraint stays checkable) — then
+//!    the hash indices (one bucket sweep each), exactly as the offline
+//!    statement runs them ([`bd_core::strategy::run_passes`]);
 //! 3. commit the chunk: release the table lock — "As soon as table R and
 //!    all unique indices are processed ... the lock on R is released"; the
 //!    probe and unique indices are only ever modified under it, so they
@@ -36,10 +37,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use bd_btree::{bulk_delete_by_keys, bulk_delete_sorted, Key, RangeCursor, ReorgPolicy};
-use bd_core::{Database, DbError, DbResult, TableId, Tuple};
-use bd_exec::{sort_all, ByRid};
-use bd_storage::{io_scope::bypass_cancel, Pacer, Rid};
+use bd_btree::{Key, RangeCursor, ReorgPolicy};
+use bd_core::strategy::run_passes;
+use bd_core::{
+    pass_order, plan_sort_merge, project, split, Database, DbError, DbResult, Index, PhaseExecutor,
+    TableId, Tuple, Victims,
+};
+use bd_exec::sort_all;
+use bd_storage::{io_scope::bypass_cancel, Pacer, Rid, StorageResult};
 
 use crate::error::TxnResult;
 use crate::gate::{IndexGate, IndexState};
@@ -399,30 +404,35 @@ impl TxnDb {
     ) -> TxnResult<LiveDeleteStats> {
         let _serial = self.bulk_serial.lock();
         let chunk = chunk.max(1);
-        let defs = self.index_defs(tid)?;
-        if !defs.iter().any(|&(attr, _)| attr == probe_attr) {
-            return Err(DbError::NoProbeIndex { attr: probe_attr }.into());
-        }
-        let (pool, ws_bytes, schema) = {
+        let (pool, ws_bytes, schema, plan, order, n_serial) = {
             let db = self.db.lock();
+            let table = db.table(tid)?;
+            let plan = plan_sort_merge(table, probe_attr)?;
+            let (order, n_serial) = pass_order(table, &plan)?;
             (
                 db.pool().clone(),
                 db.workspace().capacity().max(4096),
-                db.table(tid)?.schema,
+                table.schema,
+                plan,
+                order,
+                n_serial,
             )
         };
         let (mut keys, _) = sort_all(pool.clone(), d_keys.iter().copied(), ws_bytes)?;
         keys.dedup();
 
+        // The non-unique B-trees (the plan's steps after the unique ones)
+        // go offline until phase 2; each chunk runs the rest of the order:
+        // the serial prefix and the hash indices.
+        let offline_attrs: Vec<usize> = plan.index_steps[n_serial - 2..]
+            .iter()
+            .map(|s| s.attr)
+            .collect();
+        let chunk_order = [&order[..n_serial], &order[n_serial + offline_attrs.len()..]].concat();
         let offline_state = match mode {
             PropagationMode::SideFile => IndexState::OfflineSideFile,
             PropagationMode::Direct => IndexState::OfflineDirect,
         };
-        let offline_attrs: Vec<usize> = defs
-            .iter()
-            .filter(|&&(attr, unique)| !unique && attr != probe_attr)
-            .map(|&(attr, _)| attr)
-            .collect();
 
         // Phase 1: one complete vertical delete per chunk, each under its
         // own short exclusive span. Rows accumulate for phase 2 even if a
@@ -462,41 +472,19 @@ impl TxnDb {
                     // lets the chunk finish and is observed at the next
                     // between-chunk `check` instead.
                     let _pace = pacer.enter_defer_cancel();
-                    let table = db.table_mut(tid)?;
-                    let probe_idx = table
-                        .indices
-                        .iter_mut()
-                        .find(|i| i.def.attr == probe_attr)
-                        .expect("probe index checked above");
-                    let deleted_a =
-                        bulk_delete_by_keys(&mut probe_idx.tree, part, ReorgPolicy::FreeAtEmpty)?;
-                    let (sorted, _) = sort_all(
-                        pool.clone(),
-                        deleted_a.iter().map(|&(k, r)| ByRid(r, k)),
-                        ws_bytes,
+                    let (parts, ws, pool) = db.parts(tid)?;
+                    let passes = split(parts, probe_attr, &chunk_order);
+                    let rows = run_passes(
+                        &mut PhaseExecutor::new(1),
+                        &pool,
+                        &ws,
+                        schema,
+                        &plan,
+                        passes,
+                        n_serial,
+                        part,
+                        ReorgPolicy::FreeAtEmpty,
                     )?;
-                    let rids: Vec<Rid> = sorted.into_iter().map(|b| b.0).collect();
-                    let rows = table.heap.bulk_delete_sorted(&rids)?;
-                    for h in &mut table.hash_indices {
-                        let attr = h.def.attr;
-                        let entries: Vec<(Key, Rid)> = rows
-                            .iter()
-                            .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
-                            .collect();
-                        h.index.bulk_delete(&entries)?;
-                    }
-                    for index in table
-                        .indices
-                        .iter_mut()
-                        .filter(|i| i.def.unique && i.def.attr != probe_attr)
-                    {
-                        let attr = index.def.attr;
-                        let proj = rows
-                            .iter()
-                            .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid));
-                        let (pairs, _) = sort_all(pool.clone(), proj, ws_bytes)?;
-                        bulk_delete_sorted(&mut index.tree, &pairs, ReorgPolicy::FreeAtEmpty)?;
-                    }
                     deleted_rows.extend(rows);
                     Ok(())
                 })();
@@ -513,21 +501,26 @@ impl TxnDb {
         // under `bypass_cancel`: a cancelled or failed run still brings
         // every index back online consistent with the prefix it deleted.
         let cleanup: TxnResult<()> = bypass_cancel(|| {
+            // One db-mutex span of work on the offline index on `attr`.
+            let on_index = |attr: usize, work: &mut dyn FnMut(&mut Index) -> StorageResult<()>| {
+                let mut db = self.db.lock();
+                let index = db.table_mut(tid)?.index_on_mut(attr);
+                TxnResult::Ok(work(index.expect("index present"))?)
+            };
             for &attr in &offline_attrs {
                 let proj: Vec<(Key, Rid)> = {
                     let undeletable = self.undeletable.lock();
-                    deleted_rows
-                        .iter()
-                        .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
+                    project(&deleted_rows, schema, attr)
                         .filter(|&(k, r)| !undeletable.contains(&(attr, k, r)))
                         .collect()
                 };
                 let (pairs, _) = sort_all(pool.clone(), proj, ws_bytes)?;
                 for part in pairs.chunks(chunk.max(CATCHUP_BATCH)) {
-                    let mut db = self.db.lock();
-                    let table = db.table_mut(tid)?;
-                    let index = table.index_on_mut(attr).expect("index present");
-                    bulk_delete_sorted(&mut index.tree, part, ReorgPolicy::FreeAtEmpty)?;
+                    on_index(attr, &mut |index| {
+                        let mut pass = Victims::Tree(index, part.to_vec());
+                        pass.run(0, usize::MAX, ReorgPolicy::FreeAtEmpty, |_| Ok(()))?;
+                        Ok(())
+                    })?;
                 }
                 match mode {
                     PropagationMode::SideFile => {
@@ -536,22 +529,14 @@ impl TxnDb {
                             let batch = sf.drain_batch(CATCHUP_BATCH);
                             let done = batch.len() < CATCHUP_BATCH;
                             if !batch.is_empty() {
-                                let mut db = self.db.lock();
-                                let table = db.table_mut(tid)?;
-                                let index = table.index_on_mut(attr).expect("index present");
-                                apply_ops(&mut index.tree, &batch)?;
+                                on_index(attr, &mut |index| apply_ops(&mut index.tree, &batch))?;
                             }
                             if done {
                                 break;
                             }
                         }
                         let tail = sf.quiesce_and_drain();
-                        {
-                            let mut db = self.db.lock();
-                            let table = db.table_mut(tid)?;
-                            let index = table.index_on_mut(attr).expect("index present");
-                            apply_ops(&mut index.tree, &tail)?;
-                        }
+                        on_index(attr, &mut |index| apply_ops(&mut index.tree, &tail))?;
                         self.gate((tid, attr)).set(IndexState::Online);
                         sf.reset();
                     }

@@ -20,11 +20,13 @@
 
 use std::sync::Mutex;
 
-use bd_btree::{bulk_delete_sorted, BTree, Key, ReorgPolicy};
+use bd_btree::{BTree, Key, ReorgPolicy};
 use bd_core::erasure::victim_rows;
-use bd_core::{Database, DbError, PhaseExecutor, PhaseTask, Table, TableId};
-use bd_hashidx::HashIndex;
-use bd_storage::{BufferPool, HeapFile, PageId, Rid, StorageError};
+use bd_core::{
+    build_hash, build_index, pass_order, plan_sort_merge, split, Database, DbError, PhaseExecutor,
+    PhaseTask, TableId, Victims,
+};
+use bd_storage::{BufferPool, PageId, Rid, StorageError};
 use bd_txn::sidefile::{apply_ops, SideOp};
 
 use crate::log::LogManager;
@@ -127,53 +129,16 @@ impl From<StorageError> for WalError {
     }
 }
 
-/// One structure pass to run: its position in the [`phases`] order (what a
-/// [`CrashSite`] names), the structure, and the victim offset to resume
-/// from (0 outside recovery).
-#[derive(Clone, Copy)]
-struct PassSpec {
-    idx: usize,
-    phase: StructureId,
-    start: usize,
-}
+/// One structure pass: its position in the pass order (what a [`CrashSite`]
+/// names) and the structure.
+type Pass = (usize, StructureId);
 
-/// The structure order: probe index, table, remaining B-tree indices with
-/// unique ones first (§3.1.3), then hash indices by attribute — and the
-/// length of its serial prefix (probe, table, unique indices). Hash phases
-/// (one bucket sweep per progress chunk) come last so the fan-out
-/// (non-unique B-tree arms plus hash arms) stays a contiguous suffix.
-/// Deterministic so recovery re-derives it.
-fn phases(
-    db: &Database,
-    tid: TableId,
-    probe_attr: usize,
-) -> Result<(Vec<PassSpec>, usize), WalError> {
+/// The sort/merge plan's [`pass_order`] over table `tid`, numbered, and the
+/// length of its serial prefix. Deterministic, so recovery re-derives it.
+fn passes(db: &Database, tid: TableId, probe_attr: usize) -> Result<(Vec<Pass>, usize), WalError> {
     let table = db.table(tid)?;
-    if table.index_on(probe_attr).is_none() {
-        return Err(DbError::NoProbeIndex { attr: probe_attr }.into());
-    }
-    let mut rest: Vec<&bd_core::Index> = table
-        .indices
-        .iter()
-        .filter(|i| i.def.attr != probe_attr)
-        .collect();
-    rest.sort_by_key(|i| (!i.def.unique, i.def.attr));
-    let n_serial = 2 + rest.iter().filter(|i| i.def.unique).count();
-    let mut out = vec![StructureId::Probe, StructureId::Table];
-    out.extend(rest.iter().map(|i| StructureId::Index(i.def.attr as u16)));
-    let mut hashes: Vec<u16> = table
-        .hash_indices
-        .iter()
-        .map(|h| h.def.attr as u16)
-        .collect();
-    hashes.sort_unstable();
-    out.extend(hashes.into_iter().map(StructureId::Hash));
-    let specs = out.into_iter().enumerate().map(|(idx, phase)| PassSpec {
-        idx,
-        phase,
-        start: 0,
-    });
-    Ok((specs.collect(), n_serial))
+    let (order, n_serial) = pass_order(table, &plan_sort_merge(table, probe_attr)?)?;
+    Ok((order.into_iter().enumerate().collect(), n_serial))
 }
 
 /// Read-only victim resolution ([`victim_rows`]: one sorted merge over the
@@ -264,38 +229,6 @@ impl Trip {
     }
 }
 
-/// A pass's mutable handle with its victim list.
-enum Victims<'a> {
-    /// A B-tree (probe or secondary index): `(key, RID)` in key order.
-    Tree(&'a mut BTree, Vec<(Key, Rid)>),
-    /// The base table: RIDs in materialized-row (RID) order.
-    Heap(&'a mut HeapFile, Vec<Rid>),
-    /// A hash index: `(key, RID)` in the index's bucket-sweep order, so
-    /// every chunk of the pass is a contiguous range of buckets.
-    Hash(&'a mut HashIndex, Vec<(Key, Rid)>),
-}
-
-impl Victims<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Victims::Tree(_, pairs) | Victims::Hash(_, pairs) => pairs.len(),
-            Victims::Heap(_, rids) => rids.len(),
-        }
-    }
-
-    /// Delete victims `lo..hi`. Lenient against already-deleted entries, so
-    /// a possibly half-flushed chunk can be re-run.
-    fn delete(&mut self, lo: usize, hi: usize) -> Result<(), StorageError> {
-        match self {
-            Victims::Tree(tree, pairs) => {
-                bulk_delete_sorted(tree, &pairs[lo..hi], ReorgPolicy::FreeAtEmpty).map(|_| ())
-            }
-            Victims::Heap(heap, rids) => heap.bulk_delete_sorted(&rids[lo..hi]).map(|_| ()),
-            Victims::Hash(hash, pairs) => hash.bulk_delete(&pairs[lo..hi]).map(|_| ()),
-        }
-    }
-}
-
 /// What every pass of one logged statement shares. Each pass derives its
 /// victim list from the durable `rows`, which is what makes it idempotent
 /// and its chunk boundaries the same before and after a crash.
@@ -308,54 +241,35 @@ struct Statement<'a> {
 }
 
 impl Statement<'_> {
-    /// Borrow every structure `group` names out of `table`, disjointly,
-    /// each with its victim list built and ordered once, in `group` order.
+    /// Borrow every structure `group` names out of table `tid`, apart from
+    /// each other and in `group` order, each with its victim list built
+    /// from the durable rows and sorted in memory.
     fn victims_of<'t>(
         &self,
-        table: &'t mut Table,
-        group: &[PassSpec],
-    ) -> Vec<(PassSpec, Victims<'t>)> {
-        let spec_of = |phase: StructureId| group.iter().find(|s| s.phase == phase).copied();
+        db: &'t mut Database,
+        group: &[Pass],
+    ) -> Result<Vec<(Pass, Victims<'t>)>, WalError> {
+        let order: Vec<StructureId> = group.iter().map(|&(_, phase)| phase).collect();
         let pairs = |attr: usize| -> Vec<(Key, Rid)> {
             self.rows.iter().map(|r| (r.attrs[attr], r.rid)).collect()
         };
-        let Table {
-            heap,
-            indices,
-            hash_indices,
-            ..
-        } = table;
-        let mut out = Vec::with_capacity(group.len());
-        if let Some(spec) = spec_of(StructureId::Table) {
-            let rids = self.rows.iter().map(|r| r.rid).collect();
-            out.push((spec, Victims::Heap(heap, rids)));
-        }
-        for ix in indices {
-            let attr = ix.def.attr;
-            let role = if attr == self.probe_attr {
-                StructureId::Probe
-            } else {
-                StructureId::Index(attr as u16)
-            };
-            if let Some(spec) = spec_of(role) {
-                let mut sorted = pairs(attr);
-                sorted.sort_unstable();
-                out.push((spec, Victims::Tree(&mut ix.tree, sorted)));
+        let (parts, ..) = db.parts(self.tid)?;
+        let mut passes = split(parts, self.probe_attr, &order);
+        for pass in &mut passes {
+            match pass {
+                Victims::Tree(index, list) => {
+                    *list = pairs(index.def.attr);
+                    list.sort_unstable();
+                }
+                Victims::Heap(_, rids) => *rids = self.rows.iter().map(|r| r.rid).collect(),
+                Victims::Hash(h, list) => *list = pairs(h.def.attr),
             }
         }
-        for h in hash_indices {
-            if let Some(spec) = spec_of(StructureId::Hash(h.def.attr as u16)) {
-                let mut sorted = pairs(h.def.attr);
-                h.index.sort_for_sweep(&mut sorted);
-                out.push((spec, Victims::Hash(&mut h.index, sorted)));
-            }
-        }
-        assert_eq!(out.len(), group.len(), "a phase names no structure");
-        out.sort_by_key(|(spec, _)| spec.idx);
-        out
+        Ok(group.iter().copied().zip(passes).collect())
     }
 
-    /// The one structure pass, chunked: after every [`PROGRESS_CHUNK`]
+    /// The one structure pass from victim `start` on (0 outside recovery),
+    /// chunked: after every [`PROGRESS_CHUNK`]
     /// victims the dirty pages are flushed and a [`LogRecord::Progress`] is
     /// written, so a crash loses at most one chunk of work ("the last
     /// processed RID or key-value ... stored in the log ... will speed up
@@ -365,20 +279,12 @@ impl Statement<'_> {
     fn run_pass(
         &self,
         pool: &BufferPool,
-        spec: PassSpec,
+        (idx, phase): Pass,
+        start: usize,
         victims: &mut Victims<'_>,
     ) -> Result<(), StorageError> {
-        let PassSpec { idx, phase, start } = spec;
-        let total = victims.len();
-        let mut done = start.min(total);
         let mut progress_records = 0usize;
-        loop {
-            let end = (done + PROGRESS_CHUNK).min(total);
-            victims.delete(done, end)?;
-            done = end;
-            if done >= total {
-                break;
-            }
+        victims.run(start, PROGRESS_CHUNK, ReorgPolicy::FreeAtEmpty, |done| {
             // `flush_all` skips frames pinned by sibling arms; this pass
             // holds no pins here, so its chunk is fully durable before the
             // progress record claims it — unless a sibling pinned one of
@@ -391,8 +297,8 @@ impl Statement<'_> {
             });
             progress_records += 1;
             self.trip
-                .in_pass(CrashSite::AtProgress(idx, progress_records))?;
-        }
+                .in_pass(CrashSite::AtProgress(idx, progress_records))
+        })?;
         self.trip.in_pass(CrashSite::MidStructure(idx))?;
         pool.flush_all()?;
         self.log
@@ -400,7 +306,8 @@ impl Statement<'_> {
         Ok(())
     }
 
-    /// Run the passes of `group` as one executor fan-out — in order on the
+    /// Run the passes of `group` from victim `start` on as one executor
+    /// fan-out — in order on the
     /// caller's thread when the group or `workers` is 1 — then log one
     /// checkpoint covering all of them ("checkpoints are especially
     /// advisable when the processing of one structure is finished"). The
@@ -411,7 +318,8 @@ impl Statement<'_> {
     fn run_group(
         &self,
         db: &mut Database,
-        group: &[PassSpec],
+        group: &[Pass],
+        start: usize,
         workers: usize,
     ) -> Result<(), WalError> {
         if group.is_empty() {
@@ -419,12 +327,12 @@ impl Statement<'_> {
         }
         let pool = db.pool().clone();
         let tasks = self
-            .victims_of(db.table_mut(self.tid)?, group)
+            .victims_of(db, group)?
             .into_iter()
-            .map(|(spec, mut victims)| {
+            .map(|(pass, mut victims)| {
                 let pool = &pool;
-                PhaseTask::new(format!("wal bd {:?}", spec.phase), move || {
-                    self.run_pass(pool, spec, &mut victims)
+                PhaseTask::new(format!("wal bd {:?}", pass.1), move || {
+                    self.run_pass(pool, pass, start, &mut victims)
                 })
             })
             .collect();
@@ -435,7 +343,7 @@ impl Statement<'_> {
         checkpoint(db, self.tid, self.log)?;
         group
             .iter()
-            .try_for_each(|spec| self.trip.at(CrashSite::AfterStructure(spec.idx)))
+            .try_for_each(|&(idx, _)| self.trip.at(CrashSite::AfterStructure(idx)))
     }
 }
 
@@ -491,9 +399,9 @@ pub fn run_bulk_delete_parallel(
     stmt.trip.at(CrashSite::AfterMaterialize)?;
 
     // The serial prefix one pass at a time, then the fan-out suffix.
-    let (all, n_serial) = phases(db, tid, probe_attr)?;
+    let (all, n_serial) = passes(db, tid, probe_attr)?;
     for group in all[..n_serial].chunks(1).chain([&all[n_serial..]]) {
-        stmt.run_group(db, group, workers)?;
+        stmt.run_group(db, group, 0, workers)?;
     }
 
     log.append(&LogRecord::BulkCommit);
@@ -915,8 +823,8 @@ pub fn recover_media(
         log,
         trip: Trip::new(CrashInjector::none()),
     };
-    for spec in phases(db, tid, probe_attr)?.0 {
-        if done.contains(&spec.phase) {
+    for (idx, phase) in passes(db, tid, probe_attr)?.0 {
+        if done.contains(&phase) {
             continue;
         }
         // Resume from the last durable progress record for this structure,
@@ -925,11 +833,11 @@ pub fn recover_media(
         // this structure's pre-progress flush, leaving part of the claimed
         // chunk unflushed (the passes are lenient, so re-running is safe).
         let start = progress
-            .get(&spec.phase)
+            .get(&phase)
             .copied()
             .unwrap_or(0)
             .saturating_sub(PROGRESS_CHUNK);
-        stmt.run_group(db, &[PassSpec { start, ..spec }], 1)?;
+        stmt.run_group(db, &[(idx, phase)], start, 1)?;
     }
     log.append(&LogRecord::BulkCommit);
 
@@ -975,26 +883,17 @@ fn rebuild_tree(
     report: &mut MediaRecovery,
 ) -> Result<(), WalError> {
     let pool = db.pool().clone();
+    let sort_bytes = db.workspace().capacity().max(4096);
     let table = db.table_mut(tid)?;
-    let dump = table.heap.dump().map_err(DbError::Storage)?;
-    let schema = table.schema;
-    let Some(index) = table.index_on_mut(attr) else {
+    let Some(pos) = table.index_pos(attr) else {
         return Ok(());
     };
-    pool.free_owned(StructureId::index_of(tid, attr));
-    let mut pairs: Vec<(Key, Rid)> = dump
-        .iter()
-        .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
-        .collect();
-    pairs.sort_unstable();
-    index.tree = bd_btree::bulk_load(
-        pool.clone(),
-        index.def.config,
-        &pairs,
-        index.def.fill,
-        StructureId::index_of(tid, attr),
-    )
-    .map_err(DbError::Storage)?;
+    let owner = StructureId::index_of(tid, attr);
+    pool.free_owned(owner);
+    let def = &table.indices[pos].def;
+    let tree = build_index(&pool, &table.heap, table.schema, def, owner, sort_bytes)
+        .map_err(DbError::Storage)?;
+    table.indices[pos].tree = tree;
     report.rebuilt_trees.push(attr);
     Ok(())
 }
@@ -1007,24 +906,13 @@ fn rebuild_hash(
 ) -> Result<(), WalError> {
     let pool = db.pool().clone();
     let table = db.table_mut(tid)?;
-    let dump = table.heap.dump().map_err(DbError::Storage)?;
-    let schema = table.schema;
-    let Some(h) = table.hash_indices.iter_mut().find(|h| h.def.attr == attr) else {
+    let Some(pos) = table.hash_indices.iter().position(|h| h.def.attr == attr) else {
         return Ok(());
     };
-    pool.free_owned(StructureId::hash_of(tid, attr));
-    let mut fresh = HashIndex::with_capacity(
-        pool.clone(),
-        dump.len().max(64),
-        StructureId::hash_of(tid, attr),
-    )
-    .map_err(DbError::Storage)?;
-    for (rid, bytes) in &dump {
-        fresh
-            .insert(schema.attr_of(bytes, attr), *rid)
-            .map_err(DbError::Storage)?;
-    }
-    h.index = fresh;
+    let owner = StructureId::hash_of(tid, attr);
+    pool.free_owned(owner);
+    table.hash_indices[pos].index =
+        build_hash(&pool, &table.heap, table.schema, attr, owner).map_err(DbError::Storage)?;
     report.rebuilt_hashes.push(attr);
     Ok(())
 }
