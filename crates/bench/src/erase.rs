@@ -18,7 +18,7 @@ use bd_core::{
     plan_cascade, run_cascade_step, Database, DatabaseConfig, DbError, ForeignKey, IndexDef,
     RunReport, Schema, TableId, Tuple,
 };
-use bd_storage::Pacer;
+use bd_storage::{IoScope, Pacer, PoolStats};
 use bd_wal::{
     run_erasure_campaign, sweep, ErasureCampaign, Fault, LogManager, SweepReport, WalError,
 };
@@ -104,6 +104,9 @@ pub fn victim_ids(w: u64, sales_per_month: u64) -> Vec<Key> {
 
 /// Run `body` against a cold cache and account its I/O into a
 /// [`RunReport`] (mirrors [`bd_core::measure`], with the WAL error type).
+/// The I/O is taken by a scope, not by a difference of the disk's
+/// counters: a cascade step runs through `bd_core::measure`, which resets
+/// them, so a difference would keep only the last step.
 fn measured(
     db: &mut Database,
     strategy: &str,
@@ -113,10 +116,14 @@ fn measured(
     let pool = db.pool().clone();
     pool.clear_cache().map_err(DbError::from)?;
     pool.reset_stats();
-    let before = pool.disk_stats();
-    let deleted = body(db)?;
-    pool.flush_all().map_err(DbError::from)?;
-    let io = pool.disk_stats().since(&before);
+    let scope = IoScope::new();
+    let deleted = {
+        let _io = scope.enter();
+        let deleted = body(db)?;
+        pool.flush_all().map_err(DbError::from)?;
+        deleted
+    };
+    let io = scope.stats();
     Ok(RunReport {
         strategy: strategy.to_string(),
         deleted,
@@ -145,16 +152,19 @@ pub fn erase_experiment(rows: usize, workers: usize) -> Result<ExperimentReport,
         let x = format!("{w}mo");
 
         let (mut db, sales, _) = build_warehouse(spm, pool_bytes);
-        let plain = measured(&mut db, "cascade", workers, |db| {
+        // Each step's `measure` resets the pool's counters: sum them.
+        let mut steps_pool = PoolStats::default();
+        let mut plain = measured(&mut db, "cascade", workers, |db| {
             let plan = plan_cascade(db, sales, 0, &d)?;
             let mut n = 0;
             for step in &plan.steps {
-                n += run_cascade_step(db, step, ReorgPolicy::FreeAtEmpty, workers)?
-                    .deleted
-                    .len();
+                let out = run_cascade_step(db, step, ReorgPolicy::FreeAtEmpty, workers)?;
+                steps_pool.merge(&out.report.pool);
+                n += out.deleted.len();
             }
             Ok(n)
         })?;
+        plain.pool = steps_pool;
 
         let (mut db, sales, _) = build_warehouse(spm, pool_bytes);
         let campaign = measured(&mut db, "campaign", workers, |db| {

@@ -145,6 +145,14 @@ impl PoolStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// Add another counter set into this one (one statement's steps).
+    pub fn merge(&mut self, other: &PoolStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.prefetched += other.prefetched;
+        self.writebacks += other.writebacks;
+    }
 }
 
 /// Bounded retry-with-backoff for transient disk faults and torn pages.
