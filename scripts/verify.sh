@@ -25,7 +25,8 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 # blocking concurrent driver must leave bit-equivalent structures (any
 # finding exits 1), the vertical run's hash arm must stay under 0.2 random
 # I/Os per victim, and the logged run's simulated clock under 3.0x the
-# vertical run's (1.97x; a heap read per victim made it 5.56x). The
+# vertical run's (1.197x, read before the audit scans the logged database;
+# a heap read per victim made it 5.56x). The
 # blocking run's clock over the vertical run's is printed, not gated.
 cargo run --release -p bd-bench --bin repro -- --audit --parallel 3
 
