@@ -89,16 +89,16 @@ impl Memtable {
     /// The newest buffered version of `key`, if any. `None` means the
     /// memtable has no opinion — unless a buffered range tombstone covers
     /// the key, in which case the verdict is `Some(Del)`.
-    pub fn get(&self, key: Key) -> Option<MemEntry> {
+    pub fn get(&self, key: Key) -> Option<&MemEntry> {
         if let Some(e) = self.entries.get(&key) {
-            return Some(e.clone());
+            return Some(e);
         }
         if self
             .range_tombs
             .iter()
             .any(|&(lo, hi)| lo <= key && key <= hi)
         {
-            return Some(MemEntry::Del);
+            return Some(&MemEntry::Del);
         }
         None
     }
@@ -148,14 +148,14 @@ mod tests {
         m.put(5, vec![1]);
         m.put(7, vec![2]);
         m.delete(5);
-        assert_eq!(m.get(5), Some(MemEntry::Del));
+        assert_eq!(m.get(5), Some(&MemEntry::Del));
         m.put(5, vec![3]);
-        assert_eq!(m.get(5), Some(MemEntry::Put(vec![3])));
+        assert_eq!(m.get(5), Some(&MemEntry::Put(vec![3])));
 
         m.delete_range(4, 6);
-        assert_eq!(m.get(5), Some(MemEntry::Del), "range tombstone covers 5");
-        assert_eq!(m.get(7), Some(MemEntry::Put(vec![2])));
-        assert_eq!(m.get(4), Some(MemEntry::Del), "covers absent keys too");
+        assert_eq!(m.get(5), Some(&MemEntry::Del), "range tombstone covers 5");
+        assert_eq!(m.get(7), Some(&MemEntry::Put(vec![2])));
+        assert_eq!(m.get(4), Some(&MemEntry::Del), "covers absent keys too");
         assert_eq!(m.get(9), None);
 
         let items = m.drain_sorted();
@@ -168,7 +168,7 @@ mod tests {
         let mut m = Memtable::new();
         m.put(5, vec![1]);
         m.delete_range(10, 5);
-        assert_eq!(m.get(5), Some(MemEntry::Put(vec![1])), "nothing deleted");
+        assert_eq!(m.get(5), Some(&MemEntry::Put(vec![1])), "nothing deleted");
         assert!(m.range_tombs().is_empty(), "no tombstone recorded");
         assert!(m.range(10, 5).is_empty());
         assert_eq!(m.len(), 1);

@@ -19,7 +19,9 @@
 use std::sync::Arc;
 
 use bd_btree::Key;
-use bd_storage::{pacer, BufferPool, PageId, StorageResult, StructureId, PAGE_SIZE};
+use bd_storage::{
+    pacer, BufferPool, PageId, ReadAhead, StorageError, StorageResult, StructureId, PAGE_SIZE,
+};
 
 use crate::bloom::Bloom;
 
@@ -42,6 +44,24 @@ impl Item {
                 Item::Del => 0,
                 Item::RangeDel(_) => 8,
             }
+    }
+}
+
+/// An item as it lies on a pinned page: a put borrows its record bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ItemRef<'a> {
+    Put(&'a [u8]),
+    Del,
+    RangeDel(Key),
+}
+
+impl ItemRef<'_> {
+    fn to_item(self) -> Item {
+        match self {
+            ItemRef::Put(rec) => Item::Put(rec.to_vec()),
+            ItemRef::Del => Item::Del,
+            ItemRef::RangeDel(hi) => Item::RangeDel(hi),
+        }
     }
 }
 
@@ -195,43 +215,58 @@ impl Run {
         lo <= self.max_key && hi >= self.min_key
     }
 
-    /// Point lookup inside the run: the put/tombstone stored under `key`,
-    /// if any. Range tombstones are *not* consulted here — the table
-    /// layer applies them by sequence. One page read in the common case
-    /// (fences), and none at all when the bloom filter rejects.
-    pub fn search(&self, pool: &Arc<BufferPool>, key: Key) -> StorageResult<Option<Item>> {
-        if !self.may_contain(key) {
-            return Ok(None);
-        }
-        // Last page whose fence is <= key. [`layout_pages`] keeps
-        // equal-key groups on one page, but a group bigger than a page is
-        // force-split — so when the fence *equals* the probe key, the
-        // key's items may start on an earlier page; walk back to the
-        // first page that can hold them.
-        let last = match self.fences.partition_point(|&f| f <= key) {
-            0 => return Ok(None),
-            p => p - 1,
-        };
-        let mut first = last;
-        while first > 0 && self.fences[first] == key {
-            first -= 1;
-        }
-        for page_idx in first..=last {
-            let pid = self.first_page + page_idx as PageId;
-            let items = {
-                let guard = pool.pin_read(pid)?;
-                parse_page(&guard[..], self.record_len)
+    /// The membership pass over this run: `found(j, item)` runs for each
+    /// `wanted[j]` (ascending, distinct) the run holds a put or a point
+    /// tombstone for. Range tombstones are *not* consulted here — the table
+    /// layer applies them by recency. Keys the fence range or the filter
+    /// rejects cost nothing; the pages the rest map to are planned into one
+    /// read-ahead and each pinned once, in page order, with a pacer
+    /// checkpoint between pages and no pin held across them.
+    pub(crate) fn probe(
+        &self,
+        pool: &Arc<BufferPool>,
+        wanted: &[Key],
+        mut found: impl FnMut(usize, ItemRef<'_>),
+    ) -> StorageResult<()> {
+        // Each key's page is the last one whose fence is <= key.
+        // [`layout_pages`] keeps equal-key groups on one page, but a group
+        // bigger than a page is force-split — so when the fence *equals* the
+        // key, the key's items may start on an earlier page; walk back to the
+        // first page that can hold them. Keys ascend, so the ranges do too.
+        let mut pages: Vec<usize> = Vec::new();
+        for &key in wanted.iter().filter(|&&k| self.may_contain(k)) {
+            let Some(last) = self.fences.partition_point(|&f| f <= key).checked_sub(1) else {
+                continue;
             };
-            for (k, item) in items {
-                if k == key && !matches!(item, Item::RangeDel(_)) {
-                    return Ok(Some(item));
-                }
-                if k > key {
-                    return Ok(None);
-                }
+            let mut first = last;
+            while first > 0 && self.fences[first] == key {
+                first -= 1;
             }
+            let from = pages.last().map_or(first, |&p| first.max(p + 1));
+            pages.extend(from..=last);
         }
-        Ok(None)
+        let pid_of = |page_idx: usize| self.first_page + page_idx as PageId;
+        let mut ra = ReadAhead::new(pool.clone());
+        ra.plan(pages.iter().map(|&p| pid_of(p)));
+        // One merge of the visited pages' items against `wanted`.
+        let mut next = 0;
+        for (i, &page_idx) in pages.iter().enumerate() {
+            if i > 0 {
+                pacer::checkpoint()?;
+            }
+            let pid = pid_of(page_idx);
+            ra.before_pin(pid);
+            let guard = pool.pin_read(pid)?;
+            for_each_item(&guard[..], self.record_len, pid, |key, item| {
+                while next < wanted.len() && wanted[next] < key {
+                    next += 1;
+                }
+                if wanted.get(next) == Some(&key) && !matches!(item, ItemRef::RangeDel(_)) {
+                    found(next, item);
+                }
+            })?;
+        }
+        Ok(())
     }
 
     /// Point items (puts and point tombstones) with `lo <= key <= hi`, in
@@ -250,7 +285,7 @@ impl Run {
             return Ok(Vec::new());
         }
         // First page that can hold `lo` .. last page whose fence is <= hi.
-        // As in [`Run::search`], a fence equal to `lo` can mean items at
+        // As in [`Run::probe`], a fence equal to `lo` can mean items at
         // `lo` straddle from the preceding page (force-split equal-key
         // group); back up past every such page.
         let mut first = self.fences.partition_point(|&f| f <= lo).saturating_sub(1);
@@ -269,7 +304,7 @@ impl Run {
             let pid = self.first_page + page_idx as PageId;
             let items = {
                 let guard = pool.pin_read(pid)?;
-                parse_page(&guard[..], self.record_len)
+                parse_page(&guard[..], self.record_len, pid)?
             };
             for (k, item) in items {
                 if k > hi {
@@ -286,7 +321,7 @@ impl Run {
     /// Read the whole run back, page by page, with a pacer checkpoint
     /// between pages and no pin held across them.
     pub fn read_all(&self, pool: &Arc<BufferPool>) -> StorageResult<Vec<(Key, Item)>> {
-        let mut cursor = RunCursor::open(pool.clone(), self)?;
+        let mut cursor = RunCursor::open(pool.clone(), self);
         let mut out = Vec::with_capacity(self.items());
         while let Some(entry) = cursor.next_item()? {
             out.push(entry);
@@ -301,7 +336,7 @@ impl Run {
 /// at the same key must share a page, or the fence of the following page
 /// would equal the key and a fence-guided point lookup would miss the
 /// earlier item. The only exception is an equal-key group that cannot fit
-/// on one page by itself; [`Run::search`] / [`Run::scan_range`] handle
+/// on one page by itself; [`Run::probe`] / [`Run::scan_range`] handle
 /// that straddle by also visiting preceding same-fence pages.
 fn layout_pages(items: &[(Key, Item)], record_len: usize) -> Vec<&[(Key, Item)]> {
     let mut pages: Vec<&[(Key, Item)]> = Vec::new();
@@ -413,31 +448,47 @@ pub fn partition_items(
     chunks
 }
 
-fn parse_page(page: &[u8], record_len: usize) -> Vec<(Key, Item)> {
+/// Walk a page's items in order without copying a record. Bytes that are
+/// not this format — an unknown tag, or an item count or a record that
+/// runs past the page — are [`StorageError::CorruptPage`], not a panic.
+fn for_each_item(
+    page: &[u8],
+    record_len: usize,
+    pid: PageId,
+    mut f: impl FnMut(Key, ItemRef<'_>),
+) -> StorageResult<()> {
+    let corrupt = || StorageError::CorruptPage(pid);
     let count = u16::from_le_bytes([page[0], page[1]]) as usize;
     let mut pos = PAGE_HEADER;
-    let mut items = Vec::with_capacity(count);
     for _ in 0..count {
-        let tag = page[pos];
-        let key = Key::from_le_bytes(page[pos + 1..pos + 9].try_into().unwrap());
+        let head = page.get(pos..pos + 9).ok_or_else(corrupt)?;
+        let key = Key::from_le_bytes(head[1..].try_into().expect("eight key bytes"));
         pos += 9;
-        let item = match tag {
+        let (item, len) = match head[0] {
             0 => {
-                let rec = page[pos..pos + record_len].to_vec();
-                pos += record_len;
-                Item::Put(rec)
+                let rec = page.get(pos..pos + record_len).ok_or_else(corrupt)?;
+                (ItemRef::Put(rec), record_len)
             }
-            1 => Item::Del,
+            1 => (ItemRef::Del, 0),
             2 => {
-                let hi = Key::from_le_bytes(page[pos..pos + 8].try_into().unwrap());
-                pos += 8;
-                Item::RangeDel(hi)
+                let hi = page.get(pos..pos + 8).ok_or_else(corrupt)?;
+                let hi = Key::from_le_bytes(hi.try_into().expect("eight key bytes"));
+                (ItemRef::RangeDel(hi), 8)
             }
-            t => unreachable!("corrupt run page: item tag {t}"),
+            _ => return Err(corrupt()),
         };
-        items.push((key, item));
+        pos += len;
+        f(key, item);
     }
-    items
+    Ok(())
+}
+
+fn parse_page(page: &[u8], record_len: usize, pid: PageId) -> StorageResult<Vec<(Key, Item)>> {
+    let mut items = Vec::new();
+    for_each_item(page, record_len, pid, |key, item| {
+        items.push((key, item.to_item()))
+    })?;
+    Ok(items)
 }
 
 /// Streaming reader over one run: pins one page at a time, parses it,
@@ -454,18 +505,19 @@ pub struct RunCursor {
 }
 
 impl RunCursor {
-    /// Open a cursor at the start of `run`, posting the whole extent to
-    /// the read-ahead window.
-    pub fn open(pool: Arc<BufferPool>, run: &Run) -> StorageResult<RunCursor> {
-        pool.prefetch_run(run.first_page, run.n_pages)?;
-        Ok(RunCursor {
+    /// Open a cursor at the start of `run`. It stages nothing ahead: a
+    /// compaction interleaves one cursor per input run on a small pool, so
+    /// pages staged for one are evicted by the next before they are pinned,
+    /// while a page-by-page walk of an extent is already head-contiguous.
+    pub fn open(pool: Arc<BufferPool>, run: &Run) -> RunCursor {
+        RunCursor {
             pool,
             first_page: run.first_page,
             n_pages: run.n_pages,
             record_len: run.record_len,
             next_page: 0,
             buffered: Vec::new().into_iter(),
-        })
+        }
     }
 
     /// Next item in key order, or `None` at the end of the run.
@@ -484,7 +536,7 @@ impl RunCursor {
             self.next_page += 1;
             let items = {
                 let guard = self.pool.pin_read(pid)?;
-                parse_page(&guard[..], self.record_len)
+                parse_page(&guard[..], self.record_len, pid)?
             };
             self.buffered = items.into_iter();
         }
@@ -517,6 +569,14 @@ mod tests {
 
     fn pool() -> Arc<BufferPool> {
         BufferPool::with_byte_budget(SimDisk::new(CostModel::default()), 1 << 20)
+    }
+
+    /// The run's point item for `key`: a membership pass of one key.
+    fn search(run: &Run, pool: &Arc<BufferPool>, key: Key) -> Option<Item> {
+        let mut hit = None;
+        run.probe(pool, &[key], |_, item| hit = Some(item.to_item()))
+            .unwrap();
+        hit
     }
 
     /// Items whose greedy layout, were it key-oblivious, would end a page
@@ -566,7 +626,7 @@ mod tests {
         .unwrap();
         assert!(run.n_pages >= 2, "must span pages: {}", run.n_pages);
         let put = Item::Put(vec![key as u8; record_len]);
-        assert_eq!(run.search(&pool, key).unwrap(), Some(put.clone()));
+        assert_eq!(search(&run, &pool, key), Some(put.clone()));
         assert_eq!(
             run.scan_range(&pool, key, key + 5).unwrap().first(),
             Some(&(key, put)),
@@ -575,11 +635,7 @@ mod tests {
         // Every other key stays reachable too.
         for (k, item) in &items {
             if matches!(item, Item::Put(_)) {
-                assert_eq!(
-                    run.search(&pool, *k).unwrap().as_ref(),
-                    Some(item),
-                    "key {k}"
-                );
+                assert_eq!(search(&run, &pool, *k).as_ref(), Some(item), "key {k}");
             }
         }
     }
@@ -625,7 +681,7 @@ mod tests {
             run.fences
         );
         assert_eq!(
-            run.search(&pool, 30).unwrap(),
+            search(&run, &pool, 30),
             Some(Item::Put(vec![30u8; record_len]))
         );
         assert_eq!(

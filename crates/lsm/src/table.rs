@@ -34,7 +34,7 @@ use bd_storage::{
 };
 
 use crate::memtable::{MemEntry, Memtable};
-use crate::run::{partition_items, Item, Run, RunCursor};
+use crate::run::{partition_items, Item, ItemRef, Run, RunCursor};
 use crate::LsmConfig;
 
 /// Size and shape of the LSM tree, for reports and tests.
@@ -332,7 +332,7 @@ impl LsmTable {
         let mut cursors: Vec<RunCursor> = inputs
             .iter()
             .map(|r| RunCursor::open(self.pool.clone(), r))
-            .collect::<StorageResult<_>>()?;
+            .collect();
         // (rank, lo, hi) of every range tombstone seen so far. Key order
         // guarantees a tombstone is seen before any key it can kill.
         let mut active_tombs: Vec<(usize, Key, Key)> = Vec::new();
@@ -429,34 +429,54 @@ impl LsmTable {
         l0.iter().rev().chain(self.levels.iter().skip(1).flatten())
     }
 
-    /// Newest verdict for `key`: the record if live, `None` if deleted or
-    /// never inserted.
-    fn lookup_raw(&mut self, key: Key) -> StorageResult<Option<Vec<u8>>> {
-        match self.mem.get(key) {
-            Some(MemEntry::Put(rec)) => return Ok(Some(rec)),
-            Some(MemEntry::Del) => return Ok(None),
-            None => {}
-        }
-        let pool = self.pool.clone();
-        for run in self.runs_newest_first() {
-            match run.search(&pool, key)? {
-                Some(Item::Put(rec)) => return Ok(Some(rec)),
-                Some(Item::Del) => return Ok(None),
-                Some(Item::RangeDel(_)) => unreachable!("search skips range tombstones"),
-                None => {
-                    // No point version here; a covering range tombstone
-                    // in this run still buries every older level.
-                    if run
-                        .range_tombs
-                        .iter()
-                        .any(|&(lo, hi)| lo <= key && key <= hi)
-                    {
-                        return Ok(None);
-                    }
-                }
+    /// The newest verdict for each of `keys` (ascending, distinct):
+    /// `live(i, record)` runs once for each `keys[i]` whose newest version
+    /// is a put, and never for a key that is deleted or was never inserted.
+    /// The memtable decides first. Then each run, newest first, decides the
+    /// keys still open: by its point item, else by a range tombstone of its
+    /// own that covers the key, which buries every older run.
+    fn resolve(&self, keys: &[Key], mut live: impl FnMut(usize, &[u8])) -> StorageResult<()> {
+        let mut open: Vec<usize> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            match self.mem.get(key) {
+                Some(MemEntry::Put(rec)) => live(i, rec),
+                Some(MemEntry::Del) => {}
+                None => open.push(i),
             }
         }
-        Ok(None)
+        for run in self.runs_newest_first() {
+            if open.is_empty() {
+                break;
+            }
+            let wanted: Vec<Key> = open.iter().map(|&i| keys[i]).collect();
+            let mut decided = vec![false; open.len()];
+            run.probe(&self.pool, &wanted, |j, item| {
+                decided[j] = true;
+                if let ItemRef::Put(rec) = item {
+                    live(open[j], rec);
+                }
+            })?;
+            let buried = |key: Key| {
+                run.range_tombs
+                    .iter()
+                    .any(|&(lo, hi)| lo <= key && key <= hi)
+            };
+            open = open
+                .iter()
+                .zip(decided)
+                .filter(|&(&i, decided)| !decided && !buried(keys[i]))
+                .map(|(&i, _)| i)
+                .collect();
+        }
+        Ok(())
+    }
+
+    /// Newest verdict for `key`: the record if live, `None` if deleted or
+    /// never inserted.
+    fn lookup_raw(&self, key: Key) -> StorageResult<Option<Vec<u8>>> {
+        let mut record = None;
+        self.resolve(&[key], |_, rec| record = Some(rec.to_vec()))?;
+        Ok(record)
     }
 
     /// Live records with `lo <= key <= hi`, key-ascending.
@@ -694,14 +714,25 @@ impl TableEngine for LsmTable {
     fn bulk_delete(&mut self, keys: &[Key]) -> DbResult<RunReport> {
         let pool = self.pool.clone();
         let (deleted, mut report) = measure(&pool, "lsm tombstone", || {
+            // Resolve every key before writing any tombstone: one sorted
+            // membership pass per run, as the vertical delete merges a
+            // sorted D against each structure. Absent keys get no ghost
+            // tombstone and the deleted count stays exact.
+            let mut sorted = keys.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let mut live = vec![false; sorted.len()];
+            self.resolve(&sorted, |i, _| live[i] = true)?;
+            // Tombstones go in the caller's order, so the flushes and the
+            // compactions they trigger are those of a key-at-a-time delete,
+            // and a cancel leaves a prefix of that order.
             let mut deleted = 0;
             for (i, &key) in keys.iter().enumerate() {
                 if i > 0 {
                     pacer::checkpoint()?;
                 }
-                // Look before writing: absent keys get no ghost
-                // tombstone and the deleted count stays exact.
-                if self.lookup_raw(key)?.is_some() {
+                let at = sorted.binary_search(&key).expect("sorted holds every key");
+                if std::mem::take(&mut live[at]) {
                     self.delete_raw(key)?;
                     deleted += 1;
                 }
@@ -761,6 +792,7 @@ const _: () = assert!(PAGE_SIZE > 512);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bd_storage::StorageError;
 
     fn rows(n: u64) -> Vec<Tuple> {
         (0..n).map(|i| Tuple::new(vec![i * 2, i % 7, i])).collect()
@@ -892,6 +924,52 @@ mod tests {
                 // One carried range tombstone may spill a page past the cap.
                 assert!(run.n_pages <= t.cfg.max_run_pages + 1, "{}", run.n_pages);
             }
+        }
+    }
+
+    #[test]
+    fn hostile_run_pages_are_errors_not_panics() {
+        let record_len = 64;
+        // Each image carries a valid checksum and garbage contents.
+        let mut unknown_tag = [0u8; PAGE_SIZE];
+        unknown_tag[..2].copy_from_slice(&1u16.to_le_bytes());
+        unknown_tag[2] = 7;
+        let mut count_past_page = [0u8; PAGE_SIZE];
+        count_past_page[..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        count_past_page[2..].fill(1);
+        // Puts packed one past what fits: the last record crosses the end.
+        let mut record_past_end = [0u8; PAGE_SIZE];
+        let puts = (PAGE_SIZE - 2) / (9 + record_len) + 1;
+        record_past_end[..2].copy_from_slice(&(puts as u16).to_le_bytes());
+        for (name, image) in [
+            ("unknown tag", unknown_tag),
+            ("count past the page", count_past_page),
+            ("record past the end", record_past_end),
+        ] {
+            let mut t = table(500);
+            let (pid, key) = {
+                let run = t.levels.iter().flatten().next().expect("a loaded run");
+                (run.first_page, run.fences[0])
+            };
+            t.pool.with_disk(|d| d.write(pid, &image)).unwrap();
+            t.pool.clear_cache().unwrap();
+            let corrupt = StorageError::CorruptPage(pid);
+            assert_eq!(
+                t.lookup(key),
+                Err(DbError::Storage(corrupt.clone())),
+                "{name}"
+            );
+            assert_eq!(
+                t.bulk_delete(&[key]).unwrap_err(),
+                DbError::Storage(corrupt.clone()),
+                "{name}"
+            );
+            assert_eq!(
+                t.range_lookup(Key::MIN, Key::MAX),
+                Err(DbError::Storage(corrupt.clone())),
+                "{name}"
+            );
+            assert_eq!(t.audit_structure().unwrap_err(), corrupt, "{name}");
         }
     }
 

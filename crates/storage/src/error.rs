@@ -41,6 +41,10 @@ pub enum StorageError {
     /// A page image failed its end-to-end checksum on read — a torn write
     /// was persisted only partially (see [`crate::FaultKind::TornWrite`]).
     ChecksumMismatch(PageId),
+    /// A page read back intact (its checksum holds) but its bytes do not
+    /// decode as the structure's page format: an unknown tag, or an item
+    /// that runs past the page.
+    CorruptPage(PageId),
     /// The disk reached the fault plan's crash point: the process is
     /// considered dead from this access on (never retried; the WAL's
     /// roll-forward recovery takes over after restart).
@@ -76,6 +80,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::ChecksumMismatch(pid) => {
                 write!(f, "checksum mismatch at page {pid}: torn write detected")
+            }
+            StorageError::CorruptPage(pid) => {
+                write!(f, "page {pid} does not decode: corrupt contents")
             }
             StorageError::SimulatedCrash => {
                 write!(f, "simulated crash: disk unavailable past the crash point")

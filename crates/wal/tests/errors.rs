@@ -66,6 +66,10 @@ fn storage_fault_display_strings() {
         "checksum mismatch at page 4: torn write detected"
     );
     assert_eq!(
+        StorageError::CorruptPage(5).to_string(),
+        "page 5 does not decode: corrupt contents"
+    );
+    assert_eq!(
         StorageError::SimulatedCrash.to_string(),
         "simulated crash: disk unavailable past the crash point"
     );

@@ -135,6 +135,48 @@ proptest! {
     }
 }
 
+/// Deterministic mixed delete list: duplicates, absent keys, keys that live
+/// only in the memtable, and keys a newer run's range tombstone buries over
+/// an older run's puts. Every kind must resolve exactly as the B-tree does.
+#[test]
+fn mixed_delete_list_resolves_like_the_btree() {
+    let (mut btree, mut lsm) = engines(1 << 20);
+    let rows: Vec<Tuple> = (0..500)
+        .map(|i| Tuple::new(vec![i * 2, i % 13, i % 7]))
+        .collect();
+    btree.bulk_load(&rows).unwrap();
+    lsm.bulk_load(&rows).unwrap();
+    // The range tombstone flushes into a level-0 run above the loaded runs.
+    btree.delete_range(100, 199).unwrap();
+    lsm.delete_range(100, 199).unwrap();
+    // Fewer inserts than the memtable holds: these stay unflushed, and 150
+    // is resurrected inside the buried range.
+    for k in [2001, 2003, 2005, 150] {
+        let t = Tuple::new(vec![k, 1, 1]);
+        btree.insert(&t).unwrap();
+        lsm.insert(&t).unwrap();
+    }
+    let s = lsm.lsm_stats();
+    assert!(s.memtable == 4 && s.tombstones > 0, "{s:?}");
+
+    let d: Vec<Key> = vec![
+        2001, 120, 150, 2001, 7, 300, 130, 300, 999_999, 2003, 150, 198, 0,
+    ];
+    let a = btree.bulk_delete(&d).unwrap();
+    let b = lsm.bulk_delete(&d).unwrap();
+    assert_eq!(
+        a.deleted, 5,
+        "2001, 150, 300, 2003 and 0 are live once each"
+    );
+    assert_eq!(a.deleted, b.deleted);
+    for &k in &d {
+        assert_eq!(lsm.lookup(k).unwrap(), None, "key {k}");
+    }
+    let eq = audit_engine_equivalence(&mut btree, &mut lsm).unwrap();
+    assert!(eq.is_clean(), "{}", eq.render());
+    assert!(lsm.audit_pages().is_clean());
+}
+
 /// Deterministic heavy-churn case: enough volume to force multi-level
 /// compaction on the tiny config, checked step by step.
 #[test]
