@@ -5,20 +5,24 @@
 //! [`TxnDb::bulk_delete`] is that path with all of `D` in one chunk. Its
 //! timeline:
 //!
+//! 0. if `D` spans more than one chunk, deal its keys into chunks in the
+//!    heap order of their rows (one read-only merge against the probe
+//!    index), so each chunk deletes one stretch of the heap;
 //! 1. per chunk, acquire the **exclusive table lock**; inside the first
 //!    exclusive span switch the non-unique secondary indices offline ("X
 //!    lock, then indices off-line");
 //! 2. still under the lock, run the pass core's serial prefix for the
 //!    chunk's keys — the probe index, the base table and all **unique
-//!    indices** (unique first, so the constraint stays checkable) — then
-//!    the hash indices (one bucket sweep each), exactly as the offline
-//!    statement runs them ([`bd_core::strategy::run_passes`]);
+//!    indices** (unique first, so the constraint stays checkable) —
+//!    exactly as the offline statement runs them
+//!    ([`bd_core::strategy::run_passes`]);
 //! 3. commit the chunk: release the table lock — "As soon as table R and
 //!    all unique indices are processed ... the lock on R is released"; the
 //!    probe and unique indices are only ever modified under it, so they
 //!    never leave service;
-//! 4. after the last chunk, propagate the deletions to the offline indices
-//!    while updaters run, capturing their changes per [`PropagationMode`]:
+//! 4. after the last chunk, sweep each hash index once over every deleted
+//!    row, then propagate the deletions to the offline indices while
+//!    updaters run, capturing their changes per [`PropagationMode`]:
 //!    * **side-file** — updater changes are logged and replayed; appends
 //!      continue during catch-up; a final quiesce drains the tail;
 //!    * **direct** — updaters install changes into the offline tree
@@ -37,14 +41,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use bd_btree::{Key, RangeCursor, ReorgPolicy};
+use bd_btree::{lookup_keys_sorted, Key, RangeCursor, ReorgPolicy};
 use bd_core::strategy::run_passes;
 use bd_core::{
-    pass_order, plan_sort_merge, project, split, Database, DbError, DbResult, Index, PhaseExecutor,
-    TableId, Tuple, Victims,
+    pass_order, plan_sort_merge, project, split, Database, DbError, DbResult, HashIdx, Index,
+    PhaseExecutor, TableId, Tuple, Victims,
 };
-use bd_exec::sort_all;
-use bd_storage::{io_scope::bypass_cancel, Pacer, Rid, StorageResult};
+use bd_exec::{sort_all, ByRid};
+use bd_storage::{io_scope::bypass_cancel, BufferPool, Pacer, Rid, StorageResult, StructureId};
 
 use crate::error::TxnResult;
 use crate::gate::{IndexGate, IndexState};
@@ -158,16 +162,6 @@ impl TxnDb {
         self.sidefiles.lock().entry(key).or_default().clone()
     }
 
-    fn index_defs(&self, tid: TableId) -> DbResult<Vec<(usize, bool)>> {
-        let db = self.db.lock();
-        Ok(db
-            .table(tid)?
-            .indices
-            .iter()
-            .map(|i| (i.def.attr, i.def.unique))
-            .collect())
-    }
-
     /// Take the table S lock with the index on `attr` — the caller's access
     /// path — online: wait at the gate first, take S, re-check under it,
     /// and release and retry if the index went offline in between. Only a
@@ -190,67 +184,52 @@ impl TxnDb {
         }
     }
 
-    /// Updater insert: waits for unique indices, routes changes to offline
-    /// non-unique indices via side-file or direct propagation.
+    /// Updater insert: checks every unique index (they never go offline),
+    /// routes changes to offline non-unique indices via side-file or direct
+    /// propagation.
     pub fn insert(&self, txn: TxnId, tid: TableId, tuple: &Tuple) -> TxnResult<Rid> {
         self.locks.acquire(txn, tid, LockMode::Shared)?;
-        'retry: loop {
-            let defs = self.index_defs(tid)?;
-            // Unique indices must be online for the constraint check.
-            for &(attr, unique) in &defs {
-                if unique {
-                    self.gate((tid, attr)).wait_online();
+        let mut db = self.db.lock();
+        let table = db.table_mut(tid)?;
+        let bytes = table.schema.encode(tuple)?;
+        for index in table.indices.iter().filter(|i| i.def.unique) {
+            let key = tuple.attr(index.def.attr);
+            if !index.tree.search(key)?.is_empty() {
+                return Err(DbError::DuplicateKey {
+                    attr: index.def.attr,
+                    key,
                 }
+                .into());
             }
-            let mut db = self.db.lock();
-            let table = db.table_mut(tid)?;
-            let bytes = table.schema.encode(tuple)?;
-            for index in &table.indices {
-                if index.def.unique {
-                    if !self.gate((tid, index.def.attr)).is_online() {
-                        // Went offline between the wait and the lock: retry.
-                        drop(db);
-                        continue 'retry;
-                    }
-                    let key = tuple.attr(index.def.attr);
-                    if !index.tree.search(key)?.is_empty() {
-                        return Err(DbError::DuplicateKey {
-                            attr: index.def.attr,
-                            key,
-                        }
-                        .into());
-                    }
-                }
-            }
-            let rid = table.heap.insert(&bytes)?;
-            let schema = table.schema;
-            for h in &mut table.hash_indices {
-                h.index.insert(schema.attr_of(&bytes, h.def.attr), rid)?;
-            }
-            for index in &mut table.indices {
-                let attr = index.def.attr;
-                let key = schema.attr_of(&bytes, attr);
-                match self.gate((tid, attr)).state() {
-                    IndexState::Online => index.tree.insert(key, rid)?,
-                    IndexState::OfflineSideFile => {
-                        if self
-                            .sidefile((tid, attr))
-                            .append(SideOp::Insert { key, rid })
-                            .is_err()
-                        {
-                            // Quiesced under our feet; the gate flips online
-                            // momentarily — install directly.
-                            index.tree.insert(key, rid)?;
-                        }
-                    }
-                    IndexState::OfflineDirect => {
-                        index.tree.insert(key, rid)?;
-                        self.undeletable.lock().insert((attr, key, rid));
-                    }
-                }
-            }
-            return Ok(rid);
         }
+        let rid = table.heap.insert(&bytes)?;
+        let schema = table.schema;
+        for h in &mut table.hash_indices {
+            h.index.insert(schema.attr_of(&bytes, h.def.attr), rid)?;
+        }
+        for index in &mut table.indices {
+            let attr = index.def.attr;
+            let key = schema.attr_of(&bytes, attr);
+            match self.gate((tid, attr)).state() {
+                IndexState::Online => index.tree.insert(key, rid)?,
+                IndexState::OfflineSideFile => {
+                    if self
+                        .sidefile((tid, attr))
+                        .append(SideOp::Insert { key, rid })
+                        .is_err()
+                    {
+                        // Quiesced under our feet; the gate flips online
+                        // momentarily — install directly.
+                        index.tree.insert(key, rid)?;
+                    }
+                }
+                IndexState::OfflineDirect => {
+                    index.tree.insert(key, rid)?;
+                    self.undeletable.lock().insert((attr, key, rid));
+                }
+            }
+        }
+        Ok(rid)
     }
 
     /// Updater point delete by probe key. Returns deleted RIDs.
@@ -365,22 +344,75 @@ impl TxnDb {
         Ok(out)
     }
 
+    /// The sorted, distinct `keys` in the heap order of their rows: one
+    /// read-only merge against the probe index under the table S lock,
+    /// the hits sorted by RID with the charged external sort, each key at
+    /// its first RID, then the keys the index does not hold. Runs with no
+    /// pacer installed, so it adds no checkpoint to the statement's count.
+    fn heap_order(
+        &self,
+        tid: TableId,
+        probe_attr: usize,
+        keys: &[Key],
+        pool: &Arc<BufferPool>,
+        ws_bytes: usize,
+    ) -> TxnResult<Vec<Key>> {
+        let txn = self.begin();
+        self.locks.acquire(txn, tid, LockMode::Shared)?;
+        let hits = (|| -> TxnResult<Vec<(Key, Rid)>> {
+            let db = self.db.lock();
+            let table = db.table(tid)?;
+            let index = table
+                .index_on(probe_attr)
+                .ok_or(DbError::NoProbeIndex { attr: probe_attr })?;
+            Ok(lookup_keys_sorted(&index.tree, keys).map_err(DbError::from)?)
+        })();
+        self.locks.release_all(txn);
+        let hits = hits?;
+        let (by_rid, _) = sort_all(
+            pool.clone(),
+            hits.into_iter().map(|(k, r)| ByRid(r, k)),
+            ws_bytes,
+        )?;
+        let mut placed = HashSet::with_capacity(keys.len());
+        let mut out: Vec<Key> = by_rid
+            .into_iter()
+            .map(|b| b.1)
+            .filter(|&k| placed.insert(k))
+            .collect();
+        out.extend(keys.iter().filter(|k| !placed.contains(k)));
+        Ok(out)
+    }
+
     /// Online (chunked) bulk delete: the §3.1 protocol re-cut for live
     /// foreground traffic.
     ///
     /// `D` is sorted once, then processed in chunks of `chunk` keys. Each
-    /// chunk runs a *complete* vertical delete over the heap, the probe
-    /// index, every unique index, and every hash index inside one short
-    /// exclusive span (table lock + db mutex), then releases both so
-    /// foreground transactions interleave. Deletes commute — `D` equals
-    /// the disjoint union of its chunks — so after every chunk those
-    /// structures are exactly the state a smaller bulk delete would have
-    /// left, and the probe and unique indices never leave service.
+    /// chunk runs the pass core's serial prefix — the probe index, the heap
+    /// and every unique index — inside one short exclusive span (table
+    /// lock + db mutex), then releases both so foreground transactions
+    /// interleave. Deletes commute — `D` equals the disjoint union of its
+    /// chunks — so after every chunk those structures are exactly the
+    /// state a smaller bulk delete would have left, and the probe and
+    /// unique indices never leave service.
+    ///
+    /// When `D` spans more than one chunk, the chunks are cut along the
+    /// heap, not along the key: `D` is first merged read-only against the
+    /// probe index (under the table S lock), and its keys are dealt out in
+    /// the RID order of their rows, keys the index does not hold last. Each
+    /// chunk then deletes one stretch of the heap instead of re-walking all
+    /// of it. That order only decides which keys travel together; every
+    /// chunk still finds its own victims through the probe index under X.
     ///
     /// Non-unique secondary indices go offline for the whole run (their
     /// `⋈̄` only pays off set-oriented) and are caught up in a phase-2
     /// propagation: the accumulated deleted-row stream is applied chunked
-    /// and the side-file (in [`PropagationMode::SideFile`]) replayed.
+    /// and the side-file (in [`PropagationMode::SideFile`]) replayed. Each
+    /// hash index is swept once in phase 2 too, before those trees, with
+    /// no gate and no side-file: nothing here reads through a hash index
+    /// or checks a constraint with one, and its bulk delete removes at most
+    /// one entry per victim, so a foreground insert that re-used a victim's
+    /// RID under the same hash value keeps its own entry.
     ///
     /// The `pacer` governs the run cooperatively: between chunks it is
     /// checked with no locks held (the natural pause point — a parked
@@ -420,27 +452,36 @@ impl TxnDb {
         };
         let (mut keys, _) = sort_all(pool.clone(), d_keys.iter().copied(), ws_bytes)?;
         keys.dedup();
+        if keys.len() > chunk {
+            keys = self.heap_order(tid, probe_attr, &keys, &pool, ws_bytes)?;
+        }
 
-        // The non-unique B-trees (the plan's steps after the unique ones)
-        // go offline until phase 2; each chunk runs the rest of the order:
-        // the serial prefix and the hash indices.
-        let offline_attrs: Vec<usize> = plan.index_steps[n_serial - 2..]
-            .iter()
-            .map(|s| s.attr)
-            .collect();
-        let chunk_order = [&order[..n_serial], &order[n_serial + offline_attrs.len()..]].concat();
+        // Each chunk runs the serial prefix. The rest of the order waits
+        // for phase 2: the non-unique B-trees offline, the hash indices
+        // untouched until their one sweep.
+        let (serial, rest) = order.split_at(n_serial);
+        let (mut offline_attrs, mut hash_attrs) = (Vec::new(), Vec::new());
+        for &s in rest {
+            match s {
+                StructureId::Index(a) => offline_attrs.push(a as usize),
+                StructureId::Hash(a) => hash_attrs.push(a as usize),
+                _ => unreachable!("the serial prefix holds the probe and the table"),
+            }
+        }
         let offline_state = match mode {
             PropagationMode::SideFile => IndexState::OfflineSideFile,
             PropagationMode::Direct => IndexState::OfflineDirect,
         };
 
-        // Phase 1: one complete vertical delete per chunk, each under its
-        // own short exclusive span. Rows accumulate for phase 2 even if a
-        // later chunk fails or is cancelled — they are committed.
+        // Phase 1: the serial prefix per chunk, each under its own short
+        // exclusive span. Rows accumulate for phase 2 even if a later chunk
+        // fails or is cancelled — they are committed.
         let mut deleted_rows: Vec<(Rid, Vec<u8>)> = Vec::new();
         let mut chunks = 0usize;
         let run: TxnResult<()> = (|| {
             for part in keys.chunks(chunk) {
+                let mut part = part.to_vec();
+                part.sort_unstable();
                 // Pause point between chunks: no table lock, no db mutex —
                 // a parked deleter blocks no foreground transaction.
                 pacer.check().map_err(DbError::from)?;
@@ -465,15 +506,15 @@ impl TxnDb {
                 let chunk_res: TxnResult<()> = (|| {
                     let mut db = self.db.lock();
                     // Deep page-visit loops below checkpoint against this
-                    // pacer (leaf walks, heap passes, hash sweeps, sorts),
-                    // so a pause parks mid-chunk at a pin-free point. The
-                    // install defers cancellation: probe index, heap, hash
-                    // and unique indices must move together, so a cancel
-                    // lets the chunk finish and is observed at the next
+                    // pacer (leaf walks, heap passes, sorts), so a pause
+                    // parks mid-chunk at a pin-free point. The install
+                    // defers cancellation: probe index, heap and unique
+                    // indices must move together, so a cancel lets the
+                    // chunk finish and is observed at the next
                     // between-chunk `check` instead.
                     let _pace = pacer.enter_defer_cancel();
                     let (parts, ws, pool) = db.parts(tid)?;
-                    let passes = split(parts, probe_attr, &chunk_order);
+                    let passes = split(parts, probe_attr, serial);
                     let rows = run_passes(
                         &mut PhaseExecutor::new(1),
                         &pool,
@@ -482,7 +523,7 @@ impl TxnDb {
                         &plan,
                         passes,
                         n_serial,
-                        part,
+                        &part,
                         ReorgPolicy::FreeAtEmpty,
                     )?;
                     deleted_rows.extend(rows);
@@ -495,11 +536,13 @@ impl TxnDb {
             Ok(())
         })();
 
-        // Phase 2: propagate the committed deletes to the offline indices,
-        // chunked so no db-mutex span outlasts a chunk's worth of work.
-        // This tail is obligated — the heap rows are gone — so it runs
-        // under `bypass_cancel`: a cancelled or failed run still brings
-        // every index back online consistent with the prefix it deleted.
+        // Phase 2: propagate the committed deletes to the hash indices and
+        // the offline trees, chunked so no db-mutex span outlasts a chunk's
+        // worth of work. This tail is obligated — the heap rows are gone —
+        // so it runs under `bypass_cancel`: a cancelled or failed run still
+        // brings every index back online consistent with the prefix it
+        // deleted.
+        let span = chunk.max(CATCHUP_BATCH);
         let cleanup: TxnResult<()> = bypass_cancel(|| {
             // One db-mutex span of work on the offline index on `attr`.
             let on_index = |attr: usize, work: &mut dyn FnMut(&mut Index) -> StorageResult<()>| {
@@ -507,6 +550,28 @@ impl TxnDb {
                 let index = db.table_mut(tid)?.index_on_mut(attr);
                 TxnResult::Ok(work(index.expect("index present"))?)
             };
+            // The same on the hash index on `attr`.
+            let on_hash = |attr: usize, work: &mut dyn FnMut(&mut HashIdx) -> StorageResult<()>| {
+                let mut db = self.db.lock();
+                let mut hashes = db.table_mut(tid)?.hash_indices.iter_mut();
+                let h = hashes.find(|h| h.def.attr == attr);
+                TxnResult::Ok(work(h.expect("hash index present"))?)
+            };
+            // One bucket sweep per hash index, in spans of contiguous
+            // buckets.
+            for &attr in &hash_attrs {
+                let mut entries: Vec<(Key, Rid)> = project(&deleted_rows, schema, attr).collect();
+                on_hash(attr, &mut |h| {
+                    h.index.sort_for_sweep(&mut entries);
+                    Ok(())
+                })?;
+                for part in entries.chunks(span) {
+                    on_hash(attr, &mut |h| {
+                        h.index.bulk_delete(part)?;
+                        Ok(())
+                    })?;
+                }
+            }
             for &attr in &offline_attrs {
                 let proj: Vec<(Key, Rid)> = {
                     let undeletable = self.undeletable.lock();
@@ -515,7 +580,7 @@ impl TxnDb {
                         .collect()
                 };
                 let (pairs, _) = sort_all(pool.clone(), proj, ws_bytes)?;
-                for part in pairs.chunks(chunk.max(CATCHUP_BATCH)) {
+                for part in pairs.chunks(span) {
                     on_index(attr, &mut |index| {
                         let mut pass = Victims::Tree(index, part.to_vec());
                         pass.run(0, usize::MAX, ReorgPolicy::FreeAtEmpty, |_| Ok(()))?;

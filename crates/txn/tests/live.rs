@@ -54,6 +54,100 @@ fn live_delete_matches_the_shadow_model() {
     }
 }
 
+/// [`setup`] plus a hash index on attribute 3, with the heap's last page
+/// full: the table holds a whole number of pages, so a later insert's
+/// next-fit wraps to the lowest page with room.
+fn setup_hashed(pages: usize) -> (Arc<TxnDb>, usize, Vec<u64>) {
+    let per_page = {
+        let (tdb, tid, _) = setup(500);
+        let rids: Vec<_> = tdb.with(|db| db.table(tid).unwrap().heap.dump().unwrap());
+        rids.iter()
+            .take_while(|(r, _)| r.page == rids[0].0.page)
+            .count()
+    };
+    let (tdb, tid, a_values) = setup(per_page * pages);
+    tdb.with(|db| db.create_hash_index(tid, 3).unwrap());
+    (tdb, tid, a_values)
+}
+
+#[test]
+fn deferred_hash_sweep_keeps_an_insert_that_reuses_a_victim_rid() {
+    const CHUNK: usize = 32;
+    for mode in [PropagationMode::SideFile, PropagationMode::Direct] {
+        // The pacer's count at the pause point between the first chunk and
+        // the second, read by a maintenance hook on an identical run.
+        let boundary = {
+            let (tdb, tid, a_values) = setup_hashed(30);
+            let victims: Vec<u64> = a_values.iter().copied().step_by(3).collect();
+            let pacer = Pacer::new();
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            {
+                let (pacer, seen) = (pacer.clone(), seen.clone());
+                tdb.set_maintenance(Some(Box::new(move |_| {
+                    seen.lock().unwrap().push(pacer.checks());
+                    Ok(())
+                })));
+            }
+            tdb.bulk_delete_live(tid, 0, &victims, mode, CHUNK, &pacer)
+                .unwrap();
+            let seen = seen.lock().unwrap();
+            seen[1]
+        };
+
+        let (tdb, tid, a_values) = setup_hashed(30);
+        let mut shadow = tdb.with(|db| ShadowDb::mirror_of(db, tid).unwrap());
+        let victims: Vec<u64> = a_values.iter().copied().step_by(3).collect();
+        // The first chunk holds the lowest RIDs, so it deletes this victim.
+        let (victim_rid, value) = tdb.with(|db| {
+            let table = db.table(tid).unwrap();
+            let probe = &table.index_on(0).unwrap().tree;
+            let rid = victims
+                .iter()
+                .map(|&k| probe.search(k).unwrap()[0])
+                .min()
+                .unwrap();
+            let row = table.schema.decode(&table.heap.get(rid).unwrap());
+            (rid, row.attr(3))
+        });
+        let pacer = Pacer::new();
+        pacer.pause_after(boundary);
+        let tuple = Tuple::new(vec![1_000_001, 2_000_001, 3_000_001, value]);
+        let (stats, rid) = std::thread::scope(|s| {
+            let bulk = {
+                let (tdb, victims, pacer) = (tdb.clone(), victims.clone(), pacer.clone());
+                s.spawn(move || tdb.bulk_delete_live(tid, 0, &victims, mode, CHUNK, &pacer))
+            };
+            assert!(
+                pacer.wait_parked(1, Duration::from_secs(10)),
+                "deleter never parked"
+            );
+            // Between chunks: no lock held, the victim's hash entry not yet
+            // swept.
+            let txn = tdb.begin();
+            let rid = tdb.insert(txn, tid, &tuple).unwrap();
+            tdb.commit(txn);
+            pacer.resume();
+            (bulk.join().unwrap().unwrap(), rid)
+        });
+        assert_eq!(stats.deleted, victims.len());
+        assert_eq!(
+            rid, victim_rid,
+            "{mode:?}: the insert did not reuse the RID"
+        );
+
+        shadow.delete_in(tid, 0, &victims);
+        shadow.insert(tid, rid, tuple);
+        tdb.with(|db| {
+            let report = shadow.diff(db, tid).unwrap();
+            assert!(report.is_clean(), "{mode:?}: {report}");
+            db.check_consistency(tid).unwrap();
+            let hash = &db.table(tid).unwrap().hash_index_on(3).unwrap().index;
+            let hits = hash.search(value).unwrap();
+            assert_eq!(hits.iter().filter(|&&r| r == rid).count(), 1, "{mode:?}");
+        });
+    }
+}
+
 #[test]
 fn live_delete_interleaves_foreground_traffic() {
     let (tdb, tid, a_values) = setup(3000);
