@@ -1,13 +1,12 @@
-//! Tier-1 gate on the write side of the sorted sweep: behind a vertical
-//! delete the dirty pages must leave the pool in long chains. Every number
-//! here is a simulated-disk count, so a regression to page-at-a-time
-//! write-back fails deterministically.
+//! Tier-1 gates on the pool's write-behind: behind a vertical delete the
+//! dirty pages must leave the pool in long chains, and behind a
+//! record-at-a-time refill the pages it keeps dirtying must not be
+//! rewritten at every eviction. Every number here is a simulated-disk
+//! count, so a regression fails deterministically.
 
 use bulk_delete::prelude::*;
 
-use bd_core::ShadowDb;
 use bd_storage::{PageId, PAGE_SIZE};
-use bd_workload::TableSpec;
 
 /// Every allocated page's platter image.
 fn platter(db: &Database) -> Vec<[u8; PAGE_SIZE]> {
@@ -59,6 +58,53 @@ fn vertical_delete_writes_back_in_chains() {
     );
 
     shadow.delete_in(w.tid, 0, &d);
+    let diff = shadow.diff(&db, w.tid).unwrap();
+    assert!(diff.is_clean(), "{diff}");
+    db.check_consistency(w.tid).unwrap();
+}
+
+#[test]
+fn window_refill_leaves_its_hot_pages_dirty() {
+    // The §1 sliding window at the shape of the benchmark's `window4`:
+    // unique I_A and two more B-trees behind a 30-frame pool.
+    let mut db = Database::new(DatabaseConfig::with_total_memory(160 << 10));
+    let spec = TableSpec::paper_scaled().with_rows(8_000).with_seed(4);
+    let w = spec.build(&mut db).unwrap();
+    w.attach_index(&mut db, IndexDef::secondary(0).unique())
+        .unwrap();
+    for attr in 1..3 {
+        w.attach_index(&mut db, IndexDef::secondary(attr)).unwrap();
+    }
+    db.pool().flush_all().unwrap();
+    let mut shadow = ShadowDb::mirror_of(&db, w.tid).unwrap();
+
+    // Delete the oldest quarter of A, then refill it with rows whose every
+    // value lies above the table's, so each insert lands on the right edge
+    // of every tree.
+    let mut oldest = w.a_values.clone();
+    oldest.sort_unstable();
+    oldest.truncate(spec.n_rows / 4);
+    let out = strategy::vertical_sort_merge(&mut db, w.tid, 0, &oldest, 1).unwrap();
+    assert_eq!(out.deleted.len(), oldest.len());
+    shadow.delete_in(w.tid, 0, &oldest);
+
+    db.pool().reset_stats();
+    for i in 0..oldest.len() {
+        let base = (spec.n_rows + i) as Key * 10;
+        let row = Tuple::new((0..spec.n_attrs as Key).map(|a| base + 2 * a).collect());
+        let rid = db.insert(w.tid, &row).unwrap();
+        shadow.insert(w.tid, rid, row);
+    }
+    // 131 positioned writes while hot pages wait for their own eviction;
+    // 220 when every dirty eviction also rewrites the right-edge leaves
+    // the next insert dirties again.
+    let refill = db.pool().disk_stats();
+    assert!(
+        refill.random_writes <= 175,
+        "the refill rewrites its hot pages: {refill:?}"
+    );
+
+    db.pool().flush_all().unwrap();
     let diff = shadow.diff(&db, w.tid).unwrap();
     assert!(diff.is_clean(), "{diff}");
     db.check_consistency(w.tid).unwrap();
