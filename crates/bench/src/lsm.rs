@@ -129,7 +129,7 @@ pub fn lsm_experiment(rows: usize, workers: usize) -> DbResult<ExperimentReport>
                 probe is one sorted pass per run before any tombstone is \
                 written, so what grows is the flushes/compactions the \
                 tombstones trigger; the B-tree vertical plan barely grows and \
-                is cheapest at every fraction at 20000 and 100000 rows (by 2% \
+                is cheapest at every fraction at 20000 and 100000 rows (by 3% \
                 at 5% of 20000 rows), while on smaller tables the LSM arms \
                 undercut it at low fractions; purging every remaining \
                 tombstone adds only the residual compactions on top of the \

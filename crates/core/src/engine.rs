@@ -5,17 +5,18 @@
 //! storage layouts (an LSM tree, where bulk delete becomes tombstone writes
 //! plus delete-aware compaction) needs a seam between "a keyed table of
 //! tuples" and "the structure that stores it". [`TableEngine`] is that
-//! seam: build/bulk-load, point and range lookup, full scan, bulk delete
-//! (by key and by range), stats, and the audit hooks the differential
-//! harness drives.
+//! seam, cut to what the `lsm` experiment and its gates call: build
+//! (insert, bulk load), point lookup, bulk delete by key list, and the
+//! two audit hooks the differential harness drives.
 //!
 //! The contract is a *keyed* table: attribute 0 is the primary key, keys
 //! are unique (inserting a duplicate is [`DbError::DuplicateKey`]), and
-//! every read returns rows in key order. That makes two engines directly
-//! comparable: [`audit_engine_equivalence`] diffs their sorted logical
-//! dumps row by row and folds in each engine's own structural self-audit,
-//! the same shape as [`audit_equivalence`](crate::audit::audit_equivalence)
-//! between two B-tree databases.
+//! the audit dump returns rows in key order. That makes two engines
+//! directly comparable: [`audit_engine_equivalence`] diffs their sorted
+//! logical dumps row by row and folds in each engine's own structural
+//! self-audit, the same shape as
+//! [`audit_equivalence`](crate::audit::audit_equivalence) between two
+//! B-tree databases.
 //!
 //! [`BtreeEngine`] adapts the existing [`Database`] (heap + B-link tree
 //! indices, vertical bulk deletes) to the trait; the `bd-lsm` crate
@@ -30,18 +31,6 @@ use crate::report::RunReport;
 use crate::strategy;
 use crate::tuple::{Schema, Tuple};
 
-/// Size and shape of an engine's physical state, for reports and benches.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Live logical rows.
-    pub rows: usize,
-    /// Pages currently owned by the engine's structures.
-    pub pages: usize,
-    /// Engine-specific shape, e.g. `"2 indices"` or `"3 levels, 5 runs,
-    /// 120 tombstones"`. Free-form; not compared across engines.
-    pub detail: String,
-}
-
 /// A storage engine serving one keyed table of [`Tuple`]s.
 ///
 /// Attribute 0 is the unique primary key. Implementations charge all I/O
@@ -52,9 +41,6 @@ pub struct EngineStats {
 pub trait TableEngine {
     /// Short stable name for reports ("btree", "lsm").
     fn name(&self) -> &'static str;
-
-    /// The table's record layout.
-    fn schema(&self) -> Schema;
 
     /// Insert one row. Duplicate keys are [`DbError::DuplicateKey`].
     fn insert(&mut self, tuple: &Tuple) -> DbResult<()>;
@@ -71,28 +57,14 @@ pub trait TableEngine {
     /// Point lookup: the row with key `key`, if live.
     fn lookup(&mut self, key: Key) -> DbResult<Option<Tuple>>;
 
-    /// Range lookup: live rows with `lo <= key <= hi`, in key order.
-    fn range_lookup(&mut self, lo: Key, hi: Key) -> DbResult<Vec<Tuple>>;
-
-    /// Full scan: every live row, in key order.
-    fn scan(&mut self) -> DbResult<Vec<Tuple>> {
-        self.range_lookup(Key::MIN, Key::MAX)
-    }
-
     /// Bulk delete by key list (absent keys are no-ops). Returns the
     /// measured cost report with [`RunReport::deleted`] set to the number
     /// of rows that existed and were deleted.
     fn bulk_delete(&mut self, keys: &[Key]) -> DbResult<RunReport>;
 
-    /// Bulk delete every row with `lo <= key <= hi`.
-    fn delete_range(&mut self, lo: Key, hi: Key) -> DbResult<RunReport>;
-
-    /// Current size/shape.
-    fn stats(&mut self) -> DbResult<EngineStats>;
-
     /// The engine's logical contents for differential comparison: every
-    /// live row, key-sorted. Unlike [`TableEngine::scan`] this must bypass
-    /// caches of convenience (it is the ground truth the audit trusts).
+    /// live row, key-sorted. It must bypass caches of convenience (it is
+    /// the ground truth the audit trusts).
     fn audit_dump(&mut self) -> DbResult<Vec<Tuple>>;
 
     /// The engine's own structural invariants (tree/run shape, page
@@ -174,30 +146,11 @@ impl BtreeEngine {
     pub fn from_db(db: Database, tid: TableId, workers: usize) -> BtreeEngine {
         BtreeEngine { db, tid, workers }
     }
-
-    /// The wrapped database (for the richer B-tree-only audits).
-    pub fn db(&self) -> &Database {
-        &self.db
-    }
-
-    /// Mutable access to the wrapped database.
-    pub fn db_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
-    /// The wrapped table id.
-    pub fn tid(&self) -> TableId {
-        self.tid
-    }
 }
 
 impl TableEngine for BtreeEngine {
     fn name(&self) -> &'static str {
         "btree"
-    }
-
-    fn schema(&self) -> Schema {
-        self.db.table(self.tid).expect("engine table exists").schema
     }
 
     fn insert(&mut self, tuple: &Tuple) -> DbResult<()> {
@@ -220,53 +173,9 @@ impl TableEngine for BtreeEngine {
         }
     }
 
-    fn range_lookup(&mut self, lo: Key, hi: Key) -> DbResult<Vec<Tuple>> {
-        let table = self.db.table(self.tid)?;
-        let tree = &table
-            .index_on(0)
-            .ok_or(DbError::NoProbeIndex { attr: 0 })?
-            .tree;
-        let entries = tree.range(lo, hi).map_err(DbError::Storage)?;
-        let mut rows = Vec::with_capacity(entries.len());
-        for (_, rid) in entries {
-            let bytes = table.heap.get(rid).map_err(DbError::Storage)?;
-            rows.push(table.schema.decode(&bytes));
-        }
-        Ok(rows)
-    }
-
     fn bulk_delete(&mut self, keys: &[Key]) -> DbResult<RunReport> {
         let out = strategy::vertical_sort_merge(&mut self.db, self.tid, 0, keys, self.workers)?;
         Ok(out.report)
-    }
-
-    fn delete_range(&mut self, lo: Key, hi: Key) -> DbResult<RunReport> {
-        let keys: Vec<Key> = {
-            let table = self.db.table(self.tid)?;
-            let tree = &table
-                .index_on(0)
-                .ok_or(DbError::NoProbeIndex { attr: 0 })?
-                .tree;
-            tree.range(lo, hi)
-                .map_err(DbError::Storage)?
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect()
-        };
-        self.bulk_delete(&keys)
-    }
-
-    fn stats(&mut self) -> DbResult<EngineStats> {
-        let table = self.db.table(self.tid)?;
-        let mut pages = table.heap.num_pages();
-        for index in &table.indices {
-            pages += index.tree.pages().map_err(DbError::Storage)?.len();
-        }
-        Ok(EngineStats {
-            rows: table.heap.len(),
-            pages,
-            detail: format!("{} indices", table.indices.len()),
-        })
     }
 
     fn audit_dump(&mut self) -> DbResult<Vec<Tuple>> {
@@ -312,15 +221,9 @@ mod tests {
         let mut e = engine(500);
         assert_eq!(e.lookup(10).unwrap(), Some(Tuple::new(vec![10, 5, 5])));
         assert_eq!(e.lookup(11).unwrap(), None, "odd keys never inserted");
-        let mid = e.range_lookup(100, 110).unwrap();
-        assert_eq!(
-            mid.iter().map(|t| t.attr(0)).collect::<Vec<_>>(),
-            vec![100, 102, 104, 106, 108, 110]
-        );
         let err = e.insert(&Tuple::new(vec![10, 0, 0])).unwrap_err();
         assert_eq!(err, DbError::DuplicateKey { attr: 0, key: 10 });
-        assert_eq!(e.scan().unwrap().len(), 500);
-        assert_eq!(e.stats().unwrap().rows, 500);
+        assert_eq!(e.audit_dump().unwrap().len(), 500);
     }
 
     #[test]
@@ -328,9 +231,11 @@ mod tests {
         let mut e = engine(400);
         let report = e.bulk_delete(&[0, 2, 4, 999]).unwrap();
         assert_eq!(report.deleted, 3, "999 is absent");
-        let report = e.delete_range(100, 198).unwrap();
+        let report = e
+            .bulk_delete(&(50..100).map(|i| i * 2).collect::<Vec<_>>())
+            .unwrap();
         assert_eq!(report.deleted, 50);
-        assert_eq!(e.scan().unwrap().len(), 400 - 3 - 50);
+        assert_eq!(e.audit_dump().unwrap().len(), 400 - 3 - 50);
         assert!(e.audit_self().unwrap().is_clean());
     }
 

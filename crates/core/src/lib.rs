@@ -68,7 +68,7 @@ pub use audit::{
 pub use catalog::{HashIdx, HashIndexDef, Index, IndexDef, Table};
 pub use constraint::{ForeignKey, RefAction};
 pub use db::{build_hash, build_index, Database, DatabaseConfig, TableId};
-pub use engine::{audit_engine_equivalence, BtreeEngine, EngineStats, TableEngine};
+pub use engine::{audit_engine_equivalence, BtreeEngine, TableEngine};
 pub use erasure::{
     collect_sensitive, plan_cascade, run_cascade, run_cascade_step, scrub_database, verify_erasure,
     CascadePlan, CascadeStep, ErasureReport, Residue, ScrubReport,

@@ -5,9 +5,9 @@
 //! The paper's design-space argument — horizontal vs vertical vs
 //! drop-and-create — was made over B-tree storage in 2001. On
 //! log-structured storage the same question reads differently: a bulk
-//! delete is not a merge against a live structure but a batch of
-//! *tombstones* (point and range) that shadow older versions until
-//! compaction physically purges them. This crate replays the argument on
+//! delete by key list is not a merge against a live structure but a batch
+//! of point *tombstones* that shadow older versions until compaction
+//! physically purges them. This crate replays the argument on
 //! an LSM table built over the same simulated disk, buffer pool, page
 //! catalog and cost model as the B-tree engine, so the two are directly
 //! comparable under [`bd_core::measure`] and differentially auditable via
@@ -15,11 +15,12 @@
 //!
 //! The moving parts:
 //!
-//! * [`Memtable`] — the mutable in-memory level: a sorted map of puts and
-//!   point tombstones, plus the pending range tombstones.
-//! * [`Run`] — an immutable sorted run on contiguous pages, with per-page
-//!   fence keys, a bloom-style filter over its keys, and counters for the
-//!   delete-awareness heuristics (tombstone count, oldest tombstone age).
+//! * the memtable — the mutable in-memory level: a sorted map of puts and
+//!   tombstones, the newest version per key.
+//! * runs — immutable runs on contiguous pages, one item per key in
+//!   strictly ascending key order, with per-page fence keys, a bloom-style
+//!   filter over their keys, and counters for the delete-awareness
+//!   heuristics (tombstone count, oldest tombstone age).
 //! * [`LsmTable`] — the engine: leveled structure (level 0 holds
 //!   overlapping flushed memtables, deeper levels hold non-overlapping
 //!   runs), newest-wins reads through fences and filters, and leveled
@@ -30,20 +31,21 @@
 //!   delete is physically purged within a bounded number of compactions.
 //!
 //! Durability is out of scope for this engine (no WAL integration):
-//! [`Run`] metadata lives in memory and pages live on the shared
+//! run metadata lives in memory and pages live on the shared
 //! [`SimDisk`](bd_storage::SimDisk), which is exactly what the bench and
 //! the differential audits need. Crash-safe LSM manifests are future
 //! work; the page *catalog* is still maintained on every allocate/free so
 //! catalog audits and structure-precise accounting hold.
+//!
+//! There is no range delete: nothing in the benchmark issues one. One
+//! would come back only as a single global range-tombstone index, not as
+//! per-run vectors that every lookup must check.
 
 mod bloom;
 mod memtable;
 mod run;
 mod table;
 
-pub use bloom::Bloom;
-pub use memtable::Memtable;
-pub use run::{Item, Run, RunCursor};
 pub use table::{LsmStats, LsmTable};
 
 /// Tuning knobs for the LSM engine.

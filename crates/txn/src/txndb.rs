@@ -80,19 +80,6 @@ pub struct LiveDeleteStats {
     pub chunks: usize,
 }
 
-/// What a [`TxnDb::erase_cascade_live`] campaign accomplished.
-#[derive(Debug)]
-pub struct LiveCampaignStats {
-    /// One entry per cascade step, children first (plan order).
-    pub steps: Vec<LiveDeleteStats>,
-    /// Victim rows deleted across every table of the cascade.
-    pub deleted: usize,
-    /// What the whole-database physical scrub destroyed.
-    pub scrub: bd_core::ScrubReport,
-    /// The proof of deletion over every page and replica surface.
-    pub report: bd_core::ErasureReport,
-}
-
 type IndexKey = (TableId, usize);
 
 /// Thread-safe database with the §3.1 bulk-delete protocol.
@@ -486,7 +473,7 @@ impl TxnDb {
                 // a parked deleter blocks no foreground transaction.
                 pacer.check().map_err(DbError::from)?;
                 // One maintenance slice per pause point, paced like the
-                // delete itself so a parked campaign parks its upkeep too.
+                // delete itself so a parked delete parks its upkeep too.
                 if let Some(hook) = self.maintenance.lock().as_mut() {
                     let mut db = self.db.lock();
                     hook(&mut db)?;
@@ -639,59 +626,5 @@ impl TxnDb {
     ) -> TxnResult<usize> {
         self.bulk_delete_live(tid, probe_attr, d_keys, mode, usize::MAX, &Pacer::new())
             .map(|stats| stats.deleted)
-    }
-
-    /// Online erasure campaign: the cascading delete closure of
-    /// `DELETE FROM root WHERE attr IN d_keys`, executed live.
-    ///
-    /// The cascade is planned read-only up front over the registered
-    /// foreign keys ([`bd_core::plan_cascade`]): a RESTRICT violation
-    /// aborts *here* — before any index goes offline, with zero pinned
-    /// frames and no destructive work, exactly the §2.2 "no work needs to
-    /// be undone" contract. Each CASCADE step then runs children-first
-    /// through [`TxnDb::bulk_delete_live`], so foreground transactions
-    /// interleave with the campaign between every chunk of every step.
-    ///
-    /// The `pacer` governs the whole campaign: a cancel is observed at
-    /// some step's between-chunk gate and stops the campaign with a
-    /// consistent, already-committed prefix (whole chunks of whole steps;
-    /// every index back online). A completed campaign finishes with the
-    /// obligated erasure tail under [`bypass_cancel`]: a whole-database
-    /// physical scrub and a [`bd_core::verify_erasure`] proof against the
-    /// sensitive values captured before the first delete.
-    pub fn erase_cascade_live(
-        &self,
-        root: TableId,
-        attr: usize,
-        d_keys: &[Key],
-        mode: PropagationMode,
-        chunk: usize,
-        pacer: &Pacer,
-    ) -> TxnResult<LiveCampaignStats> {
-        let (plan, sensitive) = {
-            let db = self.db.lock();
-            let plan = bd_core::plan_cascade(&db, root, attr, d_keys)?;
-            let sensitive = bd_core::collect_sensitive(&db, &plan)?;
-            (plan, sensitive)
-        };
-        let mut steps = Vec::with_capacity(plan.steps.len());
-        let mut deleted = 0usize;
-        for step in &plan.steps {
-            let s = self.bulk_delete_live(step.table, step.attr, &step.keys, mode, chunk, pacer)?;
-            deleted += s.deleted;
-            steps.push(s);
-        }
-        let (scrub, report) = bypass_cancel(|| -> TxnResult<_> {
-            let mut db = self.db.lock();
-            let scrub = bd_core::scrub_database(&mut db)?;
-            let report = bd_core::verify_erasure(&db, &sensitive, &[])?;
-            Ok((scrub, report))
-        })?;
-        Ok(LiveCampaignStats {
-            steps,
-            deleted,
-            scrub,
-            report,
-        })
     }
 }

@@ -1,24 +1,17 @@
-//! RESTRICT/CASCADE constraints under the parallel executor and under
-//! the live (chunked, paced) delete path.
+//! RESTRICT/CASCADE constraints under the parallel executor.
 //!
 //! The ordering contract under test: constraint enforcement happens at
 //! *plan* time, before any fan-out arm runs, any index goes offline, or
 //! any page is pinned for writing — a RESTRICT abort must leave zero
 //! pinned frames, every structure untouched, and a clean catalog audit.
 
-use std::sync::Arc;
-use std::time::Duration;
-
 use bd_btree::ReorgPolicy;
 use bd_core::{
     audit_catalog, audit_equivalence, plan_cascade, run_cascade, run_cascade_step, Database,
     DatabaseConfig, DbError, ForeignKey, IndexDef, Schema, TableId, Tuple,
 };
-use bd_storage::Pacer;
-use bd_txn::{PropagationMode, TxnDb, TxnError};
 
-// High-entropy values: equivalence audits and the proof-of-deletion scan
-// raw page bytes, so low-entropy values would collide with metadata.
+// High-entropy values, as in the WAL campaign fixture the shape mirrors.
 fn tag(ns: u64, i: u64) -> u64 {
     0xFE57_0000_0000_0000 | (ns << 40) | (i * 0x0101 + 1)
 }
@@ -80,10 +73,6 @@ fn victims() -> Vec<u64> {
     (0..N_ROOT).step_by(2).map(|i| tag(1, i)).collect()
 }
 
-fn rows(db: &Database, tid: TableId) -> usize {
-    db.table(tid).unwrap().heap.dump().unwrap().len()
-}
-
 #[test]
 fn cascade_under_the_parallel_executor_matches_serial() {
     let (mut serial, root) = build();
@@ -128,118 +117,4 @@ fn restrict_abort_under_the_parallel_executor_leaves_zero_pins_and_clean_audit()
         assert!(eq.is_clean(), "aborted plan touched table {t}: {eq}");
         audit_catalog(&db, t).unwrap().into_result().unwrap();
     }
-}
-
-#[test]
-fn restrict_abort_under_bulk_delete_live_leaves_zero_pins_and_clean_audit() {
-    let (db, root, r) = build_with_restrict();
-    let tdb = TxnDb::new(db);
-    let err = tdb
-        .erase_cascade_live(
-            root,
-            0,
-            &victims(),
-            PropagationMode::SideFile,
-            4,
-            &Pacer::new(),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            TxnError::Db(DbError::ForeignKeyViolation { ref name, .. }) if name == "fk_ar"
-        ),
-        "unexpected error: {err}"
-    );
-
-    tdb.with(|db| {
-        assert_eq!(db.pool().pinned_frames(), 0, "abort must release every pin");
-        assert_eq!(rows(db, root), N_ROOT as usize);
-        assert_eq!(rows(db, r), N_ROOT as usize);
-        for t in 0..4 {
-            db.check_consistency(t).unwrap();
-            audit_catalog(db, t).unwrap().into_result().unwrap();
-        }
-    });
-    // No index ever went offline: a foreground read proceeds immediately.
-    let txn = tdb.begin();
-    let hit = tdb.read(txn, root, 0, tag(1, 0)).unwrap();
-    assert_eq!(hit.len(), 1);
-    tdb.commit(txn);
-}
-
-#[test]
-fn cascade_under_bulk_delete_live_erases_and_proves() {
-    for mode in [PropagationMode::SideFile, PropagationMode::Direct] {
-        let (mut reference, root) = build();
-        let plan = plan_cascade(&reference, root, 0, &victims()).unwrap();
-        run_cascade(&mut reference, &plan, ReorgPolicy::FreeAtEmpty).unwrap();
-
-        let (db, _) = build();
-        let tdb = TxnDb::new(db);
-        let stats = tdb
-            .erase_cascade_live(root, 0, &victims(), mode, 4, &Pacer::new())
-            .unwrap();
-        assert_eq!(stats.deleted, DELETED, "{mode:?}");
-        assert_eq!(stats.steps.len(), 3);
-        assert!(
-            stats.report.is_clean(),
-            "{mode:?}: {}",
-            stats.report.render()
-        );
-        tdb.with(|db| {
-            assert_eq!(db.pool().pinned_frames(), 0);
-            for t in 0..3 {
-                let eq = audit_equivalence(&reference, db, t).unwrap();
-                assert!(eq.is_clean(), "{mode:?} table {t}: {eq}");
-                db.check_consistency(t).unwrap();
-                audit_catalog(db, t).unwrap().into_result().unwrap();
-            }
-        });
-    }
-}
-
-#[test]
-fn live_campaign_cancel_stops_with_a_consistent_prefix() {
-    let (db, root) = build();
-    let tdb: Arc<TxnDb> = TxnDb::new(db);
-    let pacer = Pacer::new();
-    // Park at the second pacer check (inside the first step's chunk
-    // stream), then cancel: the campaign must stop between chunks with
-    // every completed chunk committed and every index back online.
-    pacer.pause_after(2);
-    let worker = {
-        let tdb = Arc::clone(&tdb);
-        let pacer = pacer.clone();
-        std::thread::spawn(move || {
-            tdb.erase_cascade_live(root, 0, &victims(), PropagationMode::SideFile, 4, &pacer)
-        })
-    };
-    assert!(
-        pacer.wait_parked(1, Duration::from_secs(10)),
-        "campaign never parked"
-    );
-    pacer.cancel();
-    assert!(worker.join().unwrap().is_err(), "cancelled run must error");
-
-    tdb.with(|db| {
-        assert_eq!(db.pool().pinned_frames(), 0);
-        for t in 0..3 {
-            db.check_consistency(t).unwrap();
-            audit_catalog(db, t).unwrap().into_result().unwrap();
-            let n = rows(db, t);
-            let full = [N_ROOT as usize, 2 * N_ROOT as usize, 4 * N_ROOT as usize][t];
-            assert!(n <= full, "table {t} grew: {n} > {full}");
-            assert!(
-                n >= full / 2,
-                "table {t} lost survivors: {n} < {}",
-                full / 2
-            );
-        }
-    });
-    // Every gate is back online: foreground traffic is unblocked.
-    let txn = tdb.begin();
-    let hit = tdb.read(txn, root, 1, tag(6, 1)).unwrap();
-    assert_eq!(hit.len(), 1, "surviving root must stay readable");
-    tdb.commit(txn);
 }

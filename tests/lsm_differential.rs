@@ -1,8 +1,8 @@
 //! Differential audit of the LSM engine against the B-tree engine.
 //!
 //! Both engines implement [`TableEngine`] over the same keyed-table
-//! contract, so any workload — random builds, bulk deletes, range
-//! deletes, re-inserts — must leave them logically identical. The
+//! contract, so any workload — random builds, bulk deletes, re-inserts —
+//! must leave them logically identical. The
 //! property tests drive both through the same operation sequence and
 //! call [`audit_engine_equivalence`] (sorted-dump diff + each engine's
 //! structural self-audit) after every step that can trigger a flush or
@@ -28,7 +28,6 @@ fn engines(memory: usize) -> (BtreeEngine, LsmTable) {
 enum Op {
     Insert(u64, u64),
     BulkDelete(Vec<u64>),
-    DeleteRange(u64, u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -40,7 +39,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..400, 0u64..50).prop_map(|(k, v)| Op::Insert(k, v)),
         prop::collection::vec(0u64..400, 1..40).prop_map(Op::BulkDelete),
         prop::collection::vec(0u64..400, 1..40).prop_map(Op::BulkDelete),
-        (0u64..400, 0u64..80).prop_map(|(lo, span)| Op::DeleteRange(lo, lo + span)),
     ]
 }
 
@@ -82,11 +80,6 @@ proptest! {
                     let b = lsm.bulk_delete(keys).unwrap();
                     prop_assert_eq!(a.deleted, b.deleted, "bulk_delete count diverged");
                 }
-                Op::DeleteRange(lo, hi) => {
-                    let a = btree.delete_range(*lo, *hi).unwrap();
-                    let b = lsm.delete_range(*lo, *hi).unwrap();
-                    prop_assert_eq!(a.deleted, b.deleted, "delete_range count diverged");
-                }
             }
             // Every step can flush/compact the LSM side: the engines and
             // the LSM page catalog must stay clean throughout.
@@ -97,14 +90,13 @@ proptest! {
         }
     }
 
-    /// Point and range lookups agree on random probes, including keys
-    /// that were deleted, re-inserted, or never present.
+    /// Point lookups agree on random probes, including keys that were
+    /// deleted or never present.
     #[test]
     fn lookups_agree_on_random_probes(
         rows in prop::collection::vec(0u64..300, 1..120),
         doomed in prop::collection::vec(0u64..300, 0..60),
         probes in prop::collection::vec(0u64..350, 1..40),
-        ranges in prop::collection::vec((0u64..300, 0u64..60), 0..6),
     ) {
         let (mut btree, mut lsm) = engines(1 << 20);
         let mut seen = HashSet::new();
@@ -125,19 +117,12 @@ proptest! {
                 "lookup({}) diverged", k
             );
         }
-        for &(lo, span) in &ranges {
-            prop_assert_eq!(
-                btree.range_lookup(lo, lo + span).unwrap(),
-                lsm.range_lookup(lo, lo + span).unwrap(),
-                "range_lookup({}, {}) diverged", lo, lo + span
-            );
-        }
     }
 }
 
 /// Deterministic mixed delete list: duplicates, absent keys, keys that live
-/// only in the memtable, and keys a newer run's range tombstone buries over
-/// an older run's puts. Every kind must resolve exactly as the B-tree does.
+/// only in the memtable, and keys a newer run's tombstones bury over an
+/// older run's puts. Every kind must resolve exactly as the B-tree does.
 #[test]
 fn mixed_delete_list_resolves_like_the_btree() {
     let (mut btree, mut lsm) = engines(1 << 20);
@@ -146,9 +131,11 @@ fn mixed_delete_list_resolves_like_the_btree() {
         .collect();
     btree.bulk_load(&rows).unwrap();
     lsm.bulk_load(&rows).unwrap();
-    // The range tombstone flushes into a level-0 run above the loaded runs.
-    btree.delete_range(100, 199).unwrap();
-    lsm.delete_range(100, 199).unwrap();
+    // The tombstones of keys 100..=198 flush into a level-0 run above the
+    // loaded runs.
+    let buried: Vec<Key> = (50..100).map(|i| i * 2).collect();
+    btree.bulk_delete(&buried).unwrap();
+    lsm.bulk_delete(&buried).unwrap();
     // Fewer inserts than the memtable holds: these stay unflushed, and 150
     // is resurrected inside the buried range.
     for k in [2001, 2003, 2005, 150] {
