@@ -65,7 +65,7 @@ pub(crate) fn patch_parents_from(
         // Freed nodes at or above the root level can only mean an emptied
         // tree; the bulk path handles that before calling here.
         if freed.contains(&tree.root_page()) {
-            let (new_root, mut w) = tree.pool().new_page(tree.owner())?;
+            let (new_root, mut w) = tree.pool().new_page(tree.owner(), 0)?;
             NodeMut::init(&mut w[..], crate::node::NodeKind::Leaf);
             drop(w);
             tree.install_root(new_root, 1);
@@ -123,7 +123,7 @@ pub(crate) fn patch_parents_from(
 
     // The root itself lost every child: the tree is empty.
     if freed.contains(&tree.root_page()) {
-        let (new_root, mut w) = tree.pool().new_page(tree.owner())?;
+        let (new_root, mut w) = tree.pool().new_page(tree.owner(), 0)?;
         NodeMut::init(&mut w[..], crate::node::NodeKind::Leaf);
         drop(w);
         tree.install_root(new_root, 1);

@@ -86,7 +86,7 @@ impl BTree {
         cfg: BTreeConfig,
         owner: StructureId,
     ) -> StorageResult<Self> {
-        let (root, mut w) = pool.new_page(owner)?;
+        let (root, mut w) = pool.new_page(owner, 0)?;
         NodeMut::init(&mut w[..], NodeKind::Leaf);
         drop(w);
         Ok(BTree {
@@ -320,7 +320,7 @@ impl BTree {
             return Ok(());
         }
         // Leaf split.
-        let (new_pid, mut new_w) = self.pool.new_page(self.owner)?;
+        let (new_pid, mut new_w) = self.pool.new_page(self.owner, leaf)?;
         let mut right = NodeMut::init(&mut new_w[..], NodeKind::Leaf);
         let boundary = node.leaf_split_into(&mut right);
         right.set_right_sibling(node.as_ref().right_sibling());
@@ -354,7 +354,7 @@ impl BTree {
                 return Ok(());
             }
             // Split the inner node.
-            let (new_pid, mut new_w) = self.pool.new_page(self.owner)?;
+            let (new_pid, mut new_w) = self.pool.new_page(self.owner, pid)?;
             let mut right = NodeMut::init(&mut new_w[..], NodeKind::Inner);
             let promoted = node.inner_split_into(&mut right);
             right.set_right_sibling(node.as_ref().right_sibling());
@@ -371,7 +371,7 @@ impl BTree {
             right_child = new_pid;
         }
         // Root split.
-        let (new_root, mut w) = self.pool.new_page(self.owner)?;
+        let (new_root, mut w) = self.pool.new_page(self.owner, self.root)?;
         let mut node = NodeMut::init(&mut w[..], NodeKind::Inner);
         node.inner_init_child0(self.root);
         node.inner_insert(sep, right_child);
@@ -492,7 +492,7 @@ impl BTree {
                     }
                     // Parent is the root with no children left; the tree is
                     // empty: make a fresh leaf the root.
-                    let (new_root, mut nw) = self.pool.new_page(self.owner)?;
+                    let (new_root, mut nw) = self.pool.new_page(self.owner, 0)?;
                     NodeMut::init(&mut nw[..], NodeKind::Leaf);
                     drop(nw);
                     self.pool.free_page(parent);

@@ -178,7 +178,7 @@ impl HashIndex {
                 }
                 None => {
                     // Chain a fresh overflow page.
-                    let (new_pid, mut nw) = self.pool.new_page(self.owner)?;
+                    let (new_pid, mut nw) = self.pool.new_page(self.owner, pid)?;
                     page_set_n(&mut nw[..], 1);
                     page_set_overflow(&mut nw[..], None);
                     page_set_entry(&mut nw[..], 0, (key, rid));

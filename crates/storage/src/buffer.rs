@@ -288,12 +288,13 @@ impl BufferPool {
         self.breakeven
     }
 
-    /// Allocate one fresh page on disk to `owner` (not yet resident). The
-    /// disk may recycle a reclaimed page, so any stale cached frame of the
-    /// returned id is dropped — its bytes belong to the page's previous
-    /// life.
-    pub fn allocate(&self, owner: StructureId) -> PageId {
-        let pid = self.disk.lock().allocate(owner);
+    /// Allocate one fresh page on disk to `owner` (not yet resident),
+    /// placed as [`SimDisk::allocate`] places it: the first recycled page at
+    /// or after `near`. The disk may recycle a reclaimed page, so any stale
+    /// cached frame of the returned id is dropped — its bytes belong to the
+    /// page's previous life.
+    pub fn allocate(&self, owner: StructureId, near: PageId) -> PageId {
+        let pid = self.disk.lock().allocate(owner, near);
         self.inner.lock().frames.remove(&pid);
         pid
     }
@@ -549,10 +550,10 @@ impl BufferPool {
         Ok(PageWrite { frame, guard })
     }
 
-    /// Allocate a fresh page to `owner` and pin it for writing without a
-    /// disk read.
-    pub fn new_page(&self, owner: StructureId) -> StorageResult<(PageId, PageWrite)> {
-        let pid = self.allocate(owner);
+    /// Allocate a fresh page to `owner` near `near` (see
+    /// [`BufferPool::allocate`]) and pin it for writing without a disk read.
+    pub fn new_page(&self, owner: StructureId, near: PageId) -> StorageResult<(PageId, PageWrite)> {
+        let pid = self.allocate(owner, near);
         let mut inner = self.inner.lock();
         while inner.frames.len() >= self.capacity {
             self.evict_one(&mut inner)?;
@@ -886,7 +887,7 @@ mod tests {
     fn new_page_needs_no_disk_read() {
         let (pool, _) = small_pool(4, 1);
         pool.reset_stats();
-        let (pid, mut w) = pool.new_page(StructureId::Table).unwrap();
+        let (pid, mut w) = pool.new_page(StructureId::Table, 0).unwrap();
         w[0] = 1;
         drop(w);
         assert_eq!(pool.disk_stats().pages_read, 0);
@@ -1279,7 +1280,7 @@ mod tests {
         pool.pin_write(first).unwrap()[0] = 1;
         pool.flush_all().unwrap();
         pool.pin_write(first).unwrap()[0] = 2;
-        let (born, mut w) = pool.new_page(StructureId::Table).unwrap();
+        let (born, mut w) = pool.new_page(StructureId::Table, 0).unwrap();
         w[0] = 3;
         drop(w);
         pool.flush_all().unwrap();
@@ -1299,7 +1300,7 @@ mod tests {
         assert!(pool.contains(first + 1), "frame still cached");
         pool.free_page(first + 1);
         assert!(pool.reclaim_page(first + 1).unwrap());
-        let pid = pool.allocate(StructureId::Index(5));
+        let pid = pool.allocate(StructureId::Index(5), 0);
         assert_eq!(pid, first + 1, "reclaimed page is recycled");
         let r = pool.pin_read(pid).unwrap();
         assert_eq!(r[0], 0, "the new owner sees the zeroed page, not 0xEE");

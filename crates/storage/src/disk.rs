@@ -247,12 +247,18 @@ impl SimDisk {
     }
 
     /// Allocate one zeroed page to `owner` and return its id. The allocator
-    /// prefers a recycled page (zeroed by [`SimDisk::reclaim_page`], lowest
-    /// id first) and only extends the file when the reusable set is empty.
-    /// Allocation itself is free; the contents are charged when they are
-    /// first written. The owner is recorded in the page catalog.
-    pub fn allocate(&mut self, owner: StructureId) -> PageId {
-        if let Some(&pid) = self.reusable.iter().next() {
+    /// prefers a recycled page (zeroed by [`SimDisk::reclaim_page`]): the
+    /// first one at or after `near`, else the lowest, and only extends the
+    /// file when the reusable set is empty. `near` is the page the caller
+    /// extends — the splitting node, the heap's last page, the tail of an
+    /// overflow chain — so a structure that grows after recycling takes the
+    /// holes ahead of itself in page order instead of whatever hole is
+    /// lowest in the file; a caller with no neighbour passes 0. Allocation
+    /// itself is free; the contents are charged when they are first
+    /// written. The owner is recorded in the page catalog.
+    pub fn allocate(&mut self, owner: StructureId, near: PageId) -> PageId {
+        let recycled = self.reusable.range(near..).next().or(self.reusable.first());
+        if let Some(&pid) = recycled {
             self.reusable.remove(&pid);
             self.catalog.set_owner(pid, owner);
             return pid;
@@ -294,24 +300,24 @@ impl SimDisk {
     }
 
     /// First page of the lowest run of `n` consecutive reusable pages, if
-    /// any.
+    /// any. Each candidate start costs one range query over the `n` pages
+    /// it would need: the highest of them that is not reusable rules out
+    /// every start up to it, so the search jumps past it.
     fn find_reusable_run(&self, n: usize) -> Option<PageId> {
-        let mut start = None;
-        let mut len = 0usize;
-        let mut prev: Option<PageId> = None;
-        for &pid in &self.reusable {
-            if prev.map(|p| p + 1) == Some(pid) {
-                len += 1;
-            } else {
-                start = Some(pid);
-                len = 1;
-            }
-            prev = Some(pid);
-            if len == n {
-                return start;
+        let n = PageId::try_from(n).ok()?;
+        let mut start = *self.reusable.first()?;
+        loop {
+            let end = start.checked_add(n)?;
+            let mut want = end;
+            let gap = self.reusable.range(start..end).rev().find_map(|&pid| {
+                want -= 1;
+                (pid != want).then_some(want)
+            });
+            match gap {
+                None => return Some(start),
+                Some(gap) => start = *self.reusable.range(gap + 1..).next()?,
             }
         }
-        None
     }
 
     /// Move a page to the catalog's free set. The page's primary bytes stay
@@ -729,7 +735,7 @@ mod tests {
     #[test]
     fn roundtrip_single_page() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         d.write(pid, &page_of(7)).unwrap();
         let mut buf = [0u8; PAGE_SIZE];
         d.read(pid, &mut buf).unwrap();
@@ -804,7 +810,7 @@ mod tests {
     #[test]
     fn stats_since_subtracts() {
         let mut d = SimDisk::new(CostModel::default());
-        let p = d.allocate(StructureId::Table);
+        let p = d.allocate(StructureId::Table, 0);
         d.write(p, &page_of(0)).unwrap();
         let before = d.stats();
         d.write(p, &page_of(1)).unwrap();
@@ -839,7 +845,7 @@ mod tests {
     #[test]
     fn access_counter_counts_failed_accesses_too() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         let mut buf = [0u8; PAGE_SIZE];
         d.read(pid, &mut buf).unwrap();
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::read_page(pid)));
@@ -850,7 +856,7 @@ mod tests {
     #[test]
     fn transient_fault_heals_and_charges_nothing_until_then() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::read_page(pid).transient(2)));
         let mut buf = [0u8; PAGE_SIZE];
         assert!(d.read(pid, &mut buf).is_err());
@@ -879,7 +885,7 @@ mod tests {
     #[test]
     fn torn_write_is_caught_by_checksum_on_read() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         d.write(pid, &page_of(3)).unwrap();
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
         d.write(pid, &page_of(9)).unwrap(); // acknowledged, silently torn
@@ -948,7 +954,7 @@ mod tests {
     #[test]
     fn replica_repairs_a_torn_primary() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         d.enable_replicas();
         d.write(pid, &page_of(3)).unwrap();
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
@@ -970,7 +976,7 @@ mod tests {
     #[test]
     fn recover_from_replica_without_replicas_is_mismatch() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
         d.write(pid, &page_of(1)).unwrap();
         assert_eq!(
@@ -982,7 +988,7 @@ mod tests {
     #[test]
     fn replicas_cover_pages_allocated_after_enabling() {
         let mut d = SimDisk::new(CostModel::default());
-        let p0 = d.allocate(StructureId::Table);
+        let p0 = d.allocate(StructureId::Table, 0);
         d.write(p0, &page_of(2)).unwrap();
         d.enable_replicas();
         let p1 = d.allocate_contiguous(2, StructureId::Table);
@@ -999,7 +1005,7 @@ mod tests {
     #[test]
     fn accept_torn_page_makes_the_torn_image_readable() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         d.write(pid, &page_of(3)).unwrap();
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
         d.write(pid, &page_of(9)).unwrap();
@@ -1032,7 +1038,7 @@ mod tests {
     #[test]
     fn catalog_tracks_allocation_owners_and_frees() {
         let mut d = SimDisk::new(CostModel::default());
-        let heap = d.allocate(StructureId::Table);
+        let heap = d.allocate(StructureId::Table, 0);
         let idx = d.allocate_contiguous(3, StructureId::Index(2));
         assert_eq!(d.catalog().owner(heap), Some(StructureId::Table));
         assert_eq!(d.catalog().owner(idx + 2), Some(StructureId::Index(2)));
@@ -1051,7 +1057,7 @@ mod tests {
     #[test]
     fn freeing_a_page_clears_its_replica_mirror() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Index(0));
+        let pid = d.allocate(StructureId::Index(0), 0);
         d.enable_replicas();
         d.write(pid, &page_of(0xAB)).unwrap();
         assert!(d.peek_replica(pid).unwrap().iter().all(|&b| b == 0xAB));
@@ -1090,7 +1096,7 @@ mod tests {
     #[test]
     fn peek_is_uncharged_and_sees_torn_bytes() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         d.write(pid, &page_of(3)).unwrap();
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
         d.write(pid, &page_of(9)).unwrap();
@@ -1105,7 +1111,7 @@ mod tests {
     #[test]
     fn scrub_page_zeroes_both_copies() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Temp);
+        let pid = d.allocate(StructureId::Temp, 0);
         d.enable_replicas();
         d.write(pid, &page_of(0x77)).unwrap();
         d.scrub_page(pid).unwrap();
@@ -1150,13 +1156,13 @@ mod tests {
         // Freed but not reclaimed: the allocator must not hand it out.
         assert_eq!(d.n_reusable(), 0);
         assert_eq!(d.reclaimable_pages(), vec![first + 1]);
-        let fresh = d.allocate(StructureId::Table);
+        let fresh = d.allocate(StructureId::Table, 0);
         assert_eq!(fresh, first + 4, "quarantined page must not be recycled");
-        // After reclaim the page is zeroed and reused, lowest id first.
+        // After reclaim the page is zeroed and reused.
         assert!(d.reclaim_page(first + 1).unwrap());
         assert!(d.reclaimable_pages().is_empty());
         assert_eq!(d.n_reusable(), 1);
-        let reused = d.allocate(StructureId::Index(3));
+        let reused = d.allocate(StructureId::Index(3), 0);
         assert_eq!(reused, first + 1);
         assert_eq!(d.catalog().owner(reused), Some(StructureId::Index(3)));
         assert_eq!(d.n_reusable(), 0);
@@ -1169,7 +1175,7 @@ mod tests {
     #[test]
     fn reclaim_is_a_noop_on_owned_or_already_reusable_pages() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         assert!(!d.reclaim_page(pid).unwrap(), "owned page stays put");
         d.free_page(pid);
         assert!(d.reclaim_page(pid).unwrap());
@@ -1195,16 +1201,61 @@ mod tests {
         // No run of three remains: the file is extended instead.
         let ext = d.allocate_contiguous(3, StructureId::Index(2));
         assert_eq!(ext, first + 8);
-        // Single-page allocation still drains the leftovers.
-        assert_eq!(d.allocate(StructureId::Table), first + 1);
-        assert_eq!(d.allocate(StructureId::Table), first + 7);
+        // Single-page allocation still drains the leftovers; from `near`
+        // = 0 every reusable page is at or after the hint, so the lowest
+        // comes first.
+        assert_eq!(d.allocate(StructureId::Table, 0), first + 1);
+        assert_eq!(d.allocate(StructureId::Table, 0), first + 7);
         assert_eq!(d.n_reusable(), 0);
+    }
+
+    #[test]
+    fn a_reusable_run_may_start_after_a_shorter_one() {
+        let mut d = SimDisk::new(CostModel::default());
+        let first = d.allocate_contiguous(12, StructureId::Table);
+        // Runs of two (1..=2), one (4) and four (6..=9): the lowest run of
+        // three is the first three pages of the four.
+        for off in [1, 2, 4, 6, 7, 8, 9] {
+            d.free_page(first + off);
+            assert!(d.reclaim_page(first + off).unwrap());
+        }
+        assert_eq!(d.find_reusable_run(1), Some(first + 1));
+        assert_eq!(d.find_reusable_run(2), Some(first + 1));
+        assert_eq!(d.find_reusable_run(3), Some(first + 6));
+        assert_eq!(d.find_reusable_run(4), Some(first + 6));
+        assert_eq!(d.find_reusable_run(5), None);
+        assert_eq!(d.allocate_contiguous(3, StructureId::Temp), first + 6);
+        assert_eq!(d.find_reusable_run(2), Some(first + 1));
+        assert_eq!(d.find_reusable_run(3), None);
+    }
+
+    #[test]
+    fn allocation_takes_the_first_reusable_page_at_or_after_near() {
+        let mut d = SimDisk::new(CostModel::default());
+        // Nothing is reusable: the file is extended whatever the hint.
+        assert_eq!(d.allocate(StructureId::Table, 7), 0);
+        let first = d.allocate_contiguous(10, StructureId::Table);
+        for off in [2, 5, 8] {
+            d.free_page(first + off);
+            assert!(d.reclaim_page(first + off).unwrap());
+        }
+        // The hint is an owned page: the next reusable one after it.
+        assert_eq!(d.allocate(StructureId::Index(1), first + 3), first + 5);
+        assert_eq!(d.catalog().owner(first + 5), Some(StructureId::Index(1)));
+        // The hint itself is reusable: it is taken.
+        assert_eq!(d.allocate(StructureId::Index(1), first + 8), first + 8);
+        // Nothing at or after the hint: wrap to the lowest reusable page.
+        assert_eq!(d.allocate(StructureId::Index(1), first + 9), first + 2);
+        assert_eq!(d.n_reusable(), 0);
+        // Empty again: extend, never hand out an owned page.
+        assert_eq!(d.allocate(StructureId::Index(1), first + 2), first + 10);
+        assert_eq!(d.num_pages() as PageId, first + 11);
     }
 
     #[test]
     fn torn_zeroing_leaves_the_page_quarantined() {
         let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table);
+        let pid = d.allocate(StructureId::Table, 0);
         d.write(pid, &page_of(0xAB)).unwrap();
         d.free_page(pid);
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
@@ -1218,7 +1269,7 @@ mod tests {
         // fires once; recovery would heal the checksum, reclaim rewrites
         // the full image anyway).
         assert!(d.reclaim_page(pid).unwrap());
-        assert_eq!(d.allocate(StructureId::Table), pid);
+        assert_eq!(d.allocate(StructureId::Table, 0), pid);
         assert!(d.peek(pid).unwrap().iter().all(|&b| b == 0));
     }
 }

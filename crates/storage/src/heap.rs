@@ -73,13 +73,14 @@ impl HeapFile {
     }
 
     fn new_heap_page(&mut self) -> StorageResult<PageId> {
-        let (pid, mut w) = self.pool.new_page(StructureId::Table)?;
+        let last = self.pages.last().copied().unwrap_or(0);
+        let (pid, mut w) = self.pool.new_page(StructureId::Table, last)?;
         SlottedPage::init(&mut w[..]);
         let free = SlottedPage::new(&mut w[..]).usable_free();
         drop(w);
-        // The allocator may recycle a reclaimed page with a lower id than
-        // the current tail; splice it in at its sorted position so the page
-        // list stays in ascending-RID order.
+        // The allocator prefers a reclaimed page after the current tail but
+        // may recycle a lower one; splice it in at its sorted position so
+        // the page list stays in ascending-RID order.
         let idx = self.pages.partition_point(|&p| p < pid);
         self.pages.insert(idx, pid);
         self.fsm.update(pid, free);

@@ -1,12 +1,12 @@
 //! Property-based tests for the storage substrate.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use bd_storage::StructureId;
 use bd_storage::{
-    BufferPool, CostModel, FreeSpaceMap, HeapFile, MemoryBudget, Rid, SimDisk, PAGE_SIZE,
+    BufferPool, CostModel, FreeSpaceMap, HeapFile, MemoryBudget, PageId, Rid, SimDisk, PAGE_SIZE,
 };
 
 fn pool(frames: usize) -> std::sync::Arc<BufferPool> {
@@ -147,6 +147,67 @@ proptest! {
         }
         drop(held);
         prop_assert_eq!(budget.used(), 0);
+    }
+
+    /// The allocator against a set model: a single page is the first
+    /// reusable page at or after the hint, else the lowest, else a new
+    /// page; a run is the lowest run of reusable pages, else new pages. A
+    /// freed page stays quarantined until it is reclaimed, and an owned
+    /// page is never handed out.
+    #[test]
+    fn allocation_matches_a_set_model(
+        ops in prop::collection::vec((0u8..4, 0u32..64, 1usize..5), 1..200),
+    ) {
+        let mut disk = SimDisk::new(CostModel::default());
+        let mut owned = BTreeSet::new();
+        let mut freed = BTreeSet::new();
+        let mut reusable = BTreeSet::new();
+        for (op, a, n) in ops {
+            match op {
+                0 => {
+                    let want = reusable
+                        .range(a..)
+                        .next()
+                        .or(reusable.first())
+                        .copied()
+                        .unwrap_or(disk.num_pages() as PageId);
+                    let pid = disk.allocate(StructureId::Index(1), a);
+                    prop_assert_eq!(pid, want);
+                    prop_assert!(owned.insert(pid), "page {} was owned", pid);
+                    reusable.remove(&pid);
+                }
+                1 | 2 => {
+                    let from = if op == 1 { &owned } else { &freed };
+                    let Some(&pid) = from.iter().nth(a as usize % from.len().max(1)) else {
+                        continue;
+                    };
+                    if op == 1 {
+                        disk.free_page(pid);
+                        owned.remove(&pid);
+                        freed.insert(pid);
+                    } else {
+                        prop_assert!(disk.reclaim_page(pid).unwrap());
+                        freed.remove(&pid);
+                        reusable.insert(pid);
+                    }
+                }
+                _ => {
+                    let n = n as PageId;
+                    let want = reusable
+                        .iter()
+                        .copied()
+                        .find(|&p| (p..p + n).all(|q| reusable.contains(&q)))
+                        .unwrap_or(disk.num_pages() as PageId);
+                    let first = disk.allocate_contiguous(n as usize, StructureId::Temp);
+                    prop_assert_eq!(first, want);
+                    for pid in first..first + n {
+                        prop_assert!(owned.insert(pid), "page {} was owned", pid);
+                        reusable.remove(&pid);
+                    }
+                }
+            }
+            prop_assert_eq!(disk.n_reusable(), reusable.len());
+        }
     }
 
     /// Pages written through the pool read back identically regardless of

@@ -1,11 +1,15 @@
 //! Tier-1 gates on the pool's write-behind: behind a vertical delete the
 //! dirty pages must leave the pool in long chains, and behind a
 //! record-at-a-time refill the pages it keeps dirtying must not be
-//! rewritten at every eviction. Every number here is a simulated-disk
-//! count, so a regression fails deterministically.
+//! rewritten at every eviction. A third gate runs the sliding window with
+//! maintenance: the pages a refill allocates from recycled ones must keep
+//! each tree in page order, so the next cycle reads it without seeking.
+//! Every number here is a simulated-disk count, so a regression fails
+//! deterministically.
 
 use bulk_delete::prelude::*;
 
+use bd_core::{audit_catalog, Maintainer, MaintenanceConfig};
 use bd_storage::{PageId, PAGE_SIZE};
 
 /// Every allocated page's platter image.
@@ -108,4 +112,64 @@ fn window_refill_leaves_its_hot_pages_dirty() {
     let diff = shadow.diff(&db, w.tid).unwrap();
     assert!(diff.is_clean(), "{diff}");
     db.check_consistency(w.tid).unwrap();
+}
+
+#[test]
+fn window_cycles_read_their_trees_in_page_order() {
+    // The refill gate's shape run for four rounds of the §1 window, each
+    // followed by one maintenance cycle, as the benchmark's `window4` does.
+    let mut db = Database::new(DatabaseConfig::with_total_memory(160 << 10));
+    let spec = TableSpec::paper_scaled().with_rows(8_000).with_seed(4);
+    let w = spec.build(&mut db).unwrap();
+    w.attach_index(&mut db, IndexDef::secondary(0).unique())
+        .unwrap();
+    for attr in 1..3 {
+        w.attach_index(&mut db, IndexDef::secondary(attr)).unwrap();
+    }
+    db.pool().flush_all().unwrap();
+    let mut shadow = ShadowDb::mirror_of(&db, w.tid).unwrap();
+
+    // Fresh values lie above the table's, so the key order is the
+    // generated keys, sorted, then the refills in insertion order.
+    let window = spec.n_rows / 4;
+    let mut keys = w.a_values.clone();
+    keys.sort_unstable();
+    let fresh: Vec<Tuple> = (0..4 * window)
+        .map(|i| {
+            let base = (spec.n_rows + i) as Key * 10;
+            Tuple::new((0..spec.n_attrs as Key).map(|a| base + 2 * a).collect())
+        })
+        .collect();
+    keys.extend(fresh.iter().map(|t| t.attr(0)));
+
+    let mut maintainer = Maintainer::new(MaintenanceConfig::default());
+    let mut cycle_reads = Vec::new();
+    for round in 0..4 {
+        let d = &keys[round * window..(round + 1) * window];
+        let out = strategy::vertical_sort_merge(&mut db, w.tid, 0, d, 1).unwrap();
+        assert_eq!(out.deleted.len(), window);
+        shadow.delete_in(w.tid, 0, d);
+        for row in &fresh[round * window..(round + 1) * window] {
+            let rid = db.insert(w.tid, row).unwrap();
+            shadow.insert(w.tid, rid, row.clone());
+        }
+        db.pool().reset_stats();
+        maintainer.run_cycle(&mut db).unwrap();
+        cycle_reads.push(db.pool().disk_stats().random_reads);
+    }
+    // 91 / 70 / 70 / 89 positioned reads while splits and refills take the
+    // recycled pages after the page they extend; 91 / 119 / 146 / 216 when
+    // they take the lowest recycled page, and every cycle walks the
+    // scattered leaves of the last.
+    assert!(
+        cycle_reads[3] <= 150,
+        "the cycles walk scattered leaves: {cycle_reads:?}"
+    );
+
+    db.pool().flush_all().unwrap();
+    let diff = shadow.diff(&db, w.tid).unwrap();
+    assert!(diff.is_clean(), "{diff}");
+    db.check_consistency(w.tid).unwrap();
+    let cat = audit_catalog(&db, w.tid).unwrap();
+    assert!(cat.is_clean(), "{:?}", cat.findings);
 }
