@@ -146,7 +146,9 @@ impl BTree {
         &mut self.stats
     }
 
-    pub(crate) fn set_len(&mut self, n: usize) {
+    /// Overwrite the entry counter: recovery sets it to a value derived
+    /// from the log instead of walking the leaves.
+    pub fn set_len(&mut self, n: usize) {
         self.n_entries = n;
     }
 
@@ -219,27 +221,27 @@ impl BTree {
 
     /// Reconstruct a tree handle after a crash from durable metadata (root
     /// and height come from the recovery checkpoint; a real system keeps
-    /// them in the catalog). The entry count is recounted from disk; the
-    /// leaf extent is conservatively dropped (no more confident prefetch).
+    /// them in the catalog) and its entry count, which recovery derives
+    /// from the log. Reads no page; the leaf extent is conservatively
+    /// dropped (no more confident prefetch).
     pub fn restore(
         pool: Arc<BufferPool>,
         cfg: BTreeConfig,
         root: PageId,
         height: usize,
         owner: StructureId,
-    ) -> StorageResult<Self> {
-        let mut tree = BTree {
+        n_entries: usize,
+    ) -> Self {
+        BTree {
             pool,
             cfg,
             owner,
             root,
             height,
-            n_entries: 0,
+            n_entries,
             leaf_extent: None,
             stats: TreeStats::default(),
-        };
-        tree.recount()?;
-        Ok(tree)
+        }
     }
 
     /// Recount entries by walking the leaf chain; fixes `len()` after a

@@ -133,9 +133,13 @@ fn restore_rebuilds_handle_from_metadata() {
     let root = t.root_page();
     let height = t.height();
     let cfg = t.config();
+    let n = t.len();
     drop(t);
-    let restored = BTree::restore(pool, cfg, root, height, StructureId::Index(0)).unwrap();
+    let reads = pool.disk_stats().pages_read;
+    let mut restored = BTree::restore(pool.clone(), cfg, root, height, StructureId::Index(0), n);
+    assert_eq!(pool.disk_stats().pages_read, reads, "restore reads no page");
     assert_eq!(restored.len(), 2000);
+    assert_eq!(restored.recount().unwrap(), 2000, "the leaves agree");
     assert_eq!(restored.height(), height);
     assert_eq!(restored.search(777).unwrap(), vec![Rid::new(777, 0)]);
     verify::check(&restored).unwrap();

@@ -2,7 +2,7 @@
 
 use bd_btree::{BTree, BTreeConfig};
 use bd_hashidx::HashIndex;
-use bd_storage::HeapFile;
+use bd_storage::{HeapFile, PageId, Rid};
 
 use crate::tuple::{attr_name, Schema};
 
@@ -125,5 +125,84 @@ impl Table {
     /// Find the hash index on `attr`.
     pub fn hash_index_on(&self, attr: usize) -> Option<&HashIdx> {
         self.hash_indices.iter().find(|i| i.def.attr == attr)
+    }
+
+    /// The table's counters as they stand in memory.
+    pub fn counters(&self) -> TableCounters {
+        TableCounters {
+            heap_records: self.heap.len(),
+            fsm: self.heap.fsm_entries(),
+            trees: self
+                .indices
+                .iter()
+                .map(|i| (i.def.attr, i.tree.len()))
+                .collect(),
+            hashes: self
+                .hash_indices
+                .iter()
+                .map(|h| (h.def.attr, h.index.len()))
+                .collect(),
+        }
+    }
+
+    /// Overwrite the table's counters with `c`, reading no page. A tree or
+    /// hash index `c` does not name keeps its counter.
+    pub fn restore_counters(&mut self, c: &TableCounters) {
+        self.heap.restore_counters(c.heap_records, &c.fsm);
+        for &(attr, n) in &c.trees {
+            if let Some(index) = self.index_on_mut(attr) {
+                index.tree.set_len(n);
+            }
+        }
+        for &(attr, n) in &c.hashes {
+            if let Some(h) = self.hash_indices.iter_mut().find(|h| h.def.attr == attr) {
+                h.index.set_len(n);
+            }
+        }
+    }
+}
+
+/// What a restart loses of a table: the counters that live only in
+/// memory. The logged driver records them when a statement begins, so
+/// recovery can derive the final values instead of walking the table.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TableCounters {
+    /// Live heap records.
+    pub heap_records: usize,
+    /// The heap's free-space map: `(page, usable free bytes)` in page
+    /// order.
+    pub fsm: Vec<(PageId, usize)>,
+    /// `(attr, entries)` of each B-tree index.
+    pub trees: Vec<(usize, usize)>,
+    /// `(attr, entries)` of each hash index.
+    pub hashes: Vec<(usize, usize)>,
+}
+
+impl TableCounters {
+    /// The counters once the live records at `deleted` — each
+    /// `record_len` bytes, with one entry in every index — are gone. Every
+    /// count falls by their number. A delete clears only the record's
+    /// slot entry, so each page's usable free space grows by exactly
+    /// `record_len` per record deleted from it.
+    pub fn after_delete(&self, deleted: &[Rid], record_len: usize) -> TableCounters {
+        let n = deleted.len();
+        let mut fsm = self.fsm.clone();
+        for rid in deleted {
+            if let Ok(i) = fsm.binary_search_by_key(&rid.page, |&(pid, _)| pid) {
+                fsm[i].1 += record_len;
+            }
+        }
+        let less = |counts: &[(usize, usize)]| -> Vec<(usize, usize)> {
+            counts
+                .iter()
+                .map(|&(attr, e)| (attr, e.saturating_sub(n)))
+                .collect()
+        };
+        TableCounters {
+            heap_records: self.heap_records.saturating_sub(n),
+            fsm,
+            trees: less(&self.trees),
+            hashes: less(&self.hashes),
+        }
     }
 }

@@ -247,6 +247,24 @@ impl Database {
         )
     }
 
+    /// Do to table `id` what a restart does: its counters live only in
+    /// memory ([`crate::TableCounters`]), so they are lost. They are set to
+    /// junk rather than zero, so a recovery that trusts one without
+    /// restoring it leaves a counter the audits reject. The fault sweeps
+    /// call this after every simulated restart.
+    pub fn scramble_counters(&mut self, id: TableId) -> DbResult<()> {
+        const JUNK: usize = usize::MAX / 2;
+        let table = self.table_mut(id)?;
+        let mut junk = table.counters();
+        junk.heap_records = JUNK;
+        junk.fsm.clear();
+        for (_, n) in junk.trees.iter_mut().chain(&mut junk.hashes) {
+            *n = JUNK;
+        }
+        table.restore_counters(&junk);
+        Ok(())
+    }
+
     /// Full consistency check: every index holds exactly one entry per heap
     /// record, keyed by that record's attribute value. Expensive; used by
     /// tests and after recovery.

@@ -65,7 +65,7 @@ pub use audit::{
     audit_catalog, audit_equivalence, audit_equivalence_with, audit_table, AuditFinding,
     AuditOptions, AuditReport, ShadowDb,
 };
-pub use catalog::{HashIdx, HashIndexDef, Index, IndexDef, Table};
+pub use catalog::{HashIdx, HashIndexDef, Index, IndexDef, Table, TableCounters};
 pub use constraint::{ForeignKey, RefAction};
 pub use db::{build_hash, build_index, Database, DatabaseConfig, TableId};
 pub use engine::{audit_engine_equivalence, BtreeEngine, TableEngine};

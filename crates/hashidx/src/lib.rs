@@ -327,30 +327,43 @@ impl HashIndex {
         Ok(removed)
     }
 
-    /// All entries, in arbitrary order (consistency checks).
-    pub fn scan(&self) -> StorageResult<Vec<(Key, Rid)>> {
-        let mut out = Vec::with_capacity(self.n_entries);
+    /// Read every chain page in bucket order and hand its image to
+    /// `visit`. Pause point between chain pages, with no pin held.
+    fn read_chains(&self, mut visit: impl FnMut(&[u8])) -> StorageResult<()> {
         for &bucket in &self.buckets {
             let mut pid = Some(bucket);
             while let Some(p) = pid {
-                // Pause point: between chain pages, no pin held.
                 bd_storage::pacer::checkpoint()?;
                 let r = self.pool.pin_read(p)?;
-                for i in 0..page_n(&r[..]) {
-                    out.push(page_entry(&r[..], i));
-                }
+                visit(&r[..]);
                 pid = page_overflow(&r[..]);
             }
         }
+        Ok(())
+    }
+
+    /// All entries, in arbitrary order (consistency checks).
+    pub fn scan(&self) -> StorageResult<Vec<(Key, Rid)>> {
+        let mut out = Vec::with_capacity(self.n_entries);
+        self.read_chains(|buf| out.extend((0..page_n(buf)).map(|i| page_entry(buf, i))))?;
         Ok(out)
     }
 
-    /// Recount entries from the disk state (fixes the in-memory counter
-    /// after crash recovery, like the heap's and trees' recounts).
+    /// Recount entries from the disk state: one walk of every chain,
+    /// counting in place. Media recovery uses it when a tear is found
+    /// after the statement committed; an interrupted statement's recovery
+    /// sets the counter from the log instead ([`HashIndex::set_len`]).
     pub fn recount(&mut self) -> StorageResult<usize> {
-        let n = self.scan()?.len();
+        let mut n = 0;
+        self.read_chains(|buf| n += page_n(buf))?;
         self.n_entries = n;
         Ok(n)
+    }
+
+    /// Overwrite the entry counter: recovery sets it to a value derived
+    /// from the log instead of walking the chains.
+    pub fn set_len(&mut self, n: usize) {
+        self.n_entries = n;
     }
 
     /// Dump every bucket's overflow chain and check the structure's

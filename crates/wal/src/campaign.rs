@@ -5,7 +5,8 @@
 //! obtain a reference state, then moves a [`Fault`] over every successive
 //! disk access of the run, and over every page of each chained write:
 //! rebuild the database, arm the fault at page `k` of the `n`-th access,
-//! run, discard volatile memory (`pool.crash()`), let the target recover,
+//! run, discard volatile memory (`pool.crash()`, and the interrupted
+//! table's counters: [`Database::scramble_counters`]), let the target recover,
 //! and let the target check the recovered state against the reference. The
 //! sweep ends at the first position the run never reaches. The target's `workers` select serial or fan-out execution; the
 //! harness is the same for both.
@@ -15,8 +16,8 @@ use bd_core::{audit_catalog, audit_equivalence, CascadePlan, Database, DbError, 
 use bd_storage::{FaultPlan, FaultSpec, Pacer, PageId, StorageError};
 
 use crate::driver::{
-    accept_torn_pages, recover_media, run_bulk_delete_parallel, CrashInjector, MediaRecovery,
-    WalError,
+    accept_torn_pages, open_statement, recover_media, run_bulk_delete_parallel, CrashInjector,
+    MediaRecovery, WalError,
 };
 use crate::erasure::{recover_campaign, run_erasure_campaign};
 use crate::log::LogManager;
@@ -61,6 +62,13 @@ pub trait SweepTarget {
 
     /// Run the logged workload; returns the victim rows deleted.
     fn run(&self, db: &mut Database, tid: TableId, log: &LogManager) -> Result<usize, WalError>;
+
+    /// The table whose bulk statement `log` shows begun and not committed:
+    /// the one whose counters a restart loses and recovery must rebuild
+    /// (default: `tid`, if the log holds an open statement).
+    fn interrupted(&self, log: &LogManager, tid: TableId) -> Result<Option<TableId>, WalError> {
+        Ok(open_statement(&log.records()?).map(|_| tid))
+    }
 
     /// Restart after fault point `point`: the pool has lost its frames and
     /// `corrupt` names the pages a scrub found torn (empty after a crash).
@@ -187,10 +195,16 @@ where
     target.check(&reference, &reference, tid, &ref_log, 0)?;
 
     // Volatile memory is gone; stable storage (disk pages + log) survives.
-    // Clear the plan so recovery runs fault-free.
-    let restart = |db: &Database| {
+    // That includes the interrupted table's counters: they are scrambled,
+    // so recovery must rebuild them from what survives. Clear the plan so
+    // recovery runs fault-free.
+    let restart = |db: &mut Database, target: &T, log: &LogManager| -> Result<(), WalError> {
         db.pool().crash();
         db.pool().with_disk(|d| d.clear_fault_plan());
+        if let Some(t) = target.interrupted(log, tid)? {
+            db.scramble_counters(t)?;
+        }
+        Ok(())
     };
     let scrub = |db: &Database| db.pool().with_disk(|d| d.corrupt_pages());
     let (mut n, mut page) = (start + 1, 0);
@@ -213,7 +227,7 @@ where
         (n, page) = (access - c0, at + 1);
         let corrupt = match run {
             Ok(_) => {
-                restart(&db);
+                restart(&mut db, target, &log)?;
                 let corrupt = scrub(&db);
                 if corrupt.is_empty() {
                     report.silent_points += 1;
@@ -223,11 +237,11 @@ where
             }
             Err(WalError::Crashed(_))
             | Err(WalError::Db(DbError::Storage(StorageError::SimulatedCrash))) => {
-                restart(&db);
+                restart(&mut db, target, &log)?;
                 Vec::new()
             }
             Err(WalError::Db(DbError::Storage(StorageError::ChecksumMismatch(_)))) => {
-                restart(&db);
+                restart(&mut db, target, &log)?;
                 scrub(&db)
             }
             Err(e) => return Err(e),
@@ -395,6 +409,19 @@ impl SweepTarget for ErasureCampaign<'_> {
     fn run(&self, db: &mut Database, _root: TableId, log: &LogManager) -> Result<usize, WalError> {
         let (plan, ..) = self.planned();
         run_erasure_campaign(db, plan, log, self.workers, &self.pacer).map(|out| out.deleted)
+    }
+
+    /// The open statement is the step after the last sealed one.
+    fn interrupted(&self, log: &LogManager, _root: TableId) -> Result<Option<TableId>, WalError> {
+        let records = log.records()?;
+        let sealed = records
+            .iter()
+            .filter(|r| matches!(r, LogRecord::CampaignStepDone { .. }))
+            .count();
+        let (plan, ..) = self.planned();
+        Ok(open_statement(&records)
+            .and_then(|_| plan.steps.get(sealed))
+            .map(|step| step.table))
     }
 
     fn recover(
