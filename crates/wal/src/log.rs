@@ -132,6 +132,7 @@ mod tests {
         let l0 = log.append(&LogRecord::BulkBegin {
             probe_attr: 0,
             keys: vec![1, 2, 3],
+            counters: Default::default(),
         });
         let l1 = log.append(&LogRecord::StructureDone {
             structure: StructureId::Table,
@@ -165,6 +166,7 @@ mod tests {
         log.append(&LogRecord::BulkBegin {
             probe_attr: 0,
             keys: vec![0xDEAD_BEEF_CAFE_F00D, 7],
+            counters: Default::default(),
         });
         log.append(&LogRecord::StructureDone {
             structure: StructureId::Table,
@@ -196,11 +198,13 @@ mod tests {
         log.append(&LogRecord::BulkBegin {
             probe_attr: 0,
             keys: vec![1],
+            counters: Default::default(),
         });
         let bound = log.append(&LogRecord::BulkCommit);
         log.append(&LogRecord::BulkBegin {
             probe_attr: 0,
             keys: vec![2],
+            counters: Default::default(),
         });
         // Redact strictly before the commit: the later BulkBegin survives.
         assert_eq!(log.redact_before(bound, &[1]), 1);

@@ -7,6 +7,7 @@
 
 use crate::driver::WalError;
 use bd_btree::Key;
+use bd_core::TableCounters;
 use bd_storage::{PageCatalog, Rid};
 
 // `StructureId` used to be defined here; it now lives at the bottom of the
@@ -53,12 +54,16 @@ pub struct TreeMeta {
 /// WAL record kinds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
-    /// A bulk delete started: the sorted delete list `D`.
+    /// A bulk delete started: the sorted delete list `D` and the table's
+    /// counters before it. Recovery derives the final counters from these
+    /// and the materialized rows instead of walking the table.
     BulkBegin {
         /// Attribute the delete predicate names.
         probe_attr: u16,
         /// Sorted delete keys.
         keys: Vec<Key>,
+        /// The table's counters before the statement.
+        counters: TableCounters,
     },
     /// The victim rows, materialized before any destructive work.
     RowsMaterialized {
@@ -212,13 +217,18 @@ impl LogRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            LogRecord::BulkBegin { probe_attr, keys } => {
+            LogRecord::BulkBegin {
+                probe_attr,
+                keys,
+                counters,
+            } => {
                 out.push(1);
                 put_u16(&mut out, *probe_attr);
                 put_u32(&mut out, keys.len() as u32);
                 for k in keys {
                     put_u64(&mut out, *k);
                 }
+                encode_counters(&mut out, counters);
             }
             LogRecord::RowsMaterialized { rows } => {
                 out.push(2);
@@ -317,7 +327,11 @@ impl LogRecord {
                 for _ in 0..n {
                     keys.push(r.u64()?);
                 }
-                LogRecord::BulkBegin { probe_attr, keys }
+                LogRecord::BulkBegin {
+                    probe_attr,
+                    keys,
+                    counters: decode_counters(&mut r)?,
+                }
             }
             2 => {
                 let n = r.u32()? as usize;
@@ -414,6 +428,50 @@ impl LogRecord {
     }
 }
 
+/// Heap records (u64), then the FSM as `(page u32, free u32)` pairs, then
+/// the trees' and the hash indices' `(attr u16, entries u64)` pairs; each
+/// list is prefixed by its u32 length.
+fn encode_counters(out: &mut Vec<u8>, c: &TableCounters) {
+    put_u64(out, c.heap_records as u64);
+    put_u32(out, c.fsm.len() as u32);
+    for &(pid, free) in &c.fsm {
+        put_u32(out, pid);
+        put_u32(out, free as u32);
+    }
+    for counts in [&c.trees, &c.hashes] {
+        put_u32(out, counts.len() as u32);
+        for &(attr, n) in counts {
+            put_u16(out, attr as u16);
+            put_u64(out, n as u64);
+        }
+    }
+}
+
+fn decode_counters(r: &mut Reader<'_>) -> Result<TableCounters, WalError> {
+    let heap_records = r.u64()? as usize;
+    let n = r.u32()? as usize;
+    r.need(n * 8)?;
+    let mut fsm = Vec::with_capacity(n);
+    for _ in 0..n {
+        fsm.push((r.u32()?, r.u32()? as usize));
+    }
+    let mut counts = || -> Result<Vec<(usize, usize)>, WalError> {
+        let n = r.u32()? as usize;
+        r.need(n * 10)?;
+        (0..n)
+            .map(|_| Ok((r.u16()? as usize, r.u64()? as usize)))
+            .collect()
+    };
+    let trees = counts()?;
+    let hashes = counts()?;
+    Ok(TableCounters {
+        heap_records,
+        fsm,
+        trees,
+        hashes,
+    })
+}
+
 fn encode_structure(out: &mut Vec<u8>, s: StructureId) {
     match s {
         StructureId::Probe => out.push(0),
@@ -459,11 +517,21 @@ mod tests {
         assert_eq!(LogRecord::decode(&r.encode()).unwrap(), r);
     }
 
+    fn counters() -> TableCounters {
+        TableCounters {
+            heap_records: 40_000,
+            fsm: vec![(0, 12), (1, 4092), (7, 0)],
+            trees: vec![(0, 40_000), (2, 39_999)],
+            hashes: vec![(3, 40_000)],
+        }
+    }
+
     #[test]
     fn all_records_roundtrip() {
         roundtrip(LogRecord::BulkBegin {
             probe_attr: 0,
             keys: vec![1, u64::MAX, 42],
+            counters: counters(),
         });
         roundtrip(LogRecord::RowsMaterialized {
             rows: vec![
@@ -594,6 +662,7 @@ mod tests {
         roundtrip(LogRecord::BulkBegin {
             probe_attr: 3,
             keys: vec![],
+            counters: TableCounters::default(),
         });
     }
 
@@ -623,6 +692,7 @@ mod tests {
             LogRecord::BulkBegin {
                 probe_attr: 1,
                 keys: vec![10, 20, 30],
+                counters: counters(),
             },
             LogRecord::RowsMaterialized {
                 rows: vec![MaterializedRow {
@@ -776,6 +846,34 @@ mod tests {
             }
             .encode(),
             vec![12, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+        );
+        // A statement's begin record, pinned: probe attribute, keys, then
+        // the table's counters (heap records, FSM pairs, tree and hash
+        // entry counts).
+        assert_eq!(
+            LogRecord::BulkBegin {
+                probe_attr: 2,
+                keys: vec![5],
+                counters: TableCounters {
+                    heap_records: 9,
+                    fsm: vec![(4, 600)],
+                    trees: vec![(2, 9)],
+                    hashes: vec![],
+                },
+            }
+            .encode(),
+            vec![
+                1, // tag
+                2, 0, // probe_attr
+                1, 0, 0, 0, // n_keys
+                5, 0, 0, 0, 0, 0, 0, 0, // key
+                9, 0, 0, 0, 0, 0, 0, 0, // heap records
+                1, 0, 0, 0, // n_fsm
+                4, 0, 0, 0, 88, 2, 0, 0, // page 4, 600 free
+                1, 0, 0, 0, // n_trees
+                2, 0, 9, 0, 0, 0, 0, 0, 0, 0, // attr 2, 9 entries
+                0, 0, 0, 0, // n_hashes
+            ]
         );
         // Maintenance brackets, pinned: tag byte, then the structure
         // encoding shared with StructureDone/Progress.

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use bd_core::TableCounters;
 use bd_storage::Rid;
 use bd_wal::{LogRecord, MaterializedRow, StructureId, TreeMeta};
 
@@ -15,9 +16,44 @@ fn structure_strategy() -> impl Strategy<Value = StructureId> {
     ]
 }
 
+/// Every field at its full wire range: counts are u64, FSM pages and free
+/// bytes u32, attributes u16.
+fn counters_strategy() -> impl Strategy<Value = TableCounters> {
+    let counts = || {
+        prop::collection::vec((any::<u16>(), any::<u64>()), 0..6).prop_map(|v| {
+            v.into_iter()
+                .map(|(attr, n)| (attr as usize, n as usize))
+                .collect::<Vec<_>>()
+        })
+    };
+    (
+        any::<u64>(),
+        prop::collection::vec((any::<u32>(), any::<u32>()), 0..20),
+        counts(),
+        counts(),
+    )
+        .prop_map(|(heap_records, fsm, trees, hashes)| TableCounters {
+            heap_records: heap_records as usize,
+            fsm: fsm
+                .into_iter()
+                .map(|(pid, free)| (pid, free as usize))
+                .collect(),
+            trees,
+            hashes,
+        })
+}
+
 fn record_strategy() -> impl Strategy<Value = LogRecord> {
-    let begin = (any::<u16>(), prop::collection::vec(any::<u64>(), 0..50))
-        .prop_map(|(probe_attr, keys)| LogRecord::BulkBegin { probe_attr, keys });
+    let begin = (
+        any::<u16>(),
+        prop::collection::vec(any::<u64>(), 0..50),
+        counters_strategy(),
+    )
+        .prop_map(|(probe_attr, keys, counters)| LogRecord::BulkBegin {
+            probe_attr,
+            keys,
+            counters,
+        });
     let rows =
         (1usize..6, prop::collection::vec(any::<u64>(), 0..40)).prop_map(|(n_attrs, flat)| {
             let rows = flat

@@ -20,6 +20,13 @@ cargo test --workspace -q
 # pipeline.
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
+# The durable driver end to end, once: wal15 crashes a logged delete in its
+# table pass, recovers it and audits the result against a shadow model and
+# an uncrashed twin. Its last line must report a correct run.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload wal15 --seed 42 --seconds 1 --trace 0 | tail -n 1 |
+    grep -q '"correct": true'
+
 # Differential strategy-equivalence audit: horizontal vs vertical vs
 # vertical with parallel `⋈̄` arms vs the uncrashed WAL driver vs the
 # blocking concurrent driver vs the chunked live driver must leave
