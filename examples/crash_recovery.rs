@@ -28,23 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         victims.len()
     );
 
-    // Run with a crash injected in the middle of the first secondary-index
-    // pass: the probe index and the table are already done, the index pass
-    // is half-flushed, and nothing about it is in the log.
-    let log = LogManager::new();
-    let crash = CrashInjector::at(CrashSite::MidStructure(2));
-    let err = run_bulk_delete(&mut db, tid, 0, &victims, &log, crash).unwrap_err();
-    println!("crashed as injected: {err}");
-    println!("log holds {} records ({} bytes)", log.len(), log.byte_len());
-
-    // Power failure: the buffer pool's dirty pages are gone.
-    db.pool().crash();
-    println!("volatile state discarded; only the disk and the log survive");
-
-    // Meanwhile an updater transaction had inserted a row while index B was
-    // offline: the heap record and the online indices were written directly,
-    // and the index-B change was captured in a side-file. §3.2 says the
-    // side-file is applied *after* the bulk delete finishes during recovery.
+    // An updater inserts a row while index B is offline for the bulk
+    // delete: the heap record and the online indices are written directly,
+    // and the index-B change is captured in a side-file. §3.2 says the
+    // side-file is applied *after* the bulk delete finishes, which during
+    // recovery means after the roll-forward. (The logged driver holds the
+    // database exclusively while it runs, so the updater goes first here.)
     let new_row = Tuple::new(vec![777_777, 888_888, 5]);
     let rid = {
         let (parts, _, _) = db.parts(tid)?;
@@ -64,6 +53,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rid,
         }],
     )];
+
+    // Run with a crash injected in the middle of the first secondary-index
+    // pass: the probe index and the table are already done, the index pass
+    // is half-flushed, and nothing about it is in the log.
+    let log = LogManager::new();
+    let crash = CrashInjector::at(CrashSite::MidStructure(2));
+    let err = run_bulk_delete(&mut db, tid, 0, &victims, &log, crash).unwrap_err();
+    println!("crashed as injected: {err}");
+    println!("log holds {} records ({} bytes)", log.len(), log.byte_len());
+
+    // Power failure: the buffer pool's dirty pages are gone, and so are the
+    // table's in-memory counters.
+    db.pool().crash();
+    db.scramble_counters(tid)?;
+    println!("volatile state discarded; only the disk and the log survive");
 
     let finished = recover(&mut db, tid, &log, &pending)?;
     println!("recovery rolled the bulk delete FORWARD: {finished} rows completed");
