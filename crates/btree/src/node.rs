@@ -169,12 +169,6 @@ impl<'a> NodeRef<'a> {
         }
         lo
     }
-
-    /// First and last keys of a leaf (`None` when empty).
-    pub fn leaf_key_range(&self) -> Option<(Key, Key)> {
-        let n = self.nkeys();
-        (n > 0).then(|| (self.leaf_entry(0).0, self.leaf_entry(n - 1).0))
-    }
 }
 
 /// Mutable view of a node page.

@@ -6,7 +6,7 @@
 //! *single* database agrees with itself; this module goes further:
 //!
 //! * [`ShadowDb`] — a tiny in-memory model database that mirrors every
-//!   insert, update and delete. [`ShadowDb::diff`] compares the model
+//!   insert and delete. [`ShadowDb::diff`] compares the model
 //!   against the real engine structure by structure (heap record multiset,
 //!   exact B-tree entry lists plus all structural invariants, FSM-vs-page
 //!   occupancy, hash-chain contents) and reports each divergence.
@@ -608,11 +608,6 @@ impl ShadowDb {
         self.table_mut(tid).rows.insert(rid, tuple);
     }
 
-    /// Mirror of an in-place update.
-    pub fn update(&mut self, tid: TableId, rid: Rid, tuple: Tuple) {
-        self.table_mut(tid).rows.insert(rid, tuple);
-    }
-
     /// Mirror of a single-record delete.
     pub fn delete(&mut self, tid: TableId, rid: Rid) -> Option<Tuple> {
         self.table_mut(tid).rows.remove(&rid)
@@ -634,29 +629,6 @@ impl ShadowDb {
             .into_iter()
             .map(|rid| (rid, st.rows.remove(&rid).expect("victim exists")))
             .collect()
-    }
-
-    /// Mirror of [`crate::bulk_update`]: apply `transform` to every row
-    /// whose `probe_attr` value is in `keys`, in place (RIDs are stable —
-    /// the engine rewrites fixed-size records without moving them).
-    /// Returns the number of rows the model updated.
-    pub fn bulk_update(
-        &mut self,
-        tid: TableId,
-        probe_attr: usize,
-        keys: &[Key],
-        transform: impl Fn(&mut Tuple),
-    ) -> usize {
-        let keyset: std::collections::HashSet<Key> = keys.iter().copied().collect();
-        let st = self.table_mut(tid);
-        let mut updated = 0;
-        for tuple in st.rows.values_mut() {
-            if keyset.contains(&tuple.attr(probe_attr)) {
-                transform(tuple);
-                updated += 1;
-            }
-        }
-        updated
     }
 
     /// Rows the model holds for `tid`, in RID order.

@@ -21,8 +21,6 @@ pub struct IndexDef {
     pub clustered: bool,
     /// Node fanout configuration (Experiment 3's height knob).
     pub config: BTreeConfig,
-    /// Bulk-load fill factor used when (re)building the index.
-    pub fill: f64,
 }
 
 impl IndexDef {
@@ -34,7 +32,6 @@ impl IndexDef {
             unique: false,
             clustered: false,
             config: BTreeConfig::default(),
-            fill: 1.0,
         }
     }
 
@@ -53,12 +50,6 @@ impl IndexDef {
     /// Override the fanout configuration.
     pub fn with_config(mut self, config: BTreeConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Override the bulk-load fill factor.
-    pub fn with_fill(mut self, fill: f64) -> Self {
-        self.fill = fill;
         self
     }
 }

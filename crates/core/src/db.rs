@@ -17,7 +17,8 @@ use crate::tuple::{Schema, Tuple};
 /// Identifier of a table within a [`Database`].
 pub type TableId = usize;
 
-/// Memory and cost-model configuration.
+/// Memory configuration. The simulated disk always runs the default
+/// [`CostModel`], the paper's 1999 disk.
 ///
 /// The paper's prototype shares one allotment between page caching and sort
 /// workspace ("this main memory [is used] not only for caching but also to
@@ -30,8 +31,6 @@ pub struct DatabaseConfig {
     pub pool_bytes: usize,
     /// Bytes for sort runs and hash tables.
     pub workspace_bytes: usize,
-    /// Simulated-disk cost model.
-    pub cost: CostModel,
 }
 
 impl DatabaseConfig {
@@ -40,14 +39,7 @@ impl DatabaseConfig {
         DatabaseConfig {
             pool_bytes: bytes / 4 * 3,
             workspace_bytes: bytes / 4,
-            cost: CostModel::default(),
         }
-    }
-
-    /// Override the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
     }
 }
 
@@ -69,7 +61,7 @@ pub struct Database {
 impl Database {
     /// Fresh database with the given memory configuration.
     pub fn new(config: DatabaseConfig) -> Self {
-        let disk = SimDisk::new(config.cost);
+        let disk = SimDisk::new(CostModel::default());
         Database {
             pool: BufferPool::with_byte_budget(disk, config.pool_bytes),
             workspace: Arc::new(MemoryBudget::new(config.workspace_bytes)),
@@ -210,15 +202,6 @@ impl Database {
         self.foreign_keys.push(fk);
     }
 
-    /// Constraints whose *parent* side is `(tid, attr)`.
-    pub fn foreign_keys_on(&self, tid: TableId, attr: usize) -> Vec<ForeignKey> {
-        self.foreign_keys
-            .iter()
-            .filter(|fk| fk.parent == tid && fk.parent_attr == attr)
-            .cloned()
-            .collect()
-    }
-
     /// Constraints whose *parent* side is any attribute of `tid`.
     pub fn foreign_keys_on_table(&self, tid: TableId) -> Vec<ForeignKey> {
         self.foreign_keys
@@ -331,7 +314,7 @@ pub fn build_index(
     if let Some(e) = scan.take_error() {
         return Err(e);
     }
-    bulk_load(pool.clone(), def.config, &sorted, def.fill, owner)
+    bulk_load(pool.clone(), def.config, &sorted, 1.0, owner)
 }
 
 /// Build a hash index on `attr` over `heap`'s rows, its pages owned by

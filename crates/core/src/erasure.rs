@@ -64,11 +64,6 @@ impl CascadePlan {
             .iter()
             .position(|s| s.table == table && s.attr == attr)
     }
-
-    /// Total keys across all steps.
-    pub fn total_keys(&self) -> usize {
-        self.steps.iter().map(|s| s.keys.len()).sum()
-    }
 }
 
 /// Read-only victim resolution: the rows a bulk delete of `keys` on

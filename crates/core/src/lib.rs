@@ -59,7 +59,6 @@ pub mod planner;
 pub mod report;
 pub mod strategy;
 pub mod tuple;
-pub mod update;
 
 pub use audit::{
     audit_catalog, audit_equivalence, audit_equivalence_with, audit_table, AuditFinding,
@@ -84,7 +83,6 @@ pub use report::{
 };
 pub use strategy::{DeleteOutcome, RebuildMode};
 pub use tuple::{attr_name, Schema, Tuple};
-pub use update::{bulk_update, UpdateOutcome};
 
 /// Common imports for examples and downstream crates.
 pub mod prelude {

@@ -367,11 +367,6 @@ impl BufferPool {
         *self.retry.lock() = policy;
     }
 
-    /// The pool's current transient-fault retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.lock()
-    }
-
     /// Snapshot of the underlying disk's counters.
     pub fn disk_stats(&self) -> DiskStats {
         self.disk.lock().stats()
@@ -736,13 +731,6 @@ impl Drop for PageRead {
 pub struct PageWrite {
     frame: Arc<Frame>,
     guard: WriteGuard,
-}
-
-impl PageWrite {
-    /// Page id of the pinned page.
-    pub fn page_id(&self) -> PageId {
-        self.frame.pid
-    }
 }
 
 impl std::ops::Deref for PageWrite {

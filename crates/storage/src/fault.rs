@@ -99,15 +99,6 @@ impl FaultSpec {
         }
     }
 
-    /// Fault armed on the n-th read access (1-based, global counter).
-    pub fn read_at_access(n: u64) -> Self {
-        FaultSpec {
-            trigger: FaultTrigger::NthAccess { access: n, page: 0 },
-            op: FaultOp::Read,
-            kind: FaultKind::Persistent,
-        }
-    }
-
     /// Fault armed on the n-th write access (1-based, global counter); a
     /// chained write is hit on its first page.
     pub fn write_at_access(n: u64) -> Self {

@@ -166,27 +166,6 @@ impl HeapFile {
         }
     }
 
-    /// Overwrite the record at `rid` in place, returning the old bytes.
-    /// The new record must have the same length (fixed-size records keep
-    /// their RID across updates, so only changed index keys need index
-    /// maintenance).
-    pub fn update(&mut self, rid: Rid, record: &[u8]) -> StorageResult<Vec<u8>> {
-        let mut w = self.pool.pin_write(rid.page)?;
-        let mut page = SlottedPage::new(&mut w[..]);
-        let old = page
-            .get(rid.slot)
-            .map_err(|e| Self::rebind_rid(e, rid))?
-            .to_vec();
-        if old.len() != record.len() {
-            return Err(StorageError::RecordTooLarge {
-                len: record.len(),
-                max: old.len(),
-            });
-        }
-        page.overwrite(rid.slot, record)?;
-        Ok(old)
-    }
-
     /// Delete the record at `rid`, returning its bytes.
     pub fn delete(&mut self, rid: Rid) -> StorageResult<Vec<u8>> {
         let mut w = self.pool.pin_write(rid.page)?;
@@ -731,27 +710,6 @@ mod tests {
         let rid = h.insert(&record(1)).unwrap();
         h.delete(rid).unwrap();
         assert_eq!(h.delete(rid).unwrap_err(), StorageError::SlotEmpty(rid));
-    }
-
-    #[test]
-    fn update_rewrites_in_place() {
-        let mut h = heap(8);
-        let rid = h.insert(&record(1)).unwrap();
-        let old = h.update(rid, &record(2)).unwrap();
-        assert_eq!(old, record(1));
-        assert_eq!(h.get(rid).unwrap(), record(2));
-        assert_eq!(h.len(), 1);
-        // Length mismatch is rejected.
-        assert!(matches!(
-            h.update(rid, &[1, 2, 3]),
-            Err(StorageError::RecordTooLarge { .. })
-        ));
-        // Updating a deleted record fails.
-        h.delete(rid).unwrap();
-        assert!(matches!(
-            h.update(rid, &record(3)),
-            Err(StorageError::SlotEmpty(_))
-        ));
     }
 
     #[test]

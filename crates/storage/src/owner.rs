@@ -28,9 +28,11 @@ use crate::disk::PageId;
 /// A storage structure processed by a bulk delete, and — since every page
 /// has an owner — the tag the page catalog records at allocation time.
 ///
-/// The discriminants double as the WAL wire tags (pinned by
-/// `bd-wal`'s `wire_format_is_stable_across_versions`): Probe=0, Table=1,
-/// Index=2, Hash=3, Temp=4, Spatial=5, Lsm=6.
+/// [`StructureId::tag`] is the one variant↔tag mapping, shared by the
+/// catalog snapshot and the WAL (pinned by `bd-wal`'s
+/// `wire_format_is_stable_across_versions`): Probe=0, Table=1, Index=2,
+/// Hash=3, Temp=4, Lsm=6. Tag 5 named the retired R-tree's pages; it stays
+/// unassigned, so both decoders reject it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StructureId {
     /// The probe index (`I_A`). This is a *phase role*, not a page owner:
@@ -48,9 +50,6 @@ pub enum StructureId {
     /// Scratch pages (external-sort spill segments). Never rebuilt: a torn
     /// temp page is healed and skipped, its contents are transient.
     Temp,
-    /// A spatial (R-tree) index, by attribute number. Outside the bulk
-    /// delete's phase set; owned pages exist so the catalog stays total.
-    Spatial(u16),
     /// An LSM table's run pages, table-scoped like [`StructureId::index_of`]
     /// (wire tag 6; decoders predating it reject the tag instead of
     /// misreading the record). Outside the WAL bulk-delete phase set — LSM
@@ -68,7 +67,6 @@ impl std::fmt::Display for StructureId {
             StructureId::Hash(a) if *a >= 256 => write!(f, "hash({}.{})", a >> 8, a & 0xFF),
             StructureId::Hash(a) => write!(f, "hash({a})"),
             StructureId::Temp => write!(f, "temp"),
-            StructureId::Spatial(a) => write!(f, "spatial({a})"),
             StructureId::Lsm(a) if *a >= 256 => write!(f, "lsm({}.{})", a >> 8, a & 0xFF),
             StructureId::Lsm(a) => write!(f, "lsm({a})"),
         }
@@ -79,38 +77,42 @@ impl std::fmt::Display for StructureId {
 const TAG_FREE: u8 = 0xFF;
 
 impl StructureId {
-    /// One-byte catalog tag (shared with the WAL's structure encoding).
-    fn tag(self) -> u8 {
+    /// One-byte wire tag, shared by the catalog snapshot and the WAL.
+    pub fn tag(self) -> u8 {
         match self {
             StructureId::Probe => 0,
             StructureId::Table => 1,
             StructureId::Index(_) => 2,
             StructureId::Hash(_) => 3,
             StructureId::Temp => 4,
-            StructureId::Spatial(_) => 5,
             StructureId::Lsm(_) => 6,
         }
     }
 
-    /// Attribute payload, if the variant carries one.
-    fn attr(self) -> u16 {
+    /// Attribute payload, for the variants that carry one.
+    pub fn attr(self) -> Option<u16> {
         match self {
-            StructureId::Index(a)
-            | StructureId::Hash(a)
-            | StructureId::Spatial(a)
-            | StructureId::Lsm(a) => a,
-            _ => 0,
+            StructureId::Index(a) | StructureId::Hash(a) | StructureId::Lsm(a) => Some(a),
+            _ => None,
         }
     }
 
-    fn from_tag(tag: u8, attr: u16) -> Option<StructureId> {
+    /// Whether the variant tagged `tag` carries an attribute payload. The
+    /// WAL writes the attribute only for these, so a tag-only variant is one
+    /// byte there; the catalog writes a zero attribute for it.
+    pub fn tag_has_attr(tag: u8) -> bool {
+        StructureId::from_tag(tag, 0).is_some_and(|s| s.attr().is_some())
+    }
+
+    /// The variant tagged `tag` with payload `attr` (ignored by tag-only
+    /// variants); `None` for an unknown tag.
+    pub fn from_tag(tag: u8, attr: u16) -> Option<StructureId> {
         Some(match tag {
             0 => StructureId::Probe,
             1 => StructureId::Table,
             2 => StructureId::Index(attr),
             3 => StructureId::Hash(attr),
             4 => StructureId::Temp,
-            5 => StructureId::Spatial(attr),
             6 => StructureId::Lsm(attr),
             _ => return None,
         })
@@ -278,7 +280,7 @@ impl PageCatalog {
             match owner {
                 Some(o) => {
                     out.push(o.tag());
-                    out.extend_from_slice(&o.attr().to_le_bytes());
+                    out.extend_from_slice(&o.attr().unwrap_or(0).to_le_bytes());
                 }
                 None => {
                     out.push(TAG_FREE);
@@ -346,7 +348,7 @@ mod tests {
         c.note_alloc(0, 2, StructureId::Table);
         c.note_alloc(2, 1, StructureId::Hash(3));
         c.note_alloc(3, 1, StructureId::Temp);
-        c.note_alloc(4, 1, StructureId::Spatial(9));
+        c.note_alloc(4, 1, StructureId::Index(9));
         c.note_alloc(5, 2, StructureId::lsm_of(1));
         c.free(0);
         let mut buf = Vec::new();
@@ -370,10 +372,13 @@ mod tests {
                 "cut at {cut} must fail"
             );
         }
-        let mut bad = buf.clone();
-        bad[4] = 42; // unknown owner tag
-        let mut pos = 0;
-        assert!(PageCatalog::decode(&bad, &mut pos).is_none());
+        for tag in [5, 42] {
+            // 5 is the retired R-tree's tag; 42 was never assigned.
+            let mut bad = buf.clone();
+            bad[4] = tag;
+            let mut pos = 0;
+            assert!(PageCatalog::decode(&bad, &mut pos).is_none(), "tag {tag}");
+        }
     }
 
     #[test]
@@ -381,7 +386,6 @@ mod tests {
         assert_eq!(StructureId::Probe.to_string(), "probe");
         assert_eq!(StructureId::Index(5).to_string(), "index(5)");
         assert_eq!(StructureId::Hash(2).to_string(), "hash(2)");
-        assert_eq!(StructureId::Spatial(1).to_string(), "spatial(1)");
         assert_eq!(StructureId::Lsm(4).to_string(), "lsm(4)");
         assert_eq!(StructureId::lsm_of(2).to_string(), "lsm(2.0)");
     }

@@ -154,21 +154,6 @@ impl<'a> SlottedPage<'a> {
         Ok(bytes)
     }
 
-    /// Overwrite a live record with same-length bytes, in place.
-    pub fn overwrite(&mut self, slot: u16, record: &[u8]) -> StorageResult<()> {
-        let i = slot as usize;
-        if i >= self.n_slots() {
-            return Err(StorageError::SlotOutOfBounds(crate::rid::Rid::new(0, slot)));
-        }
-        let (off, len) = self.slot(i);
-        if len == 0 {
-            return Err(StorageError::SlotEmpty(crate::rid::Rid::new(0, slot)));
-        }
-        assert_eq!(len, record.len(), "overwrite requires equal length");
-        self.buf[off..off + len].copy_from_slice(record);
-        Ok(())
-    }
-
     /// True if `slot` currently holds a record.
     pub fn is_live(&self, slot: u16) -> bool {
         let i = slot as usize;
@@ -448,36 +433,6 @@ mod tests {
             p.insert(&[]),
             Err(StorageError::RecordTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn overwrite_replaces_in_place() {
-        let mut buf = zeroed();
-        let mut p = SlottedPage::init(&mut buf[..]);
-        let a = p.insert(b"aaaa").unwrap();
-        let b = p.insert(b"bbbb").unwrap();
-        p.overwrite(a, b"AAAA").unwrap();
-        assert_eq!(p.get(a).unwrap(), b"AAAA");
-        assert_eq!(p.get(b).unwrap(), b"bbbb");
-        // Deleted and out-of-range slots are rejected.
-        p.delete(a).unwrap();
-        assert!(matches!(
-            p.overwrite(a, b"XXXX"),
-            Err(StorageError::SlotEmpty(_))
-        ));
-        assert!(matches!(
-            p.overwrite(99, b"XXXX"),
-            Err(StorageError::SlotOutOfBounds(_))
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn overwrite_length_mismatch_panics() {
-        let mut buf = zeroed();
-        let mut p = SlottedPage::init(&mut buf[..]);
-        let a = p.insert(b"aaaa").unwrap();
-        let _ = p.overwrite(a, b"toolong");
     }
 
     #[test]

@@ -479,10 +479,7 @@ impl MediaDamage {
                 }
                 StructureId::Index(_) => (&mut self.tree_attrs, &mut self.foreign_trees),
                 StructureId::Hash(_) => (&mut self.hash_attrs, &mut self.foreign_hashes),
-                StructureId::Probe
-                | StructureId::Temp
-                | StructureId::Spatial(_)
-                | StructureId::Lsm(_) => continue,
+                StructureId::Probe | StructureId::Temp | StructureId::Lsm(_) => continue,
             };
             match s.scoped_parts() {
                 Some((t, a)) if t == home => list.0.push(a),
@@ -510,7 +507,7 @@ impl MediaDamage {
             StructureId::Probe => self.tree_attrs.contains(&probe_attr),
             StructureId::Index(a) => self.tree_attrs.contains(&(a as usize)),
             StructureId::Hash(a) => self.hash_attrs.contains(&(a as usize)),
-            StructureId::Temp | StructureId::Spatial(_) | StructureId::Lsm(_) => false,
+            StructureId::Temp | StructureId::Lsm(_) => false,
         }
     }
 }
@@ -528,8 +525,8 @@ pub struct MediaRecovery {
     pub heap_damaged: bool,
     /// Torn pages that were *free* in the catalog: healed, nothing rebuilt.
     pub healed_free: usize,
-    /// Torn scratch/spatial pages: healed and skipped, their contents are
-    /// outside the bulk delete's structures.
+    /// Torn scratch (`Temp`) and LSM run pages: healed and skipped, their
+    /// contents are outside the bulk delete's structures.
     pub healed_scratch: usize,
 }
 
@@ -563,9 +560,7 @@ fn classify_media_damage(
     for &pid in corrupt {
         match catalog.owner(pid) {
             None => report.healed_free += 1,
-            Some(StructureId::Temp) | Some(StructureId::Spatial(_)) | Some(StructureId::Lsm(_)) => {
-                report.healed_scratch += 1
-            }
+            Some(StructureId::Temp) | Some(StructureId::Lsm(_)) => report.healed_scratch += 1,
             Some(owner @ StructureId::Probe) => {
                 return Err(WalError::CorruptCatalog { page: pid, owner })
             }

@@ -473,40 +473,21 @@ fn decode_counters(r: &mut Reader<'_>) -> Result<TableCounters, WalError> {
 }
 
 fn encode_structure(out: &mut Vec<u8>, s: StructureId) {
-    match s {
-        StructureId::Probe => out.push(0),
-        StructureId::Table => out.push(1),
-        StructureId::Index(a) => {
-            out.push(2);
-            put_u16(out, a);
-        }
-        StructureId::Hash(a) => {
-            out.push(3);
-            put_u16(out, a);
-        }
-        StructureId::Temp => out.push(4),
-        StructureId::Spatial(a) => {
-            out.push(5);
-            put_u16(out, a);
-        }
-        StructureId::Lsm(a) => {
-            out.push(6);
-            put_u16(out, a);
-        }
+    out.push(s.tag());
+    if let Some(a) = s.attr() {
+        put_u16(out, a);
     }
 }
 
 fn decode_structure(r: &mut Reader<'_>) -> Result<StructureId, WalError> {
-    Ok(match r.u8()? {
-        0 => StructureId::Probe,
-        1 => StructureId::Table,
-        2 => StructureId::Index(r.u16()?),
-        3 => StructureId::Hash(r.u16()?),
-        4 => StructureId::Temp,
-        5 => StructureId::Spatial(r.u16()?),
-        6 => StructureId::Lsm(r.u16()?),
-        t => return Err(WalError::CorruptLog(format!("unknown structure tag {t}"))),
-    })
+    let tag = r.u8()?;
+    let attr = if StructureId::tag_has_attr(tag) {
+        r.u16()?
+    } else {
+        0
+    };
+    StructureId::from_tag(tag, attr)
+        .ok_or_else(|| WalError::CorruptLog(format!("unknown structure tag {tag}")))
 }
 
 #[cfg(test)]
@@ -579,9 +560,6 @@ mod tests {
         roundtrip(LogRecord::BulkCommit);
         roundtrip(LogRecord::StructureDone {
             structure: StructureId::Temp,
-        });
-        roundtrip(LogRecord::StructureDone {
-            structure: StructureId::Spatial(2),
         });
         roundtrip(LogRecord::StructureDone {
             structure: StructureId::Lsm(2),
@@ -680,6 +658,9 @@ mod tests {
     #[test]
     fn unknown_structure_tag_is_a_decode_error() {
         assert!(is_corrupt(&[4, 7]), "StructureDone with structure tag 7");
+        // Tag 5 named the retired R-tree's pages: a full payload after it
+        // does not make it known again.
+        assert!(is_corrupt(&[4, 5, 2, 0]), "retired structure tag 5");
         // Lsm claimed tag 6; the next unassigned tag still fails, and a
         // truncated Lsm payload is corruption, not a panic.
         assert!(is_corrupt(&[4, 6]), "Lsm with its u16 payload cut off");

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Repo verification: format, lint, release build, and every test of the
-# workspace — tier-1 (the root package) plus each crate's own suite: the
-# full fault sweeps and the txn protocol tests live in crates/wal/tests and
-# crates/txn/tests, outside tier-1 (~60 s) — plus the out-of-workspace
-# benchmark harness's build and tests.
+# Repo verification: format, lint, the uncalled-API check, release build,
+# every test of the workspace — tier-1 (the root package) plus each crate's
+# own suite: the full fault sweeps and the txn protocol tests live in
+# crates/wal/tests and crates/txn/tests, outside tier-1 (~60 s) — every
+# example, plus the out-of-workspace benchmark harness's build and tests.
 # Everything runs offline — external deps are vendored under vendor/.
 set -eux
 
@@ -11,8 +11,16 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# No public function without a caller (a floor: see the script).
+scripts/uncalled_pub.sh
 cargo build --release
 cargo test --workspace -q
+
+# The examples assert what they print; clippy only compiles them. Run each
+# one and fail on a non-zero exit.
+for example in examples/*.rs; do
+    cargo run --release --quiet --example "$(basename "$example" .rs)" >/dev/null
+done
 
 # The benchmark harness is its own package outside the workspace and calls
 # the crates through their public functions only: build and test it here,

@@ -5,7 +5,6 @@
 
 use bulk_delete::prelude::*;
 
-use bd_core::bulk_update;
 use bd_workload::TableSpec;
 
 fn build(n: usize) -> (Database, bd_workload::Workload) {
@@ -113,24 +112,6 @@ fn vertical_hash_arm_costs_pages_not_victims() {
     shadow.delete_in(w.tid, 0, &d);
     let report = shadow.diff(&db, w.tid).unwrap();
     assert!(report.is_clean(), "{report}");
-}
-
-#[test]
-fn bulk_update_maintains_hash_indices() {
-    let (mut db, w) = build(400);
-    let keys: Vec<u64> = w.a_values.iter().copied().take(100).collect();
-    let out = bulk_update(&mut db, w.tid, 0, &keys, |t| t.attrs[2] += 777_000_000).unwrap();
-    assert_eq!(out.updated, 100);
-    db.check_consistency(w.tid).unwrap();
-    let table = db.table(w.tid).unwrap();
-    let h = table.hash_index_on(2).unwrap();
-    // Every updated row is findable under its new C value.
-    for &k in keys.iter().take(10) {
-        let rid = db.lookup(w.tid, 0, k).unwrap()[0];
-        let c = db.get(w.tid, rid).unwrap().attr(2);
-        assert!(c >= 777_000_000);
-        assert!(h.index.search(c).unwrap().contains(&rid));
-    }
 }
 
 #[test]
