@@ -1499,4 +1499,32 @@ mod tests {
             .sum();
         assert_eq!(total, 400); // 50 increments per page, no u8 wraparound
     }
+
+    #[test]
+    fn a_reader_parked_behind_a_write_pin_wakes_when_it_drops() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+        let (pool, first) = small_pool(4, 4);
+        let mut w = pool.pin_write(first).unwrap();
+        w[0] = 5;
+        let (tx, rx) = channel();
+        let reader = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                let r = pool.pin_read(first).unwrap();
+                tx.send(r[0]).unwrap();
+            })
+        };
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(50)),
+            Err(RecvTimeoutError::Timeout),
+            "a read pin passed a held write pin"
+        );
+        drop(w);
+        let seen = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the parked reader was never woken");
+        assert_eq!(seen, 5);
+        reader.join().unwrap();
+    }
 }
