@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [<id>|all]... [--rows N] [--parallel N] [--phases]
-//!       [--bench-json PATH] [--check-bench PATH] [--audit] [--faults]
+//!       [--bench-json PATH] [--check-bench PATH]
 //! ```
 //!
 //! Every sweep is an experiment id from one registry
@@ -20,9 +20,7 @@
 //! * `erase` — the §1 sliding-window warehouse (sales + CASCADE line items)
 //!   erases its oldest 1/2/3 months as a plain cascading bulk delete and as
 //!   a durable erasure campaign (WAL manifest, physical scrub, log
-//!   redaction, proof-of-deletion — which must come back clean), then a
-//!   bounded crash/torn-write sample of the campaign fault sweep must
-//!   recover and re-prove at every point;
+//!   redaction, proof-of-deletion — which must come back clean);
 //! * `maintain` — a sliding-window workload (delete the oldest quarter,
 //!   refill, repeat) with and without the incremental maintenance daemon:
 //!   the daemon's end state must keep its in-use pages within 10% of a
@@ -68,34 +66,9 @@
 //! snapshot taken with `--parallel` or holding a `live` cell is refused
 //! (exit 2): threaded cells do not repeat.
 //!
-//! `--audit` runs the differential audit harness instead of the
-//! experiments: the same build + delete workload is executed horizontally
-//! and vertically in two separate databases, and every storage structure
-//! (heap record multiset, B-tree entries and invariants, FSM accounting,
-//! hash chains) is diffed across the two executions — and then again
-//! between a serial and a parallel vertical run, and between the vertical
-//! run and the same statement through the WAL driver, through the blocking
-//! concurrent driver (`TxnDb::bulk_delete`) and through the chunked live
-//! driver (`TxnDb::bulk_delete_live`, 512 keys per chunk, no foreground).
-//! Exits non-zero and prints the per-structure diff on divergence. It also
-//! prints the vertical run's hash-arm phase row as random I/Os per victim
-//! and exits non-zero above 0.2 (the arm is a bucket sweep, not a chain
-//! walk per victim), the logged run's simulated clock over the vertical
-//! run's, exiting non-zero above 3.0 (the logged delete reads the heap
-//! through read-ahead too), the blocking run's clock over the vertical
-//! run's, and the live run's, exiting non-zero above 1.5 (its chunks follow
-//! the heap and its hash index is swept once).
-//!
-//! `--faults` runs the fault-injection demo instead of the experiments:
-//! a transient disk fault is planted under one fan-out arm of a parallel
-//! vertical delete (the statement must ride it out via buffer-pool retries
-//! plus the executor's serial degradation, bit-identical to the fault-free
-//! run), followed by a crash-at-every-I/O campaign smoke over the WAL
-//! driver — serial and parallel — where every crash point must recover to
-//! the reference state, and a torn-write campaign smoke where each swept
-//! write persists only half a page and media recovery must rebuild the
-//! damaged structure back to the reference state. Exits non-zero on any
-//! divergence.
+//! The drivers' equivalence audits and the fault sweeps are not modes of
+//! this binary: they run in the test suite (`tests/strategy_equivalence.rs`,
+//! `tests/driver_streams.rs`, `crates/wal/tests/campaign.rs`).
 
 use bd_bench::experiments::{Experiment, PAPER_FIGURES, REGISTRY};
 use bd_bench::snapshot::{self, Snapshot};
@@ -107,16 +80,12 @@ fn main() {
     let mut rows: usize = 100_000;
     let mut workers: usize = 1;
     let mut show_phases = false;
-    let mut run_audit = false;
-    let mut run_faults = false;
     let mut bench_json: Option<String> = None;
     let mut check_bench: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--phases" => show_phases = true,
-            "--audit" => run_audit = true,
-            "--faults" => run_faults = true,
             "--rows" => {
                 i += 1;
                 rows = args
@@ -144,15 +113,6 @@ fn main() {
             name => which.push(name.to_string()),
         }
         i += 1;
-    }
-
-    if run_audit {
-        audit(rows, workers);
-        return;
-    }
-    if run_faults {
-        faults(rows, workers);
-        return;
     }
 
     // The gate re-runs what the baseline's header says it holds.
@@ -268,338 +228,11 @@ fn print_phases(rows: usize, workers: usize) {
     }
 }
 
-/// Differential strategy-equivalence audit: run the same workload
-/// horizontally and vertically (and vertically again with parallel arms,
-/// logged, and through the blocking and the live concurrent driver), then
-/// diff all physical structures pairwise.
-fn audit(rows: usize, workers: usize) {
-    use bd_core::prelude::*;
-    use bd_core::{audit_equivalence, IndexDef};
-    use bd_workload::TableSpec;
-
-    let rows = rows.min(20_000); // the audit is O(n log n) in host time
-    let par_workers = if workers > 1 { workers } else { 3 };
-    println!(
-        "differential audit: horizontal vs vertical vs vertical/parallel({par_workers}) \
-         vs logged vs blocking vs live, {rows} rows of 512 B, 15% delete, 3 B-tree indices + 1 hash \
-         index"
-    );
-    // 48 pool frames: none of the four indices fits, so every strategy
-    // runs under eviction and the hash-arm figure below can tell a sweep
-    // from a chain walk per victim (which paid 1.03 here; the hash index
-    // does not see the row width). Rows as wide as the paper's put one or
-    // two victims on most heap pages, with gaps between them: the shape in
-    // which reading the heap per victim, not per chain, shows.
-    let build = |seed: u64| {
-        let mut db = Database::new(DatabaseConfig::with_total_memory(256 << 10));
-        let spec = TableSpec {
-            record_len: 512,
-            ..TableSpec::tiny(rows)
-        };
-        let w = spec.with_seed(seed).build(&mut db).unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(0).unique())
-            .unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(1)).unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(2)).unwrap();
-        db.create_hash_index(w.tid, 3).unwrap();
-        (db, w)
-    };
-    let check = |label: &str, report: bd_core::DbResult<bd_core::AuditReport>| match report {
-        Ok(report) if report.is_clean() => {
-            println!("[{label}] {report}");
-        }
-        Ok(report) => {
-            eprintln!("[{label}] {report}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("[{label}] audit aborted: {e}");
-            std::process::exit(1);
-        }
-    };
-    let (mut db_a, w_a) = build(1);
-    let (mut db_b, _) = build(1);
-    let (mut db_c, _) = build(1);
-    let d = w_a.delete_set(0.15, 2);
-    strategy::horizontal(&mut db_a, w_a.tid, 0, &d, true).unwrap();
-    let vertical = strategy::vertical_sort_merge(&mut db_b, w_a.tid, 0, &d, 1).unwrap();
-    strategy::vertical_sort_merge(&mut db_c, w_a.tid, 0, &d, par_workers).unwrap();
-    check(
-        "horizontal vs vertical",
-        audit_equivalence(&db_a, &db_b, w_a.tid),
-    );
-    check(
-        "vertical serial vs parallel",
-        audit_equivalence(&db_b, &db_c, w_a.tid),
-    );
-    // The hash arm is a sweep: it positions the head per chain of pages,
-    // not per victim.
-    const HASH_ARM_LIMIT: f64 = 0.2;
-    for h in &db_b.table(w_a.tid).unwrap().hash_indices {
-        let arm = vertical
-            .report
-            .phases
-            .iter()
-            .find(|p| p.name.starts_with(&h.def.name))
-            .expect("every hash index has a phase row");
-        let per_victim = arm.io.total_random() as f64 / d.len() as f64;
-        println!(
-            "[{}] {per_victim:.4} random I/Os per victim (limit {HASH_ARM_LIMIT})",
-            arm.name
-        );
-        if per_victim > HASH_ARM_LIMIT {
-            eprintln!("[{}] the hash arm is paying per victim again", arm.name);
-            std::process::exit(1);
-        }
-    }
-
-    // The fourth arm: the same statement through the WAL driver, uncrashed.
-    // It must leave the vertical run's structures, and logging may add the
-    // checkpoints' flushes and the progress chunks' restarts, not a slower
-    // way of reading the heap. Its clock is read before the audit, which
-    // reads the logged database too: 1.20x here, 5.56x with a heap read per
-    // victim to materialize the rows and a table pass without read-ahead.
-    const LOGGED_LIMIT: f64 = 3.0;
-    let (mut db_d, _) = build(1);
-    let pool = db_d.pool().clone();
-    pool.clear_cache().unwrap();
-    pool.reset_stats();
-    let log = bd_wal::LogManager::new();
-    let crash = bd_wal::CrashInjector::none();
-    bd_wal::run_bulk_delete(&mut db_d, w_a.tid, 0, &d, &log, crash).unwrap();
-    pool.flush_all().unwrap();
-    let ratio = pool.disk_stats().sim_ms / vertical.report.io.sim_ms;
-    check(
-        "vertical vs logged",
-        audit_equivalence(&db_b, &db_d, w_a.tid),
-    );
-    println!("[logged] {ratio:.3}x the vertical run's simulated clock (limit {LOGGED_LIMIT:.1})");
-    if ratio > LOGGED_LIMIT {
-        eprintln!("[logged] the logged delete reads the heap the slow way again");
-        std::process::exit(1);
-    }
-
-    // The fifth arm: the blocking concurrent driver, which runs the same
-    // pass core with all of `D` in one exclusive span and no foreground.
-    // Its clock too is read before its audit.
-    let (db_e, _) = build(1);
-    let pool = db_e.pool().clone();
-    pool.clear_cache().unwrap();
-    pool.reset_stats();
-    let txn = bd_txn::TxnDb::new(db_e);
-    txn.bulk_delete(w_a.tid, 0, &d, bd_txn::PropagationMode::SideFile)
-        .unwrap();
-    pool.flush_all().unwrap();
-    let ratio = pool.disk_stats().sim_ms / vertical.report.io.sim_ms;
-    txn.with(|db_e| {
-        check(
-            "vertical vs blocking",
-            audit_equivalence(&db_b, db_e, w_a.tid),
-        )
-    });
-    println!("[blocking] {ratio:.3}x the vertical run's simulated clock");
-
-    // The sixth arm: the chunked live driver, with no foreground. Its
-    // chunks are cut along the heap and its hash index swept once, so it
-    // pays about the blocking price: 1.16x at 20 000 rows (6 chunks), 4.12x
-    // when each key-ordered chunk re-walked the heap and the hash buckets.
-    const LIVE_LIMIT: f64 = 1.5;
-    const LIVE_CHUNK: usize = 512;
-    let (db_f, _) = build(1);
-    let pool = db_f.pool().clone();
-    pool.clear_cache().unwrap();
-    pool.reset_stats();
-    let txn = bd_txn::TxnDb::new(db_f);
-    let mode = bd_txn::PropagationMode::SideFile;
-    txn.bulk_delete_live(w_a.tid, 0, &d, mode, LIVE_CHUNK, &bd_storage::Pacer::new())
-        .unwrap();
-    pool.flush_all().unwrap();
-    let ratio = pool.disk_stats().sim_ms / vertical.report.io.sim_ms;
-    txn.with(|db_f| check("vertical vs live", audit_equivalence(&db_b, db_f, w_a.tid)));
-    println!("[live] {ratio:.3}x the vertical run's simulated clock (limit {LIVE_LIMIT:.1})");
-    if ratio > LIVE_LIMIT {
-        eprintln!("[live] the live delete's chunks re-walk the heap again");
-        std::process::exit(1);
-    }
-}
-
-/// Fault-injection demo: a transient fault ridden out by retry + serial
-/// degradation, then a crash-at-every-I/O campaign smoke for both drivers.
-fn faults(rows: usize, workers: usize) {
-    use bd_core::prelude::*;
-    use bd_core::{audit_equivalence, IndexDef};
-    use bd_storage::{FaultPlan, FaultSpec};
-    use bd_wal::{sweep, BulkDelete, Fault};
-    use bd_workload::TableSpec;
-
-    let rows = rows.min(5_000); // the campaign rebuilds the db per crash point
-    let par_workers = if workers > 1 { workers } else { 3 };
-    let build = |mem: usize| {
-        let mut db = Database::new(DatabaseConfig::with_total_memory(mem));
-        let w = TableSpec::tiny(rows).build(&mut db).unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(0).unique())
-            .unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(1)).unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(2)).unwrap();
-        (db, w)
-    };
-
-    // Part 1: a transient fault under one fan-out arm. The buffer pool's
-    // bounded retry is outlasted (6 consecutive failures vs. 4 attempts
-    // per pin), so the arm dies, siblings are cancelled, and the executor
-    // re-runs the group serially — the statement must still commit with a
-    // state bit-identical to the fault-free run.
-    println!(
-        "fault demo: transient fault under a fan-out arm, {rows} rows, \
-         33% delete, {par_workers} workers"
-    );
-    let (mut db_ref, w) = build(4 << 20);
-    let (mut db_faulty, _) = build(4 << 20);
-    let d = w.delete_set(0.33, 7);
-    let clean = strategy::vertical_sort_merge(&mut db_ref, w.tid, 0, &d, par_workers)
-        .expect("fault-free run");
-    let bad = db_faulty
-        .table(w.tid)
-        .unwrap()
-        .index_on(1)
-        .unwrap()
-        .tree
-        .first_leaf()
-        .unwrap();
-    db_faulty.pool().with_disk(|disk| {
-        disk.set_fault_plan(FaultPlan::new().inject(FaultSpec::read_page(bad).transient(6)))
-    });
-    match strategy::vertical_sort_merge(&mut db_faulty, w.tid, 0, &d, par_workers) {
-        Ok(out) => {
-            println!("{}", out.report.summary());
-            print!("{}", out.report.phase_breakdown());
-            let eq = audit_equivalence(&db_ref, &db_faulty, w.tid).unwrap();
-            if !eq.is_clean() || out.deleted != clean.deleted {
-                eprintln!("[faults] degraded run diverged from fault-free run: {eq}");
-                std::process::exit(1);
-            }
-            println!(
-                "[faults] degraded run bit-identical to fault-free run \
-                 ({} retries, {} degradation event(s))\n",
-                out.report.io.retries,
-                out.report.events.len()
-            );
-        }
-        Err(e) => {
-            eprintln!("[faults] transient fault aborted the statement: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // Part 2: crash-at-every-I/O campaign smoke over the WAL drivers. The
-    // tiny pool (24 frames) keeps the working set uncached so the sweep
-    // covers real read and write accesses, not just the final flush.
-    let campaign_rows = rows.min(1_500);
-    let d: Vec<u64> = {
-        let mut db = Database::new(DatabaseConfig::with_total_memory(4 << 20));
-        let w = TableSpec::tiny(campaign_rows).build(&mut db).unwrap();
-        w.a_values.iter().copied().step_by(3).collect()
-    };
-    // The campaign table carries a B-tree per attribute *and* a hash index
-    // on attr 3, so the sweep also covers the hash phase (it runs last).
-    let campaign_build = || {
-        let mut db = Database::new(DatabaseConfig::with_total_memory(96 << 10));
-        let w = TableSpec::tiny(campaign_rows).build(&mut db).unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(0).unique())
-            .unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(1)).unwrap();
-        w.attach_index(&mut db, IndexDef::secondary(2)).unwrap();
-        db.create_hash_index(w.tid, 3).unwrap();
-        (db, w.tid)
-    };
-
-    // ... and Part 3, the torn-write smoke: the write-side mirror of the
-    // crash sweep, same harness. Each position tears one write (half the
-    // page persists under a checksum recording the intended image); media
-    // recovery heals the page, rebuilds the owning structure from the heap,
-    // and must converge to the fault-free state. Bounded for smoke: 25
-    // crash points, 10 surfaced tears.
-    for (fault, limit) in [(Fault::Crash, 25), (Fault::TornWrite, 10)] {
-        for (label, workers) in [("serial", 1usize), ("parallel", par_workers)] {
-            let started = std::time::Instant::now();
-            let mut target = BulkDelete {
-                probe_attr: 0,
-                d_keys: &d,
-                workers,
-            };
-            let report = match sweep(campaign_build, &mut target, fault, 0, Some(limit)) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("[faults] {label} {fault:?} sweep failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let wall = started.elapsed().as_secs_f32();
-            match fault {
-                Fault::Crash => println!(
-                    "[faults] {label} campaign smoke: {} crash points recovered \
-                     ({} fault-free accesses, {} rows deleted) in {wall:.1}s wall",
-                    report.recovered_points, report.fault_free_accesses, report.deleted,
-                ),
-                Fault::TornWrite => println!(
-                    "[faults] {label} torn-write smoke: {} tears media-recovered, \
-                     {} silent, {} rows deleted in {wall:.1}s wall",
-                    report.recovered_points, report.silent_points, report.deleted,
-                ),
-            }
-        }
-    }
-
-    // Part 4: replica ride-out. Per-page mirror copies absorb a torn write
-    // without media recovery — the retry policy repairs the torn primary
-    // from its intact second copy. Every mirror write is charged honestly
-    // as `DiskStats::replica_writes` (the replica lives on its own media).
-    {
-        use bd_storage::StructureId;
-        use bd_wal::{run_bulk_delete, CrashInjector, LogManager};
-        let (mut db, w) = build(4 << 20);
-        let d = w.delete_set(0.33, 7);
-        db.pool().flush_all().unwrap();
-        db.pool().with_disk(|disk| disk.enable_replicas());
-        // Tear the first write to a live page of the B-tree on attr 1.
-        let victim = db
-            .pool()
-            .with_disk(|disk| disk.catalog().pages_of(StructureId::Index(1))[0]);
-        db.pool().with_disk(|disk| {
-            disk.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_page(victim).torn()))
-        });
-        let log = LogManager::new();
-        let deleted = run_bulk_delete(&mut db, w.tid, 0, &d, &log, CrashInjector::none())
-            .expect("replica ride-out run");
-        let fired = db.pool().with_disk(|disk| disk.fault_plan_fired());
-        db.pool().crash();
-        db.pool().with_disk(|disk| disk.clear_fault_plan());
-        db.check_consistency(w.tid).unwrap();
-        let scrub = db.pool().with_disk(|disk| disk.corrupt_pages());
-        let stats = db.pool().with_disk(|disk| disk.stats());
-        if fired == 0 || !scrub.is_empty() {
-            eprintln!(
-                "[faults] replica ride-out failed: fired={fired}, \
-                 {} pages still corrupt",
-                scrub.len()
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "[faults] replica ride-out: {deleted} rows deleted through a torn \
-             write, scrub clean after restart; cost model charged {} primary \
-             page writes + {} mirror writes (replica_writes), {} repair \
-             retries",
-            stats.pages_written, stats.replica_writes, stats.retries
-        );
-    }
-}
-
 fn usage() -> ! {
     let ids: Vec<&str> = REGISTRY.iter().map(|(id, _)| *id).collect();
     eprintln!(
         "usage: repro [{}|all]... [--rows N] [--parallel N] [--phases] \
-         [--bench-json PATH] [--check-bench PATH] [--audit] [--faults]",
+         [--bench-json PATH] [--check-bench PATH]",
         ids.join("|")
     );
     std::process::exit(2);

@@ -19,9 +19,7 @@ use bd_core::{
     RunReport, Schema, TableId, Tuple,
 };
 use bd_storage::{IoScope, Pacer, PoolStats};
-use bd_wal::{
-    run_erasure_campaign, sweep, ErasureCampaign, Fault, LogManager, SweepReport, WalError,
-};
+use bd_wal::{run_erasure_campaign, LogManager, WalError};
 
 use crate::snapshot::BenchPoint;
 use crate::ExperimentReport;
@@ -138,9 +136,7 @@ fn measured(
 
 /// The retention-window sweep: for each erased-months point, the plain
 /// cascade and the full erasure campaign over a fresh warehouse — every
-/// campaign's proof-of-deletion must come back clean — then a
-/// [`crash_sample`] of the campaign fault sweep, which must recover and
-/// re-prove at every sampled point.
+/// campaign's proof-of-deletion must come back clean.
 pub fn erase_experiment(rows: usize, workers: usize) -> Result<ExperimentReport, WalError> {
     let spm = (rows as u64 / WINDOW_MONTHS).max(16);
     let pool_bytes = crate::mem_bytes(5.0, rows.max(1));
@@ -194,7 +190,6 @@ pub fn erase_experiment(rows: usize, workers: usize) -> Result<ExperimentReport,
         }
     }
 
-    let (crash, torn) = crash_sample(4, workers)?;
     Ok(ExperimentReport {
         id: "erase",
         title: format!(
@@ -203,35 +198,13 @@ pub fn erase_experiment(rows: usize, workers: usize) -> Result<ExperimentReport,
             spm * WINDOW_MONTHS
         ),
         x_label: "months erased",
-        notes: format!(
-            "expected: campaign > cascade at every window (the scrub reads \
+        notes: "expected: campaign > cascade at every window (the scrub reads \
              every live page and zeroes the freed ones, and the proof \
              re-scans the database); both grow with months erased. Every \
-             campaign proof clean: zero erased-key residue on any surface. \
-             Fault sample: {} crash points recovered; {} torn writes \
-             recovered + {} silent; {}-step cascade, proof clean at every \
-             point",
-            crash.recovered_points, torn.recovered_points, torn.silent_points, crash.steps
-        ),
+             campaign proof clean: zero erased-key residue on any surface."
+            .to_string(),
         points,
     })
-}
-
-/// A bounded crash/torn-write sample of the campaign fault sweep on a
-/// small warehouse — the CI smoke. Each sampled point recovers through
-/// [`bd_wal::recover_campaign`] (or the post-commit heal path) and must
-/// re-prove the erasure; any divergence surfaces as an error.
-pub fn crash_sample(limit: usize, workers: usize) -> Result<(SweepReport, SweepReport), WalError> {
-    const SPM: u64 = 12;
-    let build = || {
-        let (db, sales, _) = build_warehouse(SPM, 32 << 10);
-        (db, sales)
-    };
-    let d = victim_ids(1, SPM);
-    let mut target = ErasureCampaign::new(0, &d, workers);
-    let crash = sweep(build, &mut target, Fault::Crash, 0, Some(limit))?;
-    let torn = sweep(build, &mut target, Fault::TornWrite, 0, Some(limit))?;
-    Ok((crash, torn))
 }
 
 #[cfg(test)]
@@ -244,7 +217,6 @@ mod tests {
         assert_eq!(report.series(), vec!["cascade", "campaign"]);
         assert_eq!(report.xs().len(), ERASED_MONTHS.len());
         assert_eq!(report.points.len(), 2 * ERASED_MONTHS.len());
-        assert!(report.notes.contains("crash points recovered"));
         // The campaign's physical scrub and proof cost real I/O on top of
         // the cascade at every window.
         for x in report.xs() {
@@ -254,13 +226,5 @@ mod tests {
                 "{x}: campaign ({campaign}) not above cascade ({cascade})"
             );
         }
-    }
-
-    #[test]
-    fn crash_sample_recovers_and_proves() {
-        let (crash, torn) = crash_sample(3, 1).unwrap();
-        assert!(crash.recovered_points > 0, "{crash:?}");
-        assert_eq!(crash.steps, 2, "sales + line_items cascade");
-        assert!(torn.recovered_points + torn.silent_points > 0, "{torn:?}");
     }
 }

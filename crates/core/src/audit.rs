@@ -18,8 +18,8 @@
 //!
 //! Unlike `check_consistency`, nothing here panics on divergence: the
 //! harness accumulates findings so a single run reports *every* broken
-//! structure, which is what makes planted-corruption self-tests and
-//! `repro --audit` useful.
+//! structure, which is what makes planted-corruption self-tests and the
+//! every-driver diff (`tests/strategy_equivalence.rs`) useful.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -186,7 +186,10 @@ pub fn drop_create(
             let name = format!("rebuild {} ({tag})", def.name);
             let pool = pool.clone();
             tasks.push(PhaseTask::new(name, move || {
+                // Drop for real: free the old tree's pages (and, on a
+                // degradation re-run, a partial build's) before building.
                 let owner = StructureId::index_of(tid, def.attr);
+                pool.free_owned(owner);
                 let tree = match rebuild {
                     RebuildMode::BulkLoad => {
                         build_index(&pool, heap, schema, &def, owner, arm_bytes)?

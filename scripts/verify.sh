@@ -35,31 +35,11 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload wal15 --seed 42 --seconds 1 --trace 0 | tail -n 1 |
     grep -q '"correct": true'
 
-# Differential strategy-equivalence audit: horizontal vs vertical vs
-# vertical with parallel `⋈̄` arms vs the uncrashed WAL driver vs the
-# blocking concurrent driver vs the chunked live driver must leave
-# bit-equivalent structures (any finding exits 1), the vertical run's hash
-# arm must stay under 0.2 random I/Os per victim, the logged run's
-# simulated clock under 3.0x the vertical run's (1.197x, read before the
-# audit scans the logged database; a heap read per victim made it 5.56x),
-# and the live run's under 1.5x (1.157x with chunks cut along the heap and
-# one hash sweep; key-ordered chunks made it 4.118x). The blocking run's
-# clock over the vertical run's is printed, not gated.
-cargo run --release -p bd-bench --bin repro -- --audit --parallel 3
-
-# Fault-injection smoke: a transient fault must be ridden out (retry +
-# serial degradation, bit-identical state), a bounded crash sweep must
-# recover every crash point of the WAL driver at one worker and at three,
-# and a bounded torn-write sweep through the same harness must
-# media-recover every surfaced tear (half-written page images rebuilt from
-# the heap + WAL).
-cargo run --release -p bd-bench --bin repro -- --faults --parallel 3
-
 # The gate: re-run what the committed snapshot's header says it holds (the
 # six figures plus erase, maintain, lsm and plans at 20000 rows, one worker)
 # and compare every field of every cell and every experiment's notes as
 # printed. One moved digit exits 1 with the cell and field named; each
-# experiment's own verdict (erasure proofs + fault sample, the 10% space
+# experiment's own verdict (erasure proofs, the 10% space
 # budget, the LSM twin and page audits, sort/merge within 1.05x of every
 # forced index method) fails it the same way. After an
 # intended change regenerate the file (README, "Reproducing the paper")
