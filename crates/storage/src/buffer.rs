@@ -44,6 +44,16 @@ struct Frame {
     prefetched: AtomicBool,
 }
 
+impl Frame {
+    fn is_idle(&self) -> bool {
+        self.pin.load(Ordering::Acquire) == 0
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.dirty.load(Ordering::Acquire)
+    }
+}
+
 /// Hasher of the frame map's dense page ids: one multiply by an odd
 /// constant (2^64 / golden ratio) instead of SipHash. The map takes a
 /// bucket from the low bits of the hash — for an odd multiplier a
@@ -98,6 +108,34 @@ impl Inner {
         }
     }
 
+    /// The frame of `pid` if write-back may rewrite it to bridge a gap:
+    /// resident, clean and unpinned. A pinned one may be in the window
+    /// between `pin_frame` returning and `pin_write` raising the dirty
+    /// flag, its bytes about to change. With the pin count at zero under
+    /// `inner` nobody can be in that window, and nobody can enter it before
+    /// `inner` is released.
+    fn bridge(&self, pid: PageId) -> Option<&Arc<Frame>> {
+        self.frames
+            .get(&pid)
+            .filter(|f| f.is_idle() && !f.is_dirty())
+    }
+
+    /// Whether `pid` is resident, staged by [`BufferPool::prefetch_run`] and
+    /// never pinned since — so clean and unpinned, a bridge.
+    fn staged(&self, pid: PageId) -> bool {
+        self.frames
+            .get(&pid)
+            .is_some_and(|f| f.prefetched.load(Ordering::Acquire))
+    }
+
+    /// The first of `pages` that is not a bridge, if it is an idle dirty
+    /// frame: where a write-back chain through the bridges before it ends.
+    fn dirty_end(&self, mut pages: impl Iterator<Item = PageId>) -> Option<PageId> {
+        pages
+            .find(|&pid| self.bridge(pid).is_none())
+            .filter(|pid| self.frames.get(pid).is_some_and(|f| f.is_idle()))
+    }
+
     /// Make `buf` the resident frame of `pid`, most recently used. Only a
     /// page born in the pool is installed dirty, so it is installed hot.
     fn install(
@@ -135,8 +173,10 @@ pub struct PoolStats {
     /// would inflate the cache's apparent warmth.
     pub prefetched: u64,
     /// Dirty pages written back during eviction or flush. Clean pages a
-    /// write-behind chain rewrites to bridge a gap are not counted: they
-    /// show as the excess of `DiskStats::pages_written` over this.
+    /// write-behind chain rewrites are not counted — those bridging a gap
+    /// between dirty pages, and those carrying an evicting chain on to the
+    /// disk head: they show as the excess of `DiskStats::pages_written`
+    /// over this.
     pub writebacks: u64,
 }
 
@@ -413,54 +453,50 @@ impl BufferPool {
     ///
     /// A chain runs on across a gap between two dirty pages when the gap is
     /// no longer than [`BufferPool::breakeven_pages`] and every page in it
-    /// is resident, clean and unpinned — behind a sorted sweep, the pages
+    /// is a bridge ([`Inner::bridge`]) — behind a sorted sweep, the pages
     /// the coalesced read-ahead chain dragged in a moment earlier. The
     /// bridged pages are written like any other (copied, checksummed,
     /// charged, mirrored); their bytes are the ones the disk already
     /// holds, so the rewrite adds transfer time and saves a positioning.
-    /// An absent page breaks the chain, and so does a pinned one: between
-    /// `pin_frame` returning and `pin_write` raising the dirty flag a frame
-    /// is pinned with the flag still down, and its bytes are about to
-    /// change. With the pin count at zero under `inner` nobody can be in
-    /// that window, and nobody can enter it before `inner` is released.
+    ///
+    /// An eviction's due chain that ends within the breakeven below the
+    /// disk head, with every page up to the head staged by read-ahead and
+    /// never pinned ([`Inner::staged`]), is carried on to the head: the
+    /// read-ahead chain that staged those pages ended there, so the read
+    /// that follows the eviction continues at the head instead of
+    /// repositioning. Pages pinned since they were read (an index lookup's
+    /// leaves) say nothing about where the next read starts, and neither
+    /// does a flush, which ends its chains at their last dirty page.
     fn write_back(&self, inner: &Inner, victim: Option<PageId>) -> StorageResult<()> {
-        let idle = |f: &Frame| f.pin.load(Ordering::Acquire) == 0;
-        let is_dirty = |f: &Frame| f.dirty.load(Ordering::Acquire);
         let due = |f: &Frame| {
-            victim.is_none_or(|v| f.pid == v || is_dirty(f) && !f.hot.load(Ordering::Relaxed))
+            victim.is_none_or(|v| f.pid == v || f.is_dirty() && !f.hot.load(Ordering::Relaxed))
         };
         let mut dirty: Vec<&Arc<Frame>> = inner
             .frames
             .values()
-            .filter(|f| idle(f) && is_dirty(f))
+            .filter(|f| f.is_idle() && f.is_dirty())
             .collect();
         dirty.sort_by_key(|f| f.pid);
         let mut dirty = dirty.into_iter().peekable();
         let mut disk = self.disk.lock();
         let retry = *self.retry.lock();
+        let head = victim.and(disk.head());
         let mut chain: Vec<&Arc<Frame>> = Vec::new();
-        while let Some(head) = dirty.next() {
+        while let Some(first) = dirty.next() {
             chain.clear();
-            chain.push(head);
+            chain.push(first);
             while let Some(next) = dirty.peek() {
-                let gap = chain[chain.len() - 1].pid + 1..next.pid;
-                if gap.len() > self.breakeven as usize {
-                    break;
-                }
-                let unbridged = chain.len();
-                chain.extend(
-                    gap.clone().map_while(|pid| {
-                        inner.frames.get(&pid).filter(|f| idle(f) && !is_dirty(f))
-                    }),
-                );
-                if chain.len() < unbridged + gap.len() {
-                    chain.truncate(unbridged);
+                if !self.bridge_to(inner, &mut chain, next.pid) {
                     break;
                 }
                 chain.extend(dirty.next());
             }
             if !chain.iter().any(|f| due(f)) {
                 continue;
+            }
+            let end = chain[chain.len() - 1].pid + 1;
+            if let Some(head) = head.filter(|&h| (end..h).all(|pid| inner.staged(pid))) {
+                self.bridge_to(inner, &mut chain, head);
             }
             let start = chain[0].pid;
             retry_disk(retry, &mut disk, |d| {
@@ -478,19 +514,49 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Extend `chain` over the pages after its last one up to `to`,
+    /// exclusive, if there are at most [`BufferPool::breakeven_pages`] of
+    /// them and each is a bridge ([`Inner::bridge`]). Returns whether the
+    /// chain now ends just below `to`.
+    fn bridge_to<'a>(&self, inner: &'a Inner, chain: &mut Vec<&'a Arc<Frame>>, to: PageId) -> bool {
+        let gap = chain[chain.len() - 1].pid + 1..to;
+        if gap.len() > self.breakeven as usize {
+            return false;
+        }
+        let unbridged = chain.len();
+        chain.extend(gap.clone().map_while(|pid| inner.bridge(pid)));
+        if chain.len() < unbridged + gap.len() {
+            chain.truncate(unbridged);
+            return false;
+        }
+        true
+    }
+
+    /// Whether write-back would rewrite the clean frame `pid` to bridge a
+    /// gap: the nearest pages around it that are not bridges are idle
+    /// dirty frames at most [`BufferPool::breakeven_pages`] apart.
+    fn bridges_a_gap(&self, inner: &Inner, pid: PageId) -> bool {
+        let gap = self.breakeven;
+        inner
+            .dirty_end((pid.saturating_sub(gap)..pid).rev())
+            .is_some_and(|lo| inner.dirty_end(pid + 1..=lo + gap + 1).is_some())
+    }
+
     /// Evict one unpinned frame (LRU). Caller holds `inner`.
     fn evict_one(&self, inner: &mut Inner) -> StorageResult<()> {
         let victim = inner
             .frames
             .values()
-            .filter(|f| f.pin.load(Ordering::Acquire) == 0)
+            .filter(|f| f.is_idle())
             .min_by_key(|f| f.last_used.load(Ordering::Relaxed))
             .map(|f| f.pid);
         let pid = victim.ok_or(StorageError::BufferExhausted)?;
-        if inner.frames[&pid].dirty.load(Ordering::Acquire) {
-            // Eviction hit a dirty page: write its chain, and every chain
-            // with a cold page, in one chained pass so scans do not
-            // interleave random writes. Chains of hot pages stay dirty.
+        // Eviction hit a dirty page, or a staged page never pinned that
+        // bridges two dirty ones (LRU reaches a sweep's read-ahead bridges
+        // before the pages it dirtied on either side): write its chain, and
+        // every chain with a cold page, in one chained pass so scans do not
+        // interleave random writes. Chains of hot pages stay dirty.
+        if inner.frames[&pid].is_dirty() || inner.staged(pid) && self.bridges_a_gap(inner, pid) {
             self.write_back(inner, Some(pid))?;
         }
         let frame = inner.frames.remove(&pid).expect("victim frame present");
@@ -1263,6 +1329,85 @@ mod tests {
     }
 
     #[test]
+    fn a_bridge_leaves_with_its_chain() {
+        // Stage pages 0..=2 and dirty both ends: page 1 is the clean bridge
+        // of the chain 0..=2 and the least recent frame. Reads of pages
+        // 10..=13 fill the pool and evict it; then a flush writes whatever
+        // is left.
+        let evict_bridge = |pin_the_bridge: bool| {
+            let (pool, first) = small_pool(6, 64);
+            assert_eq!(pool.prefetch_run(first, 3).unwrap(), 3);
+            if pin_the_bridge {
+                drop(pool.pin_read(first + 1).unwrap());
+            }
+            for i in [0, 2] {
+                pool.pin_write(first + i).unwrap()[0] = 1;
+            }
+            pool.reset_stats();
+            for i in 10..=13 {
+                drop(pool.pin_read(first + i).unwrap());
+            }
+            assert!(!pool.contains(first + 1), "page 1 was the victim");
+            assert!(pool.contains(first) && pool.contains(first + 2));
+            pool.flush_all().unwrap();
+            let d = pool.disk_stats();
+            (
+                write_accesses(&d),
+                d.pages_written,
+                pool.pool_stats().writebacks,
+            )
+        };
+        assert_eq!(evict_bridge(false), (1, 3, 2), "0..=2 left as one chain");
+        // A frame that was pinned is no staged bridge: it leaves alone, and
+        // the chain splits as before.
+        assert_eq!(evict_bridge(true), (2, 2, 2), "0 and 2 apart");
+    }
+
+    #[test]
+    fn an_evicting_chain_ends_at_the_head() {
+        // Page 0 dirty, then read-ahead stages 1..=2: the head rests at 3.
+        // Staging 3..=4 evicts page 0.
+        let evict = |pin_the_staged: bool| {
+            let (pool, first) = small_pool(4, 64);
+            pool.pin_write(first).unwrap()[0] = 1;
+            assert_eq!(pool.prefetch_run(first + 1, 2).unwrap(), 2);
+            assert_eq!(pool.with_disk(|d| d.head()), Some(first + 3));
+            if pin_the_staged {
+                for i in 1..=2 {
+                    drop(pool.pin_read(first + i).unwrap());
+                }
+            }
+            pool.reset_stats();
+            assert_eq!(pool.prefetch_run(first + 3, 2).unwrap(), 2);
+            assert!(!pool.contains(first), "page 0 was the victim");
+            assert_eq!(pool.pool_stats().writebacks, 1, "one dirty page");
+            let d = pool.disk_stats();
+            (
+                (write_accesses(&d), d.pages_written),
+                (d.random_reads, d.sequential_reads),
+                pool,
+                first,
+            )
+        };
+        // The chain is carried over the staged 1..=2 to the head, so the
+        // read that follows continues there.
+        let (writes, reads, pool, first) = evict(false);
+        assert_eq!((writes, reads), ((1, 3), (0, 1)));
+        // No read follows a flush: its chain ends at its last dirty page,
+        // not at the head (5) past staged page 4.
+        pool.pin_write(first + 3).unwrap()[0] = 1;
+        pool.reset_stats();
+        pool.flush_all().unwrap();
+        assert_eq!(pool.disk_stats().pages_written, 1);
+        assert_eq!(on_platter(&pool, first), 1);
+        assert_eq!(on_platter(&pool, first + 3), 1);
+        // Pages pinned since they were staged do not mark where the next
+        // read starts: the chain ends at page 0.
+        let (writes, reads, _, _) = evict(true);
+        assert_eq!((writes, reads), ((1, 1), (1, 0)));
+    }
+
+    #[test]
     fn flush_all_writes_hot_pages_before_a_crash() {
         let (pool, first) = small_pool(4, 4);
         pool.pin_write(first).unwrap()[0] = 1;
@@ -1461,8 +1606,9 @@ mod tests {
         // by page id, so the frame map's hasher cannot matter: the resident
         // sets and pin counts are the ones the same stream produced over a
         // SipHash-keyed map, and before hot pages waited — that rule moves
-        // when a page reaches the platter, never which pages stay resident.
-        // The disk counters are the hot-page write-behind's.
+        // when a page reaches the platter, never which pages stay resident,
+        // and so do the rules that keep write-behind chains whole. The disk
+        // counters are those rules' write-behind's.
         assert_eq!(
             digest, 0xbead_0a85_741b_9841,
             "resident sets and pin counts"
@@ -1474,9 +1620,9 @@ mod tests {
             d.random_writes,
             d.sequential_writes,
         );
-        assert_eq!(chains, (2265, 71, 659, 0));
-        assert_eq!((d.pages_read, d.pages_written), (3131, 716));
-        assert!((d.sim_ms - 37_123.88).abs() < 1e-6, "{d:?}");
+        assert_eq!(chains, (2265, 71, 655, 0));
+        assert_eq!((d.pages_read, d.pages_written), (3131, 726));
+        assert!((d.sim_ms - 37_079.2).abs() < 1e-6, "{d:?}");
     }
 
     #[test]

@@ -718,6 +718,11 @@ impl SimDisk {
         self.stats = DiskStats::default();
     }
 
+    /// Page the head would reach next without repositioning, if any.
+    pub(crate) fn head(&self) -> Option<PageId> {
+        self.head
+    }
+
     /// The configured cost model.
     pub fn cost_model(&self) -> CostModel {
         self.cost

@@ -32,6 +32,8 @@ pub struct HeapFile {
     fsm: FreeSpaceMap,
     /// The page the last insert went to, where the next one starts looking.
     cursor: Option<PageId>,
+    /// Exclusive end of the last chain the insert stream staged.
+    staged_to: Option<PageId>,
     n_records: usize,
 }
 
@@ -43,6 +45,7 @@ impl HeapFile {
             pages: Vec::new(),
             fsm: FreeSpaceMap::new(),
             cursor: None,
+            staged_to: None,
             n_records: 0,
         }
     }
@@ -98,7 +101,10 @@ impl HeapFile {
     /// pages with room among the next [`READ_AHEAD_WINDOW`] are staged in
     /// one chained read (gaps bridged as [`ReadAhead`] bridges them), so
     /// the inserts that follow hit the pool, and the clean bridged frames
-    /// let write-behind chain the dirtied pages out together.
+    /// let write-behind chain the dirtied pages out together. The chain
+    /// starts where the previous staging's ended when the heap pages in
+    /// between are full and few enough to bridge, so the windows read as
+    /// one sweep.
     pub fn insert(&mut self, record: &[u8]) -> StorageResult<Rid> {
         let needed = record.len() + 4; // record + slot entry
         let pid = match self.fsm.next_fit(self.cursor.unwrap_or(0), needed) {
@@ -122,15 +128,25 @@ impl HeapFile {
     }
 
     /// Best effort: stage `pid` and every later page with room for
-    /// `needed` bytes inside the read-ahead window starting at `pid`.
-    fn stage_inserts_from(&self, pid: PageId, needed: usize) {
+    /// `needed` bytes inside the read-ahead window starting at `pid`,
+    /// continuing the previous staging's chain when every page between its
+    /// end and `pid` is the heap's.
+    fn stage_inserts_from(&mut self, pid: PageId, needed: usize) {
         let end = pid.saturating_add(READ_AHEAD_WINDOW as PageId);
+        let rank = |p: PageId| self.pages.partition_point(|&q| q < p);
         let mut ra = ReadAhead::new(self.pool.clone());
+        if let Some(to) = self
+            .staged_to
+            .filter(|&to| to <= pid && rank(pid) - rank(to) == (pid - to) as usize)
+        {
+            ra.continue_from(to);
+        }
         ra.plan(
             std::iter::successors(Some(pid), |&p| self.fsm.first_fit_from(p + 1, needed))
                 .take_while(|&p| p < end),
         );
         ra.before_pin(pid);
+        self.staged_to = ra.chain_end();
     }
 
     /// Read the record at `rid`.
@@ -693,11 +709,18 @@ mod tests {
         // Every page pinned at most once plus prefetch: misses bounded by
         // page count.
         assert!(pool_stats.misses as usize <= h.num_pages());
-        // And one pass on the way out: the dirty pages (all of them, every
-        // other record is a victim) leave in chains, not one by one.
+        // And one pass on the way out: the dirty pages (all 72 of them,
+        // every other record is a victim) leave in chains, not one by one.
+        // The chain the first eviction writes is carried on to the disk
+        // head over the 3 pages read-ahead staged past the sweep; the sweep
+        // dirties those next, so they are written twice.
         h.pool().flush_all().unwrap();
         let d = h.pool().disk_stats();
-        assert_eq!(h.pool().pool_stats().writebacks, d.pages_written);
+        assert_eq!(h.num_pages(), 72);
+        assert_eq!(
+            (h.pool().pool_stats().writebacks, d.pages_written),
+            (72, 75)
+        );
         assert!(
             (d.random_writes + d.sequential_writes) * 8 <= d.pages_written,
             "{d:?}"
@@ -958,6 +981,46 @@ mod tests {
             touched.len()
         );
         h.verify_fsm().unwrap();
+    }
+
+    #[test]
+    fn the_insert_stream_bridges_full_pages_between_its_windows() {
+        // Sixteen full pages of seven records; one slot freed on pages 0,
+        // 1, 2, 11 and 12. The refill's first window stages 0..=2, its
+        // second starts at 11: the full pages 3..=10 between them are
+        // read too, so the second chain continues at the head and the
+        // flush writes the pages out as one chain.
+        let refill = |foreign_page: bool| {
+            let mut h = heap(32);
+            for i in 0..7 * 16 {
+                if foreign_page && h.num_pages() == 6 && i % 7 == 0 {
+                    h.pool().allocate(StructureId::Index(1), 0);
+                }
+                h.insert(&record(i)).unwrap();
+            }
+            let pages = h.page_ids().to_vec();
+            assert_eq!(pages.len(), 16);
+            for i in [0, 1, 2, 11, 12] {
+                h.delete(Rid::new(pages[i], 0)).unwrap();
+            }
+            h.pool().clear_cache().unwrap();
+            h.pool().reset_stats();
+            let rids: Vec<Rid> = (0..5)
+                .map(|i| h.insert(&record(100 + i)).unwrap())
+                .collect();
+            let want: Vec<PageId> = [0, 1, 2, 11, 12].map(|i| pages[i]).to_vec();
+            assert_eq!(rids.iter().map(|r| r.page).collect::<Vec<_>>(), want);
+            h.pool().flush_all().unwrap();
+            let d = h.pool().disk_stats();
+            (
+                (d.random_reads, d.sequential_reads, d.pages_read),
+                (d.random_writes, d.sequential_writes, d.pages_written),
+            )
+        };
+        assert_eq!(refill(false), ((1, 1, 13), (1, 0, 13)));
+        // A page that is not the heap's sits between the windows: the
+        // insert stream stages only heap pages, so the chains split.
+        assert_eq!(refill(true), ((2, 0, 5), (2, 0, 5)));
     }
 
     #[test]

@@ -36,9 +36,11 @@ use crate::disk::PageId;
 /// follow each other head-contiguously pay no positioning regardless of
 /// their length, so a longer window buys nothing on a sweep; what it *does*
 /// cost is pool frames, and staged-but-unpinned pages evicted under write
-/// pressure must be re-read at a full positioning each. Eight pages keeps
-/// the staged footprint below a tenth of even the smallest benched pool
-/// (96 frames at the 5 MB-scaled budget).
+/// pressure must be re-read at a full positioning each. Eight pages is a
+/// twelfth of the largest benched pool (96 frames, `heap5`) but over a
+/// quarter of the smallest (`lsm10` runs on 28 frames, `window4` on 30,
+/// `arms15` on 36, `wal15` and `live15` on 48); a pool below 16 frames
+/// clamps the window to [`BufferPool::max_prefetch`].
 pub const READ_AHEAD_WINDOW: usize = 8;
 
 /// Windowed read-ahead over a sorted stream of upcoming page ids.
@@ -107,6 +109,19 @@ impl ReadAhead {
             }
         }
         ra
+    }
+
+    /// Start the first chain at `end`, the exclusive end of an earlier
+    /// read-ahead's last chain, when the first planned page is close enough
+    /// for [`ReadAhead::before_pin`] to bridge to it: a stream that plans
+    /// one short window at a time continues its chain across windows.
+    pub(crate) fn continue_from(&mut self, end: PageId) {
+        self.cover = Some(end);
+    }
+
+    /// Exclusive end of the last chain issued, if any.
+    pub(crate) fn chain_end(&self) -> Option<PageId> {
+        self.cover
     }
 
     /// Number of planned pages not yet behind the cursor.

@@ -46,7 +46,7 @@ fn counters(db: &Database) -> (DiskStats, PoolStats) {
 
 /// The vertical run's simulated milliseconds, pinned below: the clock the
 /// other drivers are bounded against.
-const VERTICAL_SIM_MS: f64 = 2937.720000000003;
+const VERTICAL_SIM_MS: f64 = 2244.3800000000015;
 
 fn check(driver: &str, got: (DiskStats, PoolStats), want: (DiskStats, PoolStats)) {
     assert_eq!(got.0, want.0, "{driver}: disk counters moved");
@@ -72,12 +72,12 @@ fn offline_vertical_stream_is_pinned() {
         counters(&db),
         (
             DiskStats {
-                random_reads: 47,
-                sequential_reads: 342,
-                random_writes: 69,
+                random_reads: 9,
+                sequential_reads: 380,
+                random_writes: 45,
                 sequential_writes: 0,
                 pages_read: 1929,
-                pages_written: 1886,
+                pages_written: 2039,
                 retries: 0,
                 replica_writes: 0,
                 sim_ms: VERTICAL_SIM_MS,
@@ -108,15 +108,15 @@ fn logged_stream_is_pinned() {
         got,
         (
             DiskStats {
-                random_reads: 52,
-                sequential_reads: 694,
-                random_writes: 72,
+                random_reads: 14,
+                sequential_reads: 732,
+                random_writes: 48,
                 sequential_writes: 0,
                 pages_read: 3692,
-                pages_written: 1890,
+                pages_written: 2036,
                 retries: 0,
                 replica_writes: 0,
-                sim_ms: 3741.880000000003,
+                sim_ms: 3045.74,
             },
             PoolStats {
                 hits: 62,
@@ -143,15 +143,15 @@ fn blocking_concurrent_stream_is_pinned() {
             counters(db),
             (
                 DiskStats {
-                    random_reads: 49,
-                    sequential_reads: 340,
-                    random_writes: 71,
+                    random_reads: 9,
+                    sequential_reads: 380,
+                    random_writes: 47,
                     sequential_writes: 0,
                     pages_read: 1929,
-                    pages_written: 1886,
+                    pages_written: 2045,
                     retries: 0,
                     replica_writes: 0,
-                    sim_ms: 2986.4000000000033,
+                    sim_ms: 2271.1200000000017,
                 },
                 PoolStats {
                     hits: 3,
@@ -192,21 +192,21 @@ fn live_stream_is_pinned() {
             got,
             (
                 DiskStats {
-                    random_reads: 68,
-                    sequential_reads: 427,
-                    random_writes: 84,
+                    random_reads: 29,
+                    sequential_reads: 466,
+                    random_writes: 61,
                     sequential_writes: 0,
                     pages_read: 2225,
-                    pages_written: 2116,
+                    pages_written: 2294,
                     retries: 0,
                     replica_writes: 0,
-                    sim_ms: 3586.2400000000043,
+                    sim_ms: 2902.9000000000005,
                 },
                 PoolStats {
                     hits: 92,
                     misses: 63,
                     prefetched: 1941,
-                    writebacks: 1949,
+                    writebacks: 1948,
                 },
             ),
         );

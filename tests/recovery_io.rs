@@ -103,15 +103,15 @@ fn recovery_resumes_the_table_pass_at_its_last_progress_record() {
     assert_eq!(
         db.pool().disk_stats(),
         DiskStats {
-            random_reads: 22,
-            sequential_reads: 238,
-            random_writes: 31,
+            random_reads: 6,
+            sequential_reads: 254,
+            random_writes: 30,
             sequential_writes: 0,
             pages_read: 908,
-            pages_written: 913,
+            pages_written: 961,
             retries: 0,
             replica_writes: 0,
-            sim_ms: 1373.4100000000076,
+            sim_ms: 1185.7200000000003,
         }
     );
     db.check_consistency(w.tid).unwrap();
