@@ -27,11 +27,11 @@ use crate::tree::BTree;
 
 /// Close out a bulk-delete pass. On the success path, patch the parents of
 /// the freed leaves and run the policy's reorganization pass. On the error
-/// path (a fault, or cancellation from a failing sibling arm), still patch
-/// the parents — with cancellation checks suspended, since this small,
-/// bounded cleanup is what leaves the tree structurally consistent (freed
-/// leaves fully detached, `len` already maintained per leaf) so the
-/// executor's serial re-run can resume from the partial state. The cleanup
+/// path (a fault, or a cancelled pacer), still patch the parents — with
+/// pacer checkpoints suspended, since this small, bounded cleanup is what
+/// leaves the tree structurally consistent (freed leaves fully detached,
+/// `len` already maintained per leaf) so a later run can resume from the
+/// partial state. The cleanup
 /// I/O remains charged to the simulated clock.
 fn finish_pass(
     tree: &mut BTree,

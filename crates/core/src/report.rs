@@ -17,42 +17,21 @@ use bd_storage::{BufferPool, DiskStats, IoScope, PoolStats, StorageResult};
 
 pub use crate::audit::{AuditFinding, AuditReport};
 
-/// A graceful-degradation event: one fan-out arm died, the executor
-/// cancelled its siblings and re-ran every unfinished arm serially instead
-/// of failing the whole statement.
+/// An arm re-run after a fault. The executor never re-runs an arm (a fault
+/// is retried only by the buffer pool), so none is recorded; the type keeps
+/// [`RunReport::events`] in shape for callers that count it.
 #[derive(Debug, Clone)]
 pub struct DegradeEvent {
     /// Fan-out group the failure occurred in.
     pub group: u32,
-    /// Label of the arm whose failure triggered degradation.
+    /// Label of the arm whose failure triggered the re-run.
     pub failed_arm: String,
     /// Display form of the originating error.
     pub error: String,
-    /// Labels of the arms re-run serially (in plan order; includes the
-    /// failed arm itself, which gets one more chance off the fault path).
+    /// Labels of the arms re-run.
     pub reran: Vec<String>,
-    /// Whether every serial re-run completed — `true` means the statement
-    /// survived the fault; `false` means the re-run hit it again (a
-    /// persistent fault) and the statement failed after all.
+    /// Whether every re-run completed.
     pub recovered: bool,
-}
-
-impl std::fmt::Display for DegradeEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "group {}: arm `{}` failed ({}); re-ran {} arm(s) serially — {}",
-            self.group,
-            self.failed_arm,
-            self.error,
-            self.reran.len(),
-            if self.recovered {
-                "recovered"
-            } else {
-                "not recovered"
-            },
-        )
-    }
 }
 
 /// One phase (task) of a strategy execution: a named unit of work with the
@@ -135,8 +114,7 @@ const HIST_BUCKETS: usize = HIST_SUB * (64 - HIST_SUB_BITS as usize + 1);
 /// bounded (≤ 12.5%) relative error — the usual shape for foreground
 /// latency reporting, where exact values matter less than stable tails.
 /// Workload workers each record into their own histogram and the driver
-/// [`LatencyHistogram::merge`]s them on join, mirroring how [`IoScope`]
-/// shards merge.
+/// [`LatencyHistogram::merge`]s them on join.
 #[derive(Clone)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
@@ -338,8 +316,8 @@ pub struct RunReport {
     /// Buffer-pool counters for the run (hits, misses, prefetched pins,
     /// writebacks) — the cache-warmth side of the same I/O story `io` tells.
     pub pool: PoolStats,
-    /// Graceful-degradation events: fan-out arms that died and were re-run
-    /// serially. Empty on a fault-free run.
+    /// Arm re-runs. Always empty: no executor path re-runs an arm; the
+    /// field stays for callers that count it.
     pub events: Vec<DegradeEvent>,
     /// Foreground latency percentiles per op class, when the run executed
     /// under live traffic (`None` for offline runs).
@@ -406,9 +384,6 @@ impl RunReport {
                 out.push_str(&format!("      ({} I/O retries)\n", row.io.retries));
             }
         }
-        for event in &self.events {
-            out.push_str(&format!("  !! degraded: {event}\n"));
-        }
         if let Some(fg) = &self.foreground {
             out.push_str(&fg.table());
         }
@@ -436,9 +411,6 @@ impl RunReport {
         }
         if self.io.retries > 0 {
             line.push_str(&format!("  retries {}", self.io.retries));
-        }
-        if !self.events.is_empty() {
-            line.push_str(&format!("  DEGRADED x{}", self.events.len()));
         }
         line
     }

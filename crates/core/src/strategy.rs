@@ -149,7 +149,7 @@ pub fn drop_create(
     let pos = probe_pos(parts.indices, probe_attr)?; // validate before measuring
     let ws_bytes = ws.capacity().max(4096);
 
-    let ((deleted, phases, events), mut report) = measure(&pool, "drop&create", || {
+    let ((deleted, phases), mut report) = measure(&pool, "drop&create", || {
         let mut exec = PhaseExecutor::new(workers);
         // Drop every index except the probe index (still needed to find the
         // records to delete), which is left alone at position 0.
@@ -186,8 +186,7 @@ pub fn drop_create(
             let name = format!("rebuild {} ({tag})", def.name);
             let pool = pool.clone();
             tasks.push(PhaseTask::new(name, move || {
-                // Drop for real: free the old tree's pages (and, on a
-                // degradation re-run, a partial build's) before building.
+                // Drop for real: free the old tree's pages before building.
                 let owner = StructureId::index_of(tid, def.attr);
                 pool.free_owned(owner);
                 let tree = match rebuild {
@@ -202,12 +201,7 @@ pub fn drop_create(
                         tree
                     }
                 };
-                // Clone: the body is `FnMut` so a degradation re-run can
-                // rebuild from scratch; `def` must survive the first call.
-                *slot.lock().expect("rebuild slot lock") = Some(Index {
-                    def: def.clone(),
-                    tree,
-                });
+                *slot.lock().expect("rebuild slot lock") = Some(Index { def, tree });
                 Ok(())
             }));
         }
@@ -216,13 +210,12 @@ pub fn drop_create(
             let index = slot.into_inner().expect("rebuild slot lock");
             parts.indices.push(index.expect("rebuild arm completed"));
         }
-        let (phases, events) = exec.into_parts();
-        Ok((deleted, phases, events))
+        let phases = exec.into_rows();
+        Ok((deleted, phases))
     })?;
     report.deleted = deleted.len();
     report.phases = phases;
     report.workers = workers.max(1);
-    report.events = events;
     Ok(DeleteOutcome { report, deleted })
 }
 
@@ -251,7 +244,7 @@ pub fn vertical(
     let passes = split(parts, plan.probe_attr, &order);
     let ws_bytes = ws.capacity().max(4096);
 
-    let ((deleted, phases, events), mut report) = measure(&pool, "bulk delete", || {
+    let ((deleted, phases), mut report) = measure(&pool, "bulk delete", || {
         let mut exec = PhaseExecutor::new(workers);
         // Sort D on the probe key (sort_D in Fig. 3).
         let keys: Vec<Key> = exec.serial("sort(D)", || {
@@ -260,17 +253,16 @@ pub fn vertical(
         let rows = run_passes(
             &mut exec, &pool, &ws, schema, plan, passes, n_serial, &keys, policy,
         )?;
-        let (phases, events) = exec.into_parts();
+        let phases = exec.into_rows();
         let deleted: Vec<(Rid, Tuple)> = rows
             .into_iter()
             .map(|(rid, bytes)| (rid, schema.decode(&bytes)))
             .collect();
-        Ok((deleted, phases, events))
+        Ok((deleted, phases))
     })?;
     report.deleted = deleted.len();
     report.phases = phases;
     report.workers = workers.max(1);
-    report.events = events;
     Ok(DeleteOutcome { report, deleted })
 }
 

@@ -107,7 +107,7 @@ pub struct DiskStats {
 }
 
 impl DiskStats {
-    /// Add `other`'s counters into `self` (shard merging, scope roll-up).
+    /// Add `other`'s counters into `self` (scope roll-up).
     pub fn merge(&mut self, other: &DiskStats) {
         self.random_reads += other.random_reads;
         self.sequential_reads += other.sequential_reads;
@@ -453,7 +453,6 @@ impl SimDisk {
     /// [`StorageError::ChecksumMismatch`] when no replica exists or the
     /// replica is damaged too.
     pub fn recover_from_replica(&mut self, pid: PageId) -> StorageResult<()> {
-        crate::io_scope::check_cancelled()?;
         self.check(pid)?;
         self.faulted(FaultOp::Read, pid, 1)?;
         // The replica lives at a different physical location: always pay
@@ -532,7 +531,6 @@ impl SimDisk {
 
     /// Read one page into `dst`.
     pub fn read(&mut self, pid: PageId, dst: &mut [u8; PAGE_SIZE]) -> StorageResult<()> {
-        crate::io_scope::check_cancelled()?;
         self.check(pid)?;
         self.faulted(FaultOp::Read, pid, 1)?;
         self.charge(pid, 1, true);
@@ -557,7 +555,6 @@ impl SimDisk {
         if n == 0 {
             return Ok(());
         }
-        crate::io_scope::check_cancelled()?;
         self.check(first + n as PageId - 1)?;
         self.faulted(FaultOp::Read, first, n as u32)?;
         self.charge(first, n as u64, true);
@@ -570,7 +567,6 @@ impl SimDisk {
 
     /// Write one page.
     pub fn write(&mut self, pid: PageId, src: &[u8; PAGE_SIZE]) -> StorageResult<()> {
-        crate::io_scope::check_cancelled()?;
         self.check(pid)?;
         let (_, torn) = self.faulted(FaultOp::Write, pid, 1)?;
         self.charge(pid, 1, false);
@@ -605,7 +601,6 @@ impl SimDisk {
         if n == 0 {
             return Ok(());
         }
-        crate::io_scope::check_cancelled()?;
         self.check(first + n as PageId - 1)?;
         let (persist, torn) = self.faulted(FaultOp::Write, first, n as u32)?;
         let persist = persist as usize;

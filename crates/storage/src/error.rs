@@ -49,8 +49,8 @@ pub enum StorageError {
     /// considered dead from this access on (never retried; the WAL's
     /// roll-forward recovery takes over after restart).
     SimulatedCrash,
-    /// The access ran under an [`crate::IoScope`] whose [`crate::CancelToken`]
-    /// was tripped — a sibling task failed and this task is being aborted.
+    /// A [`crate::Pacer`] installed on the running thread was cancelled: the
+    /// task stopped at its next [`crate::pacer::checkpoint`].
     Cancelled,
 }
 
@@ -88,7 +88,7 @@ impl fmt::Display for StorageError {
                 write!(f, "simulated crash: disk unavailable past the crash point")
             }
             StorageError::Cancelled => {
-                write!(f, "task cancelled: a concurrent sibling task failed")
+                write!(f, "task cancelled: its pacer was cancelled")
             }
         }
     }

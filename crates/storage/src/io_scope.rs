@@ -1,4 +1,4 @@
-//! Per-task I/O accounting and cooperative cancellation.
+//! Per-task I/O accounting.
 //!
 //! The phase-task executor runs independent `⋈̄` arms of a bulk delete on
 //! worker threads against one shared [`crate::SimDisk`]. The disk's global
@@ -7,149 +7,47 @@
 //! the arms would cost if they truly overlapped), every charge is also
 //! attributed to the [`IoScope`]s active on the charging thread.
 //!
-//! An [`IoScope`] hands out one counter *shard per entering thread*, so
-//! workers sharing a scope never contend on a counter; [`IoScope::stats`]
-//! merges the shards ("merged on join"). Scopes nest: a charge is recorded
-//! into every scope on the current thread's stack, so a whole-run scope and
-//! a per-phase scope can coexist.
-//!
-//! A scope may carry a [`CancelToken`]. The simulated disk checks the token
-//! before charging any access and fails with
-//! [`StorageError::Cancelled`](crate::StorageError::Cancelled), which is how
-//! a failing arm aborts its siblings: the executor trips the shared token
-//! and every other arm stops at its next disk access, unwinding through the
-//! usual `Result` path (RAII page pins are released, nothing is poisoned).
+//! An [`IoScope`] holds one counter; every thread that enters it charges
+//! that counter, so a scope shared across threads still sums all of their
+//! I/O. Scopes nest: a charge is recorded into every scope on the current
+//! thread's stack, so a whole-run scope and a per-phase scope can coexist.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::disk::DiskStats;
-use crate::error::{StorageError, StorageResult};
-
-#[derive(Default)]
-struct CancelInner {
-    flag: AtomicBool,
-    lock: Mutex<()>,
-    cond: Condvar,
-}
-
-impl std::fmt::Debug for CancelInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelInner")
-            .field("flag", &self.flag)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Shared abort flag checked by the simulated disk before every access.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<CancelInner>,
-}
-
-impl CancelToken {
-    /// A fresh, untripped token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Trip the token: every scope carrying it fails its next disk access,
-    /// and every thread parked in [`CancelToken::wait_cancelled_for`] wakes.
-    pub fn cancel(&self) {
-        let _g = self.inner.lock.lock();
-        self.inner.flag.store(true, Ordering::Release);
-        self.inner.cond.notify_all();
-    }
-
-    /// Whether the token has been tripped.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.flag.load(Ordering::Acquire)
-    }
-
-    /// Park (condvar wait, not a spin) until the token is tripped or
-    /// `timeout` passes; returns `true` if the token was tripped. Lets a
-    /// task that can only make progress after a sibling's cancellation wait
-    /// without burning a core.
-    pub fn wait_cancelled_for(&self, timeout: Duration) -> bool {
-        if self.is_cancelled() {
-            return true;
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.inner.lock.lock();
-        while !self.is_cancelled() {
-            if self.inner.cond.wait_until(&mut guard, deadline).timed_out() {
-                break;
-            }
-        }
-        self.is_cancelled()
-    }
-}
-
-/// One thread's private counter shard.
-#[derive(Debug, Default)]
-struct Shard {
-    stats: Mutex<DiskStats>,
-}
 
 /// A per-task I/O tracker: enter it on any thread doing work for the task,
-/// read the merged counters after the task joins.
+/// read its counters after the task joins.
 #[derive(Debug, Default)]
 pub struct IoScope {
-    shards: Mutex<Vec<Arc<Shard>>>,
-    cancel: Option<CancelToken>,
+    stats: Arc<Mutex<DiskStats>>,
 }
 
 impl IoScope {
-    /// A scope with no cancellation.
+    /// A scope with zeroed counters.
     pub fn new() -> Self {
         IoScope::default()
     }
 
-    /// A scope whose disk accesses abort with `StorageError::Cancelled`
-    /// once `token` is tripped.
-    pub fn with_cancel(token: CancelToken) -> Self {
-        IoScope {
-            shards: Mutex::new(Vec::new()),
-            cancel: Some(token),
-        }
-    }
-
     /// Activate this scope on the current thread. Disk charges made while
-    /// the guard lives are attributed to this scope (in a thread-private
-    /// shard) in addition to the disk's global counters.
+    /// the guard lives are attributed to this scope in addition to the
+    /// disk's global counters.
     pub fn enter(&self) -> ScopeGuard {
-        let shard = Arc::new(Shard::default());
-        self.shards.lock().push(shard.clone());
-        ACTIVE.with(|stack| {
-            stack.borrow_mut().push(ActiveEntry {
-                shard,
-                cancel: self.cancel.clone(),
-            })
-        });
+        ACTIVE.with(|stack| stack.borrow_mut().push(self.stats.clone()));
         ScopeGuard { _priv: () }
     }
 
-    /// Merge every shard into one [`DiskStats`] (the join step).
+    /// The counters charged so far.
     pub fn stats(&self) -> DiskStats {
-        let mut total = DiskStats::default();
-        for shard in self.shards.lock().iter() {
-            total.merge(&shard.stats.lock());
-        }
-        total
+        *self.stats.lock()
     }
 }
 
-struct ActiveEntry {
-    shard: Arc<Shard>,
-    cancel: Option<CancelToken>,
-}
-
 thread_local! {
-    static ACTIVE: RefCell<Vec<ActiveEntry>> = const { RefCell::new(Vec::new()) };
+    static ACTIVE: RefCell<Vec<Arc<Mutex<DiskStats>>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// RAII guard deactivating the scope on the current thread.
@@ -167,12 +65,11 @@ impl Drop for ScopeGuard {
 }
 
 /// Attribute a charge to every scope active on this thread (no-op when none
-/// is). Called by the simulated disk with the disk lock held, so shard
-/// updates from one thread are never concurrent with themselves.
+/// is). Called by the simulated disk with the disk lock held.
 pub(crate) fn record(delta: &DiskStats) {
     ACTIVE.with(|stack| {
-        for entry in stack.borrow().iter() {
-            entry.shard.stats.lock().merge(delta);
+        for stats in stack.borrow().iter() {
+            stats.lock().merge(delta);
         }
     });
 }
@@ -181,11 +78,12 @@ thread_local! {
     static BYPASS_CANCEL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Run `f` with cancellation checks suspended on this thread. I/O is still
-/// charged and attributed to active scopes — only the abort check is
-/// skipped. Used by error-path cleanup (e.g. a cancelled bulk-delete arm
-/// detaching its already-freed leaves) that must finish a small, bounded
-/// amount of I/O to leave the structure consistent for a later re-run.
+/// Run `f` with [`crate::pacer::checkpoint`] suspended on this thread: it
+/// neither parks nor fails with `Cancelled`. I/O is still charged and
+/// attributed to active scopes. Used by error-path cleanup (e.g. a bulk-
+/// delete arm detaching its already-freed leaves after a fault or a pacer
+/// cancel) that must finish a small, bounded amount of I/O to leave the
+/// structure consistent.
 pub fn bypass_cancel<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -198,62 +96,10 @@ pub fn bypass_cancel<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether this thread is inside [`bypass_cancel`] (cleanup that must not
-/// be aborted or parked — also consulted by [`crate::pacer::checkpoint`]).
+/// Whether this thread is inside [`bypass_cancel`], where pacer checkpoints
+/// are suspended.
 pub(crate) fn bypassing() -> bool {
     BYPASS_CANCEL.with(|b| b.get())
-}
-
-/// Park (condvar wait, not a spin) until a cancel token carried by a scope
-/// active on this thread is tripped, or `timeout` passes. Returns `true`
-/// if a token was tripped; a thread with no cancel-carrying scope returns
-/// `false` immediately. This is how a task that can only finish after a
-/// sibling's cancellation waits without burning a core.
-pub fn wait_cancelled_for(timeout: Duration) -> bool {
-    let tokens: Vec<CancelToken> = ACTIVE.with(|stack| {
-        stack
-            .borrow()
-            .iter()
-            .filter_map(|e| e.cancel.clone())
-            .collect()
-    });
-    match tokens.as_slice() {
-        [] => false,
-        [only] => only.wait_cancelled_for(timeout),
-        many => {
-            // Nested cancel-carrying scopes are rare; slice the wait so a
-            // trip of *any* token is noticed promptly.
-            let deadline = std::time::Instant::now() + timeout;
-            loop {
-                if many.iter().any(|t| t.is_cancelled()) {
-                    return true;
-                }
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    return false;
-                }
-                let slice = (deadline - now).min(Duration::from_millis(1));
-                many[0].wait_cancelled_for(slice);
-            }
-        }
-    }
-}
-
-/// Fail if any scope active on this thread carries a tripped cancel token.
-pub(crate) fn check_cancelled() -> StorageResult<()> {
-    if BYPASS_CANCEL.with(|b| b.get()) {
-        return Ok(());
-    }
-    ACTIVE.with(|stack| {
-        for entry in stack.borrow().iter() {
-            if let Some(token) = &entry.cancel {
-                if token.is_cancelled() {
-                    return Err(StorageError::Cancelled);
-                }
-            }
-        }
-        Ok(())
-    })
 }
 
 #[cfg(test)]
@@ -316,23 +162,6 @@ mod tests {
             }
         });
         assert_eq!(scope.stats().pages_read, 4);
-    }
-
-    #[test]
-    fn cancelled_scope_fails_disk_access() {
-        let (pool, first) = pool_with_pages(4);
-        let token = CancelToken::new();
-        let scope = IoScope::with_cancel(token.clone());
-        let _g = scope.enter();
-        let _ = pool.pin_read(first).unwrap();
-        token.cancel();
-        assert_eq!(
-            pool.pin_read(first + 1).err(),
-            Some(StorageError::Cancelled)
-        );
-        drop(_g);
-        // Outside the scope the pool works again (nothing poisoned).
-        let _ = pool.pin_read(first + 2).unwrap();
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!   probe/scan/merge hot paths pay one positioning cost per window instead
 //!   of one per page.
 //! * [`MemoryBudget`] — byte accounting shared by sort and hash workspaces.
-//! * [`IoScope`] / [`CancelToken`] — per-task I/O attribution (sharded
-//!   counters merged on join) and cooperative cancellation for concurrent
-//!   bulk-delete arms; the disk's own counters keep the serial total.
+//! * [`IoScope`] — per-task I/O attribution for bulk-delete arms, also
+//!   across threads; the disk's own counters keep the serial total.
 //! * [`Pacer`] — the cooperative-scheduling layer for long page-visit
 //!   loops: every bulk walk calls [`pacer::checkpoint`] between page
 //!   visits (never with a pin held), so a running bulk delete can be
@@ -63,7 +62,7 @@ pub use error::{StorageError, StorageResult};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultSpec, FaultTrigger};
 pub use fsm::FreeSpaceMap;
 pub use heap::{FsmMismatch, HeapFile, HeapScan};
-pub use io_scope::{CancelToken, IoScope, ScopeGuard};
+pub use io_scope::{IoScope, ScopeGuard};
 pub use owner::{PageCatalog, StructureId};
 pub use pacer::{PaceGuard, Pacer};
 pub use page::PageBuf;

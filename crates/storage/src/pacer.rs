@@ -127,11 +127,6 @@ impl Pacer {
         self.state() == PAUSED
     }
 
-    /// Whether the pacer has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.state() == CANCELLED
-    }
-
     /// Total checkpoints observed across all workers.
     pub fn checks(&self) -> u64 {
         self.inner.checks.load(Ordering::Acquire)

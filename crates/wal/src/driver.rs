@@ -323,11 +323,9 @@ impl Statement<'_> {
     /// fan-out — in order on the
     /// caller's thread when the group or `workers` is 1 — then log one
     /// checkpoint covering all of them ("checkpoints are especially
-    /// advisable when the processing of one structure is finished"). The
-    /// executor runs [`PhaseExecutor::without_degradation`]: this driver's
-    /// fault story is roll-forward recovery from the log, so a crashed pass
-    /// must fail the statement and leave recovery to [`recover`], not retry
-    /// behind the log's back.
+    /// advisable when the processing of one structure is finished"). A
+    /// crashed pass fails the statement and leaves the rest to
+    /// [`recover`].
     fn run_group(
         &self,
         db: &mut Database,
@@ -350,7 +348,6 @@ impl Statement<'_> {
             })
             .collect();
         PhaseExecutor::new(workers)
-            .without_degradation()
             .fan_out(tasks)
             .map_err(|e| self.trip.surface(e))?;
         checkpoint(db, self.tid, self.log)?;

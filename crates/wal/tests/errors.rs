@@ -75,7 +75,7 @@ fn storage_fault_display_strings() {
     );
     assert_eq!(
         StorageError::Cancelled.to_string(),
-        "task cancelled: a concurrent sibling task failed"
+        "task cancelled: its pacer was cancelled"
     );
     // The retry-relevant errors are distinguishable by value, which is what
     // the buffer pool's retry filter relies on.
