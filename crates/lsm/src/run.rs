@@ -101,7 +101,8 @@ impl Run {
 
     /// Write a run from `items` (strictly ascending keys, so one item per
     /// key). Pages are allocated contiguously under `owner` and written
-    /// with one chained sequential write.
+    /// with one chained sequential write. A record too long for a page is
+    /// [`StorageError::RecordTooLarge`].
     pub fn write(
         pool: &Arc<BufferPool>,
         owner: StructureId,
@@ -112,7 +113,17 @@ impl Run {
         bloom_bits_per_key: usize,
     ) -> StorageResult<Run> {
         debug_assert!(items.windows(2).all(|w| w[0].0 < w[1].0), "run unsorted");
-        assert!(!items.is_empty(), "empty runs are never written");
+        // `flush` skips an empty memtable and `partition_items` yields no
+        // empty chunk, so every caller passes at least one item.
+        debug_assert!(!items.is_empty(), "empty runs are never written");
+        // A put is a tombstone's tag and key followed by the record.
+        let max = PAGE_SIZE - PAGE_HEADER - Item::Del.encoded_len(record_len);
+        if record_len > max {
+            return Err(StorageError::RecordTooLarge {
+                len: record_len,
+                max,
+            });
+        }
 
         // Greedy packing: page boundaries become fence keys.
         let pages = layout_pages(items, record_len);
@@ -233,15 +244,15 @@ impl Run {
 
 /// Greedy page layout shared by [`Run::write`] and [`partition_items`]:
 /// pack sorted items into pages front to back, starting a new page when
-/// the next item does not fit.
+/// the next item does not fit. An item too long for any page gets a page
+/// of its own; [`Run::write`] rejects it before it writes a byte.
 fn layout_pages(items: &[(Key, Item)], record_len: usize) -> Vec<&[(Key, Item)]> {
     let mut pages: Vec<&[(Key, Item)]> = Vec::new();
     let mut start = 0;
     let mut used = PAGE_HEADER;
     for (i, (_, item)) in items.iter().enumerate() {
         let len = item.encoded_len(record_len);
-        assert!(PAGE_HEADER + len <= PAGE_SIZE, "item exceeds a page");
-        if used + len > PAGE_SIZE {
+        if used + len > PAGE_SIZE && i > start {
             pages.push(&items[start..i]);
             start = i;
             used = PAGE_HEADER;
@@ -287,10 +298,14 @@ fn for_each_item(
     let count = u16::from_le_bytes([page[0], page[1]]) as usize;
     let mut pos = PAGE_HEADER;
     for _ in 0..count {
-        let head = page.get(pos..pos + 9).ok_or_else(corrupt)?;
-        let key = Key::from_le_bytes(head[1..].try_into().expect("eight key bytes"));
+        let head: [u8; 9] = page
+            .get(pos..pos + 9)
+            .and_then(|head| head.try_into().ok())
+            .ok_or_else(corrupt)?;
+        let [tag, key @ ..] = head;
+        let key = Key::from_le_bytes(key);
         pos += 9;
-        let (item, len) = match head[0] {
+        let (item, len) = match tag {
             0 => {
                 let rec = page.get(pos..pos + record_len).ok_or_else(corrupt)?;
                 (ItemRef::Put(rec), record_len)
@@ -401,5 +416,27 @@ mod tests {
         }
         assert_eq!(chunks.concat(), items, "chunks tile the input in order");
         assert!(partition_items(Vec::new(), record_len, 2).is_empty());
+    }
+
+    #[test]
+    fn a_record_longer_than_a_page_is_an_error() {
+        use bd_storage::{CostModel, SimDisk};
+        let pool = BufferPool::with_byte_budget(SimDisk::new(CostModel::default()), 1 << 20);
+        let owner = StructureId::lsm_of(0);
+        let record_len = PAGE_SIZE;
+        let items = vec![(1, Item::Put(vec![0u8; record_len])), (2, Item::Del)];
+        assert_eq!(layout_pages(&items, record_len).len(), 2);
+        let err = Run::write(&pool, owner, record_len, &items, 1, None, 8).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::RecordTooLarge {
+                len: record_len,
+                max: PAGE_SIZE - PAGE_HEADER - 9,
+            }
+        );
+        assert!(
+            pool.catalog().pages_of(owner).is_empty(),
+            "nothing allocated"
+        );
     }
 }

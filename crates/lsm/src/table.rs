@@ -232,49 +232,54 @@ impl LsmTable {
     /// compacts as a whole (`idx` only names the trigger run); deeper
     /// levels move exactly `levels[level][idx]`. Tombstones are dropped
     /// when the output level is the deepest populated one.
+    ///
+    /// The merge reads are the only pacer checkpoints, and they run before
+    /// the tree changes: a cancel leaves the inputs in place, never a tree
+    /// that lost them or a catalog that still owns their pages.
     fn compact_run(&mut self, level: usize, idx: usize) -> StorageResult<()> {
-        let victims: Vec<Run> = if level == 0 {
-            let mut l0 = std::mem::take(&mut self.levels[0]);
-            // Stored oldest-first; merge ranks are newest-first.
-            l0.reverse();
-            l0
-        } else {
-            vec![self.levels[level].remove(idx)]
-        };
-        let lo = victims.iter().map(|r| r.min_key).min().expect("victims");
-        let hi = victims.iter().map(|r| r.max_key).max().expect("victims");
         if self.levels.len() <= level + 1 {
             self.levels.push(Vec::new());
         }
-        // Everything under the victims' key hull merges too, so the
-        // output run cannot overlap what stays behind at level+1.
-        let below = &mut self.levels[level + 1];
-        let overlapping: Vec<Run> = {
-            let mut picked = Vec::new();
-            let mut i = 0;
-            while i < below.len() {
-                if below[i].overlaps(lo, hi) {
-                    picked.push(below.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            picked
+        // Victims newest first: level 0 is stored oldest-first.
+        let victims: Vec<&Run> = if level == 0 {
+            self.levels[0].iter().rev().collect()
+        } else {
+            vec![&self.levels[level][idx]]
         };
-        // Victims shadow everything they merge with: rank 0 is newest.
-        let mut inputs: Vec<Run> = victims;
-        inputs.extend(overlapping);
+        let Some((lo, hi)) = victims
+            .iter()
+            .map(|r| (r.min_key, r.max_key))
+            .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)))
+        else {
+            return Ok(());
+        };
+        // Everything under the victims' key hull merges too, so the
+        // output run cannot overlap what stays behind at level+1. Victims
+        // shadow everything they merge with: rank 0 is newest.
+        let inputs: Vec<&Run> = victims
+            .into_iter()
+            .chain(self.levels[level + 1].iter().filter(|r| r.overlaps(lo, hi)))
+            .collect();
 
         let drop_tombs = self.levels.iter().skip(level + 2).all(Vec::is_empty);
         let merged = self.merge_runs(&inputs, drop_tombs)?;
-
-        self.seq += 1;
-        self.compactions += 1;
         let survivors_tomb_seq = if drop_tombs {
             None
         } else {
             inputs.iter().filter_map(|r| r.oldest_tomb_seq).min()
         };
+
+        // Commit: no checkpoint from here on.
+        let mut retired: Vec<Run> = if level == 0 {
+            let mut l0 = std::mem::take(&mut self.levels[0]);
+            l0.reverse();
+            l0
+        } else {
+            vec![self.levels[level].remove(idx)]
+        };
+        retired.extend(self.levels[level + 1].extract_if(.., |r| r.overlaps(lo, hi)));
+        self.seq += 1;
+        self.compactions += 1;
         // Write the merge output as size-bounded partitions so the next
         // compaction down is bounded too.
         for chunk in partition_items(merged, self.schema.record_len, self.cfg.max_run_pages) {
@@ -292,11 +297,7 @@ impl LsmTable {
             let at = below.partition_point(|r| r.min_key < run.min_key);
             below.insert(at, run);
         }
-        // Retire the inputs, pacer-pausable between runs.
-        for (i, run) in inputs.iter().enumerate() {
-            if i > 0 {
-                pacer::checkpoint()?;
-            }
+        for run in &retired {
             for p in 0..run.n_pages {
                 self.pool.free_page(run.first_page + p as PageId);
             }
@@ -308,7 +309,7 @@ impl LsmTable {
     /// mutually non-overlapping level-(l+1) runs. A run holds one item per
     /// key, so the newest rank's item wins and drops at most one older
     /// version from each older rank.
-    fn merge_runs(&self, inputs: &[Run], drop_tombs: bool) -> StorageResult<Vec<(Key, Item)>> {
+    fn merge_runs(&self, inputs: &[&Run], drop_tombs: bool) -> StorageResult<Vec<(Key, Item)>> {
         let mut cursors: Vec<RunCursor> = inputs
             .iter()
             .map(|r| RunCursor::open(self.pool.clone(), r))
@@ -328,7 +329,10 @@ impl LsmTable {
             let Some((key, rank)) = next else {
                 return Ok(out);
             };
-            let (_, item) = cursors[rank].next_item()?.expect("peeked");
+            let Some((_, item)) = cursors[rank].next_item()? else {
+                // Unreachable: `peek_key` just buffered this item.
+                continue;
+            };
             // Discard shadowed versions of the key in older ranks before
             // they can win a later round.
             for other in cursors.iter_mut().skip(rank + 1) {
@@ -600,19 +604,16 @@ impl TableEngine for LsmTable {
             sorted.dedup();
             let mut live = vec![false; sorted.len()];
             self.resolve(&sorted, |i, _| live[i] = true)?;
-            // Tombstones go in the caller's order, so the flushes and the
-            // compactions they trigger are those of a key-at-a-time delete,
-            // and a cancel leaves a prefix of that order.
+            // Tombstones go in key order, so each memtable flush covers a
+            // narrow key range and overlaps few runs below it; a cancel
+            // leaves a key-ordered prefix of the live keys.
             let mut deleted = 0;
-            for (i, &key) in keys.iter().enumerate() {
-                if i > 0 {
+            for (&key, _) in sorted.iter().zip(&live).filter(|(_, &l)| l) {
+                if deleted > 0 {
                     pacer::checkpoint()?;
                 }
-                let at = sorted.binary_search(&key).expect("sorted holds every key");
-                if std::mem::take(&mut live[at]) {
-                    self.delete_raw(key)?;
-                    deleted += 1;
-                }
+                self.delete_raw(key)?;
+                deleted += 1;
             }
             self.flush()?;
             Ok(deleted)

@@ -35,6 +35,14 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload wal15 --seed 42 --seconds 1 --trace 0 | tail -n 1 |
     grep -q '"correct": true'
 
+# The LSM engine end to end, once and traced: lsm10 checks its delete
+# against a model, audits the tree and its page catalog, diffs it against
+# a B-tree twin and checks the shape guards. Its last line must report a
+# correct run.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload lsm10 --seed 42 --seconds 1 --trace 1 | tail -n 1 |
+    grep -q '"correct": true'
+
 # The gate: re-run what the committed snapshot's header says it holds (the
 # six figures plus erase, maintain, lsm and plans at 20000 rows, one worker)
 # and compare every field of every cell and every experiment's notes as

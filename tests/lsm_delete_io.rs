@@ -2,9 +2,11 @@
 //! the 5 MB-scaled budget, the experiment's delete list).
 //!
 //! The write side — every tombstone, flush and compaction the delete
-//! triggers — is pinned exactly: a change to how the delete *reads* must
-//! leave it byte-identical. The read side is bounded: the membership probe
-//! is one sorted pass per run, not a positioned read per key.
+//! triggers — is pinned exactly. Tombstones go in key order, so each
+//! memtable flush spans a narrow key range and its compactions rewrite
+//! only the runs under it; the pin holds that stream. The read side is
+//! bounded: the membership probe is one sorted pass per run, not a
+//! positioned read per key.
 
 use bd_bench::lsm::lsm_config;
 use bd_bench::mem_bytes;
@@ -37,20 +39,20 @@ fn lsm_delete_writes_are_pinned_and_its_probes_are_batched() {
     let io = &report.io;
 
     assert_eq!(report.deleted, d.len());
-    assert_eq!(io.pages_written, 16_223, "{io:?}");
-    assert_eq!(io.random_writes + io.sequential_writes, 167, "{io:?}");
+    assert_eq!(io.pages_written, 3_049, "{io:?}");
+    assert_eq!(io.random_writes + io.sequential_writes, 64, "{io:?}");
     assert_eq!(
         lsm.lsm_stats(),
         LsmStats {
             memtable: 0,
             levels: 2,
             runs: 23,
-            pages: 2585,
+            pages: 2586,
             puts: 18_080,
             tombstones: 80,
             flushes: 33,
             compactions: 12,
         }
     );
-    assert!(io.random_reads <= 600, "{io:?}");
+    assert!(io.random_reads <= 150, "{io:?}");
 }

@@ -9,10 +9,12 @@
 //! compaction, plus a clean page-catalog audit on the LSM side.
 
 use std::collections::HashSet;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use bulk_delete::prelude::*;
+use bulk_delete::storage::{Pacer, StorageError};
 
 const RECORD_LEN: usize = 32;
 
@@ -195,5 +197,124 @@ fn heavy_churn_compacts_and_stays_equivalent() {
         lsm.lsm_stats().compactions > 0,
         "churn must have compacted: {:?}",
         lsm.lsm_stats()
+    );
+}
+
+/// A table of 1 200 rows on even keys under the tiny config, and a delete
+/// list over a third of them in a scattered order.
+fn delete_case() -> (Vec<Tuple>, Vec<Key>) {
+    let rows: Vec<Tuple> = (0..1200)
+        .map(|i| Tuple::new(vec![i * 2, i % 13, i % 7]))
+        .collect();
+    let d: Vec<Key> = (0..400).map(|i| ((i * 367) % 1200) * 2).collect();
+    (rows, d)
+}
+
+fn loaded_lsm(rows: &[Tuple]) -> LsmTable {
+    let mut lsm = LsmTable::new(Schema::new(3, RECORD_LEN), 1 << 20, LsmConfig::tiny());
+    lsm.bulk_load(rows).unwrap();
+    lsm
+}
+
+/// The delete is set-oriented: its cost and its end state depend on the
+/// set of keys only, not on the order of the caller's list, duplicates in
+/// it, or keys it names that the table does not hold.
+#[test]
+fn caller_order_does_not_change_cost_or_end_state() {
+    let (rows, d) = delete_case();
+    // `D` in descending key order, with duplicates and keys past every
+    // run's key range (they cost no probe either) mixed in.
+    let mut desc = d.clone();
+    desc.sort_unstable_by(|a, b| b.cmp(a));
+    let mut noisy = Vec::new();
+    for (i, &k) in desc.iter().enumerate() {
+        noisy.push(k);
+        if i % 5 == 0 {
+            noisy.push(k);
+        }
+        if i % 97 == 0 {
+            noisy.push(5_000 + i as Key);
+        }
+    }
+
+    let mut a = loaded_lsm(&rows);
+    let mut b = loaded_lsm(&rows);
+    let ra = a.bulk_delete(&d).unwrap();
+    let rb = b.bulk_delete(&noisy).unwrap();
+    assert_eq!(ra.deleted, d.len());
+    assert_eq!(ra.deleted, rb.deleted);
+    assert_eq!(ra.io, rb.io);
+    assert!(a.lsm_stats().compactions > 0, "{:?}", a.lsm_stats());
+    assert_eq!(a.lsm_stats(), b.lsm_stats());
+    assert_eq!(a.audit_dump().unwrap(), b.audit_dump().unwrap());
+}
+
+/// A cancel stops the delete at a checkpoint. Wherever it lands — in the
+/// probe, between tombstones, or inside a flush's compaction — the keys
+/// that read deleted are a prefix of the live keys of `D` in key order,
+/// and the tree and its page catalog stay consistent.
+#[test]
+fn cancelled_delete_leaves_a_key_ordered_prefix() {
+    let (rows, d) = delete_case();
+    // Every key of `D` is live.
+    let mut live: Vec<Key> = d.clone();
+    live.sort_unstable();
+
+    // Count the checkpoints an uncancelled delete passes.
+    let pacer = Pacer::new();
+    let mut lsm = loaded_lsm(&rows);
+    {
+        let _g = pacer.enter();
+        lsm.bulk_delete(&d).unwrap();
+    }
+    let total = pacer.checks();
+    assert!(total > 100, "{total} checkpoints");
+
+    let mut prefixes = HashSet::new();
+    for n in (1..total).step_by(total as usize / 23) {
+        let mut lsm = loaded_lsm(&rows);
+        let pacer = Pacer::new();
+        pacer.pause_after(n);
+        let result = std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let _g = pacer.enter();
+                lsm.bulk_delete(&d)
+            });
+            assert!(
+                pacer.wait_parked(1, Duration::from_secs(10)),
+                "delete never parked at checkpoint {n}"
+            );
+            pacer.cancel();
+            worker.join().unwrap()
+        });
+        assert!(
+            matches!(result, Err(DbError::Storage(StorageError::Cancelled))),
+            "checkpoint {n}: {result:?}"
+        );
+
+        let left: HashSet<Key> = lsm
+            .audit_dump()
+            .unwrap()
+            .iter()
+            .map(|t| t.attr(0))
+            .collect();
+        let gone: Vec<Key> = rows
+            .iter()
+            .map(|t| t.attr(0))
+            .filter(|k| !left.contains(k))
+            .collect();
+        assert_eq!(
+            gone,
+            live[..gone.len()],
+            "checkpoint {n}: deleted rows are not a key-ordered prefix of D"
+        );
+        prefixes.insert(gone.len());
+        let report = lsm.audit_structure().unwrap();
+        assert!(report.is_clean(), "checkpoint {n}: {}", report.render());
+        assert!(lsm.audit_pages().is_clean(), "checkpoint {n}");
+    }
+    assert!(
+        prefixes.len() > 5,
+        "cancels must land at many points: {prefixes:?}"
     );
 }
