@@ -169,6 +169,27 @@ impl<'a> NodeRef<'a> {
         }
         lo
     }
+
+    /// Where this full node splits to take `entry`: how many leaf entries,
+    /// or inner separators before the promoted one, stay on the left. An
+    /// append — no right sibling, `entry` after everything held — splits
+    /// at the end, so keys arriving in ascending order leave every node
+    /// full behind them; any other entry splits at the midpoint.
+    pub fn split_point(&self, entry: Sep) -> usize {
+        let (n, leaf) = (self.nkeys(), self.kind() == NodeKind::Leaf);
+        let last = if leaf {
+            self.leaf_entry(n - 1)
+        } else {
+            self.inner_sep(n - 1)
+        };
+        if self.right_sibling().is_some() || entry <= last {
+            n / 2
+        } else if leaf {
+            n
+        } else {
+            n - 1
+        }
+    }
 }
 
 /// Mutable view of a node page.
@@ -246,15 +267,23 @@ impl<'a> NodeMut<'a> {
         self.set_nkeys(entries.len());
     }
 
-    /// Split this leaf: move the upper half into `right` (an initialized
-    /// empty leaf) and return the separator (first entry of `right`).
-    pub fn leaf_split_into(&mut self, right: &mut NodeMut<'_>) -> Sep {
-        let n = self.as_ref().nkeys();
-        let mid = n / 2;
-        let moved: Vec<(Key, Rid)> = (mid..n).map(|i| self.as_ref().leaf_entry(i)).collect();
+    /// Split this full leaf and insert `entry` into the half it sorts
+    /// into. The entries past [`NodeRef::split_point`] move into `right`
+    /// (an initialized empty leaf); an append moves none and `entry` opens
+    /// `right` alone. Returns the separator (first entry of `right`).
+    pub fn leaf_split_insert(&mut self, right: &mut NodeMut<'_>, entry: Sep) -> Sep {
+        let view = self.as_ref();
+        let (n, at) = (view.nkeys(), view.split_point(entry));
+        let moved: Vec<(Key, Rid)> = (at..n).map(|i| view.leaf_entry(i)).collect();
         right.leaf_set_entries(&moved);
-        self.set_nkeys(mid);
-        moved[0]
+        self.set_nkeys(at);
+        let boundary = moved.first().copied().unwrap_or(entry);
+        if entry >= boundary {
+            right.leaf_insert(entry.0, entry.1);
+        } else {
+            self.leaf_insert(entry.0, entry.1);
+        }
+        boundary
     }
 
     /// Initialize an inner node with its leftmost child.
@@ -303,24 +332,30 @@ impl<'a> NodeMut<'a> {
         removed
     }
 
-    /// Split this inner node: the middle separator is *promoted* (returned,
-    /// not kept); upper entries move to `right` (an initialized empty inner
-    /// node). Returns the promoted separator.
-    pub fn inner_split_into(&mut self, right: &mut NodeMut<'_>) -> Sep {
-        let n = self.as_ref().nkeys();
-        debug_assert!(n >= 3, "splitting an inner node needs >= 3 separators");
-        let mid = n / 2;
+    /// Split this full inner node and insert `(sep, child)` into the half
+    /// it sorts into. The separator at [`NodeRef::split_point`] is
+    /// *promoted* (returned, not kept); the ones past it move to `right`
+    /// (an initialized empty inner node) behind the promoted one's child as
+    /// `child0`. An append promotes the last separator, so both halves keep
+    /// at least one.
+    pub fn inner_split_insert(&mut self, right: &mut NodeMut<'_>, sep: Sep, child: u32) -> Sep {
         let view = self.as_ref();
-        let promoted = view.inner_sep(mid);
-        let child0_right = view.inner_child(mid + 1);
-        let moved: Vec<(Sep, u32)> = (mid + 1..n)
+        let (n, at) = (view.nkeys(), view.split_point(sep));
+        let promoted = view.inner_sep(at);
+        let moved: Vec<(Sep, u32)> = (at + 1..n)
             .map(|i| (view.inner_sep(i), view.inner_child(i + 1)))
             .collect();
-        right.inner_init_child0(child0_right);
-        for &(k, c) in &moved {
-            right.inner_insert(k, c);
+        right.inner_set_entries(view.inner_child(at + 1), &moved);
+        self.set_nkeys(at);
+        if sep >= promoted {
+            right.inner_insert(sep, child);
+        } else {
+            self.inner_insert(sep, child);
         }
-        self.set_nkeys(mid);
+        debug_assert!(
+            self.as_ref().nkeys() > 0 && right.as_ref().nkeys() > 0,
+            "an inner split left a half without separators"
+        );
         promoted
     }
 
@@ -422,20 +457,47 @@ mod tests {
         assert_eq!(keys, vec![0, 1, 3, 4]);
     }
 
+    fn full_leaf(buf: &mut [u8], n: u64) -> NodeMut<'_> {
+        let mut leaf = NodeMut::init(buf, NodeKind::Leaf);
+        for k in 0..n {
+            leaf.leaf_insert(2 * k, Rid::new(0, k as u16));
+        }
+        leaf
+    }
+
     #[test]
     fn leaf_split_moves_upper_half() {
-        let mut lb = zeroed();
-        let mut rb = zeroed();
-        let mut left = NodeMut::init(&mut lb[..], NodeKind::Leaf);
-        for k in 0..10u64 {
-            left.leaf_insert(k, Rid::new(0, k as u16));
-        }
+        let (mut lb, mut rb) = (zeroed(), zeroed());
+        let mut left = full_leaf(&mut lb[..], 10);
         let mut right = NodeMut::init(&mut rb[..], NodeKind::Leaf);
-        let boundary = left.leaf_split_into(&mut right);
-        assert_eq!(boundary, (5, Rid::new(0, 5)));
-        assert_eq!(left.as_ref().nkeys(), 5);
+        let boundary = left.leaf_split_insert(&mut right, (7, Rid::new(1, 0)));
+        assert_eq!(boundary, (10, Rid::new(0, 5)));
+        assert_eq!(left.as_ref().nkeys(), 6);
+        assert_eq!(left.as_ref().leaf_entry(4), (7, Rid::new(1, 0)));
         assert_eq!(right.as_ref().nkeys(), 5);
-        assert_eq!(right.as_ref().leaf_entry(0).0, 5);
+        assert_eq!(right.as_ref().leaf_entry(0).0, 10);
+    }
+
+    #[test]
+    fn leaf_split_at_the_right_edge_moves_nothing() {
+        let (mut lb, mut rb) = (zeroed(), zeroed());
+        let mut left = full_leaf(&mut lb[..], 10);
+        let mut right = NodeMut::init(&mut rb[..], NodeKind::Leaf);
+        let entry = (19, Rid::new(1, 0));
+        assert_eq!(left.leaf_split_insert(&mut right, entry), entry);
+        assert_eq!(left.as_ref().nkeys(), 10);
+        assert_eq!(right.as_ref().leaf_entries(), vec![entry]);
+
+        // With a right sibling the same entry is not an append.
+        let (mut lb, mut rb) = (zeroed(), zeroed());
+        let mut left = full_leaf(&mut lb[..], 10);
+        left.set_right_sibling(Some(9));
+        let mut right = NodeMut::init(&mut rb[..], NodeKind::Leaf);
+        assert_eq!(
+            left.leaf_split_insert(&mut right, entry),
+            (10, Rid::new(0, 5))
+        );
+        assert_eq!((left.as_ref().nkeys(), right.as_ref().nkeys()), (5, 6));
     }
 
     #[test]
@@ -468,27 +530,48 @@ mod tests {
         assert_eq!(v.inner_child(v.route(key_floor(10))), 100);
     }
 
+    fn full_inner(buf: &mut [u8]) -> NodeMut<'_> {
+        let mut inner = NodeMut::init(buf, NodeKind::Inner);
+        inner.inner_init_child0(200);
+        for i in 0..5u64 {
+            inner.inner_insert(sep(10 * (i + 1)), 201 + i as u32);
+        }
+        inner
+    }
+
     #[test]
     fn inner_split_promotes_middle() {
-        let mut lb = zeroed();
-        let mut rb = zeroed();
-        let mut left = NodeMut::init(&mut lb[..], NodeKind::Inner);
-        left.inner_init_child0(200);
-        for i in 0..5u64 {
-            left.inner_insert(sep(10 * (i + 1)), 201 + i as u32);
-        }
+        let (mut lb, mut rb) = (zeroed(), zeroed());
+        let mut left = full_inner(&mut lb[..]);
         let mut right = NodeMut::init(&mut rb[..], NodeKind::Inner);
-        let promoted = left.inner_split_into(&mut right);
+        let promoted = left.inner_split_insert(&mut right, sep(25), 300);
         assert_eq!(promoted, sep(30));
         let lv = left.as_ref();
-        assert_eq!(lv.nkeys(), 2);
+        assert_eq!(lv.nkeys(), 3);
         assert_eq!(lv.inner_child(0), 200);
-        assert_eq!(lv.inner_child(2), 202);
+        assert_eq!(lv.inner_sep(2), sep(25));
+        assert_eq!(lv.inner_child(3), 300);
         let rv = right.as_ref();
         assert_eq!(rv.nkeys(), 2);
         assert_eq!(rv.inner_child(0), 203);
         assert_eq!(rv.inner_sep(0), sep(40));
         assert_eq!(rv.inner_child(2), 205);
+    }
+
+    #[test]
+    fn inner_split_at_the_right_edge_promotes_the_last() {
+        let (mut lb, mut rb) = (zeroed(), zeroed());
+        let mut left = full_inner(&mut lb[..]);
+        let mut right = NodeMut::init(&mut rb[..], NodeKind::Inner);
+        let promoted = left.inner_split_insert(&mut right, sep(60), 300);
+        assert_eq!(promoted, sep(50));
+        let lv = left.as_ref();
+        assert_eq!(lv.nkeys(), 4);
+        assert_eq!(lv.inner_child(4), 204);
+        let rv = right.as_ref();
+        assert_eq!(rv.nkeys(), 1);
+        assert_eq!(rv.inner_child(0), 205);
+        assert_eq!((rv.inner_sep(0), rv.inner_child(1)), (sep(60), 300));
     }
 
     #[test]

@@ -321,17 +321,12 @@ impl BTree {
             self.n_entries += 1;
             return Ok(());
         }
-        // Leaf split.
+        // Leaf split: at the end for an append, else at the midpoint.
         let (new_pid, mut new_w) = self.pool.new_page(self.owner, leaf)?;
         let mut right = NodeMut::init(&mut new_w[..], NodeKind::Leaf);
-        let boundary = node.leaf_split_into(&mut right);
+        let boundary = node.leaf_split_insert(&mut right, (key, rid));
         right.set_right_sibling(node.as_ref().right_sibling());
         node.set_right_sibling(Some(new_pid));
-        if (key, rid) >= boundary {
-            right.leaf_insert(key, rid);
-        } else {
-            node.leaf_insert(key, rid);
-        }
         drop(new_w);
         drop(w);
         self.n_entries += 1;
@@ -355,17 +350,12 @@ impl BTree {
                 node.inner_insert(sep, right_child);
                 return Ok(());
             }
-            // Split the inner node.
+            // Split the inner node by the same rule as a leaf.
             let (new_pid, mut new_w) = self.pool.new_page(self.owner, pid)?;
             let mut right = NodeMut::init(&mut new_w[..], NodeKind::Inner);
-            let promoted = node.inner_split_into(&mut right);
+            let promoted = node.inner_split_insert(&mut right, sep, right_child);
             right.set_right_sibling(node.as_ref().right_sibling());
             node.set_right_sibling(Some(new_pid));
-            if sep >= promoted {
-                right.inner_insert(sep, right_child);
-            } else {
-                node.inner_insert(sep, right_child);
-            }
             drop(new_w);
             drop(w);
             self.stats.inner_splits += 1;
@@ -539,6 +529,101 @@ mod tests {
 
     fn rid(i: u64) -> Rid {
         Rid::new((i >> 3) as u32, (i & 7) as u16)
+    }
+
+    /// Keys per node along `level` (0 = leaves), left to right.
+    fn level_fill(t: &BTree, level: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut pid = Some(t.leftmost_of_level(level).unwrap());
+        while let Some(p) = pid {
+            let r = t.pool().pin_read(p).unwrap();
+            let node = NodeRef::new(&r[..]);
+            out.push(node.nkeys());
+            pid = node.right_sibling();
+        }
+        out
+    }
+
+    /// A deterministic permutation of `0..n`.
+    fn shuffled(n: u64) -> Vec<u64> {
+        let mut keys: Vec<u64> = (0..n).collect();
+        let mut x: u64 = 42;
+        for i in (1..keys.len()).rev() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            keys.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        keys
+    }
+
+    #[test]
+    fn ascending_inserts_fill_every_node() {
+        let mut t = tree(1024, BTreeConfig::with_fanout(8));
+        for k in 0..1001u64 {
+            t.insert(k, rid(k)).unwrap();
+        }
+        let audit = crate::verify::audit(&t).unwrap();
+        // ⌈1001 / 8⌉ leaves, every one full but the last.
+        let mut leaves = vec![8; 125];
+        leaves.push(1);
+        assert_eq!(audit.leaf_fill, leaves);
+        // An inner split at the right edge keeps all but the promoted
+        // separator: 8 children a node, 126 leaves under 16 parents under 2.
+        assert_eq!(t.height(), 4);
+        let mut parents = vec![7; 15];
+        parents.push(5);
+        assert_eq!(level_fill(&t, 1), parents);
+        assert_eq!(level_fill(&t, 2), vec![7, 7]);
+        assert_eq!(level_fill(&t, 3), vec![1]);
+    }
+
+    #[test]
+    fn other_orders_split_at_the_midpoint() {
+        let cfg = BTreeConfig::with_fanout(8);
+        let mut desc = tree(1024, cfg);
+        for k in (0..400u64).rev() {
+            desc.insert(k, rid(k)).unwrap();
+        }
+        // Descending keys never append: 99 leaves, as with the midpoint
+        // split everywhere.
+        assert_eq!(crate::verify::audit(&desc).unwrap().leaf_fill.len(), 99);
+
+        let mut random = tree(1024, cfg);
+        for k in shuffled(400) {
+            random.insert(k, rid(k)).unwrap();
+        }
+        // A random order appends only when a new maximum meets a full last
+        // leaf; that leaf stays full and the next key landing in it splits
+        // it again at the midpoint. Here that costs one leaf: 71, where the
+        // midpoint split everywhere leaves 70.
+        let audit = crate::verify::audit(&random).unwrap();
+        assert_eq!(audit.leaf_fill.len(), 71);
+
+        // Only an append moves the split point: a tail of fresh keys past
+        // the random ones tops up the last leaf (the 71st) and then fills
+        // new ones.
+        let slack = 8 - audit.leaf_fill[70];
+        for k in 400..800u64 {
+            random.insert(k, rid(k)).unwrap();
+        }
+        let after = crate::verify::audit(&random).unwrap();
+        let tail = &after.leaf_fill[70..];
+        assert_eq!(tail.len(), 1 + (400 - slack).div_ceil(8));
+        assert!(tail[..tail.len() - 1].iter().all(|&n| n == 8), "{tail:?}");
+    }
+
+    #[test]
+    fn equal_keys_with_ascending_rids_append() {
+        let mut t = tree(256, BTreeConfig::with_fanout(8));
+        for i in 0..100u16 {
+            t.insert(42, Rid::new(0, i)).unwrap();
+        }
+        let audit = crate::verify::audit(&t).unwrap();
+        let mut leaves = vec![8; 12];
+        leaves.push(4);
+        assert_eq!(audit.leaf_fill, leaves);
+        assert_eq!(t.search(42).unwrap().len(), 100);
     }
 
     #[test]

@@ -767,14 +767,18 @@ mod tests {
     #[test]
     fn shape_diff_ignores_page_ids_but_sees_layout() {
         // Same (key, rid) set, same insertion order: identical shape.
-        let a = verify::audit(&tree_with(0..400)).unwrap();
-        let b = verify::audit(&tree_with(0..400)).unwrap();
+        let a = verify::audit(&tree_with((0..400).rev())).unwrap();
+        let b = verify::audit(&tree_with((0..400).rev())).unwrap();
         assert_eq!(shape_diff(&a, &b, "A", "B"), None);
 
-        // Same (key, rid) set, reversed insertion order: identical logical
-        // entries, but the split history packs the leaves differently.
-        let c = verify::audit(&tree_with((0..400).rev())).unwrap();
+        // Same (key, rid) set, inserted from both ends inward: identical
+        // logical entries, height and leaf count, but the split history
+        // packs the leaves differently. (Ascending keys would not do: their
+        // splits fill every node, so the tree is a level shorter and the
+        // diff names the height.)
+        let c = verify::audit(&tree_with((0..200).flat_map(|i| [i, 399 - i]))).unwrap();
         assert_eq!(a.entries, c.entries, "logical content agrees");
+        assert_eq!(a.height, c.height);
         let diff = shape_diff(&a, &c, "A", "B").expect("layouts must differ");
         assert!(diff.contains("leaf"), "diff names the layout: {diff}");
     }

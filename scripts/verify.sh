@@ -43,6 +43,14 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload lsm10 --seed 42 --seconds 1 --trace 1 | tail -n 1 |
     grep -q '"correct": true'
 
+# The sliding window end to end, once: window4 is the one workload that
+# inserts into the B-trees at scale (the refill appends at every tree's
+# right edge), with its model diff and page-catalog audit after each round
+# and the maintenance cycle. Its last line must report a correct run.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload window4 --seed 42 --seconds 1 --trace 0 | tail -n 1 |
+    grep -q '"correct": true'
+
 # The gate: re-run what the committed snapshot's header says it holds (the
 # six figures plus erase, maintain, lsm and plans at 20000 rows, one worker)
 # and compare every field of every cell and every experiment's notes as

@@ -99,9 +99,10 @@ fn window_refill_leaves_its_hot_pages_dirty() {
         let rid = db.insert(w.tid, &row).unwrap();
         shadow.insert(w.tid, rid, row);
     }
-    // 131 positioned writes while hot pages wait for their own eviction;
-    // 220 when every dirty eviction also rewrites the right-edge leaves
-    // the next insert dirties again.
+    // 68 positioned writes while hot pages wait for their own eviction
+    // and an append leaves its leaf full (81 when every split is at the
+    // midpoint); 220 when every dirty eviction also rewrites the
+    // right-edge leaves the next insert dirties again.
     let refill = db.pool().disk_stats();
     assert!(
         refill.random_writes <= 175,
@@ -157,7 +158,8 @@ fn window_cycles_read_their_trees_in_page_order() {
         maintainer.run_cycle(&mut db).unwrap();
         cycle_reads.push(db.pool().disk_stats().random_reads);
     }
-    // 91 / 70 / 70 / 89 positioned reads while splits and refills take the
+    // 70 / 68 / 70 / 87 positioned reads (91 / 70 / 71 / 89 when every
+    // split is at the midpoint) while splits and refills take the
     // recycled pages after the page they extend; 91 / 119 / 146 / 216 when
     // they take the lowest recycled page, and every cycle walks the
     // scattered leaves of the last.
