@@ -11,33 +11,15 @@
 //! reaches a verdict beside its numbers fails — and exits 1 — when the
 //! verdict does:
 //!
-//! * `fig1 fig7 fig8 table1 fig9 fig10` — the paper's figures (§1, §4);
-//! * `live` — the same foreground mix (point reads, range scans, inserts on
-//!   4 threads) against the blocking offline delete and against the chunked
-//!   live driver (`TxnDb::bulk_delete_live`), at two delete fractions; every
-//!   cell's end state is diffed against a shadow model, and the per-class
-//!   foreground p50/p95/p99 follow the table;
-//! * `erase` — the §1 sliding-window warehouse (sales + CASCADE line items)
-//!   erases its oldest 1/2/3 months as a plain cascading bulk delete and as
-//!   a durable erasure campaign (WAL manifest, physical scrub, log
-//!   redaction, proof-of-deletion — which must come back clean);
-//! * `maintain` — a sliding-window workload (delete the oldest quarter,
-//!   refill, repeat) with and without the incremental maintenance daemon:
-//!   the daemon's end state must keep its in-use pages within 10% of a
-//!   fresh bulk load of the same live rows, and the unmaintained arm's file
-//!   must be strictly larger — the space leak the daemon exists to stop;
-//! * `lsm` — fig7's delete-fraction sweep replayed through the engine seam:
-//!   B-tree vertical bulk delete vs the delete-aware LSM's tombstone write
-//!   (deferred cost) and the same plus a forced purge (total cost); every
-//!   LSM cell is differentially audited against a B-tree twin
-//!   (`audit_engine_equivalence`) and its page catalog checked for leaks;
-//! * `plans` — §4's remark that the `⋈̄` methods differ little, measured: the
-//!   front door's sort/merge plan beside classic hash, partitioned hash and
-//!   hash probe forced by hand and beside itself under the two §2.3
-//!   reorganization policies, at 2/10 MB × 1/5/15 % deletes on the 3-index
-//!   table; a forced plan whose RID set overruns the workspace is an absent
-//!   cell, and the run fails if sort/merge is more than 1.05× behind any
-//!   index-method cell.
+//! * `fig1 fig7 fig8 table1 fig9 fig10` — the paper's figures (§1, §4),
+//!   each held to its shape claims ([`bd_bench::experiments`]);
+//! * `live`, `erase`, `maintain`, `lsm`, `plans` — foreground latency
+//!   beside an offline and a live delete, retention-window erasure with its
+//!   proof of deletion, steady-state space with and without the
+//!   maintenance daemon, the B-tree plan beside a delete-aware LSM, and the
+//!   `⋈̄` methods and §2.3 policies side by side. Each module's doc
+//!   ([`bd_bench::live`] and its siblings) says what it measures and what
+//!   its verdict holds.
 //!
 //! Default scale is 100,000 rows (1/10 of the paper with all ratios
 //! preserved); `--rows 1000000` runs the paper's full scale. Output times
@@ -59,8 +41,9 @@
 //!
 //! `--check-bench PATH` is the gate: it reads that header, re-runs exactly
 //! those experiments at those rows with one worker, and compares every
-//! field of every cell and every experiment's notes as printed. The
-//! simulated clock is deterministic, so nothing is tolerated: it prints one
+//! field of every cell and every experiment's notes as printed; a verdict
+//! that fails on the re-run exits 1 before any comparison. The simulated
+//! clock is deterministic, so nothing is tolerated: it prints one
 //! line per divergence (`lsm/5%/lsm tombstone.sim_minutes: 0.332365 →
 //! 0.351514`), plus missing and extra cells, and exits 1 if there is any. A
 //! snapshot taken with `--parallel` or holding a `live` cell is refused
@@ -207,8 +190,7 @@ fn print_phases(rows: usize, workers: usize) {
     use bd_bench::{run_point, PointConfig, StrategyKind};
     let cfg = PointConfig {
         n_secondary: 2,
-        workers,
-        ..PointConfig::base(rows)
+        ..PointConfig::base(rows, workers)
     };
     match run_point(&cfg, StrategyKind::Bulk, 0.15) {
         Ok(report) => {

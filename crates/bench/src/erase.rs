@@ -220,7 +220,7 @@ mod tests {
         // The campaign's physical scrub and proof cost real I/O on top of
         // the cascade at every window.
         for x in report.xs() {
-            let (cascade, campaign) = (report.value(x, "cascade"), report.value(x, "campaign"));
+            let [cascade, campaign] = ["cascade", "campaign"].map(|s| report.cell(x, s).unwrap());
             assert!(
                 campaign > cascade,
                 "{x}: campaign ({campaign}) not above cascade ({cascade})"

@@ -56,7 +56,7 @@ pub struct PointConfig {
 
 impl PointConfig {
     /// The common configuration: 1 unclustered index on A, 5 MB memory.
-    pub fn base(rows: usize) -> Self {
+    pub fn base(rows: usize, workers: usize) -> Self {
         PointConfig {
             rows,
             paper_mem_mb: 5.0,
@@ -64,7 +64,7 @@ impl PointConfig {
             cluster_a: false,
             fanout: None,
             seed: 42,
-            workers: 1,
+            workers,
         }
     }
 
@@ -136,11 +136,6 @@ impl StrategyKind {
         }
     }
 
-    /// Run this strategy over a built point (serial arms).
-    pub fn run(&self, db: &mut Database, tid: TableId, d_keys: &[Key]) -> DbResult<RunReport> {
-        self.run_workers(db, tid, d_keys, 1)
-    }
-
     /// Run this strategy with the independent `⋈̄` / rebuild arms allowed
     /// `workers` threads. The horizontal strategies have no independent
     /// arms and ignore `workers`.
@@ -151,21 +146,14 @@ impl StrategyKind {
         d_keys: &[Key],
         workers: usize,
     ) -> DbResult<RunReport> {
-        use bd_core::strategy as s;
+        use bd_core::{strategy as s, RebuildMode::*};
         let outcome = match self {
             StrategyKind::SortedTrad => s::horizontal(db, tid, 0, d_keys, true)?,
             StrategyKind::NotSortedTrad => s::horizontal(db, tid, 0, d_keys, false)?,
-            StrategyKind::DropCreate => {
-                s::drop_create(db, tid, 0, d_keys, bd_core::RebuildMode::BulkLoad, workers)?
+            StrategyKind::DropCreate => s::drop_create(db, tid, 0, d_keys, BulkLoad, workers)?,
+            StrategyKind::DropCreateInsertRebuild => {
+                s::drop_create(db, tid, 0, d_keys, InsertEach, workers)?
             }
-            StrategyKind::DropCreateInsertRebuild => s::drop_create(
-                db,
-                tid,
-                0,
-                d_keys,
-                bd_core::RebuildMode::InsertEach,
-                workers,
-            )?,
             StrategyKind::Bulk => s::vertical_sort_merge(db, tid, 0, d_keys, workers)?,
             StrategyKind::BulkPresorted => {
                 let mut sorted = d_keys.to_vec();
@@ -206,7 +194,7 @@ pub fn run_point_with(
 /// One experiment's measured cells plus what is printed around them. The
 /// rendered table is derived from `points`: one row per distinct x, one
 /// column per distinct series label, both in first-measured order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentReport {
     /// Experiment id, e.g. `fig7`.
     pub id: &'static str,
@@ -214,8 +202,10 @@ pub struct ExperimentReport {
     pub title: String,
     /// X-axis label.
     pub x_label: &'static str,
-    /// Expected qualitative shape (checked by tests) and whatever verdict
-    /// the experiment reached beside its table; compared by the gate.
+    /// The verdict the experiment reached beside its table, as printed:
+    /// for a figure, each shape claim with its measured ratio and bound,
+    /// then `[verdict held]` or `[verdict skipped below N rows]`. Compared
+    /// to the character by the gate.
     pub notes: String,
     /// Every measured cell, in the order measured.
     pub points: Vec<snapshot::BenchPoint>,
@@ -256,7 +246,9 @@ impl ExperimentReport {
         out
     }
 
-    fn cell(&self, x: &str, series: &str) -> Option<f64> {
+    /// Simulated minutes at `(x-row, series)`; a `<label> crit` series reads
+    /// the critical-path clock.
+    pub fn cell(&self, x: &str, series: &str) -> Option<f64> {
         let (strategy, crit) = match series.strip_suffix(CRIT) {
             Some(s) => (s, true),
             None => (series, false),
@@ -310,11 +302,5 @@ impl ExperimentReport {
             }
         }
         out
-    }
-
-    /// Value for `(x-row, series)` (panics on unknown names; test helper).
-    pub fn value(&self, x: &str, series: &str) -> f64 {
-        self.cell(x, series)
-            .unwrap_or_else(|| panic!("no cell at x {x}, series {series}"))
     }
 }

@@ -41,7 +41,7 @@ fn driver_label(driver: DeleteDriver) -> &'static str {
 fn run_cell(rows: usize, fraction: f64, driver: DeleteDriver) -> Result<RunReport, String> {
     let point = PointConfig {
         n_secondary: 2,
-        ..PointConfig::base(rows)
+        ..PointConfig::base(rows, 1)
     };
     let (mut db, w) = point.build().map_err(|e| e.to_string())?;
     db.create_hash_index(w.tid, 3).map_err(|e| e.to_string())?;

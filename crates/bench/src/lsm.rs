@@ -101,10 +101,7 @@ pub fn lsm_point(cfg: &PointConfig, fraction: f64) -> DbResult<LsmCell> {
 /// The three-way engine comparison over delete fractions (fig7's sweep
 /// replayed through the engine seam).
 pub fn lsm_experiment(rows: usize, workers: usize) -> DbResult<ExperimentReport> {
-    let cfg = PointConfig {
-        workers,
-        ..PointConfig::base(rows)
-    };
+    let cfg = PointConfig::base(rows, workers);
     let mut cells = Vec::new();
     for f in [0.05, 0.10, 0.15, 0.20] {
         let x = pct(f);

@@ -27,8 +27,8 @@
 //! any number is reported, and a failed verdict fails the experiment.
 
 use bd_core::{
-    audit_catalog, strategy, Database, DatabaseConfig, DbError, DbResult, IndexDef, Maintainer,
-    MaintenanceConfig, RunReport, TableId, Tuple,
+    audit_catalog, measure, strategy, Database, DatabaseConfig, DbError, DbResult, IndexDef,
+    Maintainer, MaintenanceConfig, RunReport, TableId, Tuple,
 };
 
 use bd_btree::Key;
@@ -129,29 +129,20 @@ fn fresh_row(rows: usize, i: usize, n_attrs: usize) -> Tuple {
     Tuple::new((0..n_attrs as Key).map(|a| base + a * 2).collect())
 }
 
-/// Account `body`'s I/O the way [`bd_core::measure`] does for a strategy
-/// (cold cache, reset counters, flush at the end).
+/// Account `body`'s I/O as [`measure`] does for a strategy (cold cache,
+/// reset counters, flush at the end).
 fn measured(
     db: &mut Database,
     label: &str,
     body: impl FnOnce(&mut Database) -> DbResult<()>,
 ) -> DbResult<RunReport> {
+    let mut ran = Ok(());
     let pool = db.pool().clone();
-    pool.clear_cache().map_err(DbError::from)?;
-    pool.reset_stats();
-    let before = pool.disk_stats();
-    body(db)?;
-    pool.flush_all().map_err(DbError::from)?;
-    Ok(RunReport {
-        strategy: label.to_string(),
-        deleted: 0,
-        io: pool.disk_stats().since(&before),
-        phases: Vec::new(),
-        workers: 1,
-        pool: pool.pool_stats(),
-        events: Vec::new(),
-        foreground: None,
-    })
+    let ((), report) = measure(&pool, label, || {
+        ran = body(db);
+        Ok(())
+    })?;
+    ran.map(|()| report)
 }
 
 /// Bulk-load a brand-new database holding exactly `db`'s live rows — the

@@ -115,8 +115,7 @@ pub fn plans_experiment(rows: usize, workers: usize) -> Result<ExperimentReport,
         let cfg = PointConfig {
             n_secondary: 2,
             paper_mem_mb: mb,
-            workers,
-            ..PointConfig::base(rows)
+            ..PointConfig::base(rows, workers)
         };
         for f in [0.01, 0.05, 0.15] {
             let x = format!("{mb:.0} MB / {}", pct(f));

@@ -15,7 +15,7 @@
 //!   "rows": 20000,
 //!   "workers": 1,
 //!   "experiments": [
-//!     {"id": "fig7", "notes": "expected: ..."}
+//!     {"id": "fig7", "notes": "sorted/trad ÷ bulk delete > 1: 5.7019 at 5%\n..."}
 //!   ],
 //!   "points": [
 //!     {"experiment": "fig7", "x": "5%", "strategy": "bulk delete", "deleted": 1000, ...}
@@ -67,7 +67,7 @@ impl FgClass {
 }
 
 /// One measured `(experiment, x, strategy)` cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchPoint {
     /// Experiment id, e.g. `fig7`.
     pub experiment: String,

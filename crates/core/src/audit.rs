@@ -2,8 +2,9 @@
 //!
 //! The paper's correctness claim is that every delete strategy — horizontal,
 //! drop&create, and the vertical set-oriented plans — is a drop-in
-//! replacement for the others. [`Database::check_consistency`] asserts a
-//! *single* database agrees with itself; this module goes further:
+//! replacement for the others. [`Database::check_consistency`] checks that
+//! a *single* database's indices agree with its heap; this module goes
+//! further:
 //!
 //! * [`ShadowDb`] — a tiny in-memory model database that mirrors every
 //!   insert and delete. [`ShadowDb::diff`] compares the model
@@ -16,10 +17,10 @@
 //! * [`AuditReport`] — the structured result: one [`AuditFinding`] per
 //!   divergence, naming the structure and describing the diff.
 //!
-//! Unlike `check_consistency`, nothing here panics on divergence: the
-//! harness accumulates findings so a single run reports *every* broken
-//! structure, which is what makes planted-corruption self-tests and the
-//! every-driver diff (`tests/strategy_equivalence.rs`) useful.
+//! Nothing here panics on divergence: the harness accumulates findings per
+//! structure so a single run reports *every* broken structure, which is
+//! what makes planted-corruption self-tests and the every-driver diff
+//! (`tests/strategy_equivalence.rs`) useful.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -106,7 +107,7 @@ impl std::error::Error for AuditReport {}
 
 /// Describe how two sorted multisets diverge: counts plus a bounded sample
 /// of the elements unique to each side. `None` when they are equal.
-fn diff_sorted<T: Ord + Clone + fmt::Debug>(
+pub(crate) fn diff_sorted<T: Ord + Clone + fmt::Debug>(
     ours: &[T],
     theirs: &[T],
     our_name: &str,
@@ -167,9 +168,9 @@ fn diff_sorted<T: Ord + Clone + fmt::Debug>(
 
 /// Audit the internal consistency of one table: B-tree invariants,
 /// FSM-vs-occupancy, hash-chain structure, and index-vs-heap agreement.
-/// This is the structured (non-panicking) sibling of
-/// [`Database::check_consistency`]; both the shadow diff and the
-/// equivalence check run it on each side first.
+/// This is the structured, wider sibling of [`Database::check_consistency`]
+/// (which checks index-vs-heap agreement and entry counters only); both
+/// the shadow diff and the equivalence check run it on each side first.
 pub fn audit_table(db: &Database, tid: TableId) -> DbResult<AuditReport> {
     let mut report = AuditReport::default();
     let table = db.table(tid)?;

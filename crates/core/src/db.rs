@@ -9,6 +9,7 @@ use bd_storage::{
     BufferPool, CostModel, HeapFile, MemoryBudget, Rid, SimDisk, StorageResult, StructureId,
 };
 
+use crate::audit::diff_sorted;
 use crate::catalog::{Index, IndexDef, Table};
 use crate::constraint::ForeignKey;
 use crate::error::{DbError, DbResult};
@@ -249,8 +250,9 @@ impl Database {
     }
 
     /// Full consistency check: every index holds exactly one entry per heap
-    /// record, keyed by that record's attribute value. Expensive; used by
-    /// tests and after recovery.
+    /// record, keyed by that record's attribute value, and its entry
+    /// counter agrees. Expensive; used by tests and after recovery. A
+    /// divergence is a [`DbError::Audit`] naming each index that diverged.
     pub fn check_consistency(&self, id: TableId) -> DbResult<()> {
         let table = self.table(id)?;
         let mut heap_rows: Vec<(Rid, Tuple)> = table
@@ -260,38 +262,48 @@ impl Database {
             .map(|(rid, bytes)| (rid, table.schema.decode(&bytes)))
             .collect();
         heap_rows.sort_by_key(|(rid, _)| *rid);
-        for index in &table.indices {
-            let mut expect: Vec<(Key, Rid)> = heap_rows
+        let expect = |attr: usize| {
+            let mut entries: Vec<(Key, Rid)> = heap_rows
                 .iter()
-                .map(|(rid, t)| (t.attr(index.def.attr), *rid))
+                .map(|(rid, t)| (t.attr(attr), *rid))
                 .collect();
-            expect.sort_unstable();
+            entries.sort_unstable();
+            entries
+        };
+        let mut findings = Vec::new();
+        let mut check = |name: String, got: &[(Key, Rid)], counter: usize, attr: usize| {
+            if let Some(diff) = diff_sorted(got, &expect(attr), &name, "heap") {
+                findings.push(diff);
+            }
+            if counter != got.len() {
+                findings.push(format!(
+                    "{name} counts {counter} entries, holds {}",
+                    got.len()
+                ));
+            }
+        };
+        for index in &table.indices {
             let got: Vec<(Key, Rid)> = LeafScan::new(&index.tree)
                 .map_err(DbError::Storage)?
                 .collect();
-            assert_eq!(
-                got.len(),
-                expect.len(),
-                "index {} has {} entries, heap has {} records",
-                index.def.name,
-                got.len(),
-                expect.len()
-            );
-            assert_eq!(got, expect, "index {} diverges from heap", index.def.name);
-            assert_eq!(index.tree.len(), got.len(), "index len counter wrong");
+            let name = format!("index {}", index.def.name);
+            check(name, &got, index.tree.len(), index.def.attr);
         }
         for h in &table.hash_indices {
-            let mut expect: Vec<(Key, Rid)> = heap_rows
-                .iter()
-                .map(|(rid, t)| (t.attr(h.def.attr), *rid))
-                .collect();
-            expect.sort_unstable();
             let mut got = h.index.scan().map_err(DbError::Storage)?;
             got.sort_unstable();
-            assert_eq!(got, expect, "hash index {} diverges from heap", h.def.name);
-            assert_eq!(h.index.len(), got.len(), "hash index len counter wrong");
+            check(
+                format!("hash index {}", h.def.name),
+                &got,
+                h.index.len(),
+                h.def.attr,
+            );
         }
-        Ok(())
+        if findings.is_empty() {
+            Ok(())
+        } else {
+            Err(DbError::Audit(findings.join("; ")))
+        }
     }
 }
 
@@ -444,6 +456,24 @@ mod tests {
             db.drop_index(tid, 2).unwrap_err(),
             DbError::NoSuchIndex { attr: 2 }
         );
+    }
+
+    #[test]
+    fn a_phantom_index_entry_is_an_audit_error() {
+        let (mut db, tid) = small_db();
+        db.create_index(tid, IndexDef::secondary(1)).unwrap();
+        for i in 0..50u64 {
+            db.insert(tid, &row(i, i % 7, 0)).unwrap();
+        }
+        db.table_mut(tid).unwrap().indices[0]
+            .tree
+            .insert(999_999, Rid::new(0, 0))
+            .unwrap();
+        let Err(DbError::Audit(detail)) = db.check_consistency(tid) else {
+            panic!("a phantom entry must fail the check");
+        };
+        assert!(detail.contains("1 only in index I_B"), "{detail}");
+        assert!(detail.contains("999999"), "{detail}");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 #!/bin/sh
 # Repo verification: format, lint, the uncalled-API check, release build,
-# every test of the workspace — tier-1 (the root package) plus each crate's
-# own suite: the full fault sweeps and the txn protocol tests live in
-# crates/wal/tests and crates/txn/tests, outside tier-1 (~60 s) — every
+# every test of the workspace — the root package and each crate's own suite
+# (what `cargo test` runs by default) plus the vendored stand-ins' — every
 # example, plus the out-of-workspace benchmark harness's build and tests.
 # Everything runs offline — external deps are vendored under vendor/.
 set -eux
@@ -55,9 +54,9 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 # six figures plus erase, maintain, lsm and plans at 20000 rows, one worker)
 # and compare every field of every cell and every experiment's notes as
 # printed. One moved digit exits 1 with the cell and field named; each
-# experiment's own verdict (erasure proofs, the 10% space
-# budget, the LSM twin and page audits, sort/merge within 1.05x of every
-# forced index method) fails it the same way. After an
+# experiment's own verdict (the six figures' shape claims, erasure proofs,
+# the 10% space budget, the LSM twin and page audits, sort/merge within
+# 1.05x of every forced index method) fails it the same way. After an
 # intended change regenerate the file (README, "Reproducing the paper")
 # and commit the diff: it is the PR's before/after.
 cargo run --release -p bd-bench --bin repro -- --check-bench BENCH.json
