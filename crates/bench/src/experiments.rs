@@ -226,10 +226,8 @@ pub fn fig8(rows: usize, workers: usize) -> Outcome {
         (format!("{n}"), cfg, 0.15)
     });
     let title = format!("vary indices: {rows} rows, unclustered, 5 MB memory, 15% deletes");
-    let cells = cross(
-        points.collect(),
-        &[SortedTrad, NotSortedTrad, DropCreateInsertRebuild, Bulk],
-    );
+    let strategies = [SortedTrad, NotSortedTrad, DropCreateInsertRebuild, Bulk];
+    let cells = cross(points.collect(), &strategies);
     sweep(("fig8", title, "number of indexes"), cells, FIG8)
 }
 
@@ -260,12 +258,8 @@ pub fn table1(rows: usize, workers: usize) -> Outcome {
         cfg.fanout = fanout;
         let (db, w) = cfg.build().map_err(|e| e.to_string())?;
         let table = db.table(w.tid).map_err(|e| e.to_string())?;
-        let height = table
-            .index_on(0)
-            .ok_or("table1: no index on A")?
-            .tree
-            .height();
-        points.push((format!("index height {height}"), cfg, 0.15));
+        let index = table.index_on(0).expect("the point's build indexes A");
+        points.push((format!("index height {}", index.tree.height()), cfg, 0.15));
     }
     if points[0].0 == points[1].0 {
         if rows >= TABLE1.0 {
@@ -397,30 +391,38 @@ bulk delete = 0.079 0.083 0.086 0.086";
     }
 
     #[test]
-    fn each_turned_claim_fails_by_name_and_a_missing_cell_is_an_err() {
-        for (mut report, (min_rows, claims)) in grids() {
-            let judged = |claims, rows| judge(rows, (min_rows, claims), report.clone());
-            let held = judged(claims, min_rows).unwrap().notes;
+    fn each_broken_claim_fails_by_name_and_a_missing_cell_is_an_err() {
+        for (mut report, verdict) in grids() {
+            let min_rows = verdict.0;
+            let skipped = format!("[verdict skipped below {min_rows} rows]");
+            let held = judge(min_rows, verdict, report.clone()).unwrap().notes;
             assert!(held.ends_with("\n[verdict held]"), "{held}");
-            // Each claim turned around fails alone, by name; below
-            // `min_rows` it is printed, not held.
-            for i in 0..claims.len() {
-                let mut turned = claims.to_vec();
-                let (from, to) = if turned[i].contains(" < ") {
-                    (" < ", " > ")
-                } else {
-                    (" > ", " < ")
-                };
-                turned[i] = String::leak(turned[i].replace(from, to));
-                let turned = &*Vec::leak(turned);
-                let err = judged(turned, min_rows).unwrap_err();
-                assert!(err.contains(&format!("{}: ", turned[i])), "{err}");
-                assert_eq!(err.matches(" FAILS").count(), 1, "{err}");
-                let skipped = judged(turned, min_rows - 1).unwrap().notes;
-                assert!(skipped.ends_with(&format!("[verdict skipped below {min_rows} rows]")));
+            // Moving a claim's first cell a hundredfold across its bound
+            // fails the claim by name; below `min_rows` it is printed only.
+            for claim in verdict.1 {
+                let (sides, rows) = claim.split_once(" at ").unwrap_or((claim, ""));
+                let term = sides.split(" ÷ ").next().unwrap();
+                let first_row = rows.split(", ").next().unwrap();
+                let (series, x) = term.split_once('@').unwrap_or((term, first_row));
+                let x = x
+                    .strip_prefix('#')
+                    .map_or(x, |n| report.xs()[n.parse::<usize>().unwrap() - 1]);
+                let mut broken = report.clone();
+                let cell = broken
+                    .points
+                    .iter_mut()
+                    .find(|p| p.x == x && p.strategy == series);
+                cell.unwrap().sim_minutes *= if sides.contains(" < ") { 100.0 } else { 0.01 };
+                let err = judge(min_rows, verdict, broken.clone()).unwrap_err();
+                assert!(
+                    err.contains(&format!("{claim}: ")) && err.contains("FAILS"),
+                    "{err}"
+                );
+                let small = judge(min_rows - 1, verdict, broken).unwrap().notes;
+                assert!(small.contains(&format!("{claim}: ")) && small.ends_with(&skipped));
             }
             report.points.pop();
-            let err = judge(min_rows, (min_rows, claims), report).unwrap_err();
+            let err = judge(min_rows, verdict, report).unwrap_err();
             assert!(err.contains("no cell at"), "{err}");
         }
     }
