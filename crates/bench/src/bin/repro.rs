@@ -13,13 +13,16 @@
 //!
 //! * `fig1 fig7 fig8 table1 fig9 fig10` — the paper's figures (§1, §4),
 //!   each held to its shape claims ([`bd_bench::experiments`]);
-//! * `live`, `erase`, `maintain`, `lsm`, `plans` — foreground latency
-//!   beside an offline and a live delete, retention-window erasure with its
-//!   proof of deletion, steady-state space with and without the
+//! * `erase`, `maintain`, `lsm`, `plans` — retention-window erasure with
+//!   its proof of deletion, steady-state space with and without the
 //!   maintenance daemon, the B-tree plan beside a delete-aware LSM, and the
 //!   `⋈̄` methods and §2.3 policies side by side. Each module's doc
-//!   ([`bd_bench::live`] and its siblings) says what it measures and what
+//!   ([`bd_bench::erase`] and its siblings) says what it measures and what
 //!   its verdict holds.
+//!
+//! Deletes under concurrent traffic have no experiment here: threaded
+//! cells do not repeat to the digit. The benchmark's `live15` workload
+//! measures them, and `crates/txn/tests/live.rs` tests them.
 //!
 //! Default scale is 100,000 rows (1/10 of the paper with all ratios
 //! preserved); `--rows 1000000` runs the paper's full scale. Output times
@@ -46,8 +49,8 @@
 //! clock is deterministic, so nothing is tolerated: it prints one
 //! line per divergence (`lsm/5%/lsm tombstone.sim_minutes: 0.332365 →
 //! 0.351514`), plus missing and extra cells, and exits 1 if there is any. A
-//! snapshot taken with `--parallel` or holding a `live` cell is refused
-//! (exit 2): threaded cells do not repeat.
+//! snapshot taken with `--parallel` is refused (exit 2): threaded cells do
+//! not repeat.
 //!
 //! The drivers' equivalence audits and the fault sweeps are not modes of
 //! this binary: they run in the test suite (`tests/strategy_equivalence.rs`,

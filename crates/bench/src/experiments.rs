@@ -4,10 +4,11 @@
 //!
 //! Each figure's shape is its verdict (`FIG7` for fig7): claims over the
 //! figure's own cells, held wherever the figure runs and printed, with what
-//! they measured, as the figure's notes.
+//! they measured, as the figure's notes. `erase`, `maintain` and `lsm` hold
+//! their cells to verdicts of their own (`ERASE`, `MAINTAIN`, `LSM`) the
+//! same way.
 
 use crate::erase::erase_experiment;
-use crate::live::live_experiment;
 use crate::lsm::lsm_experiment;
 use crate::maintain::maintain_experiment;
 use crate::snapshot::BenchPoint;
@@ -35,7 +36,6 @@ pub const REGISTRY: &[(&str, Experiment)] = &[
     ("table1", table1),
     ("fig9", fig9),
     ("fig10", fig10),
-    ("live", |r, w| text(live_experiment(r, w))),
     ("erase", |r, w| text(erase_experiment(r, w))),
     ("maintain", |r, w| text(maintain_experiment(r, w))),
     ("lsm", |r, w| text(lsm_experiment(r, w))),
@@ -55,7 +55,7 @@ pub(crate) fn pct(f: f64) -> String {
 /// followed by ` at row, row, …`. Each side is terms joined by ` ÷ `; a
 /// term is a number, `series@row`, or a series at each row the claim
 /// lists. A row `#n` is the report's n-th row.
-type Verdict = (usize, &'static [&'static str]);
+pub(crate) type Verdict = (usize, &'static [&'static str]);
 
 /// `report`'s simulated minutes at `(x, series)`; a missing cell is an `Err`.
 fn cell(report: &ExperimentReport, x: &str, series: &str) -> Result<f64, String> {
@@ -104,7 +104,7 @@ fn claim(report: &ExperimentReport, spec: &str) -> Result<(String, bool), String
 /// `[verdict held]`, or `[verdict skipped below N rows]` under `min_rows`
 /// (not a pass). `Err` names each claim that failed at or above
 /// `min_rows`, or a cell a claim needs and the report lacks.
-fn judge(rows: usize, verdict: Verdict, mut report: ExperimentReport) -> Outcome {
+pub(crate) fn judge(rows: usize, verdict: Verdict, mut report: ExperimentReport) -> Outcome {
     let (min_rows, claims) = verdict;
     let (mut notes, mut failed) = (String::new(), Vec::new());
     for spec in claims {
@@ -332,7 +332,7 @@ pub fn fig10(rows: usize, workers: usize) -> Outcome {
 mod tests {
     use super::*;
 
-    /// Synthetic cells on which every claim holds: per figure `id: rows`,
+    /// Synthetic cells on which every claim holds: per verdict `id: rows`,
     /// then `series = simulated minutes per row`.
     const GRIDS: &str = "
 fig1: 1%, 5%, 10%, 15%
@@ -359,11 +359,32 @@ fig10: 6%, 10%, 15%, 20%
 sorted/trad/clust = 0.32 0.37 0.35 0.3
 sorted/trad/unclust = 0.53 0.87 1.3 1.7
 not sorted/trad/clust = 0.94 1.6 2.4 3.1
-bulk delete = 0.079 0.083 0.086 0.086";
+bulk delete = 0.079 0.083 0.086 0.086
+erase: 1mo, 2mo, 3mo
+cascade = 0.08 0.16 0.24
+campaign = 0.74 0.83 0.92
+maintain: round 1, round 2, round 3, round 4, round 5, round 6, round 7, round 8
+daemon off = 0.096 0.095 0.095 0.095 0.12 0.12 0.12 0.12
+daemon on = 0.096 0.094 0.094 0.094 0.094 0.093 0.094 0.094
+lsm: 5%, 10%, 15%, 20%
+bulk delete = 0.078 0.084 0.087 0.087
+lsm purged = 0.088 0.09 0.1 0.11
+lsm tombstone = 0.067 0.086 0.097 0.11";
 
     /// Each grid as a report, beside its figure's verdict.
     fn grids() -> Vec<(ExperimentReport, Verdict)> {
-        let mut verdicts = [FIG1, FIG7, FIG8, TABLE1, FIG9, FIG10].into_iter();
+        let mut verdicts = [
+            FIG1,
+            FIG7,
+            FIG8,
+            TABLE1,
+            FIG9,
+            FIG10,
+            crate::erase::ERASE,
+            crate::maintain::MAINTAIN,
+            crate::lsm::LSM,
+        ]
+        .into_iter();
         let (mut grids, mut xs) = (Vec::<(ExperimentReport, Verdict)>::new(), Vec::new());
         for line in GRIDS.lines().skip(1) {
             if let Some((id, rows)) = line.split_once(": ") {

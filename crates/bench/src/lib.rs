@@ -12,7 +12,6 @@
 
 pub mod erase;
 pub mod experiments;
-pub mod live;
 pub mod lsm;
 pub mod maintain;
 pub mod plans;
@@ -264,43 +263,85 @@ impl ExperimentReport {
         })
     }
 
-    /// Render as an aligned text table (the `repro` binary's output),
-    /// followed by the per-class foreground latencies of any cell measured
-    /// under live traffic.
+    /// Render as an aligned text table (the `repro` binary's output). Each
+    /// column is at least as wide as its widest label plus one space, so
+    /// long labels never run into their neighbours.
     pub fn render(&self) -> String {
         let series = self.series();
+        let xs = self.xs();
+        let first = xs.iter().chain([&self.x_label]);
+        let first = first.map(|l| l.chars().count() + 1).fold(24, usize::max);
+        let widths: Vec<usize> = series
+            .iter()
+            .map(|s| (s.chars().count() + 1).max(20))
+            .collect();
         let mut out = String::new();
         out.push_str(&format!("## {} — {}\n", self.id, self.title));
-        out.push_str(&format!("{:<24}", self.x_label));
-        for s in &series {
-            out.push_str(&format!("{s:>20}"));
+        out.push_str(&format!("{:<first$}", self.x_label));
+        for (s, w) in series.iter().zip(&widths) {
+            out.push_str(&format!("{s:>w$}"));
         }
         out.push('\n');
-        out.push_str(&"-".repeat(24 + 20 * series.len()));
+        out.push_str(&"-".repeat(first + widths.iter().sum::<usize>()));
         out.push('\n');
-        for x in self.xs() {
-            out.push_str(&format!("{x:<24}"));
-            for s in &series {
+        for x in xs {
+            out.push_str(&format!("{x:<first$}"));
+            for (s, &w) in series.iter().zip(&widths) {
                 match self.cell(x, s) {
-                    Some(v) => out.push_str(&format!("{v:>16.2} min")),
-                    None => out.push_str(&format!("{:>20}", "-")),
+                    Some(v) => out.push_str(&format!("{v:>digits$.2} min", digits = w - 4)),
+                    None => out.push_str(&format!("{:>w$}", "-")),
                 }
             }
             out.push('\n');
         }
         out.push_str(&format!("note: {}\n", self.notes));
-        for p in self.points.iter().filter(|p| !p.foreground.is_empty()) {
-            out.push_str(&format!(
-                "foreground under {} @ {} (deleted {}):\n",
-                p.strategy, p.x, p.deleted
-            ));
-            for c in &p.foreground {
-                out.push_str(&format!(
-                    "  {:<12} n {:>7}  p50 {:>7} µs  p95 {:>7} µs  p99 {:>7} µs  max {:>8} µs\n",
-                    c.class, c.ops, c.p50_us, c.p95_us, c.p99_us, c.max_us
-                ));
-            }
-        }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snapshot::BenchPoint;
+
+    /// fig10's series and a long row label: every column keeps a space
+    /// before its neighbour, and every line of the table is as wide as its
+    /// header.
+    #[test]
+    fn long_labels_keep_their_columns_apart() {
+        let row = "index height 3 (fanout 32)";
+        let point = |strategy: &str, sim_minutes| BenchPoint {
+            x: row.into(),
+            strategy: strategy.into(),
+            sim_minutes,
+            crit_path_minutes: sim_minutes,
+            ..BenchPoint::default()
+        };
+        let report = ExperimentReport {
+            id: "fig10",
+            x_label: "deleted tuples",
+            points: vec![
+                point("sorted/trad/unclust", 1.5),
+                point("not sorted/trad/clust", 2.25),
+            ],
+            ..ExperimentReport::default()
+        };
+        let text = report.render();
+        let lines: Vec<&str> = text.lines().collect();
+        let header = lines[1];
+        assert!(
+            header.ends_with(" sorted/trad/unclust not sorted/trad/clust"),
+            "{text}"
+        );
+        assert!(lines[3].starts_with(&format!("{row} ")), "{text}");
+        // Each cell ends where its column's label does.
+        let end = |line: &str, s: &str| line.find(s).map(|i| i + s.len());
+        for (label, cell) in [("unclust", "1.50 min"), ("clust", "2.25 min")] {
+            let label = end(header, &format!("trad/{label}"));
+            assert_eq!(label, end(lines[3], cell), "{text}");
+        }
+        for line in &lines[2..4] {
+            assert_eq!(line.chars().count(), header.chars().count(), "{text}");
+        }
     }
 }

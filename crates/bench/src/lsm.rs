@@ -27,9 +27,28 @@ use bd_core::{DbError, DbResult, RunReport};
 use bd_lsm::{LsmConfig, LsmTable};
 use bd_workload::TableSpec;
 
-use crate::experiments::pct;
+use crate::experiments::{judge, pct, Verdict};
 use crate::snapshot::BenchPoint;
 use crate::{mem_bytes, ExperimentReport, PointConfig, StrategyKind};
+
+/// The LSM arms grow with the fraction faster than the B-tree vertical
+/// plan, which barely grows: the membership probe is one sorted pass per
+/// run, and what grows is the flushes and compactions the tombstones
+/// trigger. Purging every remaining tombstone adds only the residual
+/// compactions. From 20 000 rows the B-tree is the cheapest arm from 10%
+/// on and beats the purged arm at every fraction (measured up to 100 000
+/// rows); at 15 000 rows every LSM cell undercuts it.
+pub(crate) const LSM: Verdict = (
+    20_000,
+    &[
+        "lsm tombstone@20% ÷ lsm tombstone@5% > bulk delete@20% ÷ bulk delete@5%",
+        "lsm purged@20% ÷ lsm purged@5% > bulk delete@20% ÷ bulk delete@5%",
+        "bulk delete@20% ÷ bulk delete@5% < 1.25",
+        "lsm tombstone ÷ bulk delete > 1 at 10%, 15%, 20%",
+        "lsm purged ÷ bulk delete > 1 at 5%, 10%, 15%, 20%",
+        "lsm purged ÷ lsm tombstone < 1.5 at 5%, 10%, 15%, 20%",
+    ],
+);
 
 /// LSM knobs for a bench point: the memtable plays the role the paper's
 /// sort/hash workspace plays for the B-tree (1/4 of the memory budget),
@@ -99,7 +118,7 @@ pub fn lsm_point(cfg: &PointConfig, fraction: f64) -> DbResult<LsmCell> {
 }
 
 /// The three-way engine comparison over delete fractions (fig7's sweep
-/// replayed through the engine seam).
+/// replayed through the engine seam), held to [`LSM`].
 pub fn lsm_experiment(rows: usize, workers: usize) -> DbResult<ExperimentReport> {
     let cfg = PointConfig::base(rows, workers);
     let mut cells = Vec::new();
@@ -115,26 +134,15 @@ pub fn lsm_experiment(rows: usize, workers: usize) -> DbResult<ExperimentReport>
             cells.push(BenchPoint::from_report("lsm", &x, label, r));
         }
     }
-    Ok(ExperimentReport {
+    let report = ExperimentReport {
         id: "lsm",
         title: format!(
             "engine comparison: {rows} rows, B-tree vertical vs \
              delete-aware LSM (tombstone write, forced purge), 5 MB memory"
         ),
         x_label: "deleted tuples",
-        notes: "the LSM arms grow with the fraction: the membership probe is \
-                one sorted pass per run, and the tombstones follow in key \
-                order, so each flush spans a narrow key range and compacts \
-                only the partitions under it; what grows is those flushes \
-                and compactions. The B-tree vertical plan barely grows: at \
-                20000 rows the tombstone arm undercuts it at 5% (by 15%) and \
-                costs more from 10% on, at 100000 rows the B-tree is \
-                cheapest at every fraction, and the purged arm stays above \
-                it at every fraction at both sizes; purging every remaining \
-                tombstone adds only the residual compactions on top of the \
-                tombstone arm; every LSM cell is audit-equivalent to its \
-                B-tree twin and its page catalog is clean"
-            .into(),
+        notes: String::new(),
         points: cells,
-    })
+    };
+    judge(rows, LSM, report).map_err(DbError::Audit)
 }

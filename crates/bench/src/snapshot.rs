@@ -28,43 +28,9 @@
 //! printed as; nothing is re-typed, and a missing field is a divergence
 //! like any other.
 
-use bd_core::{ForegroundReport, RunReport};
+use bd_core::RunReport;
 
 use crate::ExperimentReport;
-
-/// Foreground latency percentiles for one op class of a live run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FgClass {
-    /// Op class, e.g. `point_read`.
-    pub class: String,
-    /// Operations sampled.
-    pub ops: u64,
-    /// Median latency, microseconds.
-    pub p50_us: u64,
-    /// 95th-percentile latency, microseconds.
-    pub p95_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
-    /// Worst observed latency, microseconds.
-    pub max_us: u64,
-}
-
-impl FgClass {
-    /// Flatten a [`ForegroundReport`] into per-class snapshot entries.
-    pub fn from_report(fg: &ForegroundReport) -> Vec<FgClass> {
-        fg.classes
-            .iter()
-            .map(|(name, h)| FgClass {
-                class: name.clone(),
-                ops: h.count(),
-                p50_us: h.percentile(50.0),
-                p95_us: h.percentile(95.0),
-                p99_us: h.percentile(99.0),
-                max_us: h.max_us(),
-            })
-            .collect()
-    }
-}
 
 /// One measured `(experiment, x, strategy)` cell.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -105,10 +71,6 @@ pub struct BenchPoint {
     pub pool_writebacks: u64,
     /// Warm-hit fraction of all pins (prefetched pins are not warm).
     pub buffer_hit_rate: f64,
-    /// Foreground latency percentiles per op class, for points measured
-    /// under live traffic. Empty for offline points (and omitted from
-    /// their JSON).
-    pub foreground: Vec<FgClass>,
 }
 
 impl BenchPoint {
@@ -135,11 +97,6 @@ impl BenchPoint {
             pool_prefetched: report.pool.prefetched,
             pool_writebacks: report.pool.writebacks,
             buffer_hit_rate: report.pool.hit_rate(),
-            foreground: report
-                .foreground
-                .as_ref()
-                .map(FgClass::from_report)
-                .unwrap_or_default(),
         }
     }
 
@@ -164,28 +121,7 @@ impl BenchPoint {
             format!("\"pool_writebacks\": {}", self.pool_writebacks),
             format!("\"buffer_hit_rate\": {}", num(self.buffer_hit_rate)),
         ];
-        let mut out = format!("{{{}", fields.join(", "));
-        if !self.foreground.is_empty() {
-            let classes: Vec<String> = self
-                .foreground
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"class\": \"{}\", \"ops\": {}, \"p50_us\": {}, \"p95_us\": {}, \
-                         \"p99_us\": {}, \"max_us\": {}}}",
-                        esc(&c.class),
-                        c.ops,
-                        c.p50_us,
-                        c.p95_us,
-                        c.p99_us,
-                        c.max_us
-                    )
-                })
-                .collect();
-            out.push_str(&format!(", \"foreground\": [{}]", classes.join(", ")));
-        }
-        out.push('}');
-        out
+        format!("{{{}}}", fields.join(", "))
     }
 }
 
@@ -280,8 +216,7 @@ fn string_end(b: &[u8], open: usize) -> usize {
 }
 
 /// Split one snapshot line into its `"key": value` pairs. Values stay the
-/// text they were printed as; strings lose their quotes, not their escapes,
-/// and a nested array or object is one value.
+/// text they were printed as; strings lose their quotes, not their escapes.
 fn fields(line: &str) -> Vec<(String, String)> {
     let b = line.as_bytes();
     let mut out = Vec::new();
@@ -291,13 +226,11 @@ fn fields(line: &str) -> Vec<(String, String)> {
         let start = (close + 1..b.len())
             .find(|&j| b[j] != b':' && b[j] != b' ')
             .unwrap_or(b.len());
-        let (mut end, mut depth) = (start, 0usize);
+        let mut end = start;
         while end < b.len() {
             match b[end] {
                 b'"' => end = string_end(b, end),
-                b'[' | b'{' => depth += 1,
-                b',' | b']' | b'}' if depth == 0 => break,
-                b']' | b'}' => depth -= 1,
+                b',' | b']' | b'}' => break,
                 _ => {}
             }
             end += 1;
@@ -375,12 +308,6 @@ impl Snapshot {
             return Err("no experiments recorded".to_string());
         }
         for (i, e) in self.entries.iter().enumerate() {
-            if e.fields.iter().any(|(k, _)| k == "foreground") {
-                return Err(format!(
-                    "{} was measured under foreground threads: it does not repeat",
-                    e.name
-                ));
-            }
             if self.entries[..i].iter().any(|o| o.name == e.name) {
                 return Err(format!("two cells are both named {}", e.name));
             }
@@ -440,7 +367,6 @@ mod tests {
             pool_prefetched: 8_200,
             pool_writebacks: 4_050,
             buffer_hit_rate: 0.002192,
-            foreground: vec![],
         }
     }
 
@@ -507,24 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn threaded_foreground_and_duplicate_baselines_are_refused() {
+    fn threaded_and_duplicate_baselines_are_refused() {
         let threaded = Snapshot::read(&to_json(20_000, 3, &[report(sample())])).unwrap();
         assert!(threaded
             .refuse_as_baseline()
             .unwrap_err()
             .contains("3 workers"));
-
-        let mut live = sample();
-        live[0].foreground = vec![FgClass {
-            class: "point_read".into(),
-            ops: 4_200,
-            p50_us: 18,
-            p95_us: 95,
-            p99_us: 240,
-            max_us: 1_900,
-        }];
-        let err = read(live).refuse_as_baseline().unwrap_err();
-        assert!(err.contains("fig7/5%/bulk delete"), "{err}");
 
         let twice = vec![point("5%", "bulk delete"), point("5%", "bulk delete")];
         let err = read(twice).refuse_as_baseline().unwrap_err();

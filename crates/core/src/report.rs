@@ -100,205 +100,6 @@ impl PhaseTimer {
     }
 }
 
-/// Sub-buckets per power of two: 2^3 = 8 gives ≤ 12.5% relative error on
-/// reported percentiles, at 8 counters per octave.
-const HIST_SUB_BITS: u32 = 3;
-const HIST_SUB: usize = 1 << HIST_SUB_BITS;
-/// Buckets 0..HIST_SUB hold the exact values 0..8 µs; above that, one
-/// octave per power of two up to u64::MAX.
-const HIST_BUCKETS: usize = HIST_SUB * (64 - HIST_SUB_BITS as usize + 1);
-
-/// Log-bucketed latency histogram (microseconds).
-///
-/// Fixed footprint, mergeable across threads, percentile queries with
-/// bounded (≤ 12.5%) relative error — the usual shape for foreground
-/// latency reporting, where exact values matter less than stable tails.
-/// Workload workers each record into their own histogram and the driver
-/// [`LatencyHistogram::merge`]s them on join.
-#[derive(Clone)]
-pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            counts: vec![0; HIST_BUCKETS],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl std::fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LatencyHistogram")
-            .field("count", &self.total)
-            .field("p50_us", &self.percentile(50.0))
-            .field("p99_us", &self.percentile(99.0))
-            .field("max_us", &self.max)
-            .finish()
-    }
-}
-
-fn hist_bucket(v: u64) -> usize {
-    if v < HIST_SUB as u64 {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros();
-    let sub = ((v >> (msb - HIST_SUB_BITS)) & (HIST_SUB as u64 - 1)) as usize;
-    (msb - HIST_SUB_BITS + 1) as usize * HIST_SUB + sub
-}
-
-/// Inclusive upper edge of a bucket (what percentile queries report).
-fn hist_edge(bucket: usize) -> u64 {
-    if bucket < HIST_SUB {
-        return bucket as u64;
-    }
-    let octave = (bucket / HIST_SUB) as u32 - 1 + HIST_SUB_BITS;
-    let sub = (bucket % HIST_SUB) as u64;
-    let base = 1u64 << octave;
-    let step = base >> HIST_SUB_BITS;
-    // (base - 1) first: the top octave's last edge is exactly u64::MAX and
-    // `base + 8 * step` would wrap.
-    (base - 1) + (sub + 1) * step
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram::default()
-    }
-
-    /// Record one latency sample, in microseconds.
-    pub fn record(&mut self, micros: u64) {
-        self.counts[hist_bucket(micros)] += 1;
-        self.total += 1;
-        self.sum = self.sum.saturating_add(micros);
-        self.max = self.max.max(micros);
-    }
-
-    /// Fold `other`'s samples into this histogram.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Largest recorded sample (exact, not bucketed), in microseconds.
-    pub fn max_us(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of all samples, in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// The `p`-th percentile (0 < p ≤ 100), in microseconds: the upper
-    /// edge of the first bucket whose cumulative count covers `p` percent
-    /// of samples, clamped to the exact observed maximum. Returns 0 on an
-    /// empty histogram.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let need = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (bucket, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= need {
-                return hist_edge(bucket).min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// Foreground latency percentiles per operation class, observed while a
-/// bulk delete ran under live traffic.
-#[derive(Debug, Clone, Default)]
-pub struct ForegroundReport {
-    /// `(op class, histogram)` in first-recorded order, e.g.
-    /// `point_read`, `range_scan`, `insert`.
-    pub classes: Vec<(String, LatencyHistogram)>,
-}
-
-impl ForegroundReport {
-    /// An empty report.
-    pub fn new() -> Self {
-        ForegroundReport::default()
-    }
-
-    /// The histogram for `class`, created on first use.
-    pub fn class_mut(&mut self, class: &str) -> &mut LatencyHistogram {
-        if let Some(i) = self.classes.iter().position(|(n, _)| n == class) {
-            return &mut self.classes[i].1;
-        }
-        self.classes
-            .push((class.to_string(), LatencyHistogram::new()));
-        &mut self.classes.last_mut().expect("just pushed").1
-    }
-
-    /// The histogram for `class`, if any samples were recorded.
-    pub fn class(&self, class: &str) -> Option<&LatencyHistogram> {
-        self.classes
-            .iter()
-            .find(|(n, _)| n == class)
-            .map(|(_, h)| h)
-    }
-
-    /// Fold every class of `other` into this report.
-    pub fn merge(&mut self, other: &ForegroundReport) {
-        for (name, hist) in &other.classes {
-            self.class_mut(name).merge(hist);
-        }
-    }
-
-    /// Total samples across all classes.
-    pub fn total_ops(&self) -> u64 {
-        self.classes.iter().map(|(_, h)| h.count()).sum()
-    }
-
-    /// Rendered percentile table, one line per op class.
-    pub fn table(&self) -> String {
-        let mut out = String::new();
-        for (name, h) in &self.classes {
-            out.push_str(&format!(
-                "  fg {:<12} n {:>7}  p50 {:>7} µs  p95 {:>7} µs  p99 {:>7} µs  max {:>8} µs\n",
-                name,
-                h.count(),
-                h.percentile(50.0),
-                h.percentile(95.0),
-                h.percentile(99.0),
-                h.max_us(),
-            ));
-        }
-        out
-    }
-}
-
 /// Outcome of one delete-strategy execution.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -319,9 +120,6 @@ pub struct RunReport {
     /// Arm re-runs. Always empty: no executor path re-runs an arm; the
     /// field stays for callers that count it.
     pub events: Vec<DegradeEvent>,
-    /// Foreground latency percentiles per op class, when the run executed
-    /// under live traffic (`None` for offline runs).
-    pub foreground: Option<ForegroundReport>,
 }
 
 impl RunReport {
@@ -384,9 +182,6 @@ impl RunReport {
                 out.push_str(&format!("      ({} I/O retries)\n", row.io.retries));
             }
         }
-        if let Some(fg) = &self.foreground {
-            out.push_str(&fg.table());
-        }
         out
     }
 
@@ -445,7 +240,6 @@ pub fn measure<T>(
             workers: 1,
             pool: pool.pool_stats(),
             events: Vec::new(),
-            foreground: None,
         },
     ))
 }
@@ -514,87 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_have_bounded_relative_error() {
-        let mut h = LatencyHistogram::new();
-        for v in 1..=10_000u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 10_000);
-        assert_eq!(h.max_us(), 10_000);
-        for (p, exact) in [(50.0, 5_000u64), (95.0, 9_500), (99.0, 9_900)] {
-            let got = h.percentile(p);
-            assert!(
-                got >= exact && got as f64 <= exact as f64 * 1.125 + 1.0,
-                "p{p}: got {got}, exact {exact}"
-            );
-        }
-        assert_eq!(h.percentile(100.0), 10_000);
-        assert!((h.mean_us() - 5_000.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn histogram_small_values_are_exact() {
-        let mut h = LatencyHistogram::new();
-        for v in [0u64, 1, 2, 3, 7] {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(20.0), 0);
-        assert_eq!(h.percentile(100.0), 7);
-        assert_eq!(h.percentile(60.0), 2);
-    }
-
-    #[test]
-    fn histogram_merge_equals_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
-        let mut x = 12345u64;
-        for i in 0..2000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = x % 1_000_000;
-            if i % 2 == 0 { &mut a } else { &mut b }.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.max_us(), all.max_us());
-        for p in [1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(a.percentile(p), all.percentile(p), "p{p}");
-        }
-    }
-
-    #[test]
-    fn histogram_extremes_do_not_overflow() {
-        let mut h = LatencyHistogram::new();
-        h.record(u64::MAX);
-        h.record(0);
-        assert_eq!(h.percentile(100.0), u64::MAX);
-        assert_eq!(h.percentile(1.0), 0);
-        let empty = LatencyHistogram::new();
-        assert_eq!(empty.percentile(99.0), 0);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn foreground_report_merges_and_renders_per_class() {
-        let mut a = ForegroundReport::new();
-        a.class_mut("point_read").record(120);
-        a.class_mut("insert").record(340);
-        let mut b = ForegroundReport::new();
-        b.class_mut("point_read").record(90);
-        b.class_mut("range_scan").record(1000);
-        a.merge(&b);
-        assert_eq!(a.total_ops(), 4);
-        assert_eq!(a.class("point_read").unwrap().count(), 2);
-        let table = a.table();
-        for class in ["point_read", "insert", "range_scan"] {
-            assert!(table.contains(class), "{table}");
-        }
-    }
-
-    #[test]
     fn critical_path_removes_group_overlap() {
         fn ms(sim_ms: f64) -> DiskStats {
             DiskStats {
@@ -626,7 +339,6 @@ mod tests {
             workers: 2,
             pool: PoolStats::default(),
             events: Vec::new(),
-            foreground: None,
         };
         // saved = (35 + 25) - 35 = 25; crit = 100 - 25 = 75.
         assert!((report.critical_path_ms() - 75.0).abs() < 1e-9);

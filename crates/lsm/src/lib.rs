@@ -62,8 +62,6 @@ pub struct LsmConfig {
     /// regardless of level occupancy. Smaller = deletes are physically
     /// purged sooner at the price of extra write amplification.
     pub purge_deadline: u64,
-    /// Bloom-filter budget per key in each run's filter.
-    pub bloom_bits_per_key: usize,
     /// Maximum pages per run: bulk loads and merge outputs are split into
     /// partitions of at most this size, so one compaction never rewrites
     /// more than the victim plus the overlapping partitions (the
@@ -77,7 +75,6 @@ impl Default for LsmConfig {
             memtable_capacity: 256,
             fanout: 4,
             purge_deadline: 8,
-            bloom_bits_per_key: 8,
             max_run_pages: 128,
         }
     }
@@ -92,7 +89,6 @@ impl LsmConfig {
             memtable_capacity: 64,
             fanout: 3,
             purge_deadline: 4,
-            bloom_bits_per_key: 8,
             max_run_pages: 2,
         }
     }

@@ -93,6 +93,9 @@ pub struct Run {
     pub record_len: usize,
 }
 
+/// Bloom-filter budget per key in each run's filter.
+const BLOOM_BITS_PER_KEY: usize = 8;
+
 impl Run {
     /// Total items (puts + tombstones).
     pub fn items(&self) -> usize {
@@ -110,7 +113,6 @@ impl Run {
         items: &[(Key, Item)],
         seq: u64,
         oldest_tomb_seq: Option<u64>,
-        bloom_bits_per_key: usize,
     ) -> StorageResult<Run> {
         debug_assert!(items.windows(2).all(|w| w[0].0 < w[1].0), "run unsorted");
         // `flush` skips an empty memtable and `partition_items` yields no
@@ -152,7 +154,7 @@ impl Run {
             })
         })?;
 
-        let mut bloom = Bloom::with_capacity(items.len(), bloom_bits_per_key);
+        let mut bloom = Bloom::with_capacity(items.len(), BLOOM_BITS_PER_KEY);
         for (key, _) in items {
             bloom.insert(*key);
         }
@@ -426,7 +428,7 @@ mod tests {
         let record_len = PAGE_SIZE;
         let items = vec![(1, Item::Put(vec![0u8; record_len])), (2, Item::Del)];
         assert_eq!(layout_pages(&items, record_len).len(), 2);
-        let err = Run::write(&pool, owner, record_len, &items, 1, None, 8).unwrap_err();
+        let err = Run::write(&pool, owner, record_len, &items, 1, None).unwrap_err();
         assert_eq!(
             err,
             StorageError::RecordTooLarge {

@@ -153,7 +153,6 @@ impl LsmTable {
             &items,
             self.seq,
             has_tombs.then_some(self.seq),
-            self.cfg.bloom_bits_per_key,
         )?;
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
@@ -291,7 +290,6 @@ impl LsmTable {
                 &chunk,
                 self.seq,
                 if has_tombs { survivors_tomb_seq } else { None },
-                self.cfg.bloom_bits_per_key,
             )?;
             let below = &mut self.levels[level + 1];
             let at = below.partition_point(|r| r.min_key < run.min_key);
@@ -563,7 +561,6 @@ impl TableEngine for LsmTable {
                         &chunk,
                         self.seq,
                         None,
-                        self.cfg.bloom_bits_per_key,
                     )
                     .map_err(DbError::Storage)?,
                 );

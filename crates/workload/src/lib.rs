@@ -16,10 +16,6 @@
 //! scale is 1/10 of the paper's (100,000 rows) with every ratio preserved;
 //! `TableSpec::paper_full()` is the original size.
 
-pub mod live;
-
-pub use live::{run_with_foreground, DeleteDriver, FgConfig, FgMix, LiveRun};
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

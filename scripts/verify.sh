@@ -54,14 +54,10 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 # six figures plus erase, maintain, lsm and plans at 20000 rows, one worker)
 # and compare every field of every cell and every experiment's notes as
 # printed. One moved digit exits 1 with the cell and field named; each
-# experiment's own verdict (the six figures' shape claims, erasure proofs,
-# the 10% space budget, the LSM twin and page audits, sort/merge within
-# 1.05x of every forced index method) fails it the same way. After an
+# experiment's own verdict (the shape claims of the six figures, erase,
+# maintain and lsm, erasure proofs, the 10% space budget, the LSM twin and
+# page audits, sort/merge within 1.05x of every forced index method) fails
+# it the same way. After an
 # intended change regenerate the file (README, "Reproducing the paper")
 # and commit the diff: it is the PR's before/after.
 cargo run --release -p bd-bench --bin repro -- --check-bench BENCH.json
-
-# Online smoke: offline vs live bulk delete beside four foreground threads.
-# Threaded cells do not repeat, so its gate is the shadow-model diff every
-# cell runs before its numbers are accepted.
-cargo run --release -p bd-bench --bin repro -- live --rows 20000
