@@ -521,7 +521,7 @@ mod tests {
             .collect();
         bulk_delete_sorted(&mut sparse, &victims, ReorgPolicy::None).unwrap();
         let leaves_before = crate::scan::LeafPages::new(&sparse).unwrap().count();
-        crate::reorg::base_node_pack(&mut sparse).unwrap();
+        crate::reorg::post_pass(&mut sparse, ReorgPolicy::BaseNodePack).unwrap();
         let leaves_after = crate::scan::LeafPages::new(&sparse).unwrap().count();
         assert!(
             leaves_after * 3 <= leaves_before,

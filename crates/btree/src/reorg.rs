@@ -1,6 +1,6 @@
 //! Reorganization during bulk deletion (paper §2.3).
 //!
-//! Three policies are offered:
+//! Four policies are offered:
 //!
 //! * [`ReorgPolicy::None`] — leave emptied leaves attached (baseline for the
 //!   ablation);
@@ -14,9 +14,13 @@
 //! * [`ReorgPolicy::CompactLeaves`] — additionally rewrite the whole leaf
 //!   level densely left-packed onto a fresh contiguous extent and rebuild
 //!   the inner levels bottom-up (§2.3's "shift all entries to the left" +
-//!   level-wise inner rebuild). Leaf *merging* is deliberately not offered:
-//!   the paper cites Johnson & Shasha's conclusion "that leaf pages should
-//!   not be merged after deletions".
+//!   level-wise inner rebuild);
+//! * [`ReorgPolicy::BaseNodePack`] — free-at-empty plus the incremental
+//!   base-node reorganization of [`IncrementalPacker`], in place.
+//!
+//! Leaf *merging* is deliberately not offered: the paper cites Johnson &
+//! Shasha's conclusion "that leaf pages should not be merged after
+//! deletions".
 
 use std::collections::HashSet;
 
@@ -151,123 +155,14 @@ pub(crate) fn patch_parents_from(
 }
 
 /// Post-pass hook run by every bulk delete after its leaf pass and parent
-/// patching.
+/// patching. [`ReorgPolicy::BaseNodePack`] drives an
+/// [`IncrementalPacker`] through one whole pass.
 pub(crate) fn post_pass(tree: &mut BTree, policy: ReorgPolicy) -> StorageResult<()> {
     match policy {
         ReorgPolicy::CompactLeaves => compact_leaves(tree, 1.0),
-        ReorgPolicy::BaseNodePack => base_node_pack(tree),
+        ReorgPolicy::BaseNodePack => IncrementalPacker::new().step(tree, usize::MAX).map(|_| ()),
         ReorgPolicy::None | ReorgPolicy::FreeAtEmpty => Ok(()),
     }
-}
-
-/// §2.3 base-node reorganization, in place: for every level-1 node (the
-/// "base nodes", whose subtrees are single-level and therefore bounded by
-/// one node's fanout — they fit in memory), shift the live leaf entries
-/// "to the left, beyond base node delimiters" *within that subtree's own
-/// pages*, free the emptied trailing leaves, and rebuild the base node's
-/// separators. Base nodes that end up childless are detached bottom-up.
-pub(crate) fn base_node_pack(tree: &mut BTree) -> StorageResult<()> {
-    if tree.height() < 2 {
-        return Ok(());
-    }
-    let leaf_cap = tree.config().leaf_cap;
-    let mut freed_base: HashSet<PageId> = HashSet::new();
-    let mut prev_kept_leaf: Option<PageId> = None;
-    let mut prev_base: Option<PageId> = None;
-    let mut cur = Some(tree.leftmost_of_level(1)?);
-
-    while let Some(base) = cur {
-        // Children of this base node, left to right.
-        let (children, next_base) = {
-            let r = tree.pool().pin_read(base)?;
-            let node = NodeRef::new(&r[..]);
-            let children: Vec<PageId> = (0..=node.nkeys()).map(|i| node.inner_child(i)).collect();
-            (children, node.right_sibling())
-        };
-        // Gather the subtree's live entries (bounded by fanout * leaf_cap).
-        let mut entries = Vec::new();
-        for &leaf in &children {
-            let r = tree.pool().pin_read(leaf)?;
-            let node = NodeRef::new(&r[..]);
-            for i in 0..node.nkeys() {
-                entries.push(node.leaf_entry(i));
-            }
-        }
-        let kept = entries.len().div_ceil(leaf_cap).min(children.len());
-        // Rewrite the first `kept` leaves densely, in place.
-        let mut seps: Vec<(crate::node::Sep, PageId)> = Vec::with_capacity(kept);
-        for (i, chunk) in entries.chunks(leaf_cap.max(1)).enumerate() {
-            let pid = children[i];
-            let mut w = tree.pool().pin_write(pid)?;
-            let mut node = NodeMut::new(&mut w[..]);
-            node.leaf_set_entries(chunk);
-            let next = children.get(i + 1).copied();
-            node.set_right_sibling(next); // provisional; fixed below
-            seps.push((chunk[0], pid));
-        }
-        if entries.is_empty() {
-            // The whole subtree is empty: free every leaf and the base.
-            freed_base.insert(base);
-            tree.stats_mut().leaves_freed += children.len() as u64;
-            for &leaf in &children {
-                tree.pool().free_page(leaf);
-            }
-            tree.pool().free_page(base);
-        } else {
-            // Fix the chain: previous kept leaf -> first kept leaf here;
-            // last kept leaf -> (patched when the next subtree resolves).
-            if let Some(pv) = prev_kept_leaf {
-                let mut w = tree.pool().pin_write(pv)?;
-                NodeMut::new(&mut w[..]).set_right_sibling(Some(seps[0].1));
-            }
-            let last_kept = seps[kept - 1].1;
-            {
-                let mut w = tree.pool().pin_write(last_kept)?;
-                NodeMut::new(&mut w[..]).set_right_sibling(None);
-            }
-            prev_kept_leaf = Some(last_kept);
-            tree.stats_mut().leaves_freed += (children.len() - kept) as u64;
-            for &leaf in &children[kept..] {
-                tree.pool().free_page(leaf);
-            }
-            // Rebuild the base node over the kept leaves only.
-            let inner_seps: Vec<(crate::node::Sep, u32)> =
-                seps[1..].iter().map(|&(s, c)| (s, c)).collect();
-            let mut w = tree.pool().pin_write(base)?;
-            let mut node = NodeMut::new(&mut w[..]);
-            node.inner_set_entries(seps[0].1, &inner_seps);
-            drop(w);
-            // Unlink freed base nodes between the previous kept base and
-            // this one.
-            if let Some(pb) = prev_base {
-                let mut w = tree.pool().pin_write(pb)?;
-                NodeMut::new(&mut w[..]).set_right_sibling(Some(base));
-            }
-            prev_base = Some(base);
-        }
-        cur = next_base;
-    }
-    // Trailing empty subtree(s): the loop above only unlinks a freed base
-    // when a *later* non-empty subtree resolves, so the last kept base may
-    // still point at a freed base. Leaving the dangle would let a level-1
-    // walker step into a page the maintenance daemon is free to zero and
-    // recycle.
-    if let Some(pb) = prev_base {
-        let next = {
-            let r = tree.pool().pin_read(pb)?;
-            NodeRef::new(&r[..]).right_sibling()
-        };
-        if next.is_some_and(|n| freed_base.contains(&n)) {
-            let mut w = tree.pool().pin_write(pb)?;
-            NodeMut::new(&mut w[..]).set_right_sibling(None);
-        }
-    }
-    // Packing rearranged entries across leaf boundaries; the fixed extent
-    // now contains holes, so confident chained prefetch is disabled.
-    tree.set_leaf_extent(None);
-    patch_parents_from(tree, &freed_base, 2)?;
-    tree.recount()?;
-    Ok(())
 }
 
 /// Progress of one [`IncrementalPacker::step`] call.
@@ -281,9 +176,14 @@ pub struct PackProgress {
     pub done: bool,
 }
 
-/// Incremental, resumable version of [`base_node_pack`]: the paced walker
-/// the maintenance daemon drives *between* foreground phases instead of
-/// stopping the world.
+/// §2.3 base-node reorganization, in place and resumable. For every
+/// level-1 node (the "base nodes", whose subtrees are single-level and
+/// therefore bounded by one node's fanout — they fit in memory), the live
+/// leaf entries are shifted "to the left, beyond base node delimiters"
+/// *within that subtree's own pages*, the emptied trailing leaves are
+/// freed, and the base node's separators are rebuilt. The maintenance
+/// daemon drives it in paced steps *between* foreground phases;
+/// [`ReorgPolicy::BaseNodePack`] drives one whole pass after a bulk delete.
 ///
 /// Each [`IncrementalPacker::step`] packs up to `max_subtrees` base
 /// subtrees, calling [`bd_storage::pacer::checkpoint`] between subtrees

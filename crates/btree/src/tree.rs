@@ -56,8 +56,6 @@ pub struct TreeStats {
     pub leaf_splits: u64,
     /// Inner splits performed by inserts.
     pub inner_splits: u64,
-    /// Leaf pages merged into a sibling by bulk reorganization.
-    pub leaves_merged: u64,
 }
 
 /// A B-link tree of `(key, rid)` entries over a buffer pool.

@@ -15,8 +15,7 @@
 //!    step one vertical bulk delete.
 //! 3. [`scrub_database`] — destroy the physical residue a logically
 //!    complete delete leaves behind (heap slack, tree slack and stale
-//!    separators, hash swap-remove images, freed pages and their
-//!    replicas).
+//!    separators, hash swap-remove images, freed pages).
 //! 4. [`verify_erasure`] — byte-scan every disk surface for sensitive
 //!    values and report any residue ([`ErasureReport`]).
 //!
@@ -26,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use bd_btree::{Key, ReorgPolicy};
-use bd_storage::{PageId, Rid};
+use bd_storage::{PageId, Rid, PAGE_SIZE};
 
 use crate::db::{Database, TableId};
 use crate::error::{DbError, DbResult};
@@ -281,14 +280,14 @@ pub struct ScrubReport {
     pub seps_tightened: usize,
     /// Hash pages whose swap-remove slack was destroyed.
     pub hash_pages: usize,
-    /// Free pages (and their replica mirrors) zeroed wholesale.
+    /// Free pages zeroed wholesale.
     pub free_pages_zeroed: usize,
 }
 
 /// Destroy the physical residue of every logically deleted record in the
 /// whole database: heap slack, tree slack + stale separators, hash
-/// swap-remove images, then every catalogued-free page (and its replica)
-/// not still threaded into a tree's sibling chain.
+/// swap-remove images, then every catalogued-free page not still threaded
+/// into a tree's sibling chain.
 ///
 /// Pacer checkpoints run between pages, so a paused or cancelled scrub
 /// stops at a page boundary with everything it already scrubbed durable.
@@ -321,7 +320,7 @@ pub fn scrub_database(db: &mut Database) -> DbResult<ScrubReport> {
             continue;
         }
         bd_storage::pacer::checkpoint()?;
-        db.pool().with_disk(|d| d.scrub_page(pid))?;
+        db.pool().with_disk(|d| d.write(pid, &[0u8; PAGE_SIZE]))?;
         rep.free_pages_zeroed += 1;
     }
     Ok(rep)
@@ -330,7 +329,7 @@ pub fn scrub_database(db: &mut Database) -> DbResult<ScrubReport> {
 /// One sensitive value found on a surface it should have vanished from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Residue {
-    /// Where (`page 12`, `replica 3`, `wal`, ...).
+    /// Where (`page 12`, `wal`, ...).
     pub surface: String,
     /// The value found.
     pub value: u64,
@@ -420,9 +419,9 @@ pub fn scan_surface(surface: &str, img: &[u8], targets: &HashSet<u64>, out: &mut
 }
 
 /// The proof of deletion: flush the pool, subtract values surviving rows
-/// still legitimately hold, then byte-scan **every** primary page image,
-/// **every** replica image, and any extra surfaces the caller supplies
-/// (e.g. the raw WAL bytes) for the remaining sensitive values.
+/// still legitimately hold, then byte-scan **every** page image and any
+/// extra surfaces the caller supplies (e.g. the raw WAL bytes) for the
+/// remaining sensitive values.
 pub fn verify_erasure(
     db: &Database,
     sensitive: &[u64],
@@ -440,9 +439,6 @@ pub fn verify_erasure(
         for pid in 0..d.num_pages() as PageId {
             if let Some(img) = d.peek(pid) {
                 scan_surface(&format!("page {pid}"), img, &targets, &mut residue);
-            }
-            if let Some(img) = d.peek_replica(pid) {
-                scan_surface(&format!("replica {pid}"), img, &targets, &mut residue);
             }
         }
     });
@@ -609,13 +605,12 @@ mod tests {
     }
 
     /// End-to-end single-table proof: delete, scrub, verify zero residue
-    /// on every primary and replica page.
+    /// on every page.
     #[test]
     fn scrub_then_verify_proves_erasure() {
         let (mut db, tids) = db_with_tables(1);
         let t = tids[0];
         db.create_hash_index(t, 2).unwrap();
-        db.pool().with_disk(|d| d.enable_replicas());
         let n = 400u64;
         for i in 0..n {
             db.insert(t, &Tuple::new(vec![tag(9, i), tag(10, i), tag(11, i)]))

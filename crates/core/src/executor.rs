@@ -25,7 +25,7 @@
 //! anything else happens, so no page pin outlives the run. The lowest-index
 //! error is returned, and phase rows are recorded in submission order, so
 //! neither depends on arm completion order. A fault is retried only by the
-//! buffer pool's [`RetryPolicy`](bd_storage::RetryPolicy).
+//! buffer pool's bounded retry.
 //!
 //! **Cooperative pacing**: the executor snapshots the
 //! [`Pacer`](bd_storage::Pacer)s installed on the calling thread
@@ -39,7 +39,7 @@ use std::sync::{Mutex, PoisonError};
 
 use bd_storage::{DiskStats, IoScope, StorageResult};
 
-use crate::report::{PhaseRow, PhaseTimer};
+use crate::report::PhaseRow;
 
 /// Boxed body of one task, movable to a worker thread.
 type TaskBody<'env> = Box<dyn FnOnce() -> StorageResult<()> + Send + 'env>;
@@ -72,9 +72,12 @@ impl<'env> PhaseTask<'env> {
 }
 
 /// Executes the phase DAG of one strategy run: serial phases in order,
-/// fan-out groups on up to `workers` scoped threads.
+/// fan-out groups on up to `workers` scoped threads. Each phase's I/O is
+/// attributed through its own [`IoScope`], which stays correct when arms
+/// run concurrently.
 pub struct PhaseExecutor {
-    timer: PhaseTimer,
+    /// One row per executed phase, in plan order.
+    rows: Vec<PhaseRow>,
     workers: usize,
     next_group: u32,
 }
@@ -85,7 +88,7 @@ impl PhaseExecutor {
     /// which produces the identical physical state).
     pub fn new(workers: usize) -> Self {
         PhaseExecutor {
-            timer: PhaseTimer::new(),
+            rows: Vec::new(),
             workers: workers.max(1),
             next_group: 0,
         }
@@ -96,13 +99,25 @@ impl PhaseExecutor {
         self.workers
     }
 
-    /// Run one serial phase on the calling thread.
+    /// Run one serial phase on the calling thread. The row is recorded
+    /// even when `body` fails, so partial runs still render a truthful
+    /// breakdown.
     pub fn serial<T>(
         &mut self,
         name: impl Into<String>,
         body: impl FnOnce() -> StorageResult<T>,
     ) -> StorageResult<T> {
-        self.timer.phase(name, body)
+        let scope = IoScope::new();
+        let result = {
+            let _guard = scope.enter();
+            body()
+        };
+        self.rows.push(PhaseRow {
+            name: name.into(),
+            io: scope.stats(),
+            group: None,
+        });
+        result
     }
 
     /// Run a group of independent arms, concurrently when `workers > 1`.
@@ -170,7 +185,7 @@ impl PhaseExecutor {
                 }
                 None => DiskStats::default(),
             };
-            self.timer.push_row(PhaseRow {
+            self.rows.push(PhaseRow {
                 name,
                 io,
                 group: Some(group),
@@ -181,7 +196,7 @@ impl PhaseExecutor {
 
     /// Consume the executor, yielding the phase rows in plan order.
     pub fn into_rows(self) -> Vec<PhaseRow> {
-        self.timer.into_rows()
+        self.rows
     }
 }
 
@@ -197,6 +212,28 @@ mod tests {
         let mut disk = SimDisk::new(CostModel::default());
         let first = disk.allocate_contiguous(n, StructureId::Table);
         (BufferPool::new(disk, n.max(2)), first)
+    }
+
+    #[test]
+    fn serial_phases_attribute_io_per_phase() {
+        let (pool, first) = pool_with_pages(4);
+        let mut exec = PhaseExecutor::new(1);
+        exec.serial("one", || {
+            let _ = pool.pin_read(first)?;
+            Ok(())
+        })
+        .unwrap();
+        exec.serial("two", || {
+            let _ = pool.pin_read(first + 1)?;
+            let _ = pool.pin_read(first + 2)?;
+            Ok(())
+        })
+        .unwrap();
+        let rows = exec.into_rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].io.pages_read, 1);
+        assert_eq!(rows[1].io.pages_read, 2);
+        assert!(rows.iter().all(|r| r.group.is_none()));
     }
 
     #[test]
@@ -230,7 +267,6 @@ mod tests {
         pool.with_disk(|d| {
             d.set_fault_plan(FaultPlan::new().inject(FaultSpec::read_page(first + 32)))
         });
-        pool.set_retry_policy(bd_storage::RetryPolicy::none());
         let mut exec = PhaseExecutor::new(2);
         let (failed_tx, failed_rx) = std::sync::mpsc::channel();
         // Claimed first, so it is running when its sibling fails: it reads
@@ -328,7 +364,6 @@ mod tests {
         pool.with_disk(|d| {
             d.set_fault_plan(FaultPlan::new().inject(FaultSpec::read_page(first + 1)))
         });
-        pool.set_retry_policy(bd_storage::RetryPolicy::none());
         let mut exec = PhaseExecutor::new(1);
         let mk = |pid: u32| {
             let pool = pool.clone();

@@ -78,7 +78,7 @@ pub use maintain::{Maintainer, MaintenanceConfig, MaintenanceReport};
 pub use pass::{pass_order, project, split, Victims};
 pub use plan::{DeletePlan, IndexMethod, IndexStep, TableMethod};
 pub use planner::plan_sort_merge;
-pub use report::{measure, DegradeEvent, PhaseRow, PhaseTimer, RunReport};
+pub use report::{measure, DegradeEvent, PhaseRow, RunReport};
 pub use strategy::{DeleteOutcome, RebuildMode};
 pub use tuple::{attr_name, Schema, Tuple};
 

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use bd_storage::{BufferPool, DiskStats, IoScope, PoolStats, StorageResult};
+use bd_storage::{BufferPool, DiskStats, PoolStats, StorageResult};
 
 pub use crate::audit::{AuditFinding, AuditReport};
 
@@ -35,7 +35,7 @@ pub struct DegradeEvent {
 }
 
 /// One phase (task) of a strategy execution: a named unit of work with the
-/// I/O its [`IoScope`] attributed to it.
+/// I/O its [`IoScope`](bd_storage::IoScope) attributed to it.
 #[derive(Debug, Clone)]
 pub struct PhaseRow {
     /// Phase label, e.g. `sort(D)` or `bd I_B (sort/merge)`.
@@ -46,58 +46,6 @@ pub struct PhaseRow {
     /// run concurrently when the executor is given workers. `None` marks a
     /// serial phase.
     pub group: Option<u32>,
-}
-
-/// Records one [`PhaseRow`] per executed phase, each under its own
-/// [`IoScope`] — correct under concurrency, unlike the global
-/// stats-delta closure it replaces (concurrent arms would attribute each
-/// other's I/O to whichever phase read the counters last).
-#[derive(Debug, Default)]
-pub struct PhaseTimer {
-    rows: Vec<PhaseRow>,
-}
-
-impl PhaseTimer {
-    /// An empty timer.
-    pub fn new() -> Self {
-        PhaseTimer::default()
-    }
-
-    /// Run `body` as one serial phase, attributing its I/O via a fresh
-    /// [`IoScope`]. The row is recorded even when `body` fails, so partial
-    /// runs still render a truthful breakdown.
-    pub fn phase<T>(
-        &mut self,
-        name: impl Into<String>,
-        body: impl FnOnce() -> StorageResult<T>,
-    ) -> StorageResult<T> {
-        let scope = IoScope::new();
-        let result = {
-            let _guard = scope.enter();
-            body()
-        };
-        self.rows.push(PhaseRow {
-            name: name.into(),
-            io: scope.stats(),
-            group: None,
-        });
-        result
-    }
-
-    /// Append an externally produced row (the executor's fan-out arms).
-    pub fn push_row(&mut self, row: PhaseRow) {
-        self.rows.push(row);
-    }
-
-    /// Rows recorded so far.
-    pub fn rows(&self) -> &[PhaseRow] {
-        &self.rows
-    }
-
-    /// Consume the timer, yielding its rows in execution order.
-    pub fn into_rows(self) -> Vec<PhaseRow> {
-        self.rows
-    }
 }
 
 /// Outcome of one delete-strategy execution.
@@ -279,32 +227,6 @@ mod tests {
         .unwrap();
         // The pre-measure pin must not make the in-measure pin a cache hit.
         assert_eq!(report.io.pages_read, 1);
-    }
-
-    #[test]
-    fn phase_timer_attributes_io_per_phase() {
-        let mut disk = SimDisk::new(CostModel::default());
-        let first = disk.allocate_contiguous(4, StructureId::Table);
-        let pool = BufferPool::new(disk, 8);
-        let mut timer = PhaseTimer::new();
-        timer
-            .phase("one", || {
-                let _ = pool.pin_read(first)?;
-                Ok(())
-            })
-            .unwrap();
-        timer
-            .phase("two", || {
-                let _ = pool.pin_read(first + 1)?;
-                let _ = pool.pin_read(first + 2)?;
-                Ok(())
-            })
-            .unwrap();
-        let rows = timer.into_rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].io.pages_read, 1);
-        assert_eq!(rows[1].io.pages_read, 2);
-        assert!(rows.iter().all(|r| r.group.is_none()));
     }
 
     #[test]

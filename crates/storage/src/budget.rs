@@ -26,11 +26,6 @@ impl MemoryBudget {
         }
     }
 
-    /// An effectively unlimited budget (for tests and in-memory paths).
-    pub fn unlimited() -> Self {
-        MemoryBudget::new(usize::MAX)
-    }
-
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.cap

@@ -202,75 +202,38 @@ impl PoolStats {
     }
 }
 
-/// Bounded retry-with-backoff for transient disk faults and torn pages.
-///
-/// [`StorageError::InjectedFault`] is retried as-is (a timeout that may
-/// heal). [`StorageError::ChecksumMismatch`] is retried only when the disk
-/// has per-page replicas enabled: the retry first repairs the torn primary
-/// from its replica (one charged read), then re-issues the access.
-/// Cancellation and crash points are final. Each retry charges its backoff
-/// to the simulated clock (via [`SimDisk::charge_retry`]), so retried runs
-/// are honestly slower and the retries show up in `DiskStats::retries` and
-/// every active `IoScope`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the first failure (0 = fail fast).
-    pub max_retries: u32,
-    /// Simulated backoff before the first retry, in milliseconds
-    /// (doubles on each subsequent retry).
-    pub backoff_ms: f64,
-}
+/// Retries the buffer pool grants a disk access after an
+/// [`StorageError::InjectedFault`] (a timeout that may heal).
+const RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_ms: 1.0,
-        }
-    }
-}
+/// Simulated backoff before the first retry, in milliseconds; it doubles on
+/// each later one.
+const BACKOFF_MS: f64 = 1.0;
 
-impl RetryPolicy {
-    /// Fail fast on the first fault (pre-retry behaviour, for tests that
-    /// count accesses exactly).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff_ms: 0.0,
-        }
-    }
-}
-
-/// Run a disk operation under a retry policy. The caller already holds the
-/// disk lock; backoff is simulated time only, never host sleep.
+/// Run a disk operation with bounded retry-with-backoff. Only a transient
+/// [`StorageError::InjectedFault`] is retried; a
+/// [`StorageError::ChecksumMismatch`] is final (the WAL's media recovery
+/// rebuilds the structure that owns the torn page), and so are
+/// cancellation and crash points. Each retry charges its backoff to the
+/// simulated clock (via [`SimDisk::charge_retry`]), so retried runs are
+/// honestly slower and the retries show up in `DiskStats::retries` and
+/// every active `IoScope`. The caller already holds the disk lock; backoff
+/// is simulated time only, never host sleep.
 fn retry_disk<R>(
-    policy: RetryPolicy,
     disk: &mut SimDisk,
     mut op: impl FnMut(&mut SimDisk) -> StorageResult<R>,
 ) -> StorageResult<R> {
-    let mut attempt = 0u32;
-    let mut backoff = policy.backoff_ms;
-    loop {
+    let mut backoff = BACKOFF_MS;
+    for _ in 0..RETRIES {
         match op(disk) {
-            Err(StorageError::InjectedFault(_)) if attempt < policy.max_retries => {
-                attempt += 1;
+            Err(StorageError::InjectedFault(_)) => {
                 disk.charge_retry(backoff);
                 backoff *= 2.0;
-            }
-            Err(StorageError::ChecksumMismatch(pid))
-                if attempt < policy.max_retries && disk.replicas_enabled() =>
-            {
-                attempt += 1;
-                disk.charge_retry(backoff);
-                backoff *= 2.0;
-                // Repair the torn primary from its mirror copy before the
-                // re-issue; if the replica is damaged too, that mismatch is
-                // final.
-                disk.recover_from_replica(pid)?;
             }
             other => return other,
         }
     }
+    op(disk)
 }
 
 /// Bounded LRU page cache over a [`SimDisk`].
@@ -281,7 +244,6 @@ pub struct BufferPool {
     /// the disk, fixed for its lifetime.
     breakeven: PageId,
     inner: Mutex<Inner>,
-    retry: Mutex<RetryPolicy>,
     hits: AtomicU64,
     misses: AtomicU64,
     prefetched: AtomicU64,
@@ -301,7 +263,6 @@ impl BufferPool {
                 tick: 0,
                 spare: Vec::new(),
             }),
-            retry: Mutex::new(RetryPolicy::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             prefetched: AtomicU64::new(0),
@@ -402,11 +363,6 @@ impl BufferPool {
         f(&mut self.disk.lock())
     }
 
-    /// Replace the pool's transient-fault retry policy.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.retry.lock() = policy;
-    }
-
     /// Snapshot of the underlying disk's counters.
     pub fn disk_stats(&self) -> DiskStats {
         self.disk.lock().stats()
@@ -456,7 +412,7 @@ impl BufferPool {
     /// is a bridge ([`Inner::bridge`]) — behind a sorted sweep, the pages
     /// the coalesced read-ahead chain dragged in a moment earlier. The
     /// bridged pages are written like any other (copied, checksummed,
-    /// charged, mirrored); their bytes are the ones the disk already
+    /// charged); their bytes are the ones the disk already
     /// holds, so the rewrite adds transfer time and saves a positioning.
     ///
     /// An eviction's due chain that ends within the breakeven below the
@@ -479,7 +435,6 @@ impl BufferPool {
         dirty.sort_by_key(|f| f.pid);
         let mut dirty = dirty.into_iter().peekable();
         let mut disk = self.disk.lock();
-        let retry = *self.retry.lock();
         let head = victim.and(disk.head());
         let mut chain: Vec<&Arc<Frame>> = Vec::new();
         while let Some(first) = dirty.next() {
@@ -499,7 +454,7 @@ impl BufferPool {
                 self.bridge_to(inner, &mut chain, head);
             }
             let start = chain[0].pid;
-            retry_disk(retry, &mut disk, |d| {
+            retry_disk(&mut disk, |d| {
                 d.write_chain(start, chain.len(), |pid, page| {
                     page.copy_from_slice(&chain[(pid - start) as usize].data.read()[..]);
                 })
@@ -586,9 +541,7 @@ impl BufferPool {
             self.evict_one(&mut inner)?;
         }
         let mut buf = inner.take_buffer();
-        let read = retry_disk(*self.retry.lock(), &mut self.disk.lock(), |d| {
-            d.read(pid, &mut buf)
-        });
+        let read = retry_disk(&mut self.disk.lock(), |d| d.read(pid, &mut buf));
         if let Err(e) = read {
             inner.recycle(buf, self.capacity);
             return Err(e);
@@ -664,7 +617,7 @@ impl BufferPool {
             while len < missing.len() && missing[len] == start + len as PageId {
                 len += 1;
             }
-            let chain = retry_disk(*self.retry.lock(), &mut disk, |d| {
+            let chain = retry_disk(&mut disk, |d| {
                 // An attempt that failed part-way loaded pages it must not
                 // stage: its buffers go back to the spares.
                 for (_, buf) in loaded.drain(..) {
@@ -681,7 +634,7 @@ impl BufferPool {
                 // effort and must not abort the operation it serves: salvage
                 // the stretch page by page, fail-fast, and leave any page
                 // that still faults unstaged — its eventual pin re-reads it
-                // under the full retry/replica policy.
+                // under the pool's bounded retry.
                 for (_, buf) in loaded.drain(..) {
                     inner.recycle(buf, self.capacity);
                 }
@@ -1006,56 +959,21 @@ mod tests {
         use crate::fault::{FaultPlan, FaultSpec};
         let (pool, first) = small_pool(4, 4);
         pool.with_disk(|d| {
-            // One more failure than the default policy's 3 retries allows.
+            // One more failure than the pool's 3 retries allow.
             d.set_fault_plan(FaultPlan::new().inject(FaultSpec::read_page(first).transient(4)))
         });
         assert_eq!(
             pool.pin_read(first).err(),
             Some(StorageError::InjectedFault(first))
         );
-        assert_eq!(pool.disk_stats().retries, 3, "policy bound respected");
+        assert_eq!(pool.disk_stats().retries, 3, "retry bound respected");
         // The fault healed during the failed attempt's countdown; a fresh
         // pin now succeeds.
         let _ = pool.pin_read(first).unwrap();
     }
 
     #[test]
-    fn torn_write_is_ridden_out_via_the_replica() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let (pool, first) = small_pool(4, 4);
-        pool.with_disk(|d| d.enable_replicas());
-        {
-            let mut w = pool.pin_write(first).unwrap();
-            // Touch the tail half so the tear is observable: a tear that
-            // only loses unchanged bytes is indistinguishable from a clean
-            // write.
-            w[0] = 42;
-            w[PAGE_SIZE - 1] = 7;
-        }
-        pool.with_disk(|d| {
-            d.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_page(first).torn()))
-        });
-        pool.flush_all().unwrap(); // acknowledged, primary copy torn
-        pool.clear_cache().unwrap();
-        pool.reset_stats();
-        let r = pool.pin_read(first).unwrap();
-        assert_eq!(r[0], 42, "the replica repaired the torn page");
-        assert_eq!(r[PAGE_SIZE - 1], 7, "tail half restored from replica");
-        drop(r);
-        let s = pool.disk_stats();
-        assert_eq!(s.retries, 1, "one checksum-mismatch retry");
-        assert_eq!(
-            s.pages_read, 3,
-            "failed read + replica read + re-issued read"
-        );
-        assert!(
-            pool.with_disk(|d| d.corrupt_pages()).is_empty(),
-            "the repair also fixed the on-disk primary"
-        );
-    }
-
-    #[test]
-    fn torn_write_without_replicas_stays_final() {
+    fn torn_write_stays_final() {
         use crate::fault::{FaultPlan, FaultSpec};
         let (pool, first) = small_pool(4, 4);
         {
@@ -1073,7 +991,7 @@ mod tests {
             pool.pin_read(first).err(),
             Some(StorageError::ChecksumMismatch(first))
         );
-        assert_eq!(pool.disk_stats().retries, 0, "no replica: fail fast");
+        assert_eq!(pool.disk_stats().retries, 0, "a mismatch is not retried");
     }
 
     #[test]
@@ -1210,23 +1128,6 @@ mod tests {
         pool.reset_stats();
         pool.flush_all().unwrap();
         assert_eq!(pool.disk_stats().pages_written, 0, "no frame stayed dirty");
-    }
-
-    #[test]
-    fn bridged_chain_is_mirrored_as_one_chain() {
-        let (pool, first) = small_pool(16, 8);
-        pool.with_disk(|d| d.enable_replicas());
-        let (d, _) = flush_stats(&pool, first, &[0, 3, 6], [1, 2, 4, 5]);
-        assert_eq!(
-            d.replica_writes, 7,
-            "the mirror takes the bridged pages too"
-        );
-        let cm = CostModel::default();
-        let one_chain = cm.positioning_ms() + 7.0 * cm.transfer_ms;
-        assert!(
-            (d.sim_ms - 2.0 * one_chain).abs() < 1e-9,
-            "one positioning on each device: {d:?}"
-        );
     }
 
     #[test]
@@ -1483,7 +1384,6 @@ mod tests {
     fn a_failed_pin_read_never_installs_a_recycled_buffer() {
         use crate::fault::{FaultPlan, FaultSpec};
         let (pool, first) = filled_pool(4, 12);
-        pool.set_retry_policy(RetryPolicy::none());
         // Cycle eight pages through four frames: every spare buffer now
         // holds some earlier page's bytes.
         for i in 0..8 {

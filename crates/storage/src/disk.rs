@@ -97,11 +97,6 @@ pub struct DiskStats {
     pub pages_written: u64,
     /// Accesses re-issued by the buffer pool after a transient fault.
     pub retries: u64,
-    /// Mirror writes to the replica copy (one per acknowledged write access
-    /// while replicas are enabled). Charged separately from the primary
-    /// counters: the replica lives on independent media, so its positioning
-    /// and transfer time are real.
-    pub replica_writes: u64,
     /// Accumulated simulated time in milliseconds.
     pub sim_ms: f64,
 }
@@ -116,7 +111,6 @@ impl DiskStats {
         self.pages_read += other.pages_read;
         self.pages_written += other.pages_written;
         self.retries += other.retries;
-        self.replica_writes += other.replica_writes;
         self.sim_ms += other.sim_ms;
     }
 
@@ -130,7 +124,6 @@ impl DiskStats {
             pages_read: self.pages_read - earlier.pages_read,
             pages_written: self.pages_written - earlier.pages_written,
             retries: self.retries - earlier.retries,
-            replica_writes: self.replica_writes - earlier.replica_writes,
             sim_ms: self.sim_ms - earlier.sim_ms,
         }
     }
@@ -157,11 +150,6 @@ pub struct SimDisk {
     /// end-to-end integrity metadata; torn writes leave it pointing at the
     /// *intended* image so the corruption surfaces on the next read).
     checksums: Vec<u32>,
-    /// Optional second physical copy of every page (a software mirror).
-    /// Each write lands intact on the replica even when the primary copy
-    /// tears — the model assumes independent media failures, so a single
-    /// torn write never hits both copies.
-    replicas: Option<Vec<Box<[u8; PAGE_SIZE]>>>,
     /// Page the head would read next without repositioning.
     head: Option<PageId>,
     /// Page → owner map, maintained on every allocate/free. Disk metadata:
@@ -191,7 +179,6 @@ impl SimDisk {
         SimDisk {
             pages: Vec::new(),
             checksums: Vec::new(),
-            replicas: None,
             head: None,
             catalog: PageCatalog::new(),
             reusable: BTreeSet::new(),
@@ -266,9 +253,6 @@ impl SimDisk {
         let pid = self.pages.len() as PageId;
         self.pages.push(Box::new([0u8; PAGE_SIZE]));
         self.checksums.push(ZERO_PAGE_CK);
-        if let Some(reps) = &mut self.replicas {
-            reps.push(Box::new([0u8; PAGE_SIZE]));
-        }
         self.catalog.note_alloc(pid, 1, owner);
         pid
     }
@@ -291,9 +275,6 @@ impl SimDisk {
         for _ in 0..n {
             self.pages.push(Box::new([0u8; PAGE_SIZE]));
             self.checksums.push(ZERO_PAGE_CK);
-            if let Some(reps) = &mut self.replicas {
-                reps.push(Box::new([0u8; PAGE_SIZE]));
-            }
         }
         self.catalog.note_alloc(first, n, owner);
         first
@@ -324,14 +305,10 @@ impl SimDisk {
     /// readable — a detached B-link leaf may still sit in a live sibling
     /// chain — so the page is *quarantined*, not yet reusable: the
     /// allocator only recycles it after [`SimDisk::reclaim_page`] has
-    /// durably zeroed it. The replica mirror is cleared immediately: a
-    /// freed page needs no repair copy, and keeping one would let the
-    /// mirror resurrect key images the owner just discarded (`drop_index`,
-    /// free-at-empty, rebuilds). Media recovery heals a torn free page
-    /// without rebuilding anything.
+    /// durably zeroed it. Media recovery heals a torn free page without
+    /// rebuilding anything.
     pub fn free_page(&mut self, pid: PageId) {
         self.catalog.free(pid);
-        self.clear_replica_of(pid);
     }
 
     /// Zero a quarantined free page and make it reusable by the allocator.
@@ -386,35 +363,13 @@ impl SimDisk {
 
     /// Free every page currently owned by `owner` (dropping an index,
     /// discarding a damaged structure before its rebuild). Returns the
-    /// freed page ids. Replica mirrors of the freed pages are cleared, as
-    /// in [`SimDisk::free_page`].
+    /// freed page ids.
     pub fn free_owned(&mut self, owner: StructureId) -> Vec<PageId> {
         let pages = self.catalog.pages_of(owner);
         for &pid in &pages {
             self.catalog.free(pid);
-            self.clear_replica_of(pid);
         }
         pages
-    }
-
-    /// Zero the replica mirror of `pid` if replicas are enabled and the
-    /// mirror holds anything. Charged as one mirror write — clearing is a
-    /// real write to the replica device.
-    fn clear_replica_of(&mut self, pid: PageId) {
-        let dirty = match &mut self.replicas {
-            Some(reps) if (pid as usize) < reps.len() => {
-                let rep = &mut reps[pid as usize];
-                let had_bytes = rep.iter().any(|&b| b != 0);
-                if had_bytes {
-                    rep.fill(0);
-                }
-                had_bytes
-            }
-            _ => false,
-        };
-        if dirty {
-            self.charge_replica(1);
-        }
     }
 
     /// The page → owner catalog.
@@ -427,48 +382,6 @@ impl SimDisk {
     pub fn set_page_owner(&mut self, pid: PageId, owner: StructureId) {
         self.catalog.set_owner(pid, owner);
         self.reusable.remove(&pid);
-    }
-
-    /// Turn on per-page replicas: every page gains a second physical copy,
-    /// seeded from the current primary image. From now on each acknowledged
-    /// write also lands (intact) on the replica, so a torn primary can be
-    /// repaired by [`SimDisk::recover_from_replica`]. Each mirror write is
-    /// charged honestly as [`DiskStats::replica_writes`] — the replica is an
-    /// independent device, so its positioning and transfer time are paid on
-    /// top of the primary write.
-    pub fn enable_replicas(&mut self) {
-        if self.replicas.is_none() {
-            self.replicas = Some(self.pages.clone());
-        }
-    }
-
-    /// True when per-page replicas are enabled.
-    pub fn replicas_enabled(&self) -> bool {
-        self.replicas.is_some()
-    }
-
-    /// Repair a torn primary page from its replica: one charged random read
-    /// of the mirror copy, verified against the acknowledged checksum, then
-    /// copied over the primary image. Fails with
-    /// [`StorageError::ChecksumMismatch`] when no replica exists or the
-    /// replica is damaged too.
-    pub fn recover_from_replica(&mut self, pid: PageId) -> StorageResult<()> {
-        self.check(pid)?;
-        self.faulted(FaultOp::Read, pid, 1)?;
-        // The replica lives at a different physical location: always pay
-        // the positioning cost.
-        self.head = None;
-        self.charge(pid, 1, true);
-        let Some(reps) = &self.replicas else {
-            return Err(StorageError::ChecksumMismatch(pid));
-        };
-        let replica = &reps[pid as usize];
-        if page_checksum(&replica[..]) != self.checksums[pid as usize] {
-            return Err(StorageError::ChecksumMismatch(pid));
-        }
-        let img = *reps[pid as usize];
-        self.pages[pid as usize].copy_from_slice(&img);
-        Ok(())
     }
 
     fn charge(&mut self, first: PageId, n: u64, is_read: bool) {
@@ -492,24 +405,6 @@ impl SimDisk {
         self.stats.merge(&delta);
         crate::io_scope::record(&delta);
         self.head = Some(first + n as PageId);
-    }
-
-    /// Charge the mirror copy of an acknowledged write when replicas are
-    /// enabled: one positioning (the replica is a separate device; its head
-    /// is not modeled) plus the transfer, recorded as `replica_writes` so
-    /// reports can separate mirror cost from primary I/O. The primary head
-    /// position is untouched.
-    fn charge_replica(&mut self, n: u64) {
-        if self.replicas.is_none() {
-            return;
-        }
-        let delta = DiskStats {
-            replica_writes: n,
-            sim_ms: self.cost.positioning_ms() + self.cost.transfer_ms * n as f64,
-            ..DiskStats::default()
-        };
-        self.stats.merge(&delta);
-        crate::io_scope::record(&delta);
     }
 
     fn check(&self, pid: PageId) -> StorageResult<()> {
@@ -570,7 +465,6 @@ impl SimDisk {
         self.check(pid)?;
         let (_, torn) = self.faulted(FaultOp::Write, pid, 1)?;
         self.charge(pid, 1, false);
-        self.charge_replica(1);
         // The device acknowledges the full write (checksum of the intended
         // image), but a torn write persists only the first half.
         self.checksums[pid as usize] = page_checksum(src);
@@ -580,11 +474,6 @@ impl SimDisk {
             PAGE_SIZE
         };
         self.pages[pid as usize][..persisted].copy_from_slice(&src[..persisted]);
-        if let Some(reps) = &mut self.replicas {
-            // Independent media: the tear hits at most one copy, so the
-            // replica always receives the intended image.
-            reps[pid as usize].copy_from_slice(src);
-        }
         Ok(())
     }
 
@@ -605,18 +494,12 @@ impl SimDisk {
         let (persist, torn) = self.faulted(FaultOp::Write, first, n as u32)?;
         let persist = persist as usize;
         self.charge(first, persist as u64, false);
-        self.charge_replica(persist as u64);
         for i in 0..persist {
             let pid = first + i as PageId;
             let old_tail: Option<Vec<u8>> =
                 (torn == Some(pid)).then(|| self.pages[pid as usize][PAGE_SIZE / 2..].to_vec());
             produce(pid, &mut self.pages[pid as usize]);
             self.checksums[pid as usize] = page_checksum(&self.pages[pid as usize][..]);
-            if let Some(reps) = &mut self.replicas {
-                // Mirror the intended image before the tear is applied to
-                // the primary copy below.
-                reps[pid as usize].copy_from_slice(&self.pages[pid as usize][..]);
-            }
             if let Some(tail) = old_tail {
                 // Tear the acknowledged image: the checksum covers the
                 // intended content, but the tail never hits the platter.
@@ -645,10 +528,6 @@ impl SimDisk {
     pub fn accept_torn_page(&mut self, pid: PageId) -> StorageResult<()> {
         self.check(pid)?;
         self.checksums[pid as usize] = page_checksum(&self.pages[pid as usize][..]);
-        if let Some(reps) = &mut self.replicas {
-            let img = *self.pages[pid as usize];
-            reps[pid as usize].copy_from_slice(&img);
-        }
         Ok(())
     }
 
@@ -670,23 +549,6 @@ impl SimDisk {
     /// holds, including torn or stale bytes a normal read would reject.
     pub fn peek(&self, pid: PageId) -> Option<&[u8; PAGE_SIZE]> {
         self.pages.get(pid as usize).map(|p| &**p)
-    }
-
-    /// Forensic view of a page's replica mirror (None when replicas are
-    /// disabled). Uncharged, like [`SimDisk::peek`].
-    pub fn peek_replica(&self, pid: PageId) -> Option<&[u8; PAGE_SIZE]> {
-        self.replicas
-            .as_ref()
-            .and_then(|reps| reps.get(pid as usize))
-            .map(|p| &**p)
-    }
-
-    /// Overwrite `pid` with zeros on both copies: a charged write (plus the
-    /// mirror charge) that destroys whatever the page held. The erasure
-    /// campaign's free-page sweep uses this on pages nothing references any
-    /// more; callers must drop any cached frame of the page afterwards.
-    pub fn scrub_page(&mut self, pid: PageId) -> StorageResult<()> {
-        self.write(pid, &[0u8; PAGE_SIZE])
     }
 
     /// Charge the simulated backoff of one buffer-pool retry: pure elapsed
@@ -921,7 +783,6 @@ mod tests {
     fn crash_inside_a_chain_leaves_exactly_the_prefix() {
         let mut d = SimDisk::new(CostModel::default());
         let first = d.allocate_contiguous(5, StructureId::Table);
-        d.enable_replicas();
         d.set_fault_plan(FaultPlan::new().crash_at_access_page(1, 2));
         assert_eq!(
             d.write_chain(first, 5, |_, page| page.fill(7)),
@@ -936,7 +797,6 @@ mod tests {
             let byte = if i < 2 { 7 } else { 0 };
             d.read(first + i, &mut buf).unwrap();
             assert_eq!(buf, [byte; PAGE_SIZE], "page {i}");
-            assert_eq!(d.peek_replica(first + i).unwrap(), &[byte; PAGE_SIZE]);
         }
     }
 
@@ -949,57 +809,6 @@ mod tests {
         assert_eq!(s.retries, 2);
         assert!((s.sim_ms - 3.0).abs() < 1e-9);
         assert_eq!(s.total_ios(), 0, "backoff moves no pages");
-    }
-
-    #[test]
-    fn replica_repairs_a_torn_primary() {
-        let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table, 0);
-        d.enable_replicas();
-        d.write(pid, &page_of(3)).unwrap();
-        d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
-        d.write(pid, &page_of(9)).unwrap(); // torn on the primary only
-        let mut buf = [0u8; PAGE_SIZE];
-        assert_eq!(
-            d.read(pid, &mut buf),
-            Err(StorageError::ChecksumMismatch(pid))
-        );
-        let before = d.stats();
-        d.recover_from_replica(pid).unwrap();
-        let delta = d.stats().since(&before);
-        assert_eq!(delta.pages_read, 1, "the replica read is charged");
-        assert_eq!(delta.random_reads, 1, "replica lives elsewhere: random");
-        d.read(pid, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 9), "intended image restored");
-    }
-
-    #[test]
-    fn recover_from_replica_without_replicas_is_mismatch() {
-        let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Table, 0);
-        d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
-        d.write(pid, &page_of(1)).unwrap();
-        assert_eq!(
-            d.recover_from_replica(pid),
-            Err(StorageError::ChecksumMismatch(pid))
-        );
-    }
-
-    #[test]
-    fn replicas_cover_pages_allocated_after_enabling() {
-        let mut d = SimDisk::new(CostModel::default());
-        let p0 = d.allocate(StructureId::Table, 0);
-        d.write(p0, &page_of(2)).unwrap();
-        d.enable_replicas();
-        let p1 = d.allocate_contiguous(2, StructureId::Table);
-        d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(p1 + 1).torn()));
-        d.write_chain(p1, 2, |_, page| page.fill(8)).unwrap();
-        assert_eq!(d.corrupt_pages(), vec![p1 + 1]);
-        d.recover_from_replica(p1 + 1).unwrap();
-        assert!(d.corrupt_pages().is_empty());
-        let mut buf = [0u8; PAGE_SIZE];
-        d.read(p1 + 1, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 8));
     }
 
     #[test]
@@ -1055,45 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn freeing_a_page_clears_its_replica_mirror() {
-        let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Index(0), 0);
-        d.enable_replicas();
-        d.write(pid, &page_of(0xAB)).unwrap();
-        assert!(d.peek_replica(pid).unwrap().iter().all(|&b| b == 0xAB));
-        let before = d.stats();
-        d.free_page(pid);
-        assert!(
-            d.peek_replica(pid).unwrap().iter().all(|&b| b == 0),
-            "freed page's mirror must not retain stale key images"
-        );
-        assert_eq!(
-            d.stats().since(&before).replica_writes,
-            1,
-            "clearing the mirror is a charged replica write"
-        );
-        // Freeing again (or freeing an already-zero mirror) charges nothing.
-        let before = d.stats();
-        d.free_page(pid);
-        assert_eq!(d.stats().since(&before).replica_writes, 0);
-    }
-
-    #[test]
-    fn free_owned_clears_every_mirror() {
-        let mut d = SimDisk::new(CostModel::default());
-        let first = d.allocate_contiguous(3, StructureId::Index(4));
-        d.enable_replicas();
-        d.write_chain(first, 3, |_, page| page.fill(0x5C)).unwrap();
-        d.free_owned(StructureId::Index(4));
-        for i in 0..3 {
-            assert!(
-                d.peek_replica(first + i).unwrap().iter().all(|&b| b == 0),
-                "page {i}"
-            );
-        }
-    }
-
-    #[test]
     fn peek_is_uncharged_and_sees_torn_bytes() {
         let mut d = SimDisk::new(CostModel::default());
         let pid = d.allocate(StructureId::Table, 0);
@@ -1106,45 +876,6 @@ mod tests {
         assert!(img[PAGE_SIZE / 2..].iter().all(|&b| b == 3));
         assert_eq!(d.stats(), before, "peek charges nothing");
         assert!(d.peek(99).is_none());
-    }
-
-    #[test]
-    fn scrub_page_zeroes_both_copies() {
-        let mut d = SimDisk::new(CostModel::default());
-        let pid = d.allocate(StructureId::Temp, 0);
-        d.enable_replicas();
-        d.write(pid, &page_of(0x77)).unwrap();
-        d.scrub_page(pid).unwrap();
-        assert!(d.peek(pid).unwrap().iter().all(|&b| b == 0));
-        assert!(d.peek_replica(pid).unwrap().iter().all(|&b| b == 0));
-        // The zeroed image is readable (checksum acknowledged).
-        let mut buf = [0u8; PAGE_SIZE];
-        d.read(pid, &mut buf).unwrap();
-    }
-
-    #[test]
-    fn replica_mirror_writes_are_charged() {
-        let mut d = SimDisk::new(CostModel::default());
-        let first = d.allocate_contiguous(4, StructureId::Table);
-        d.write(first, &page_of(1)).unwrap();
-        assert_eq!(d.stats().replica_writes, 0, "no replicas, no charge");
-        let without = d.stats().sim_ms;
-        d.enable_replicas();
-        d.write(first + 1, &page_of(2)).unwrap();
-        assert_eq!(d.stats().replica_writes, 1);
-        d.write_chain(first + 2, 2, |_, page| page.fill(3)).unwrap();
-        let s = d.stats();
-        assert_eq!(s.replica_writes, 3, "chain mirrors every page");
-        assert_eq!(s.pages_written, 4, "primary counters unchanged");
-        // Mirror cost is real simulated time: positioning + transfer per
-        // acknowledged write access.
-        let mirror_ms = 2.0 * CostModel::default().positioning_ms() + 3.0 * 0.4;
-        assert!(
-            s.sim_ms > without + mirror_ms,
-            "{} vs {}",
-            s.sim_ms,
-            without + mirror_ms
-        );
     }
 
     #[test]

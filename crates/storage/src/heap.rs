@@ -613,7 +613,6 @@ mod tests {
         h.pool().clear_cache().unwrap();
         h.pool()
             .with_disk(|d| d.set_fault_plan(FaultPlan::new().inject(FaultSpec::read_page(bad))));
-        h.pool().set_retry_policy(crate::RetryPolicy::none());
         let mut scan = h.scan();
         let got: Vec<(Rid, Vec<u8>)> = (&mut scan).collect();
         // Everything up to the bad page was yielded; nothing after it.

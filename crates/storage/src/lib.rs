@@ -33,7 +33,7 @@
 //!   cancelled through the normal `Result` path.
 //! * [`FaultPlan`] — programmable fault injection (transient/persistent
 //!   faults, torn writes caught by per-page checksums, crash points), with
-//!   bounded retry-with-backoff in the buffer pool ([`RetryPolicy`]).
+//!   a bounded retry-with-backoff for transient faults in the buffer pool.
 //! * [`PageCatalog`] / [`StructureId`] — the owner-tagged page catalog:
 //!   every allocation names the structure that owns the page, so media
 //!   recovery can classify a torn page by lookup and rebuild only the
@@ -56,7 +56,7 @@ pub mod segment;
 pub mod slotted;
 
 pub use budget::MemoryBudget;
-pub use buffer::{BufferPool, PageRead, PageWrite, PoolStats, RetryPolicy};
+pub use buffer::{BufferPool, PageRead, PageWrite, PoolStats};
 pub use disk::{CostModel, DiskStats, PageId, SimDisk, PAGE_SIZE};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultSpec, FaultTrigger};

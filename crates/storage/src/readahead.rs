@@ -23,9 +23,9 @@
 //!   predecessor ended is head-contiguous, costing transfer only.
 //! * **Best effort.** Prefetch failures are swallowed: an injected fault or
 //!   a torn page inside a staged chain must not abort the operation early.
-//!   The page is simply not staged, and the eventual pin retries the read
-//!   under the pool's [`RetryPolicy`](crate::buffer::RetryPolicy) — which
-//!   also has the replica-repair path for checksum mismatches.
+//!   The page is simply not staged, and the eventual pin re-reads it: a
+//!   transient fault gets the pool's bounded retry there, a torn page
+//!   surfaces as `ChecksumMismatch` for media recovery to repair.
 
 use std::sync::Arc;
 

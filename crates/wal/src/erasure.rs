@@ -5,7 +5,7 @@
 //! correct but neither *durable* (a crash mid-cascade strands the
 //! referential graph half-deleted, with no record of what remained to do)
 //! nor *physically complete* (deleted bytes survive on heap slack, index
-//! slack, separators, replicas, free pages — and in the WAL itself, whose
+//! slack, separators, free pages — and in the WAL itself, whose
 //! delete lists and materialized victim rows are key-bearing records).
 //!
 //! [`run_erasure_campaign`] fixes both:
@@ -20,8 +20,8 @@
 //!    **in place** ([`LogManager::redact_before`]), and a
 //!    [`LogRecord::CampaignCommit`] closes the campaign;
 //! 4. [`bd_core::verify_erasure`] then proves the deletion: a byte-level
-//!    scan of every page, every replica, and the raw log for any
-//!    surviving sensitive value.
+//!    scan of every page and the raw log for any surviving sensitive
+//!    value.
 //!
 //! A crash at any I/O recovers into the same campaign:
 //! [`recover_campaign`] finds the open manifest, rolls the in-flight

@@ -451,76 +451,6 @@ fn torn_index_page_rebuilds_only_that_tree() {
 }
 
 #[test]
-fn replicas_ride_out_torn_writes() {
-    use bd_storage::FaultSpec;
-
-    // Reference: fault-free final state.
-    let (mut reference, tid, a_values) = build(900);
-    let d = victims(&a_values);
-    let log_ref = LogManager::new();
-    run_bulk_delete(&mut reference, tid, 0, &d, &log_ref, CrashInjector::none()).unwrap();
-
-    // Find a sweep position whose tear survives to the end of the run (the
-    // clean frame stays resident, so the damage is latent until a restart
-    // drops the cache and something reads the torn disk image).
-    let mut n = 0u64;
-    let latent = loop {
-        n += 1;
-        let (mut db, _) = fresh(900);
-        db.pool().flush_all().unwrap();
-        let log = LogManager::new();
-        let c0 = db.pool().with_disk(|disk| disk.accesses());
-        db.pool().with_disk(|disk| {
-            disk.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_at_access(c0 + n).torn()))
-        });
-        let run = run_bulk_delete(&mut db, tid, 0, &d, &log, CrashInjector::none());
-        let used = db.pool().with_disk(|disk| disk.accesses()) - c0;
-        match run {
-            Ok(_) => {
-                assert!(n < used, "no latent tear position in the whole run");
-                if db.pool().with_disk(|disk| disk.fault_plan_fired()) == 1
-                    && !db.pool().with_disk(|disk| disk.corrupt_pages()).is_empty()
-                {
-                    break n;
-                }
-            }
-            Err(e) => panic!("unexpected error at position {n}: {e}"),
-        }
-    };
-
-    // The same position with per-page replicas: after the restart every
-    // reader that hits the torn primary is repaired from the second copy
-    // by the retry policy, so full consistency checks pass and the scrub
-    // comes back clean — no media recovery needed.
-    let (mut db, _) = fresh(900);
-    db.pool().flush_all().unwrap();
-    db.pool().with_disk(|disk| disk.enable_replicas());
-    let log = LogManager::new();
-    let c0 = db.pool().with_disk(|disk| disk.accesses());
-    db.pool().with_disk(|disk| {
-        disk.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_at_access(c0 + latent).torn()))
-    });
-    let deleted = run_bulk_delete(&mut db, tid, 0, &d, &log, CrashInjector::none()).unwrap();
-    assert_eq!(deleted, d.len());
-    assert_eq!(db.pool().with_disk(|disk| disk.fault_plan_fired()), 1);
-    db.pool().crash();
-    db.pool().with_disk(|disk| disk.clear_fault_plan());
-    let retries_before = db.pool().with_disk(|disk| disk.stats().retries);
-    db.check_consistency(tid).unwrap();
-    let eq = audit_equivalence(&reference, &db, tid).unwrap();
-    assert!(eq.is_clean(), "replica ride-out diverged: {eq}");
-    assert!(
-        db.pool().with_disk(|disk| disk.stats().retries) > retries_before,
-        "the replica fallback must be charged as a retry"
-    );
-    assert_eq!(
-        db.pool().with_disk(|disk| disk.corrupt_pages()),
-        Vec::<bd_storage::PageId>::new(),
-        "the repaired primary must pass the scrub"
-    );
-}
-
-#[test]
 fn arm_crash_with_empty_site_slot_maps_to_in_io() {
     // A disk-level crash point (`FaultPlan::crash_at_access`) firing
     // inside a fan-out arm's I/O surfaces as `SimulatedCrash` with the

@@ -13,8 +13,7 @@
 //! [`TableSpec`] builds that table (optionally physically sorted by one
 //! attribute — "table R is sorted according to attribute A" in Experiment
 //! 5); [`Workload::delete_set`] draws the delete list `D`. The default
-//! scale is 1/10 of the paper's (100,000 rows) with every ratio preserved;
-//! `TableSpec::paper_full()` is the original size.
+//! scale is 1/10 of the paper's (100,000 rows) with every ratio preserved.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -50,14 +49,6 @@ impl TableSpec {
             record_len: 512,
             seed: 42,
             cluster_by: None,
-        }
-    }
-
-    /// The paper's full scale: 1,000,000 rows of 512 bytes (512 MB).
-    pub fn paper_full() -> Self {
-        TableSpec {
-            n_rows: 1_000_000,
-            ..TableSpec::paper_scaled()
         }
     }
 

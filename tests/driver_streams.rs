@@ -79,7 +79,6 @@ fn offline_vertical_stream_is_pinned() {
                 pages_read: 1929,
                 pages_written: 2039,
                 retries: 0,
-                replica_writes: 0,
                 sim_ms: VERTICAL_SIM_MS,
             },
             PoolStats {
@@ -115,7 +114,6 @@ fn logged_stream_is_pinned() {
                 pages_read: 3692,
                 pages_written: 2036,
                 retries: 0,
-                replica_writes: 0,
                 sim_ms: 3045.74,
             },
             PoolStats {
@@ -150,7 +148,6 @@ fn blocking_concurrent_stream_is_pinned() {
                     pages_read: 1929,
                     pages_written: 2045,
                     retries: 0,
-                    replica_writes: 0,
                     sim_ms: 2271.1200000000017,
                 },
                 PoolStats {
@@ -199,7 +196,6 @@ fn live_stream_is_pinned() {
                     pages_read: 2225,
                     pages_written: 2294,
                     retries: 0,
-                    replica_writes: 0,
                     sim_ms: 2902.9000000000005,
                 },
                 PoolStats {

@@ -172,7 +172,6 @@ fn failing_arm_aborts_run_without_poisoning_the_pool() {
         .unwrap();
     db.pool()
         .with_disk(|disk| disk.set_fault_plan(FaultPlan::new().inject(FaultSpec::read_page(bad))));
-    db.pool().set_retry_policy(bd_storage::RetryPolicy::none());
 
     let err = strategy::vertical_sort_merge(&mut db, w.tid, 0, &d, 3).unwrap_err();
     assert_eq!(

@@ -1,13 +1,13 @@
 //! End-to-end tests of the windowed read-ahead layer: temp-segment
 //! lifecycle under spilling sorts, and fault tolerance inside prefetch
-//! chains (a staging failure must degrade to pin-time retry, never abort
-//! or corrupt a bulk delete).
+//! chains (a staging failure must degrade to the pin-time read, never
+//! abort or corrupt a bulk delete).
 
 use bulk_delete::prelude::*;
 
 use bd_core::audit_catalog;
 use bd_exec::sort_all;
-use bd_storage::{FaultPlan, FaultSpec, StructureId};
+use bd_storage::{FaultPlan, FaultSpec, StorageError, StructureId, PAGE_SIZE};
 use bd_workload::TableSpec;
 
 fn build(n_rows: usize, total_mem: usize, seed: u64) -> (Database, bd_workload::Workload) {
@@ -54,7 +54,7 @@ fn spilling_vertical_delete_leaves_no_temp_pages() {
 
 /// A transient read fault inside a staged prefetch chain: the chain's
 /// retries are exhausted best-effort, the salvage pass skips the sick page,
-/// and the eventual pin heals it under the pool's retry policy. The delete
+/// and the eventual pin heals it under the pool's bounded retry. The delete
 /// must succeed and match a fault-free execution exactly.
 #[test]
 fn transient_fault_in_prefetch_chain_degrades_to_pin_retry() {
@@ -83,34 +83,39 @@ fn transient_fault_in_prefetch_chain_degrades_to_pin_retry() {
 }
 
 /// A torn write under a page that a later prefetch chain stages: the
-/// chained read detects the checksum mismatch and the retry path repairs
-/// the primary from its replica — inside the prefetch, without surfacing
-/// an error. State stays equivalent to a fault-free execution.
+/// chained read fails on the checksum mismatch, the prefetch salvages its
+/// stretch page by page and stages every page but the torn one, and the
+/// scan that reaches the torn page surfaces the mismatch (repairing it is
+/// media recovery's job). No pin outlives the error.
 #[test]
-fn torn_write_under_prefetch_chain_heals_from_replica() {
-    let (mut reference, wr) = build(8_000, 1 << 20, 33);
-    let d = wr.delete_set(0.4, 34);
-    strategy::vertical_sort_merge(&mut reference, wr.tid, 0, &d, 1).unwrap();
-
-    let (mut db, w) = build(8_000, 1 << 20, 33);
-    let victim = db.table(w.tid).unwrap().heap.page_ids()[15];
-    db.pool().with_disk(|disk| {
-        disk.enable_replicas();
-        disk.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_page(victim).torn()));
-    });
-    // The delete dirties and flushes the victim page; the primary copy is
-    // torn, the replica lands intact.
-    let out = strategy::vertical_sort_merge(&mut db, w.tid, 0, &d, 1).unwrap();
-    assert_eq!(out.deleted.len(), d.len());
-
-    // A cold scan prefetches the heap in chains; the chain over the torn
-    // page must repair it from the replica rather than fail.
+fn torn_page_under_prefetch_chain_is_left_unstaged() {
+    let (db, w) = build(2_000, 1 << 20, 33);
+    let heap = &db.table(w.tid).unwrap().heap;
+    let victim = heap.page_ids()[15];
     db.pool().clear_cache().unwrap();
-    let table = db.table(w.tid).unwrap();
-    let rows = table.heap.dump().unwrap();
-    assert_eq!(rows.len(), 8_000 - d.len());
+    // Rewrite the page with a changed tail and tear the write: the disk
+    // acknowledges the new image but keeps the old tail.
+    db.pool().with_disk(|disk| {
+        let mut img = *disk.peek(victim).unwrap();
+        img[PAGE_SIZE - 1] ^= 0xFF;
+        disk.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_page(victim).torn()));
+        disk.write(victim, &img).unwrap();
+        assert_eq!(disk.corrupt_pages(), vec![victim]);
+    });
 
-    db.check_consistency(w.tid).unwrap();
-    let eq = audit_equivalence(&db, &reference, wr.tid).unwrap();
-    assert!(eq.is_clean(), "torn-write run diverged: {eq}");
+    let first = victim - 2;
+    assert_eq!(
+        db.pool().prefetch_run(first, 5),
+        Ok(4),
+        "the prefetch does not fail and counts only what it staged"
+    );
+    for pid in first..first + 5 {
+        assert_eq!(db.pool().contains(pid), pid != victim, "page {pid}");
+    }
+
+    assert_eq!(
+        heap.dump().unwrap_err(),
+        StorageError::ChecksumMismatch(victim)
+    );
+    assert_eq!(db.pool().pinned_frames(), 0, "no frame left pinned");
 }

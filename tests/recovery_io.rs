@@ -110,7 +110,6 @@ fn recovery_resumes_the_table_pass_at_its_last_progress_record() {
             pages_read: 908,
             pages_written: 961,
             retries: 0,
-            replica_writes: 0,
             sim_ms: 1185.7200000000003,
         }
     );

@@ -75,7 +75,6 @@ fn window_refill_stream_is_pinned() {
             pages_read: 1720,
             pages_written: 1777,
             retries: 0,
-            replica_writes: 0,
             sim_ms: 2457.589999999998,
         },
         "the refill's access stream moved"
