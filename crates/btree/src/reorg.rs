@@ -191,10 +191,10 @@ pub struct PackProgress {
 /// subtree: kept leaves are rewritten in place (the subtree's first child
 /// keeps its id, so the incoming sibling pointer stays valid), the last
 /// kept leaf is linked to the next subtree's first child, and an emptied
-/// subtree is removed from its parents immediately. A pause or cancel
-/// therefore leaves a consistent prefix packed, and the pass resumes behind
-/// a key cursor — foreground inserts into the already-packed prefix are
-/// simply left for the next pass.
+/// subtree is removed from its parents immediately. The end of a step or a
+/// cancel therefore leaves a consistent prefix packed, and the pass resumes
+/// behind a key cursor — foreground inserts into the already-packed prefix
+/// are simply left for the next pass.
 #[derive(Debug, Default)]
 pub struct IncrementalPacker {
     /// Largest entry packed so far; the next step resumes at the base
@@ -348,10 +348,10 @@ impl IncrementalPacker {
 /// both resume-by-cursor and the in-step walk can land on a freed base;
 /// following it would re-free its pages (and, once the cursor sits left of
 /// a run of empty subtrees, never advance past them).
+/// Looks up one owner per visited page; it copies no catalog.
 fn skip_freed_bases(tree: &BTree, mut cur: Option<PageId>) -> StorageResult<Option<PageId>> {
-    let catalog = tree.pool().catalog();
     while let Some(pid) = cur {
-        if catalog.owner(pid).is_some() {
+        if tree.pool().with_disk(|d| d.catalog().owner(pid)).is_some() {
             return Ok(Some(pid));
         }
         let r = tree.pool().pin_read(pid)?;

@@ -36,8 +36,8 @@ use crate::tuple::{Schema, Tuple};
 /// Attribute 0 is the unique primary key. Implementations charge all I/O
 /// to the shared [`BufferPool`](bd_storage::BufferPool) cost model and
 /// call [`bd_storage::pacer::checkpoint`] between page visits in their
-/// long passes, so engines are comparable under `measure` and pausable
-/// under a [`Pacer`](bd_storage::Pacer).
+/// long passes, so engines are comparable under `measure` and run a
+/// [`Pacer`](bd_storage::Pacer)'s hook between pages.
 pub trait TableEngine {
     /// Short stable name for reports ("btree", "lsm").
     fn name(&self) -> &'static str;

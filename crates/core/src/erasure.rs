@@ -289,8 +289,9 @@ pub struct ScrubReport {
 /// swap-remove images, then every catalogued-free page not still threaded
 /// into a tree's sibling chain.
 ///
-/// Pacer checkpoints run between pages, so a paused or cancelled scrub
-/// stops at a page boundary with everything it already scrubbed durable.
+/// Pacer checkpoints run between pages, so a scrub cancelled by a pacer's
+/// hook stops at a page boundary with everything it already scrubbed
+/// durable.
 pub fn scrub_database(db: &mut Database) -> DbResult<ScrubReport> {
     let mut rep = ScrubReport::default();
     for tid in 0..db.n_tables() {

@@ -31,8 +31,9 @@
 //! [`Pacer`](bd_storage::Pacer)s installed on the calling thread
 //! ([`bd_storage::pacer::installed`]) and re-installs them on every worker
 //! it spawns, so a statement driver that wraps the whole strategy call in
-//! [`Pacer::enter`](bd_storage::Pacer::enter) can pause or cancel the
-//! serial phases *and* the dispatched arms from one handle.
+//! [`Pacer::enter`](bd_storage::Pacer::enter) counts the checkpoints of the
+//! serial phases *and* the dispatched arms on one handle, and its hook
+//! runs on whichever thread reaches each of them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -158,10 +159,9 @@ impl PhaseExecutor {
         if workers <= 1 {
             claim_loop();
         } else {
-            // Hand the calling thread's pacers to every worker: arms must
-            // stay pausable/cancellable from the statement's handle even
-            // though they run on fresh threads with empty thread-local
-            // stacks.
+            // Hand the calling thread's pacers to every worker: arms share
+            // the statement's counter and hook even though they run on
+            // fresh threads with empty thread-local stacks.
             let pacers = bd_storage::pacer::installed();
             std::thread::scope(|s| {
                 for _ in 0..workers {
@@ -304,45 +304,50 @@ mod tests {
     #[test]
     fn pacer_pauses_fan_out_arms_at_a_pin_free_point() {
         use bd_storage::Pacer;
+        use std::sync::Barrier;
         let (pool, first) = pool_with_pages(32);
-        let pacer = Pacer::new();
-        pacer.pause();
-        let controller = pacer.clone();
-        let worker_pool = pool.clone();
-        let run = std::thread::spawn(move || {
-            // The driver installs the pacer once; fan_out re-installs it on
-            // every worker thread it spawns.
-            let _g = pacer.enter();
-            let mut exec = PhaseExecutor::new(2);
-            let tasks: Vec<PhaseTask> = (0..2u32)
-                .map(|t| {
-                    let pool = worker_pool.clone();
-                    PhaseTask::new(format!("arm {t}"), move || {
-                        for i in 0..8 {
-                            bd_storage::pacer::checkpoint()?;
-                            let _ = pool.pin_read(first + t * 8 + i)?;
-                        }
-                        Ok(())
-                    })
+        // The hook holds both arms at their first checkpoint: the first
+        // barrier proves both arrived, the second keeps either from
+        // pinning before the other has looked.
+        let barrier = Arc::new(Barrier::new(2));
+        let pinned = Arc::new(Mutex::new(Vec::new()));
+        let pacer = {
+            let (pool, barrier, pinned) = (pool.clone(), barrier.clone(), pinned.clone());
+            Pacer::with_hook(move |n| {
+                if n <= 2 {
+                    barrier.wait();
+                    pinned.lock().unwrap().push(pool.pinned_frames());
+                    barrier.wait();
+                }
+                Ok(())
+            })
+        };
+        // The driver installs the pacer once; fan_out re-installs it on
+        // every worker thread it spawns.
+        let _g = pacer.enter();
+        let mut exec = PhaseExecutor::new(2);
+        let tasks: Vec<PhaseTask> = (0..2u32)
+            .map(|t| {
+                let pool = pool.clone();
+                PhaseTask::new(format!("arm {t}"), move || {
+                    for i in 0..8 {
+                        bd_storage::pacer::checkpoint()?;
+                        let _ = pool.pin_read(first + t * 8 + i)?;
+                    }
+                    Ok(())
                 })
-                .collect();
-            exec.fan_out(tasks)
-        });
-        assert!(
-            controller.wait_parked(2, std::time::Duration::from_secs(10)),
-            "both arms must park at their first checkpoint"
-        );
-        assert_eq!(pool.pinned_frames(), 0, "paused arms hold no pins");
-        controller.resume();
-        run.join().unwrap().unwrap();
+            })
+            .collect();
+        exec.fan_out(tasks).unwrap();
+        assert_eq!(*pinned.lock().unwrap(), [0, 0], "held arms hold no pins");
+        assert_eq!(pacer.checks(), 16);
     }
 
     #[test]
     fn pacer_cancel_aborts_fan_out_arms() {
         use bd_storage::Pacer;
         let (pool, first) = pool_with_pages(8);
-        let pacer = Pacer::new();
-        pacer.cancel();
+        let pacer = Pacer::with_hook(|_| Err(StorageError::Cancelled));
         let _g = pacer.enter();
         let mut exec = PhaseExecutor::new(2);
         let mk = |pid: u32| {

@@ -9,8 +9,8 @@
 //! its work is cut into small paced rounds — every inner loop calls
 //! [`bd_storage::pacer::checkpoint`] between page visits — so a foreground
 //! phase can run it in the gaps between its own chunks (see the
-//! maintenance hook on the transactional frontend) and pause or cancel it
-//! at any page boundary.
+//! maintenance hook on the transactional frontend), and a pacer's hook can
+//! run work or cancel it at any page boundary.
 //!
 //! One maintenance **cycle** is:
 //!
@@ -21,8 +21,9 @@
 //! 2. **Incremental packing** — an [`IncrementalPacker`] per B-tree index
 //!    walks the base level a few subtrees per round, shifting live leaf
 //!    entries left in place and freeing emptied trailing leaves. Unlike the
-//!    stop-the-world `CompactLeaves`, a pause leaves a consistent packed
-//!    prefix and the pass resumes behind a key cursor.
+//!    stop-the-world `CompactLeaves`, a round that ends or is cancelled
+//!    leaves a consistent packed prefix and the pass resumes behind a key
+//!    cursor.
 //! 3. **Recycle** — once every packer finished its pass,
 //!    [`bd_btree::sweep_detached_inners`] unlinks catalog-free nodes from
 //!    the inner sibling chains; any catalog-free page *not* still threaded
@@ -91,8 +92,8 @@ pub struct MaintenanceReport {
 
 /// The incremental maintenance daemon. Create one per database and call
 /// [`Maintainer::run_round`] whenever the foreground has a gap; every round
-/// is internally paced, so an installed [`bd_storage::Pacer`] can pause or
-/// cancel it between page visits.
+/// is internally paced, so an installed [`bd_storage::Pacer`]'s hook runs
+/// between its page visits and may cancel it there.
 #[derive(Debug, Default)]
 pub struct Maintainer {
     cfg: MaintenanceConfig,
@@ -141,9 +142,9 @@ impl Maintainer {
         Ok(true)
     }
 
-    /// Run rounds until a full cycle completes. A paused pacer parks the
-    /// call inside a round; a cancelled pacer unwinds it with
-    /// [`bd_storage::StorageError::Cancelled`].
+    /// Run rounds until a full cycle completes. An installed pacer's hook
+    /// runs at each checkpoint inside a round; a hook that returns
+    /// [`bd_storage::StorageError::Cancelled`] unwinds the call.
     pub fn run_cycle(&mut self, db: &mut Database) -> DbResult<()> {
         while !self.run_round(db)? {}
         Ok(())

@@ -577,12 +577,31 @@ mod tests {
         assert_eq!(h.scan().unwrap(), Vec::<(Key, Rid)>::new());
     }
 
+    /// A pacer whose hook records the pool's pinned frames at checkpoint
+    /// `at`: the walker is stopped there, inside the hook.
+    fn pinned_at(
+        p: &Arc<BufferPool>,
+        at: u64,
+    ) -> (bd_storage::Pacer, Arc<std::sync::Mutex<Option<usize>>>) {
+        let pinned = Arc::new(std::sync::Mutex::new(None));
+        let pacer = {
+            let (p, pinned) = (p.clone(), pinned.clone());
+            bd_storage::Pacer::with_hook(move |n| {
+                if n == at {
+                    *pinned.lock().unwrap() = Some(p.pinned_frames());
+                }
+                Ok(())
+            })
+        };
+        (pacer, pinned)
+    }
+
     #[test]
     fn paused_mid_chain_delete_holds_no_pins_and_matches_uninterrupted() {
         // One bucket forces a long overflow chain, so every delete walks
-        // several pages and crosses a checkpoint per page: a pause trip
-        // lands mid-hash-chain. Parked ⇒ zero pinned frames; resumed ⇒ the
-        // exact state an uninterrupted run produces.
+        // several pages and crosses a checkpoint per page: checkpoint 7 lands
+        // mid-hash-chain. Paused there (in the hook) ⇒ zero pinned frames;
+        // run on ⇒ the exact state an uninterrupted run produces.
         let n = (BUCKET_CAP * 4) as u64;
         let mut reference = HashIndex::create(pool(), 1, StructureId::Hash(0)).unwrap();
         let p = pool();
@@ -596,23 +615,18 @@ mod tests {
             assert!(reference.delete(k, rid(k)).unwrap());
         }
 
-        let pacer = bd_storage::Pacer::new();
-        pacer.pause_after(7);
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let _g = pacer.enter();
-                for &k in &victims {
-                    assert!(h.delete(k, rid(k)).unwrap());
-                }
-            });
-            assert!(
-                pacer.wait_parked(1, std::time::Duration::from_secs(10)),
-                "delete never parked mid-chain"
-            );
-            assert_eq!(p.pinned_frames(), 0, "parked mid-chain with a pin held");
-            pacer.resume();
-            worker.join().unwrap();
-        });
+        let (pacer, pinned) = pinned_at(&p, 7);
+        {
+            let _g = pacer.enter();
+            for &k in &victims {
+                assert!(h.delete(k, rid(k)).unwrap());
+            }
+        }
+        assert_eq!(
+            *pinned.lock().unwrap(),
+            Some(0),
+            "paused mid-chain with a pin held, or never paused"
+        );
 
         assert_eq!(h.len(), reference.len());
         let mut got = h.scan().unwrap();
@@ -692,7 +706,7 @@ mod tests {
     fn paused_mid_sweep_holds_no_pins_and_matches_uninterrupted() {
         // The twin of the chain-walk test above for the set-oriented pass:
         // a four-bucket index with three-page chains crosses a checkpoint
-        // per page, so trip 7 parks inside level 1 of the sweep.
+        // per page, so checkpoint 7 lands inside level 1 of the sweep.
         let n = (4 * BUCKET_CAP * 5 / 2) as u64;
         let mut reference = HashIndex::create(pool(), 4, StructureId::Hash(0)).unwrap();
         let p = pool();
@@ -704,21 +718,16 @@ mod tests {
         let victims: Vec<(Key, Rid)> = (0..n).step_by(2).map(|k| (k, rid(k))).collect();
         assert_eq!(reference.bulk_delete(&victims).unwrap(), victims.len());
 
-        let pacer = bd_storage::Pacer::new();
-        pacer.pause_after(7);
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let _g = pacer.enter();
-                assert_eq!(h.bulk_delete(&victims).unwrap(), victims.len());
-            });
-            assert!(
-                pacer.wait_parked(1, std::time::Duration::from_secs(10)),
-                "sweep never parked"
-            );
-            assert_eq!(p.pinned_frames(), 0, "parked mid-sweep with a pin held");
-            pacer.resume();
-            worker.join().unwrap();
-        });
+        let (pacer, pinned) = pinned_at(&p, 7);
+        {
+            let _g = pacer.enter();
+            assert_eq!(h.bulk_delete(&victims).unwrap(), victims.len());
+        }
+        assert_eq!(
+            *pinned.lock().unwrap(),
+            Some(0),
+            "paused mid-sweep with a pin held, or never paused"
+        );
 
         assert!(pacer.checks() > 7, "the sweep ended before the trip point");
         assert_eq!(h.len(), reference.len());

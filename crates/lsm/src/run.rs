@@ -332,7 +332,7 @@ fn parse_page(page: &[u8], record_len: usize, pid: PageId) -> StorageResult<Vec<
 /// Streaming reader over one run: pins one page at a time, parses it,
 /// drops the pin, and calls [`pacer::checkpoint`] between pages — the
 /// pattern every long scan in the workspace follows, so compaction merges
-/// and full scans are pausable with zero pins held while parked.
+/// and full scans hold zero pins whenever a pacer's hook runs.
 pub struct RunCursor {
     pool: Arc<BufferPool>,
     first_page: PageId,

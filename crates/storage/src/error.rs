@@ -49,8 +49,8 @@ pub enum StorageError {
     /// considered dead from this access on (never retried; the WAL's
     /// roll-forward recovery takes over after restart).
     SimulatedCrash,
-    /// A [`crate::Pacer`] installed on the running thread was cancelled: the
-    /// task stopped at its next [`crate::pacer::checkpoint`].
+    /// The hook of a [`crate::Pacer`] installed on the running thread
+    /// cancelled the task at a [`crate::pacer::checkpoint`].
     Cancelled,
 }
 

@@ -512,8 +512,8 @@ impl Iterator for HeapScan {
             if self.fused || self.next_page >= self.pages.len() {
                 return None;
             }
-            // Pause point between pages; a pacer cancellation fuses the
-            // scan exactly like a pin failure would.
+            // Pause point between pages; a hook's error (a cancel) fuses
+            // the scan exactly like a pin failure would.
             if let Err(e) = crate::pacer::checkpoint() {
                 self.error = Some(e);
                 self.fused = true;

@@ -79,11 +79,11 @@ thread_local! {
 }
 
 /// Run `f` with [`crate::pacer::checkpoint`] suspended on this thread: it
-/// neither parks nor fails with `Cancelled`. I/O is still charged and
-/// attributed to active scopes. Used by error-path cleanup (e.g. a bulk-
-/// delete arm detaching its already-freed leaves after a fault or a pacer
-/// cancel) that must finish a small, bounded amount of I/O to leave the
-/// structure consistent.
+/// neither counts nor runs a pacer's hook, so it never fails with
+/// `Cancelled`. I/O is still charged and attributed to active scopes. Used
+/// by error-path cleanup (e.g. a bulk-delete arm detaching its
+/// already-freed leaves after a fault or a hook's cancel) that must finish
+/// a small, bounded amount of I/O to leave the structure consistent.
 pub fn bypass_cancel<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {

@@ -26,11 +26,11 @@
 //! * [`MemoryBudget`] — byte accounting shared by sort and hash workspaces.
 //! * [`IoScope`] — per-task I/O attribution for bulk-delete arms, also
 //!   across threads; the disk's own counters keep the serial total.
-//! * [`Pacer`] — the cooperative-scheduling layer for long page-visit
-//!   loops: every bulk walk calls [`pacer::checkpoint`] between page
-//!   visits (never with a pin held), so a running bulk delete can be
-//!   paused at page granularity (parked wait, zero pinned frames) or
-//!   cancelled through the normal `Result` path.
+//! * [`Pacer`] — the checkpoint counter for long page-visit loops: every
+//!   bulk walk calls [`pacer::checkpoint`] between page visits (never with
+//!   a pin held), where an installed pacer counts the visit and runs its
+//!   caller's hook on the walking thread; a hook's `Cancelled` unwinds the
+//!   walk through the normal `Result` path.
 //! * [`FaultPlan`] — programmable fault injection (transient/persistent
 //!   faults, torn writes caught by per-page checksums, crash points), with
 //!   a bounded retry-with-backoff for transient faults in the buffer pool.

@@ -401,17 +401,17 @@ impl TxnDb {
     /// one entry per victim, so a foreground insert that re-used a victim's
     /// RID under the same hash value keeps its own entry.
     ///
-    /// The `pacer` governs the run cooperatively: between chunks it is
-    /// checked with no locks held (the natural pause point — a parked
-    /// deleter stalls no foreground work), and it is installed around each
-    /// chunk body so every page-visit loop inside checkpoints too (a pause
-    /// landing there parks with zero pinned frames, though it holds the
-    /// chunk's locks until resumed). Cancelling stops before the next
-    /// chunk; already-deleted chunks are *committed*, so phase-2
-    /// propagation for them always completes (it runs under
-    /// [`bypass_cancel`]) and the indices come back online consistent —
-    /// the statement then fails with `Cancelled` having deleted a prefix
-    /// of `D`.
+    /// The `pacer` counts the run's checkpoints and runs its hook at each:
+    /// between chunks it is checked with no locks held (a hook there can
+    /// run foreground work against the table), and it is installed around
+    /// each chunk body so every page-visit loop inside checkpoints too (a
+    /// hook there sees zero pinned frames, though the chunk's locks are
+    /// held). A hook's `Cancelled` inside a chunk is deferred: the chunk
+    /// finishes and the run stops at the next between-chunk check.
+    /// Already-deleted chunks are *committed*, so phase-2 propagation for
+    /// them always completes (it runs under [`bypass_cancel`]) and the
+    /// indices come back online consistent — the statement then fails with
+    /// `Cancelled` having deleted a prefix of `D`.
     pub fn bulk_delete_live(
         &self,
         tid: TableId,
@@ -469,11 +469,10 @@ impl TxnDb {
             for part in keys.chunks(chunk) {
                 let mut part = part.to_vec();
                 part.sort_unstable();
-                // Pause point between chunks: no table lock, no db mutex —
-                // a parked deleter blocks no foreground transaction.
+                // Checkpoint between chunks: no table lock, no db mutex —
+                // a hook here may run any foreground transaction.
                 pacer.check().map_err(DbError::from)?;
-                // One maintenance slice per pause point, paced like the
-                // delete itself so a parked delete parks its upkeep too.
+                // One maintenance slice per between-chunk checkpoint.
                 if let Some(hook) = self.maintenance.lock().as_mut() {
                     let mut db = self.db.lock();
                     hook(&mut db)?;
@@ -493,8 +492,8 @@ impl TxnDb {
                 let chunk_res: TxnResult<()> = (|| {
                     let mut db = self.db.lock();
                     // Deep page-visit loops below checkpoint against this
-                    // pacer (leaf walks, heap passes, sorts), so a pause
-                    // parks mid-chunk at a pin-free point. The install
+                    // pacer (leaf walks, heap passes, sorts), so its hook
+                    // runs mid-chunk at pin-free points. The install
                     // defers cancellation: probe index, heap and unique
                     // indices must move together, so a cancel lets the
                     // chunk finish and is observed at the next

@@ -1,13 +1,13 @@
 //! Tests of the online (chunked, paced) bulk-delete path: correctness vs
 //! the offline protocol, reader survival through leaf reorganisation,
-//! pause-with-zero-pins, and cancel-leaves-a-consistent-prefix.
+//! zero pins at every checkpoint, foreground work run from the pacer's
+//! hook, and cancel-leaves-a-consistent-prefix.
 
 use std::collections::HashSet;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 use bd_core::{Database, DatabaseConfig, IndexDef, ShadowDb, Tuple};
-use bd_storage::Pacer;
+use bd_storage::{Pacer, StorageError};
 use bd_txn::{PropagationMode, TxnDb};
 use bd_workload::TableSpec;
 
@@ -74,13 +74,13 @@ fn setup_hashed(pages: usize) -> (Arc<TxnDb>, usize, Vec<u64>) {
 fn deferred_hash_sweep_keeps_an_insert_that_reuses_a_victim_rid() {
     const CHUNK: usize = 32;
     for mode in [PropagationMode::SideFile, PropagationMode::Direct] {
-        // The pacer's count at the pause point between the first chunk and
+        // The pacer's count at the checkpoint between the first chunk and
         // the second, read by a maintenance hook on an identical run.
         let boundary = {
             let (tdb, tid, a_values) = setup_hashed(30);
             let victims: Vec<u64> = a_values.iter().copied().step_by(3).collect();
             let pacer = Pacer::new();
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let seen = Arc::new(Mutex::new(Vec::new()));
             {
                 let (pacer, seen) = (pacer.clone(), seen.clone());
                 tdb.set_maintenance(Some(Box::new(move |_| {
@@ -109,26 +109,26 @@ fn deferred_hash_sweep_keeps_an_insert_that_reuses_a_victim_rid() {
             let row = table.schema.decode(&table.heap.get(rid).unwrap());
             (rid, row.attr(3))
         });
-        let pacer = Pacer::new();
-        pacer.pause_after(boundary);
         let tuple = Tuple::new(vec![1_000_001, 2_000_001, 3_000_001, value]);
-        let (stats, rid) = std::thread::scope(|s| {
-            let bulk = {
-                let (tdb, victims, pacer) = (tdb.clone(), victims.clone(), pacer.clone());
-                s.spawn(move || tdb.bulk_delete_live(tid, 0, &victims, mode, CHUNK, &pacer))
-            };
-            assert!(
-                pacer.wait_parked(1, Duration::from_secs(10)),
-                "deleter never parked"
-            );
-            // Between chunks: no lock held, the victim's hash entry not yet
-            // swept.
-            let txn = tdb.begin();
-            let rid = tdb.insert(txn, tid, &tuple).unwrap();
-            tdb.commit(txn);
-            pacer.resume();
-            (bulk.join().unwrap().unwrap(), rid)
-        });
+        let inserted = Arc::new(Mutex::new(None));
+        let pacer = {
+            let (tdb, tuple, inserted) = (tdb.clone(), tuple.clone(), inserted.clone());
+            Pacer::with_hook(move |n| {
+                if n == boundary {
+                    // Between chunks: no lock held, the victim's hash entry
+                    // not yet swept.
+                    let txn = tdb.begin();
+                    let rid = tdb.insert(txn, tid, &tuple).unwrap();
+                    tdb.commit(txn);
+                    *inserted.lock().unwrap() = Some(rid);
+                }
+                Ok(())
+            })
+        };
+        let stats = tdb
+            .bulk_delete_live(tid, 0, &victims, mode, CHUNK, &pacer)
+            .unwrap();
+        let rid = inserted.lock().unwrap().expect("the hook never ran");
         assert_eq!(stats.deleted, victims.len());
         assert_eq!(
             rid, victim_rid,
@@ -248,34 +248,27 @@ fn paused_live_delete_holds_no_pins_and_resumes_clean() {
     let (tdb, tid, a_values) = setup(2000);
     let mut shadow = tdb.with(|db| ShadowDb::mirror_of(db, tid).unwrap());
     let victims: Vec<u64> = a_values.iter().copied().step_by(2).collect();
-    let pool = tdb.with(|db| db.pool().clone());
-    let pacer = Pacer::new();
-    // Trip somewhere inside the run — between chunks or mid-leaf-walk
+    let pinned = Arc::new(Mutex::new(None));
+    // Stop somewhere inside the run — between chunks or mid-leaf-walk
     // inside one, both of which must be pin-free quiescent points.
-    pacer.pause_after(23);
+    let pacer = {
+        let (pool, pinned) = (tdb.with(|db| db.pool().clone()), pinned.clone());
+        Pacer::with_hook(move |n| {
+            if n == 23 {
+                *pinned.lock().unwrap() = Some(pool.pinned_frames());
+            }
+            Ok(())
+        })
+    };
 
-    let stats = std::thread::scope(|s| {
-        let bulk = {
-            let tdb = tdb.clone();
-            let victims = victims.clone();
-            let pacer = pacer.clone();
-            s.spawn(move || {
-                tdb.bulk_delete_live(tid, 0, &victims, PropagationMode::SideFile, 32, &pacer)
-                    .unwrap()
-            })
-        };
-        assert!(
-            pacer.wait_parked(1, Duration::from_secs(10)),
-            "deleter never parked"
-        );
-        assert_eq!(
-            pool.pinned_frames(),
-            0,
-            "paused delete holds a pinned frame"
-        );
-        pacer.resume();
-        bulk.join().unwrap()
-    });
+    let stats = tdb
+        .bulk_delete_live(tid, 0, &victims, PropagationMode::SideFile, 32, &pacer)
+        .unwrap();
+    assert_eq!(
+        *pinned.lock().unwrap(),
+        Some(0),
+        "paused delete holds a pinned frame, or never paused"
+    );
     assert_eq!(stats.deleted, victims.len());
 
     shadow.delete_in(tid, 0, &victims);
@@ -300,40 +293,34 @@ fn reader_through_an_offline_index_does_not_stall_the_live_delete() {
         tdb.commit(txn);
         rows[0].attr(1)
     };
-    let pacer = Pacer::new();
-    // Checkpoint 1 is the pause point before the first chunk; every later
-    // one comes after the first exclusive span took index 1 offline, with
-    // dozens of chunks still to run.
-    pacer.pause_after(2);
+    // Checkpoint 1 is the one before the first chunk; every later one
+    // comes after the first exclusive span took index 1 offline, with
+    // dozens of chunks still to run. The hook at checkpoint 2 starts a
+    // reader through index 1 and lets the deleter go on once the reader's
+    // transaction has begun.
+    let reader = Arc::new(Mutex::new(None));
+    let pacer = {
+        let (tdb, reader) = (tdb.clone(), reader.clone());
+        Pacer::with_hook(move |n| {
+            if n == 2 {
+                let (started_tx, started_rx) = std::sync::mpsc::channel();
+                let tdb = tdb.clone();
+                *reader.lock().unwrap() = Some(std::thread::spawn(move || {
+                    let txn = tdb.begin();
+                    started_tx.send(()).unwrap();
+                    let rows = tdb.read(txn, tid, 1, b);
+                    tdb.commit(txn);
+                    rows
+                }));
+                started_rx.recv().unwrap();
+            }
+            Ok(())
+        })
+    };
 
-    let (stats, rows) = std::thread::scope(|s| {
-        let bulk = {
-            let tdb = tdb.clone();
-            let victims = victims.clone();
-            let pacer = pacer.clone();
-            s.spawn(move || {
-                tdb.bulk_delete_live(tid, 0, &victims, PropagationMode::SideFile, 32, &pacer)
-            })
-        };
-        assert!(
-            pacer.wait_parked(1, Duration::from_secs(10)),
-            "deleter never parked"
-        );
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let reader = {
-            let tdb = tdb.clone();
-            s.spawn(move || {
-                let txn = tdb.begin();
-                started_tx.send(()).unwrap();
-                let rows = tdb.read(txn, tid, 1, b);
-                tdb.commit(txn);
-                rows
-            })
-        };
-        started_rx.recv().unwrap();
-        pacer.resume();
-        (bulk.join().unwrap(), reader.join().unwrap())
-    });
+    let stats = tdb.bulk_delete_live(tid, 0, &victims, PropagationMode::SideFile, 32, &pacer);
+    let reader = reader.lock().unwrap().take().expect("the hook never ran");
+    let rows = reader.join().unwrap();
     let stats = stats.expect("a waiting reader must not time out the deleter's table lock");
     assert_eq!(stats.deleted, victims.len());
     // The reader was served once index 1 came back online, consistent.
@@ -350,23 +337,29 @@ fn reader_through_an_offline_index_does_not_stall_the_live_delete() {
 fn cancelled_live_delete_leaves_a_consistent_prefix() {
     let (tdb, tid, a_values) = setup(2000);
     let victims: Vec<u64> = a_values.iter().copied().step_by(2).collect();
-    let pacer = Pacer::new();
-    pacer.pause_after(17);
-
-    let err = std::thread::scope(|s| {
-        let bulk = {
-            let tdb = tdb.clone();
-            let victims = victims.clone();
-            let pacer = pacer.clone();
-            s.spawn(move || {
-                tdb.bulk_delete_live(tid, 0, &victims, PropagationMode::SideFile, 32, &pacer)
-            })
-        };
-        assert!(pacer.wait_parked(1, Duration::from_secs(10)));
-        pacer.cancel();
-        bulk.join().unwrap()
-    });
+    // Checkpoint 17 lands inside a chunk (the pacer is installed there,
+    // never between chunks), whose install defers the cancel: the chunk
+    // finishes and the next between-chunk check fails.
+    let mid_chunk = Arc::new(Mutex::new(None));
+    let pacer = {
+        let mid_chunk = mid_chunk.clone();
+        Pacer::with_hook(move |n| {
+            if n == 17 {
+                *mid_chunk.lock().unwrap() = Some(!bd_storage::pacer::installed().is_empty());
+            }
+            if n >= 17 {
+                return Err(StorageError::Cancelled);
+            }
+            Ok(())
+        })
+    };
+    let err = tdb.bulk_delete_live(tid, 0, &victims, PropagationMode::SideFile, 32, &pacer);
     assert!(err.is_err(), "cancelled run must report the cancellation");
+    assert_eq!(
+        *mid_chunk.lock().unwrap(),
+        Some(true),
+        "the cancel must land mid-chunk"
+    );
 
     // Every structure is consistent, every gate back online (reads on the
     // offline-able indices would hang otherwise), and the deleted set is a
@@ -409,7 +402,6 @@ fn cancelled_live_delete_leaves_a_consistent_prefix() {
 fn maintenance_hook_runs_between_live_delete_chunks() {
     use bd_core::{audit_catalog, Maintainer, MaintenanceConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     let (tdb, tid, a_values) = setup(2000);
     let maintainer = Arc::new(Mutex::new(Maintainer::new(MaintenanceConfig::default())));

@@ -359,7 +359,6 @@ pub struct ErasureCampaign<'a> {
     root_attr: usize,
     d_keys: &'a [Key],
     workers: usize,
-    pacer: Pacer,
     /// Planned on the reference build: the cascade, its sensitive values,
     /// and the tables it touches.
     planned: Option<(CascadePlan, Vec<u64>, Vec<TableId>)>,
@@ -373,7 +372,6 @@ impl<'a> ErasureCampaign<'a> {
             root_attr,
             d_keys,
             workers,
-            pacer: Pacer::new(),
             planned: None,
         }
     }
@@ -408,7 +406,7 @@ impl SweepTarget for ErasureCampaign<'_> {
 
     fn run(&self, db: &mut Database, _root: TableId, log: &LogManager) -> Result<usize, WalError> {
         let (plan, ..) = self.planned();
-        run_erasure_campaign(db, plan, log, self.workers, &self.pacer).map(|out| out.deleted)
+        run_erasure_campaign(db, plan, log, self.workers, &Pacer::new()).map(|out| out.deleted)
     }
 
     /// The open statement is the step after the last sealed one.

@@ -30,9 +30,10 @@
 //! to be idempotent and torn-write-benign — see the heap scrub's
 //! non-moving contract and the B-tree scrub's canonical separators).
 //!
-//! Cancellation is cooperative via [`Pacer`]: a cancel observed between
-//! steps appends [`LogRecord::CampaignCancelled`] — the completed prefix
-//! is durable and consistent, and recovery treats the campaign as closed.
+//! Cancellation is cooperative via a [`Pacer`] hook: a cancel observed
+//! between steps appends [`LogRecord::CampaignCancelled`] — the completed
+//! prefix is durable and consistent, and recovery treats the campaign as
+//! closed.
 
 use std::collections::BTreeSet;
 
@@ -84,12 +85,13 @@ fn manifest_steps(plan: &CascadePlan) -> Vec<CampaignStep> {
 ///
 /// The manifest is logged before any other work, so every later crash
 /// point recovers into this campaign via [`recover_campaign`]. `workers`
-/// is each step's bulk-delete worker budget. The `pacer` governs the run cooperatively: it is checked with
-/// nothing in flight between steps (a cancel there seals the campaign
-/// with a [`LogRecord::CampaignCancelled`] naming the committed prefix)
-/// and installed around each step's body with deferred cancellation — a
-/// step, once begun, either completes or crashes, it is never abandoned
-/// half-run by a cancel.
+/// is each step's bulk-delete worker budget. The `pacer`'s hook runs at
+/// every checkpoint: the pacer is checked with nothing in flight between
+/// steps (a hook's cancel there seals the campaign with a
+/// [`LogRecord::CampaignCancelled`] naming the committed prefix) and
+/// installed around each step's body with deferred cancellation — a step,
+/// once begun, either completes or crashes, it is never abandoned half-run
+/// by a cancel.
 pub fn run_erasure_campaign(
     db: &mut Database,
     plan: &CascadePlan,
@@ -109,7 +111,7 @@ pub fn run_erasure_campaign(
 
     let mut deleted = 0usize;
     for (i, step) in plan.steps.iter().enumerate() {
-        // Pause/cancel point between steps: nothing in flight. The
+        // Checkpoint between steps: nothing in flight. The
         // completed prefix is durable (each step's driver flushes before
         // its commit), so a cancel here leaves a consistent database and
         // a manifest that says exactly how far the campaign got.

@@ -196,9 +196,10 @@ fn recover_is_idempotent_after_parallel_crash() {
 
 #[test]
 fn crash_while_paused_recovers_to_the_reference_state() {
-    // A paused delete sits at a checkpoint with zero pinned frames — the
-    // pause contract — so the pool can crash underneath it (`crash()`
-    // panics on any pin, making the contract an assertion, not a hope).
+    // A delete stopped in its pacer's hook sits at a checkpoint with zero
+    // pinned frames — the checkpoint contract — so the hook can crash the
+    // pool underneath it (`crash()` panics on any pin, making the contract
+    // an assertion, not a hope), then cancel the statement.
     // Recovery from the log then completes the statement exactly as the
     // crash-at-every-IO sweep does from any other point.
     let (mut reference, tid, a_values) = build(1200);
@@ -216,25 +217,28 @@ fn crash_while_paused_recovers_to_the_reference_state() {
         let (mut db, _, _) = build(1200);
         let pool = db.pool().clone();
         let log = LogManager::new();
-        let pacer = bd_storage::Pacer::new();
-        pacer.pause_after(trip);
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let _g = pacer.enter();
-                run_bulk_delete(&mut db, tid, 0, &d, &log, CrashInjector::none())
-            });
-            assert!(
-                pacer.wait_parked(1, std::time::Duration::from_secs(10)),
-                "delete never parked at trip {trip}"
-            );
-            // Zero pins while parked, or this panics.
-            pool.crash();
-            pacer.cancel();
-            assert!(
-                worker.join().unwrap().is_err(),
-                "cancelled-after-crash run must not report success"
-            );
-        });
+        let pacer = {
+            let pool = pool.clone();
+            bd_storage::Pacer::with_hook(move |n| {
+                if n == trip {
+                    // Zero pins at a checkpoint, or this panics.
+                    pool.crash();
+                }
+                if n >= trip {
+                    return Err(bd_storage::StorageError::Cancelled);
+                }
+                Ok(())
+            })
+        };
+        let result = {
+            let _g = pacer.enter();
+            run_bulk_delete(&mut db, tid, 0, &d, &log, CrashInjector::none())
+        };
+        assert!(pacer.checks() >= trip, "delete never reached trip {trip}");
+        assert!(
+            result.is_err(),
+            "cancelled-after-crash run must not report success"
+        );
         // Discard anything the unwinding error path touched post-crash,
         // then restart: redo from the log.
         pool.crash();

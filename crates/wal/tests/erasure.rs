@@ -3,11 +3,13 @@
 //! crash/torn-write sweeps that prove the proof-of-deletion holds after
 //! recovery at every I/O of the whole campaign.
 
+use std::sync::{Arc, Mutex};
+
 use bd_core::{
     audit_catalog, audit_equivalence, collect_sensitive, plan_cascade, verify_erasure, Database,
     DatabaseConfig, ForeignKey, IndexDef, Schema, TableId, Tuple,
 };
-use bd_storage::{FaultPlan, Pacer};
+use bd_storage::{FaultPlan, Pacer, StorageError};
 use bd_wal::{
     recover, recover_campaign, run_erasure_campaign, sweep, ErasureCampaign, Fault, LogManager,
     LogRecord, SweepReport, WalError,
@@ -152,8 +154,7 @@ fn cancel_before_any_step_leaves_the_database_untouched() {
     db.pool().flush_all().unwrap();
     let plan = plan_cascade(&db, root, 0, &victims()).unwrap();
     let log = LogManager::new();
-    let pacer = Pacer::new();
-    pacer.cancel();
+    let pacer = Pacer::with_hook(|_| Err(StorageError::Cancelled));
     let err = run_erasure_campaign(&mut db, &plan, &log, 1, &pacer).unwrap_err();
     assert!(
         matches!(err, WalError::Db(_)),
@@ -178,22 +179,33 @@ fn cancel_mid_campaign_keeps_a_consistent_recorded_prefix() {
     let plan = plan_cascade(&db, root, 0, &victims()).unwrap();
     let step_tables: Vec<TableId> = plan.steps.iter().map(|s| s.table).collect();
     let log = LogManager::new();
-    let pacer = Pacer::new();
     // Check #1 is the between-step gate before step 0; #2 lands inside
-    // step 0's body (or on the next gate). Cancelling a parked step is
-    // *deferred* — the step runs to completion and the cancel is observed
-    // at the next between-step gate, so the campaign never abandons a
-    // step half-run.
-    pacer.pause_after(2);
-    std::thread::scope(|s| {
-        let worker = s.spawn(|| run_erasure_campaign(&mut db, &plan, &log, 1, &pacer));
-        assert!(
-            pacer.wait_parked(1, std::time::Duration::from_secs(10)),
-            "campaign never parked"
-        );
-        pacer.cancel();
-        assert!(worker.join().unwrap().is_err(), "cancelled run must error");
-    });
+    // step 0's body (the pacer is installed there, never on a gate). A
+    // cancel inside a step is *deferred* — the step runs to completion and
+    // the cancel is observed at the next between-step gate, so the
+    // campaign never abandons a step half-run.
+    let mid_step = Arc::new(Mutex::new(None));
+    let pacer = {
+        let mid_step = mid_step.clone();
+        Pacer::with_hook(move |n| {
+            if n == 2 {
+                *mid_step.lock().unwrap() = Some(!bd_storage::pacer::installed().is_empty());
+            }
+            if n >= 2 {
+                return Err(StorageError::Cancelled);
+            }
+            Ok(())
+        })
+    };
+    assert!(
+        run_erasure_campaign(&mut db, &plan, &log, 1, &pacer).is_err(),
+        "cancelled run must error"
+    );
+    assert_eq!(
+        *mid_step.lock().unwrap(),
+        Some(true),
+        "the cancel must land inside step 0"
+    );
 
     let records = log.records().unwrap();
     let completed = records
@@ -205,7 +217,7 @@ fn cancel_mid_campaign_keeps_a_consistent_recorded_prefix() {
         .expect("campaign must be sealed with a cancel record");
     assert_eq!(
         completed, 1,
-        "the parked step must finish before the cancel"
+        "the step the cancel landed in must finish first"
     );
     let sealed = records
         .iter()

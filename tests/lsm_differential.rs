@@ -9,7 +9,6 @@
 //! compaction, plus a clean page-catalog audit on the LSM side.
 
 use std::collections::HashSet;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -273,20 +272,17 @@ fn cancelled_delete_leaves_a_key_ordered_prefix() {
     let mut prefixes = HashSet::new();
     for n in (1..total).step_by(total as usize / 23) {
         let mut lsm = loaded_lsm(&rows);
-        let pacer = Pacer::new();
-        pacer.pause_after(n);
-        let result = std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let _g = pacer.enter();
-                lsm.bulk_delete(&d)
-            });
-            assert!(
-                pacer.wait_parked(1, Duration::from_secs(10)),
-                "delete never parked at checkpoint {n}"
-            );
-            pacer.cancel();
-            worker.join().unwrap()
+        let pacer = Pacer::with_hook(move |k| {
+            if k >= n {
+                Err(StorageError::Cancelled)
+            } else {
+                Ok(())
+            }
         });
+        let result = {
+            let _g = pacer.enter();
+            lsm.bulk_delete(&d)
+        };
         assert!(
             matches!(result, Err(DbError::Storage(StorageError::Cancelled))),
             "checkpoint {n}: {result:?}"

@@ -69,11 +69,10 @@ fn recovery_resumes_the_table_pass_at_its_last_progress_record() {
     let (mut db, w, d, log) = crash_at(CrashSite::AtProgress(1, k));
     let before = log.len();
 
-    // A pacer cancelled up front stops recovery at its first page-visit
-    // checkpoint: the table pass's first heap page. Nothing was read
-    // before it.
-    let pacer = Pacer::new();
-    pacer.cancel();
+    // A pacer that cancels from its first checkpoint stops recovery at
+    // its first page visit: the table pass's first heap page. Nothing was
+    // read before it.
+    let pacer = Pacer::with_hook(|_| Err(StorageError::Cancelled));
     {
         let _pace = pacer.enter();
         let err = recover(&mut db, w.tid, &log, &[]).unwrap_err();
