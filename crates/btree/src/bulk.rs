@@ -113,7 +113,6 @@ fn sweep_leaves(
             tree.sub_len(deleted.len() - before);
             if emptied && pid != tree.root_page() && policy != ReorgPolicy::None {
                 freed.insert(pid);
-                tree.stats_mut().leaves_freed += 1;
                 tree.pool().free_page(pid);
                 if let Some(pv) = prev {
                     let mut pw = tree.pool().pin_write(pv)?;
@@ -319,11 +318,15 @@ mod tests {
     #[test]
     fn contiguous_range_delete_frees_leaves_and_patches_parents() {
         let mut t = loaded(4000, 16);
+        let leaves_before = crate::scan::LeafPages::new(&t).unwrap().count();
+        let free_before = t.pool().catalog().n_free();
         // Delete one dense stripe: keys 1000..2000 — frees ~62 leaves.
         let victims: Vec<(Key, Rid)> = (1000..2000u64).map(|k| (k, rid(k))).collect();
         bulk_delete_sorted(&mut t, &victims, ReorgPolicy::FreeAtEmpty).unwrap();
         assert_eq!(t.len(), 3000);
-        assert!(t.stats().leaves_freed >= 60, "{:?}", t.stats());
+        let leaves_freed = leaves_before - crate::scan::LeafPages::new(&t).unwrap().count();
+        assert!(leaves_freed >= 60, "{leaves_freed} leaves unlinked");
+        assert!(t.pool().catalog().n_free() - free_before >= leaves_freed);
         assert_eq!(t.search(1500).unwrap(), Vec::<Rid>::new());
         assert_eq!(t.search(999).unwrap(), vec![rid(999)]);
         assert_eq!(t.search(2000).unwrap(), vec![rid(2000)]);
@@ -389,9 +392,15 @@ mod tests {
     #[test]
     fn reorg_none_keeps_empty_leaves_attached() {
         let mut t = loaded(1000, 8);
+        let leaves_before = crate::scan::LeafPages::new(&t).unwrap().count();
+        let free_before = t.pool().catalog().n_free();
         let victims: Vec<(Key, Rid)> = (200..400u64).map(|k| (k, rid(k))).collect();
         bulk_delete_sorted(&mut t, &victims, ReorgPolicy::None).unwrap();
-        assert_eq!(t.stats().leaves_freed, 0);
+        assert_eq!(t.pool().catalog().n_free(), free_before, "a page was freed");
+        assert_eq!(
+            crate::scan::LeafPages::new(&t).unwrap().count(),
+            leaves_before
+        );
         assert_eq!(t.len(), 800);
         assert_eq!(t.search(300).unwrap(), Vec::<Rid>::new());
         assert_eq!(t.search(199).unwrap(), vec![rid(199)]);
@@ -409,8 +418,7 @@ mod tests {
             .collect();
         bulk_delete_sorted(&mut t, &victims, ReorgPolicy::CompactLeaves).unwrap();
         assert_eq!(t.len(), 1000);
-        assert!(t.has_contiguous_leaves());
-        let (_, n_leaves) = t.leaf_extent().unwrap();
+        let (_, n_leaves) = t.leaf_extent().expect("leaves are contiguous");
         assert_eq!(n_leaves, 1000usize.div_ceil(16));
         for k in (1..2000u64).step_by(2) {
             assert_eq!(t.search(k).unwrap(), vec![rid(k)], "key {k}");
@@ -665,22 +673,25 @@ mod tests {
         for k in 400..1400u64 {
             assert!(t.delete_one(k, rid(k)).unwrap());
         }
-        assert!(t.stats().inners_freed > 0, "need freed inners to sweep");
+        // Freed pages still reached through the inner-level chains.
+        let freed_in_chains = |t: &BTree| {
+            let catalog = t.pool().catalog();
+            let mut freed = 0;
+            for level in 1..t.height() {
+                let mut pid = Some(t.leftmost_of_level(level).unwrap());
+                while let Some(p) = pid {
+                    freed += usize::from(catalog.owner(p).is_none());
+                    let r = t.pool().pin_read(p).unwrap();
+                    pid = crate::node::NodeRef::new(&r[..]).right_sibling();
+                }
+            }
+            freed
+        };
+        assert!(freed_in_chains(&t) > 0, "need freed inners to sweep");
         let unlinked = sweep_detached_inners(&t).unwrap();
         assert!(unlinked > 0, "sweep found nothing to unlink");
         // Every inner-level chain now contains only owned pages.
-        let catalog = t.pool().catalog();
-        for level in 1..t.height() {
-            let mut pid = Some(t.leftmost_of_level(level).unwrap());
-            while let Some(p) = pid {
-                assert!(
-                    catalog.owner(p).is_some(),
-                    "level-{level} chain reaches freed page {p}"
-                );
-                let r = t.pool().pin_read(p).unwrap();
-                pid = crate::node::NodeRef::new(&r[..]).right_sibling();
-            }
-        }
+        assert_eq!(freed_in_chains(&t), 0, "a chain reaches a freed page");
         // Idempotent: a second sweep finds nothing.
         assert_eq!(sweep_detached_inners(&t).unwrap(), 0);
         crate::verify::check(&t).unwrap();

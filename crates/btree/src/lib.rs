@@ -33,7 +33,7 @@ pub use node::{Key, NodeKind, Sep, MAX_INNER_CAP, MAX_LEAF_CAP};
 pub use reorg::{sweep_detached_inners, IncrementalPacker, PackProgress, ReorgPolicy};
 pub use scan::{lookup_keys_sorted, LeafPages, LeafScan, RangeCursor};
 pub use scrub::{scrub as scrub_tree, TreeScrub};
-pub use tree::{BTree, BTreeConfig, TreeStats};
+pub use tree::{BTree, BTreeConfig};
 
 // Bulk-delete arms are dispatched to worker threads by the phase-task
 // executor; a tree handle must therefore stay `Send` (it is `Arc<BufferPool>`

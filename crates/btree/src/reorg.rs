@@ -115,7 +115,6 @@ pub(crate) fn patch_parents_from(
                     let mut pw = tree.pool().pin_write(pv)?;
                     NodeMut::new(&mut pw[..]).set_right_sibling(next);
                 }
-                tree.stats_mut().inners_freed += 1;
                 tree.pool().free_page(pid);
             } else {
                 prev = Some(pid);
@@ -290,7 +289,6 @@ impl IncrementalPacker {
                 // free-at-empty: the freed pages stay readable until a
                 // later pass has rewritten the chains around them and the
                 // daemon reclaims them).
-                tree.stats_mut().leaves_freed += children.len() as u64;
                 for &leaf in &children {
                     tree.pool().free_page(leaf);
                 }
@@ -319,7 +317,6 @@ impl IncrementalPacker {
                     node.set_right_sibling(next);
                     seps.push((chunk[0], pid));
                 }
-                tree.stats_mut().leaves_freed += (children.len() - kept) as u64;
                 for &leaf in &children[kept..] {
                     tree.pool().free_page(leaf);
                 }

@@ -45,19 +45,6 @@ impl BTreeConfig {
     }
 }
 
-/// Counters describing structural maintenance work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TreeStats {
-    /// Leaf pages emptied and detached by free-at-empty.
-    pub leaves_freed: u64,
-    /// Inner pages detached by free-at-empty.
-    pub inners_freed: u64,
-    /// Leaf splits performed by inserts.
-    pub leaf_splits: u64,
-    /// Inner splits performed by inserts.
-    pub inner_splits: u64,
-}
-
 /// A B-link tree of `(key, rid)` entries over a buffer pool.
 pub struct BTree {
     pool: Arc<BufferPool>,
@@ -73,7 +60,6 @@ pub struct BTree {
     /// (set by bulk load, cleared by any split), this records it — enabling
     /// confident chained prefetch during leaf scans.
     leaf_extent: Option<(PageId, usize)>,
-    stats: TreeStats,
 }
 
 impl BTree {
@@ -95,7 +81,6 @@ impl BTree {
             height: 1,
             n_entries: 0,
             leaf_extent: Some((root, 1)),
-            stats: TreeStats::default(),
         })
     }
 
@@ -135,15 +120,6 @@ impl BTree {
         self.root
     }
 
-    /// Structural maintenance counters.
-    pub fn stats(&self) -> TreeStats {
-        self.stats
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut TreeStats {
-        &mut self.stats
-    }
-
     /// Overwrite the entry counter: recovery sets it to a value derived
     /// from the log instead of walking the leaves.
     pub fn set_len(&mut self, n: usize) {
@@ -162,11 +138,6 @@ impl BTree {
     /// still one ascending run on disk.
     pub fn leaf_extent(&self) -> Option<(PageId, usize)> {
         self.leaf_extent
-    }
-
-    /// True when leaf pages are one contiguous ascending run on disk.
-    pub fn has_contiguous_leaves(&self) -> bool {
-        self.leaf_extent.is_some()
     }
 
     pub(crate) fn install_root(&mut self, root: PageId, height: usize) {
@@ -238,7 +209,6 @@ impl BTree {
             height,
             n_entries,
             leaf_extent: None,
-            stats: TreeStats::default(),
         }
     }
 
@@ -328,7 +298,6 @@ impl BTree {
         drop(new_w);
         drop(w);
         self.n_entries += 1;
-        self.stats.leaf_splits += 1;
         self.leaf_extent = None;
         self.propagate_split(path, boundary, new_pid)
     }
@@ -356,7 +325,6 @@ impl BTree {
             node.set_right_sibling(Some(new_pid));
             drop(new_w);
             drop(w);
-            self.stats.inner_splits += 1;
             sep = promoted;
             right_child = new_pid;
         }
@@ -462,7 +430,6 @@ impl BTree {
         pid: PageId,
         path: &[(PageId, usize)],
     ) -> StorageResult<()> {
-        self.stats.leaves_freed += 1;
         self.pool.free_page(pid);
         let mut child = pid;
         for (level, &(parent, ci)) in path.iter().enumerate().rev() {
@@ -475,7 +442,6 @@ impl BTree {
                     // Parent lost its only child: free it one level up.
                     drop(w);
                     if level > 0 {
-                        self.stats.inners_freed += 1;
                         self.pool.free_page(parent);
                         child = parent;
                         continue;
@@ -800,7 +766,7 @@ mod tests {
         for k in 0..64u64 {
             t.delete_one(k, rid(k)).unwrap();
         }
-        assert!(t.stats().leaves_freed > 0);
+        assert!(t.pool().catalog().n_free() > 0, "no page was freed");
         crate::verify::check(&t).unwrap();
     }
 

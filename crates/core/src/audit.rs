@@ -2,9 +2,9 @@
 //!
 //! The paper's correctness claim is that every delete strategy — horizontal,
 //! drop&create, and the vertical set-oriented plans — is a drop-in
-//! replacement for the others. [`Database::check_consistency`] checks that
-//! a *single* database's indices agree with its heap; this module goes
-//! further:
+//! replacement for the others. [`audit_table`] checks that a *single*
+//! database's structures agree with its heap ([`Database::check_consistency`]
+//! is the same audit as a `Result`); this module goes further:
 //!
 //! * [`ShadowDb`] — a tiny in-memory model database that mirrors every
 //!   insert and delete. [`ShadowDb::diff`] compares the model
@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use bd_btree::{verify, verify::TreeAudit, Key};
-use bd_storage::Rid;
+use bd_storage::{PageId, Rid, StructureId};
 
 use crate::db::{Database, TableId};
 use crate::error::DbResult;
@@ -166,11 +166,12 @@ pub(crate) fn diff_sorted<T: Ord + Clone + fmt::Debug>(
     Some(msg)
 }
 
-/// Audit the internal consistency of one table: B-tree invariants,
-/// FSM-vs-occupancy, hash-chain structure, and index-vs-heap agreement.
-/// This is the structured, wider sibling of [`Database::check_consistency`]
-/// (which checks index-vs-heap agreement and entry counters only); both
-/// the shadow diff and the equivalence check run it on each side first.
+/// Audit the internal consistency of one table: B-tree invariants (each
+/// tree's entry counter among them), FSM-vs-occupancy, hash-chain
+/// structure and counters, the heap's record counter, and index-vs-heap
+/// agreement. [`Database::check_consistency`] returns this report as a
+/// `Result`; the shadow diff and the equivalence check run it on each
+/// side first.
 pub fn audit_table(db: &Database, tid: TableId) -> DbResult<AuditReport> {
     let mut report = AuditReport::default();
     let table = db.table(tid)?;
@@ -203,7 +204,8 @@ pub fn audit_table(db: &Database, tid: TableId) -> DbResult<AuditReport> {
                     .map(|(rid, t)| (t.attr(index.def.attr), *rid))
                     .collect();
                 expect.sort_unstable();
-                if let Some(diff) = diff_sorted(&audit.entries, &expect, "index", "heap") {
+                let side = format!("index {}", index.def.name);
+                if let Some(diff) = diff_sorted(&audit.entries, &expect, &side, "heap") {
                     report.push(&name, diff);
                 }
             }
@@ -224,7 +226,8 @@ pub fn audit_table(db: &Database, tid: TableId) -> DbResult<AuditReport> {
             .map(|(rid, t)| (t.attr(h.def.attr), *rid))
             .collect();
         expect.sort_unstable();
-        if let Some(diff) = diff_sorted(&got, &expect, "index", "heap") {
+        let side = format!("index {}", h.def.name);
+        if let Some(diff) = diff_sorted(&got, &expect, &side, "heap") {
             report.push(&name, diff);
         }
     }
@@ -241,6 +244,42 @@ pub fn audit_table(db: &Database, tid: TableId) -> DbResult<AuditReport> {
         );
     }
     Ok(report)
+}
+
+/// Visit every page table `tid`'s structures reach, each with the
+/// structure that reaches it: the heap's page list, then each B-tree's
+/// child-pointer walk, then each hash index's bucket chains. Only the
+/// structures `walk` accepts are walked, so a caller that suspects a few
+/// reads only theirs.
+pub fn reachable_pages(
+    db: &Database,
+    tid: TableId,
+    walk: impl Fn(StructureId) -> bool,
+    mut visit: impl FnMut(PageId, StructureId),
+) -> DbResult<()> {
+    let table = db.table(tid)?;
+    if walk(StructureId::Table) {
+        for &pid in table.heap.page_ids() {
+            visit(pid, StructureId::Table);
+        }
+    }
+    for index in &table.indices {
+        let owner = StructureId::index_of(tid, index.def.attr);
+        if walk(owner) {
+            for pid in index.tree.pages()? {
+                visit(pid, owner);
+            }
+        }
+    }
+    for h in &table.hash_indices {
+        let owner = StructureId::hash_of(tid, h.def.attr);
+        if walk(owner) {
+            for pid in h.index.pages()? {
+                visit(pid, owner);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Audit the page catalog against reality for one table.
@@ -261,37 +300,26 @@ pub fn audit_table(db: &Database, tid: TableId) -> DbResult<AuditReport> {
 /// and base-node packing abandon pages without freeing them, and a
 /// collapsed root stays catalogued so checkpoint restores stay valid.
 pub fn audit_catalog(db: &Database, tid: TableId) -> DbResult<AuditReport> {
-    use bd_storage::{PageId, StructureId};
     let mut report = AuditReport::default();
     let table = db.table(tid)?;
     let catalog = db.pool().catalog();
 
     let mut reachable: BTreeMap<PageId, StructureId> = BTreeMap::new();
-    let mut claim = |report: &mut AuditReport, pid: PageId, owner: StructureId| {
-        if let Some(prev) = reachable.insert(pid, owner) {
-            if prev != owner {
-                report.push(
-                    "catalog",
-                    format!("page {pid} is reachable from both {prev} and {owner}"),
-                );
+    reachable_pages(
+        db,
+        tid,
+        |_| true,
+        |pid, owner| {
+            if let Some(prev) = reachable.insert(pid, owner) {
+                if prev != owner {
+                    report.push(
+                        "catalog",
+                        format!("page {pid} is reachable from both {prev} and {owner}"),
+                    );
+                }
             }
-        }
-    };
-    for &pid in table.heap.page_ids() {
-        claim(&mut report, pid, StructureId::Table);
-    }
-    for index in &table.indices {
-        let owner = StructureId::index_of(tid, index.def.attr);
-        for pid in index.tree.pages()? {
-            claim(&mut report, pid, owner);
-        }
-    }
-    for h in &table.hash_indices {
-        let owner = StructureId::hash_of(tid, h.def.attr);
-        for pid in h.index.pages()? {
-            claim(&mut report, pid, owner);
-        }
-    }
+        },
+    )?;
 
     // Reachable ⇒ owned by exactly that structure.
     for (&pid, &owner) in &reachable {

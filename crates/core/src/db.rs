@@ -2,14 +2,13 @@
 
 use std::sync::Arc;
 
-use bd_btree::{bulk_load, BTree, Key, LeafScan};
+use bd_btree::{bulk_load, BTree, Key};
 use bd_exec::sort_all;
 use bd_hashidx::HashIndex;
 use bd_storage::{
     BufferPool, CostModel, HeapFile, MemoryBudget, Rid, SimDisk, StorageResult, StructureId,
 };
 
-use crate::audit::diff_sorted;
 use crate::catalog::{Index, IndexDef, Table};
 use crate::constraint::ForeignKey;
 use crate::error::{DbError, DbResult};
@@ -187,16 +186,6 @@ impl Database {
         Ok(())
     }
 
-    /// Drop the index on `attr`, returning all of its catalogued pages to
-    /// the free set. Returns the dropped definition for later re-creation.
-    pub fn drop_index(&mut self, id: TableId, attr: usize) -> DbResult<IndexDef> {
-        let table = self.tables.get_mut(id).ok_or(DbError::NoSuchTable(id))?;
-        let pos = table.index_pos(attr).ok_or(DbError::NoSuchIndex { attr })?;
-        let def = table.indices.remove(pos).def;
-        self.pool.free_owned(StructureId::index_of(id, attr));
-        Ok(def)
-    }
-
     /// Register a referential constraint (checked by
     /// [`crate::strategy::vertical_with_constraints`]).
     pub fn add_foreign_key(&mut self, fk: ForeignKey) {
@@ -249,60 +238,18 @@ impl Database {
         Ok(())
     }
 
-    /// Full consistency check: every index holds exactly one entry per heap
-    /// record, keyed by that record's attribute value, and its entry
-    /// counter agrees. Expensive; used by tests and after recovery. A
-    /// divergence is a [`DbError::Audit`] naming each index that diverged.
+    /// Full consistency check: [`crate::audit_table`] as a `Result`. Every
+    /// index holds exactly one entry per heap record, keyed by that
+    /// record's attribute value, every entry counter agrees, and each
+    /// structure's invariants hold. Expensive; used by tests and after
+    /// recovery. A divergence is a [`DbError::Audit`] with the rendered
+    /// report, naming each structure that diverged.
     pub fn check_consistency(&self, id: TableId) -> DbResult<()> {
-        let table = self.table(id)?;
-        let mut heap_rows: Vec<(Rid, Tuple)> = table
-            .heap
-            .dump()?
-            .into_iter()
-            .map(|(rid, bytes)| (rid, table.schema.decode(&bytes)))
-            .collect();
-        heap_rows.sort_by_key(|(rid, _)| *rid);
-        let expect = |attr: usize| {
-            let mut entries: Vec<(Key, Rid)> = heap_rows
-                .iter()
-                .map(|(rid, t)| (t.attr(attr), *rid))
-                .collect();
-            entries.sort_unstable();
-            entries
-        };
-        let mut findings = Vec::new();
-        let mut check = |name: String, got: &[(Key, Rid)], counter: usize, attr: usize| {
-            if let Some(diff) = diff_sorted(got, &expect(attr), &name, "heap") {
-                findings.push(diff);
-            }
-            if counter != got.len() {
-                findings.push(format!(
-                    "{name} counts {counter} entries, holds {}",
-                    got.len()
-                ));
-            }
-        };
-        for index in &table.indices {
-            let got: Vec<(Key, Rid)> = LeafScan::new(&index.tree)
-                .map_err(DbError::Storage)?
-                .collect();
-            let name = format!("index {}", index.def.name);
-            check(name, &got, index.tree.len(), index.def.attr);
-        }
-        for h in &table.hash_indices {
-            let mut got = h.index.scan().map_err(DbError::Storage)?;
-            got.sort_unstable();
-            check(
-                format!("hash index {}", h.def.name),
-                &got,
-                h.index.len(),
-                h.def.attr,
-            );
-        }
-        if findings.is_empty() {
+        let report = crate::audit::audit_table(self, id)?;
+        if report.is_clean() {
             Ok(())
         } else {
-            Err(DbError::Audit(findings.join("; ")))
+            Err(DbError::Audit(report.render()))
         }
     }
 }
@@ -442,19 +389,6 @@ mod tests {
         assert_eq!(
             db.create_index(tid, IndexDef::secondary(0)).unwrap_err(),
             DbError::IndexExists { attr: 0 }
-        );
-    }
-
-    #[test]
-    fn drop_index_returns_def() {
-        let (mut db, tid) = small_db();
-        db.create_index(tid, IndexDef::secondary(2)).unwrap();
-        let def = db.drop_index(tid, 2).unwrap();
-        assert_eq!(def.attr, 2);
-        assert!(db.lookup(tid, 2, 0).is_err());
-        assert_eq!(
-            db.drop_index(tid, 2).unwrap_err(),
-            DbError::NoSuchIndex { attr: 2 }
         );
     }
 

@@ -61,8 +61,8 @@ pub mod strategy;
 pub mod tuple;
 
 pub use audit::{
-    audit_catalog, audit_equivalence, audit_equivalence_with, audit_table, AuditFinding,
-    AuditOptions, AuditReport, ShadowDb,
+    audit_catalog, audit_equivalence, audit_equivalence_with, audit_table, reachable_pages,
+    AuditFinding, AuditOptions, AuditReport, ShadowDb,
 };
 pub use catalog::{HashIdx, HashIndexDef, Index, IndexDef, Table, TableCounters};
 pub use constraint::{ForeignKey, RefAction};

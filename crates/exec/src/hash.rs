@@ -13,13 +13,8 @@ use std::collections::HashSet;
 use bd_storage::budget::Reservation;
 use bd_storage::{MemoryBudget, Rid, StorageResult};
 
-use bd_btree::Key;
-
 /// Estimated bytes per RID entry in a hash set (payload + table overhead).
 pub const BYTES_PER_RID: usize = 24;
-
-/// Estimated bytes per `(key, rid)` entry in a hash set.
-pub const BYTES_PER_ENTRY: usize = 32;
 
 /// Footprint a [`RidSet`] over `n` RIDs will reserve.
 pub fn rid_set_bytes(n: usize) -> usize {
@@ -68,43 +63,6 @@ impl<'a> RidSet<'a> {
     }
 }
 
-/// A `(key, rid)` hash set with budget accounting — the key-predicate probe
-/// workspace (§2.1's alternative primary ⋈̄ predicate).
-pub struct EntrySet<'a> {
-    set: HashSet<(Key, Rid)>,
-    _reservation: Reservation<'a>,
-}
-
-impl<'a> EntrySet<'a> {
-    /// Build from an iterator of entries, reserving against `budget`.
-    pub fn build(
-        budget: &'a MemoryBudget,
-        entries: impl IntoIterator<Item = (Key, Rid)>,
-    ) -> StorageResult<Self> {
-        let set: HashSet<(Key, Rid)> = entries.into_iter().collect();
-        let reservation = budget.reserve(set.len() * BYTES_PER_ENTRY)?;
-        Ok(EntrySet {
-            set,
-            _reservation: reservation,
-        })
-    }
-
-    /// Membership probe.
-    pub fn contains(&self, key: Key, rid: Rid) -> bool {
-        self.set.contains(&(key, rid))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,15 +97,6 @@ mod tests {
             assert!(budget.used() > 0);
         }
         assert_eq!(budget.used(), 0);
-    }
-
-    #[test]
-    fn entry_set_probes_composite() {
-        let budget = MemoryBudget::new(1 << 20);
-        let set = EntrySet::build(&budget, [(7u64, Rid::new(1, 0))]).unwrap();
-        assert!(set.contains(7, Rid::new(1, 0)));
-        assert!(!set.contains(7, Rid::new(1, 1)));
-        assert!(!set.contains(8, Rid::new(1, 0)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * [`sort`] — external merge sort under a byte budget, spilling to
 //!   sequential temp segments;
-//! * [`hash`] — RID / entry hash sets whose footprint is reserved against a
+//! * [`hash`] — RID hash sets whose footprint is reserved against a
 //!   [`bd_storage::MemoryBudget`];
 //! * [`partition`] — key-range partitioning of sorted delete lists.
 
@@ -17,6 +17,6 @@ pub mod hash;
 pub mod partition;
 pub mod sort;
 
-pub use hash::{rid_set_bytes, EntrySet, RidSet, BYTES_PER_ENTRY, BYTES_PER_RID};
+pub use hash::{rid_set_bytes, RidSet, BYTES_PER_RID};
 pub use partition::{range_partitions, Partition};
-pub use sort::{sort_all, ByRid, ExternalSorter, Rec, SortStats, SortedStream};
+pub use sort::{sort_all, ByRid, Rec, SortStats};

@@ -12,9 +12,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use bd_storage::{
-    BufferPool, Rid, SegmentReader, SegmentWriter, StorageError, StorageResult, TempSegment,
-};
+use bd_storage::{BufferPool, Rid, SegmentReader, SegmentWriter, StorageResult, TempSegment};
 
 use bd_btree::Key;
 
@@ -92,8 +90,8 @@ pub struct SortStats {
     pub merge_passes: usize,
 }
 
-/// Bounded-memory external sorter.
-pub struct ExternalSorter<T: Rec> {
+/// Bounded-memory external sorter behind [`sort_all`].
+struct ExternalSorter<T: Rec> {
     pool: Arc<BufferPool>,
     budget_bytes: usize,
     buf: Vec<T>,
@@ -103,7 +101,7 @@ pub struct ExternalSorter<T: Rec> {
 
 impl<T: Rec> ExternalSorter<T> {
     /// Sorter allowed to hold `budget_bytes` of items in memory at once.
-    pub fn new(pool: Arc<BufferPool>, budget_bytes: usize) -> Self {
+    fn new(pool: Arc<BufferPool>, budget_bytes: usize) -> Self {
         let cap = (budget_bytes / T::SIZE).max(64);
         ExternalSorter {
             pool,
@@ -121,7 +119,7 @@ impl<T: Rec> ExternalSorter<T> {
 
     /// Add one item.
     #[inline]
-    pub fn push(&mut self, item: T) -> StorageResult<()> {
+    fn push(&mut self, item: T) -> StorageResult<()> {
         self.buf.push(item);
         self.stats.items += 1;
         if self.buf.len() >= self.mem_items() {
@@ -131,7 +129,7 @@ impl<T: Rec> ExternalSorter<T> {
     }
 
     /// Add many items.
-    pub fn extend(&mut self, items: impl IntoIterator<Item = T>) -> StorageResult<()> {
+    fn extend(&mut self, items: impl IntoIterator<Item = T>) -> StorageResult<()> {
         for i in items {
             self.push(i)?;
         }
@@ -165,20 +163,13 @@ impl<T: Rec> ExternalSorter<T> {
         (self.budget_bytes / (64 * 1024)).max(2)
     }
 
-    /// Finish and return the sorted stream plus stats.
-    pub fn finish(mut self) -> StorageResult<(SortedStream<T>, SortStats)> {
+    /// Finish and return the sorted items plus stats: the in-memory sort,
+    /// or the final k-way merge drained into a vector.
+    fn finish(mut self) -> StorageResult<(Vec<T>, SortStats)> {
         if self.runs.is_empty() {
             // Everything fit in memory: one in-place sort.
             self.buf.sort_unstable();
-            let stats = self.stats;
-            return Ok((
-                SortedStream {
-                    inner: StreamInner::Mem(std::mem::take(&mut self.buf).into_iter()),
-                    error: None,
-                    fused: false,
-                },
-                stats,
-            ));
+            return Ok((std::mem::take(&mut self.buf), self.stats));
         }
         self.spill()?;
         // Multi-pass merge down to a final fan-in.
@@ -195,16 +186,15 @@ impl<T: Rec> ExternalSorter<T> {
             self.runs.push(w.finish()?);
             self.stats.merge_passes += 1;
         }
-        let merge = KWayMerge::new(&self.pool, std::mem::take(&mut self.runs))?;
-        let stats = self.stats;
-        Ok((
-            SortedStream {
-                inner: StreamInner::Merge(merge),
-                error: None,
-                fused: false,
-            },
-            stats,
-        ))
+        let mut merge = KWayMerge::new(&self.pool, std::mem::take(&mut self.runs))?;
+        // Every item is in a run now: release the buffer before the drain
+        // allocates the output.
+        self.buf = Vec::new();
+        let mut out = Vec::new();
+        while let Some(item) = merge.next_item()? {
+            out.push(item);
+        }
+        Ok((out, self.stats))
     }
 }
 
@@ -214,84 +204,6 @@ impl<T: Rec> Drop for ExternalSorter<T> {
     fn drop(&mut self) {
         for run in &self.runs {
             run.free(&self.pool);
-        }
-    }
-}
-
-enum StreamInner<T: Rec> {
-    /// Fully in-memory result.
-    Mem(std::vec::IntoIter<T>),
-    /// Streaming k-way merge over spilled runs.
-    Merge(KWayMerge<T>),
-}
-
-/// Sorted output of an [`ExternalSorter`].
-///
-/// The spilled-run path does real I/O, so iteration can fail mid-merge.
-/// [`SortedStream::into_vec`] is the loss-free path: it surfaces any read
-/// error as a `Result`. The `Iterator` impl (needed by merge-join style
-/// consumers) cannot return errors through its items; instead it *fuses and
-/// records*: on the first error the stream permanently ends and the error is
-/// held for the caller to retrieve via [`SortedStream::take_error`]. It is a
-/// bug for a caller to drain the iterator without checking `take_error()` —
-/// a recorded error means the sorted output was truncated mid-merge.
-pub struct SortedStream<T: Rec> {
-    inner: StreamInner<T>,
-    error: Option<StorageError>,
-    /// Set when an error ended iteration; stays set after `take_error` so
-    /// the stream never resumes past a known-lost item.
-    fused: bool,
-}
-
-impl<T: Rec> SortedStream<T> {
-    /// Drain the stream into a vector.
-    pub fn into_vec(mut self) -> StorageResult<Vec<T>> {
-        if self.fused {
-            // The stream already lost items to an error; never hand back a
-            // truncated vector, even if the error was taken separately.
-            return Err(self.error.take().unwrap_or(StorageError::SegmentExhausted));
-        }
-        match self.inner {
-            StreamInner::Mem(it) => Ok(it.collect()),
-            StreamInner::Merge(mut m) => {
-                let mut out = Vec::new();
-                while let Some(item) = m.next_item()? {
-                    out.push(item);
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// The error that fused the stream, if any.
-    pub fn error(&self) -> Option<&StorageError> {
-        self.error.as_ref()
-    }
-
-    /// Take the error that fused the stream. Callers draining via the
-    /// `Iterator` impl must check this after exhaustion: `Some(_)` means
-    /// the stream ended early and the sorted output is incomplete.
-    pub fn take_error(&mut self) -> Option<StorageError> {
-        self.error.take()
-    }
-}
-
-impl<T: Rec> Iterator for SortedStream<T> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        if self.fused {
-            return None;
-        }
-        match &mut self.inner {
-            StreamInner::Mem(it) => it.next(),
-            StreamInner::Merge(m) => match m.next_item() {
-                Ok(item) => item,
-                Err(e) => {
-                    self.error = Some(e);
-                    self.fused = true;
-                    None
-                }
-            },
         }
     }
 }
@@ -325,15 +237,15 @@ impl<T: Rec> RunCursor<T> {
 }
 
 impl<T: Rec> Drop for RunCursor<T> {
-    /// A merge dropped mid-stream (an abandoned [`SortedStream`], a failed
-    /// merge pass) still frees every run it was consuming.
+    /// A merge dropped mid-stream (a failed read in a merge pass or in the
+    /// final drain) still frees every run it was consuming.
     fn drop(&mut self) {
         self.release();
     }
 }
 
 /// Streaming k-way merge over sorted runs.
-pub struct KWayMerge<T: Rec> {
+struct KWayMerge<T: Rec> {
     cursors: Vec<RunCursor<T>>,
     heap: BinaryHeap<Reverse<(T, usize)>>,
 }
@@ -376,7 +288,9 @@ impl<T: Rec> KWayMerge<T> {
     }
 }
 
-/// Convenience: sort `items` under `budget_bytes`, returning a vector.
+/// Sort `items` under `budget_bytes`, returning a vector. Every finished
+/// run's temp pages are freed by the time this returns, on success or
+/// error.
 pub fn sort_all<T: Rec>(
     pool: Arc<BufferPool>,
     items: impl IntoIterator<Item = T>,
@@ -384,8 +298,7 @@ pub fn sort_all<T: Rec>(
 ) -> StorageResult<(Vec<T>, SortStats)> {
     let mut s = ExternalSorter::new(pool, budget_bytes);
     s.extend(items)?;
-    let (stream, stats) = s.finish()?;
-    Ok((stream.into_vec()?, stats))
+    s.finish()
 }
 
 #[cfg(test)]
@@ -515,13 +428,13 @@ mod tests {
         let p = pool();
         let mut sorter = ExternalSorter::new(p.clone(), 64 * 1024);
         sorter.extend(pseudo_random(50_000, 11)).unwrap();
-        let (mut stream, stats) = sorter.finish().unwrap();
-        assert!(stats.runs >= 2);
-        // Consume a few items, then abandon the stream mid-merge.
+        assert!(sorter.stats.runs >= 2);
+        // Consume a few items of a merge, then abandon it mid-stream.
+        let mut merge = KWayMerge::<u64>::new(&p, std::mem::take(&mut sorter.runs)).unwrap();
         for _ in 0..10 {
-            let _ = stream.next();
+            merge.next_item().unwrap();
         }
-        drop(stream);
+        drop(merge);
         assert!(
             p.catalog().pages_of(StructureId::Temp).is_empty(),
             "an abandoned merge must free its runs"

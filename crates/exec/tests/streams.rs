@@ -1,10 +1,12 @@
-//! Additional exec-layer tests: streaming behaviour, statistics, and
-//! budget interactions of the external sorter.
+//! Additional exec-layer tests: statistics, read errors and budget
+//! interactions of the external sorter.
 
 use std::sync::Arc;
 
-use bd_exec::{sort_all, ByRid, ExternalSorter, Rec};
-use bd_storage::{BufferPool, CostModel, Rid, SimDisk};
+use bd_exec::{sort_all, ByRid, Rec};
+use bd_storage::{
+    BufferPool, CostModel, FaultPlan, FaultSpec, Rid, SimDisk, StorageError, StructureId,
+};
 
 fn pool() -> Arc<BufferPool> {
     BufferPool::new(SimDisk::new(CostModel::default()), 64)
@@ -20,20 +22,6 @@ fn lcg(n: usize, seed: u64) -> Vec<u64> {
             x
         })
         .collect()
-}
-
-#[test]
-fn sorted_stream_is_a_lazy_iterator() {
-    let mut s = ExternalSorter::<u64>::new(pool(), 16 * 1024);
-    s.extend(lcg(20_000, 3)).unwrap();
-    let (stream, stats) = s.finish().unwrap();
-    assert!(stats.runs > 1, "{stats:?}");
-    // Take only a prefix: must be the global minimum prefix, in order.
-    let prefix: Vec<u64> = stream.take(100).collect();
-    assert!(prefix.windows(2).all(|w| w[0] <= w[1]));
-    let mut all = lcg(20_000, 3);
-    all.sort_unstable();
-    assert_eq!(prefix, all[..100]);
 }
 
 #[test]
@@ -69,52 +57,23 @@ fn all_equal_items() {
 }
 
 #[test]
-fn merge_read_error_fuses_and_is_recorded() {
-    // Regression: the Iterator impl used to map a spilled-run read error to
-    // `None` (`.ok().flatten()`), silently truncating the sorted output
-    // mid-merge. It must fuse and record the error instead.
-    let p = pool();
-    let mut s = ExternalSorter::<u64>::new(p.clone(), 64 * 1024);
-    s.extend(lcg(60_000, 21)).unwrap();
-    let (mut stream, stats) = s.finish().unwrap();
-    assert!(stats.runs > 1, "{stats:?}");
-    // All pages on this pool belong to spilled runs; failing the last
-    // allocated page guarantees the fault sits in a run the final merge
-    // still has to read (the first chunk of each run is already buffered).
-    let bad = p.with_disk(|d| {
-        let last = d.num_pages() as u32 - 1;
-        d.set_fault_plan(
-            bd_storage::FaultPlan::new().inject(bd_storage::FaultSpec::read_page(last)),
-        );
-        last
-    });
-    let truncated: Vec<u64> = (&mut stream).collect();
-    assert!(truncated.len() < 60_000, "fault did not hit the merge path");
-    assert_eq!(
-        stream.take_error(),
-        Some(bd_storage::StorageError::InjectedFault(bad)),
-        "stream must record the merge read error"
-    );
-    assert_eq!(stream.take_error(), None, "error is taken once");
-    assert_eq!(stream.next(), None, "fused after error");
-}
-
-#[test]
 fn into_vec_propagates_merge_read_error() {
+    let items = lcg(60_000, 22);
+    // A twin sort on a fresh pool learns the last page the sort writes:
+    // page ids are never reused here, so it belongs to the last run the
+    // final merge reads.
+    let twin = pool();
+    sort_all(twin.clone(), items.clone(), 64 * 1024).unwrap();
+    let bad = twin.with_disk(|d| d.num_pages() as u32 - 1);
     let p = pool();
-    let mut s = ExternalSorter::<u64>::new(p.clone(), 64 * 1024);
-    s.extend(lcg(60_000, 22)).unwrap();
-    let (stream, _) = s.finish().unwrap();
-    let bad = p.with_disk(|d| {
-        let last = d.num_pages() as u32 - 1;
-        d.set_fault_plan(
-            bd_storage::FaultPlan::new().inject(bd_storage::FaultSpec::read_page(last)),
-        );
-        last
-    });
+    p.with_disk(|d| d.set_fault_plan(FaultPlan::new().inject(FaultSpec::read_page(bad))));
     assert_eq!(
-        stream.into_vec().unwrap_err(),
-        bd_storage::StorageError::InjectedFault(bad)
+        sort_all(p.clone(), items, 64 * 1024).unwrap_err(),
+        StorageError::InjectedFault(bad)
+    );
+    assert!(
+        p.catalog().pages_of(StructureId::Temp).is_empty(),
+        "a failed merge must free every run"
     );
 }
 

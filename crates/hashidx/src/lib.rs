@@ -443,22 +443,6 @@ impl HashIndex {
         }
         Ok(dirtied)
     }
-
-    /// Longest overflow chain (diagnostics).
-    pub fn max_chain_len(&self) -> StorageResult<usize> {
-        let mut max = 0;
-        for &bucket in &self.buckets {
-            let mut len = 0;
-            let mut pid = Some(bucket);
-            while let Some(p) = pid {
-                len += 1;
-                let r = self.pool.pin_read(p)?;
-                pid = page_overflow(&r[..]);
-            }
-            max = max.max(len);
-        }
-        Ok(max)
-    }
 }
 
 /// One bucket's chain as found on disk by [`HashIndex::audit`].
@@ -508,6 +492,12 @@ mod tests {
 
     fn rid(i: u64) -> Rid {
         Rid::new(i as u32, (i % 7) as u16)
+    }
+
+    /// Pages in the longest overflow chain.
+    fn longest_chain(h: &HashIndex) -> usize {
+        let audit = h.audit().unwrap();
+        audit.chains.iter().map(|c| c.pages.len()).max().unwrap()
     }
 
     #[test]
@@ -566,7 +556,7 @@ mod tests {
         for k in 0..n {
             h.insert(k, rid(k)).unwrap();
         }
-        assert!(h.max_chain_len().unwrap() >= 3);
+        assert!(longest_chain(&h) >= 3);
         for k in 0..n {
             assert_eq!(h.search(k).unwrap(), vec![rid(k)], "key {k}");
         }
@@ -647,7 +637,7 @@ mod tests {
         for k in 0..n {
             h.insert(k, rid(k)).unwrap();
         }
-        assert_eq!(h.max_chain_len().unwrap(), 4);
+        assert_eq!(longest_chain(&h), 4);
         p.flush_all().unwrap();
         p.reset_stats();
         assert!(!h.delete(n + 1, rid(0)).unwrap());
@@ -830,11 +820,8 @@ mod tests {
         for k in 0..10_000u64 {
             h.insert(k, rid(k)).unwrap();
         }
-        assert!(
-            h.max_chain_len().unwrap() <= 3,
-            "chains: {}",
-            h.max_chain_len().unwrap()
-        );
+        let longest = longest_chain(&h);
+        assert!(longest <= 3, "chains: {longest}");
     }
 
     #[test]

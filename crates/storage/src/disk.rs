@@ -531,12 +531,6 @@ impl SimDisk {
         Ok(())
     }
 
-    /// How many accesses the installed fault plan's programmed slots have
-    /// hit so far (crash points excluded). See [`FaultPlan::fired`].
-    pub fn fault_plan_fired(&self) -> u64 {
-        self.plan.fired()
-    }
-
     /// Access number and page offset at which the installed fault plan
     /// first struck. See [`FaultPlan::landed`].
     pub fn fault_plan_landed(&self) -> Option<(u64, u32)> {
@@ -819,7 +813,7 @@ mod tests {
         d.set_fault_plan(FaultPlan::new().inject(crate::FaultSpec::write_page(pid).torn()));
         d.write(pid, &page_of(9)).unwrap();
         assert_eq!(d.corrupt_pages(), vec![pid]);
-        assert_eq!(d.fault_plan_fired(), 1, "the torn slot fired");
+        assert_eq!(d.fault_plan_landed(), Some((2, 0)), "the torn slot fired");
         d.accept_torn_page(pid).unwrap();
         assert!(d.corrupt_pages().is_empty());
         let mut buf = [0u8; PAGE_SIZE];

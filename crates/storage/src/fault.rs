@@ -159,11 +159,6 @@ pub struct FaultPlan {
     slots: Vec<FaultSlot>,
     /// Crash point: access number and page within it.
     crash_at: Option<(u64, u32)>,
-    /// Slot firings so far (crash points excluded): how many accesses a
-    /// programmed fault actually hit. The torn-write campaign uses this to
-    /// tell a swept *write* access (the torn slot fired) from a read access
-    /// the slot slid past.
-    fired: u64,
     /// Access number and page offset at which the plan first struck (a slot
     /// firing or the crash point).
     landed: Option<(u64, u32)>,
@@ -209,12 +204,6 @@ impl FaultPlan {
         self.slots.is_empty() && self.crash_at.is_none()
     }
 
-    /// How many accesses a programmed fault slot has hit so far (torn
-    /// writes, transient and persistent failures; crash points excluded).
-    pub fn fired(&self) -> u64 {
-        self.fired
-    }
-
     /// Where the plan first struck: the access number and the page offset
     /// inside that access of the torn or failed page, or of the first page
     /// a crash kept off the platter. `None` while nothing has struck. A
@@ -254,7 +243,6 @@ impl FaultPlan {
                 _ => continue,
             };
             slot.remaining = slot.remaining.saturating_sub(1);
-            self.fired += 1;
             self.landed.get_or_insert((access, pid - first));
             return Some(match slot.spec.kind {
                 FaultKind::TornWrite => FaultOutcome::Torn(pid),
@@ -359,7 +347,7 @@ mod tests {
         // A chain too short to have the page is not hit at all.
         let mut plan = FaultPlan::new().inject(FaultSpec::write_at_access_page(2, 4).torn());
         assert_eq!(plan.evaluate(FaultOp::Write, 10, 4, 2), None);
-        assert_eq!((plan.fired(), plan.landed()), (0, None));
+        assert_eq!(plan.landed(), None);
     }
 
     #[test]

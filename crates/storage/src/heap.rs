@@ -404,8 +404,8 @@ impl HeapFile {
     }
 
     /// Compare every page's FSM entry against its actual slotted-page
-    /// occupancy, returning each mismatch instead of panicking (the audit
-    /// harness folds these into its report).
+    /// occupancy, returning each mismatch (the audit harness folds these
+    /// into its report).
     pub fn audit_fsm(&self) -> StorageResult<Vec<FsmMismatch>> {
         let mut out = Vec::new();
         for &pid in &self.pages {
@@ -420,15 +420,6 @@ impl HeapFile {
             }
         }
         Ok(out)
-    }
-
-    /// Verify FSM entries against actual page occupancy; returns the number
-    /// of checked pages. Test/diagnostic hook (panics on mismatch; use
-    /// [`HeapFile::audit_fsm`] for a structured result).
-    pub fn verify_fsm(&self) -> StorageResult<usize> {
-        let mismatches = self.audit_fsm()?;
-        assert!(mismatches.is_empty(), "fsm mismatches: {mismatches:?}");
-        Ok(self.pages.len())
     }
 }
 
@@ -663,7 +654,7 @@ mod tests {
         for &v in &victims {
             assert!(h.get(v).is_err());
         }
-        h.verify_fsm().unwrap();
+        assert!(h.audit_fsm().unwrap().is_empty());
     }
 
     #[test]
@@ -751,7 +742,7 @@ mod tests {
         // A re-run finds nothing left to delete.
         assert_eq!(h.bulk_delete_sorted(&victims).unwrap(), vec![]);
         assert_eq!(h.len(), 20);
-        h.verify_fsm().unwrap();
+        assert!(h.audit_fsm().unwrap().is_empty());
     }
 
     proptest::proptest! {
@@ -838,7 +829,7 @@ mod tests {
         h.restore_counters(n, &fsm);
         assert_eq!(h.pool().disk_stats().pages_read, reads);
         assert_eq!((h.len(), h.fsm_entries()), (n, fsm.clone()));
-        h.verify_fsm().unwrap();
+        assert!(h.audit_fsm().unwrap().is_empty());
 
         // The walk finds the same values on disk.
         h.restore_counters(usize::MAX / 2, &[]);
@@ -877,7 +868,7 @@ mod tests {
                 assert_eq!(h.get(rid).unwrap(), record(tag(i as u64)));
             }
         }
-        h.verify_fsm().unwrap();
+        assert!(h.audit_fsm().unwrap().is_empty());
         // No victim tag survives anywhere on the heap's disk pages.
         let page_ids = h.page_ids().to_vec();
         h.pool().with_disk(|d| {
@@ -918,7 +909,7 @@ mod tests {
         let live: Vec<Rid> = h.scan().map(|(rid, _)| rid).collect();
         assert_eq!(live.len(), h.len());
         assert!(live.windows(2).all(|w| w[0] < w[1]));
-        h.verify_fsm().unwrap();
+        assert!(h.audit_fsm().unwrap().is_empty());
         // After reclaim the released pages are recycled and spliced back
         // into the page list at their sorted positions.
         for &pid in &victims {
@@ -938,7 +929,7 @@ mod tests {
         );
         let live: Vec<Rid> = h.scan().map(|(rid, _)| rid).collect();
         assert!(live.windows(2).all(|w| w[0] < w[1]), "RID order preserved");
-        h.verify_fsm().unwrap();
+        assert!(h.audit_fsm().unwrap().is_empty());
     }
 
     #[test]
@@ -979,7 +970,7 @@ mod tests {
             d.random_reads + d.random_writes,
             touched.len()
         );
-        h.verify_fsm().unwrap();
+        assert!(h.audit_fsm().unwrap().is_empty());
     }
 
     #[test]

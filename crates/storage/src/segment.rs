@@ -39,11 +39,6 @@ impl TempSegment {
         self.num_pages
     }
 
-    /// Number of contiguous extents (1 unless allocations interleaved).
-    pub fn num_extents(&self) -> usize {
-        self.extents.len()
-    }
-
     /// Open a sequential reader over the segment.
     pub fn reader(&self, pool: Arc<BufferPool>) -> SegmentReader {
         SegmentReader {
@@ -343,8 +338,8 @@ mod tests {
         w_b.write(&data_b[3 * step..]).unwrap();
         let seg_a = w_a.finish().unwrap();
         let seg_b = w_b.finish().unwrap();
-        assert!(seg_a.num_extents() > 1, "flushes interleaved");
-        assert!(seg_b.num_extents() > 1, "flushes interleaved");
+        assert!(seg_a.extents.len() > 1, "flushes interleaved");
+        assert!(seg_b.extents.len() > 1, "flushes interleaved");
         for (seg, data) in [(seg_a, data_a), (seg_b, data_b)] {
             let mut r = seg.reader(pool.clone());
             let mut out = vec![0u8; data.len()];
@@ -386,7 +381,7 @@ mod tests {
         let mut w = SegmentWriter::new(pool.clone());
         w.write(&data).unwrap();
         let seg = w.finish().unwrap();
-        assert_eq!(seg.num_extents(), 1);
+        assert_eq!(seg.extents.len(), 1);
         pool.reset_stats();
         let mut r = seg.reader(pool.clone());
         let mut out = vec![0u8; data.len()];

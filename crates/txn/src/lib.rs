@@ -26,4 +26,4 @@ pub use error::{TxnError, TxnResult};
 pub use gate::{IndexGate, IndexState};
 pub use lock::{LockError, LockManager, LockMode, TxnId};
 pub use sidefile::{SideFile, SideOp};
-pub use txndb::{LiveDeleteStats, MaintenanceHook, PropagationMode, TxnDb};
+pub use txndb::{LiveDeleteStats, PropagationMode, TxnDb};

@@ -188,21 +188,17 @@ impl LockManager {
             .map(|s| s.exclusive == Some(txn) || s.sharers.contains(&txn))
             .unwrap_or(false)
     }
-
-    /// True if `txn` holds an exclusive lock on `resource`.
-    pub fn holds_exclusive(&self, txn: TxnId, resource: ResourceId) -> bool {
-        self.table
-            .lock()
-            .get(&resource)
-            .map(|s| s.exclusive == Some(txn))
-            .unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// The transaction holding `resource` exclusively, if any.
+    fn exclusive_holder(lm: &LockManager, resource: ResourceId) -> Option<TxnId> {
+        lm.table.lock().get(&resource).and_then(|s| s.exclusive)
+    }
 
     #[test]
     fn shared_locks_coexist() {
@@ -231,7 +227,7 @@ mod tests {
         lm.acquire(1, 0, LockMode::Shared).unwrap();
         // Sole sharer may upgrade.
         lm.acquire(1, 0, LockMode::Exclusive).unwrap();
-        assert!(lm.holds_exclusive(1, 0));
+        assert_eq!(exclusive_holder(&lm, 0), Some(1));
         // Exclusive holder may re-acquire shared.
         lm.acquire(1, 0, LockMode::Shared).unwrap();
     }
@@ -287,7 +283,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         let granted = lm.acquire(1, 0, LockMode::Exclusive);
         stop.store(true, Ordering::Release);
-        let still_holding = lm.holds_exclusive(1, 0);
+        let still_holding = exclusive_holder(&lm, 0) == Some(1);
         lm.release_all(1);
         for r in readers {
             r.join().unwrap();

@@ -44,8 +44,8 @@ use parking_lot::Mutex;
 use bd_btree::{lookup_keys_sorted, Key, RangeCursor, ReorgPolicy};
 use bd_core::strategy::run_passes;
 use bd_core::{
-    pass_order, plan_sort_merge, project, split, Database, DbError, DbResult, HashIdx, Index,
-    PhaseExecutor, TableId, Tuple, Victims,
+    pass_order, plan_sort_merge, project, split, Database, DbError, HashIdx, Index, PhaseExecutor,
+    TableId, Tuple, Victims,
 };
 use bd_exec::{sort_all, ByRid};
 use bd_storage::{io_scope::bypass_cancel, BufferPool, Pacer, Rid, StorageResult, StructureId};
@@ -92,15 +92,8 @@ pub struct TxnDb {
     /// Serializes whole bulk-delete operations: a second bulk delete must
     /// not take indices offline while the first is still propagating.
     bulk_serial: Mutex<()>,
-    /// Optional background-maintenance slice run between live-delete
-    /// chunks, while no table lock is held (see [`TxnDb::set_maintenance`]).
-    maintenance: Mutex<Option<MaintenanceHook>>,
     next_txn: AtomicU64,
 }
-
-/// A resumable maintenance step (typically
-/// [`bd_core::Maintainer::run_round`] behind a closure).
-pub type MaintenanceHook = Box<dyn FnMut(&mut Database) -> DbResult<()> + Send>;
 
 impl TxnDb {
     /// Wrap a database for concurrent use.
@@ -112,18 +105,8 @@ impl TxnDb {
             sidefiles: Mutex::new(HashMap::new()),
             undeletable: Mutex::new(HashSet::new()),
             bulk_serial: Mutex::new(()),
-            maintenance: Mutex::new(None),
             next_txn: AtomicU64::new(1),
         })
-    }
-
-    /// Install (or clear) the incremental-maintenance hook. When set, every
-    /// between-chunk pause point of [`TxnDb::bulk_delete_live`] runs one
-    /// slice of it under the db mutex but outside any table lock, so page
-    /// recycling and leaf packing interleave with the delete instead of
-    /// waiting for an offline window.
-    pub fn set_maintenance(&self, hook: Option<MaintenanceHook>) {
-        *self.maintenance.lock() = hook;
     }
 
     /// Run setup/inspection code against the underlying database.
@@ -472,11 +455,6 @@ impl TxnDb {
                 // Checkpoint between chunks: no table lock, no db mutex —
                 // a hook here may run any foreground transaction.
                 pacer.check().map_err(DbError::from)?;
-                // One maintenance slice per between-chunk checkpoint.
-                if let Some(hook) = self.maintenance.lock().as_mut() {
-                    let mut db = self.db.lock();
-                    hook(&mut db)?;
-                }
                 let txn = self.begin();
                 self.locks.acquire(txn, tid, LockMode::Exclusive)?;
                 if chunks == 0 {

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use bd_core::{Database, DatabaseConfig, IndexDef, ShadowDb, Tuple};
-use bd_storage::{Pacer, StorageError};
+use bd_storage::{pacer, Pacer, StorageError};
 use bd_txn::{PropagationMode, TxnDb};
 use bd_workload::TableSpec;
 
@@ -75,19 +75,21 @@ fn deferred_hash_sweep_keeps_an_insert_that_reuses_a_victim_rid() {
     const CHUNK: usize = 32;
     for mode in [PropagationMode::SideFile, PropagationMode::Direct] {
         // The pacer's count at the checkpoint between the first chunk and
-        // the second, read by a maintenance hook on an identical run.
+        // the second, read on an identical run by a hook that records the
+        // between-chunk checkpoints: the only ones with no pacer installed.
         let boundary = {
             let (tdb, tid, a_values) = setup_hashed(30);
             let victims: Vec<u64> = a_values.iter().copied().step_by(3).collect();
-            let pacer = Pacer::new();
             let seen = Arc::new(Mutex::new(Vec::new()));
-            {
-                let (pacer, seen) = (pacer.clone(), seen.clone());
-                tdb.set_maintenance(Some(Box::new(move |_| {
-                    seen.lock().unwrap().push(pacer.checks());
+            let pacer = {
+                let seen = seen.clone();
+                Pacer::with_hook(move |n| {
+                    if pacer::installed().is_empty() {
+                        seen.lock().unwrap().push(n);
+                    }
                     Ok(())
-                })));
-            }
+                })
+            };
             tdb.bulk_delete_live(tid, 0, &victims, mode, CHUNK, &pacer)
                 .unwrap();
             let seen = seen.lock().unwrap();
@@ -406,19 +408,22 @@ fn maintenance_hook_runs_between_live_delete_chunks() {
     let (tdb, tid, a_values) = setup(2000);
     let maintainer = Arc::new(Mutex::new(Maintainer::new(MaintenanceConfig::default())));
     let calls = Arc::new(AtomicUsize::new(0));
-    {
-        let maintainer = maintainer.clone();
-        let calls = calls.clone();
-        tdb.set_maintenance(Some(Box::new(move |db| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            maintainer.lock().unwrap().run_round(db)?;
+    // Between chunks no pacer is installed and neither a table lock nor
+    // the db mutex is held: the hook runs one maintenance round there.
+    let pacer = {
+        let (tdb, maintainer, calls) = (tdb.clone(), maintainer.clone(), calls.clone());
+        Pacer::with_hook(move |_| {
+            if pacer::installed().is_empty() {
+                calls.fetch_add(1, Ordering::Relaxed);
+                tdb.with(|db| maintainer.lock().unwrap().run_round(db))
+                    .expect("maintenance round");
+            }
             Ok(())
-        })));
-    }
+        })
+    };
 
     // Delete everything: each chunk empties heap pages and index subtrees,
     // and the hook recycles them while the statement is still running.
-    let pacer = Pacer::new();
     let stats = tdb
         .bulk_delete_live(tid, 0, &a_values, PropagationMode::SideFile, 97, &pacer)
         .unwrap();

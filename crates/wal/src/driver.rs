@@ -24,8 +24,8 @@ use std::sync::Mutex;
 use bd_btree::{BTree, Key, ReorgPolicy};
 use bd_core::erasure::victim_rows;
 use bd_core::{
-    build_hash, build_index, pass_order, plan_sort_merge, split, Database, DbError, PhaseExecutor,
-    PhaseTask, TableCounters, TableId, Victims,
+    build_hash, build_index, pass_order, plan_sort_merge, reachable_pages, split, Database,
+    DbError, PhaseExecutor, PhaseTask, TableCounters, TableId, Victims,
 };
 use bd_storage::{BufferPool, PageId, Rid, StorageError};
 use bd_txn::sidefile::{apply_ops, SideOp};
@@ -694,29 +694,8 @@ fn reconcile_catalog(
     suspects: Option<&[StructureId]>,
 ) -> Result<(), WalError> {
     let walk = |s: StructureId| suspects.is_none_or(|set| set.contains(&s));
-    let table = db.table(tid)?;
     let mut reachable: Vec<(PageId, StructureId)> = Vec::new();
-    if walk(StructureId::Table) {
-        for &pid in table.heap.page_ids() {
-            reachable.push((pid, StructureId::Table));
-        }
-    }
-    for ix in &table.indices {
-        let owner = StructureId::index_of(tid, ix.def.attr);
-        if walk(owner) {
-            for pid in ix.tree.pages().map_err(DbError::Storage)? {
-                reachable.push((pid, owner));
-            }
-        }
-    }
-    for h in &table.hash_indices {
-        let owner = StructureId::hash_of(tid, h.def.attr);
-        if walk(owner) {
-            for pid in h.index.pages().map_err(DbError::Storage)? {
-                reachable.push((pid, owner));
-            }
-        }
-    }
+    reachable_pages(db, tid, walk, |pid, owner| reachable.push((pid, owner)))?;
     db.pool().with_disk(|d| {
         for (pid, owner) in reachable {
             if d.catalog().owner(pid).is_none() {

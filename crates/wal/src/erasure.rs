@@ -100,21 +100,43 @@ pub fn run_erasure_campaign(
     pacer: &Pacer,
 ) -> Result<ErasureOutcome, WalError> {
     let id = log.len() as u64;
+    let steps = manifest_steps(plan);
     log.append(&LogRecord::CampaignBegin {
         id,
-        steps: manifest_steps(plan),
+        steps: steps.clone(),
     });
     // Sensitive values must be captured while the victim rows still
     // exist. A crash from here on re-derives the same set from the
     // manifest, the logged victim rows, and the still-live remainder.
     let sensitive = collect_sensitive(db, plan)?;
+    let deleted = run_steps(db, log, id, &steps, 0, workers, pacer)?;
 
+    let (scrub, redacted, report) = finish_campaign(db, log, id, &sensitive)?;
+    Ok(ErasureOutcome {
+        id,
+        steps_run: plan.steps.len(),
+        deleted,
+        scrub,
+        redacted,
+        report,
+    })
+}
+
+/// Run the manifest's steps from `first` on, in order, each through the
+/// §3.2 recoverable driver and sealed with a [`LogRecord::CampaignStepDone`];
+/// returns the victim rows deleted. The `pacer` is checked before each step
+/// and installed around its body as [`run_erasure_campaign`] describes.
+fn run_steps(
+    db: &mut Database,
+    log: &LogManager,
+    id: u64,
+    steps: &[CampaignStep],
+    first: usize,
+    workers: usize,
+    pacer: &Pacer,
+) -> Result<usize, WalError> {
     let mut deleted = 0usize;
-    for (i, step) in plan.steps.iter().enumerate() {
-        // Checkpoint between steps: nothing in flight. The
-        // completed prefix is durable (each step's driver flushes before
-        // its commit), so a cancel here leaves a consistent database and
-        // a manifest that says exactly how far the campaign got.
+    for (i, step) in steps.iter().enumerate().skip(first) {
         if let Err(e) = pacer.check() {
             log.append(&LogRecord::CampaignCancelled {
                 id,
@@ -126,8 +148,8 @@ pub fn run_erasure_campaign(
             let _pace = pacer.enter_defer_cancel();
             run_bulk_delete_parallel(
                 db,
-                step.table,
-                step.attr,
+                step.table as TableId,
+                step.attr as usize,
                 &step.keys,
                 log,
                 CrashInjector::none(),
@@ -136,16 +158,7 @@ pub fn run_erasure_campaign(
         };
         log.append(&LogRecord::CampaignStepDone { id, step: i as u32 });
     }
-
-    let (scrub, redacted, report) = finish_campaign(db, log, id, &sensitive)?;
-    Ok(ErasureOutcome {
-        id,
-        steps_run: plan.steps.len(),
-        deleted,
-        scrub,
-        redacted,
-        report,
-    })
+    Ok(deleted)
 }
 
 /// The campaign's obligated tail: physical scrub, log redaction, commit
@@ -266,19 +279,8 @@ pub fn recover_campaign(
         // to roll forward and the step must run for real. When recovery
         // *did* finish it, the re-run materializes zero victims and
         // no-ops — bulk deletes tolerate absent keys.
-        for (i, s) in steps.iter().enumerate().skip(completed) {
-            deleted += run_bulk_delete_parallel(
-                db,
-                s.table as TableId,
-                s.attr as usize,
-                &s.keys,
-                log,
-                CrashInjector::none(),
-                workers,
-            )?;
-            log.append(&LogRecord::CampaignStepDone { id, step: i as u32 });
-            steps_run += 1;
-        }
+        deleted += run_steps(db, log, id, &steps, completed, workers, &Pacer::new())?;
+        steps_run = steps.len() - completed;
     } else if !corrupt.is_empty() {
         // Crash with every step sealed: the tear either hit a scrub-phase
         // write (benign — scrub writes never change live bytes, so the

@@ -133,8 +133,8 @@ fn maintenance_torn_write_campaign_recovers_every_surfaced_tear() {
             d.set_fault_plan(FaultPlan::new().inject(FaultSpec::write_at_access(c0 + n).torn()))
         });
         let run = run_maintenance_cycle(&mut db, tid, &log, &mut maintainer());
-        let fired = db.pool().with_disk(|d| d.fault_plan_fired());
-        if run.is_ok() && fired == 0 {
+        let landed = db.pool().with_disk(|d| d.fault_plan_landed());
+        if run.is_ok() && landed.is_none() {
             continue; // access n was a read: nothing torn
         }
         // Surface the damage the way a restart would: drop the cache,

@@ -27,6 +27,27 @@ done
 # pipeline.
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
+# Every workload of BENCHMARK.json end to end, once each; each last line
+# must report a correct run.
+#
+# heap5: wide rows behind one index, the heap pass nearly the whole
+# statement, its end state diffed against a shadow model.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload heap5 --seed 42 --seconds 1 --trace 0 | tail -n 1 |
+    grep -q '"correct": true'
+
+# arms15: five indices, spilling sorts, the statement fanned out over two
+# workers beside its one-worker twin, both diffed against the model.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload arms15 --seed 42 --seconds 1 --trace 0 | tail -n 1 |
+    grep -q '"correct": true'
+
+# live15: the chunked live delete beside a closed-loop foreground client,
+# checked against the model and an offline twin.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload live15 --seed 42 --seconds 1 --trace 0 | tail -n 1 |
+    grep -q '"correct": true'
+
 # The durable driver end to end, once: wal15 crashes a logged delete in its
 # table pass, recovers it and audits the result against a shadow model and
 # an uncrashed twin. Its last line must report a correct run.
